@@ -2,8 +2,8 @@
 
 Everything here is a pure function over float64 numpy arrays: no state, no
 randomness.  Boxes are oriented in the horizontal plane (yaw about +z) and
-sized as (length, width, height), length along the box x axis.  All argmax
-and nearest-neighbour ties break to the lowest index.
+sized as (length, width, height), length along the box x axis.  Argmax
+ties break to the lowest index.
 """
 
 from __future__ import annotations
@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_NUM_HEADING_BINS = 12
-DEFAULT_SIZE_TEMPLATES = ((3.9, 1.6, 1.56),)  # typical car (l, w, h) in meters
 
 
 def wrap_angle(angle: float) -> float:
@@ -94,74 +91,6 @@ class Box3D:
         return float(self.size[0] * self.size[1] * self.size[2])
 
 
-@dataclass(eq=False)
-class BoxEncoding:
-    """Binned box regression values: objectness, center, heading, size, class.
-
-    Used both for network predictions (logits, all residual slots filled) and
-    for targets (one-hot logits, residuals only at the true bin).  The packed
-    vector layout is [objectness(2), center(3), heading_logits(nh),
-    heading_residuals(nh), size_logits(ns), size_residuals(ns*3), class(nc)].
-    """
-
-    objectness: np.ndarray
-    center: np.ndarray
-    heading_bin_logits: np.ndarray
-    heading_residuals: np.ndarray
-    size_bin_logits: np.ndarray
-    size_residuals: np.ndarray
-    class_logits: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.objectness = np.asarray(self.objectness, dtype=float).reshape(2)
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
-        self.heading_bin_logits = np.asarray(self.heading_bin_logits, dtype=float).ravel()
-        self.heading_residuals = np.asarray(self.heading_residuals, dtype=float).ravel()
-        if self.heading_residuals.shape != self.heading_bin_logits.shape:
-            raise ValueError("heading residuals must match heading bin count")
-        self.size_bin_logits = np.asarray(self.size_bin_logits, dtype=float).ravel()
-        self.size_residuals = np.asarray(self.size_residuals, dtype=float).reshape(
-            self.size_bin_logits.shape[0], 3)
-        self.class_logits = np.asarray(self.class_logits, dtype=float).ravel()
-        if self.heading_bin_logits.size < 1 or self.size_bin_logits.size < 1 \
-                or self.class_logits.size < 1:
-            raise ValueError("heading/size/class slots must be non-empty")
-
-    @property
-    def num_heading_bins(self) -> int:
-        return int(self.heading_bin_logits.size)
-
-    @property
-    def num_size_bins(self) -> int:
-        return int(self.size_bin_logits.size)
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.class_logits.size)
-
-    @staticmethod
-    def vector_size(nh: int, ns: int, nc: int) -> int:
-        return 2 + 3 + 2 * nh + 4 * ns + nc
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.objectness, self.center,
-            self.heading_bin_logits, self.heading_residuals,
-            self.size_bin_logits, self.size_residuals.ravel(),
-            self.class_logits,
-        ])
-
-    @classmethod
-    def from_vector(cls, vec, nh: int, ns: int, nc: int) -> "BoxEncoding":
-        vec = np.asarray(vec, dtype=float).ravel()
-        expected = cls.vector_size(nh, ns, nc)
-        if vec.size != expected:
-            raise ValueError(f"encoding vector must have length {expected}, got {vec.size}")
-        parts = np.split(vec, np.cumsum([2, 3, nh, nh, ns, 3 * ns]))
-        return cls(parts[0], parts[1], parts[2], parts[3], parts[4],
-                   parts[5].reshape(ns, 3), parts[6])
-
-
 def farthest_point_sample(cloud: PointCloud, m: int, start_index: int) -> np.ndarray:
     """Iteratively pick m indices maximizing the min distance to chosen points."""
     pts = cloud.points
@@ -182,28 +111,6 @@ def farthest_point_sample(cloud: PointCloud, m: int, start_index: int) -> np.nda
         dist = np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1))
         dist[nxt] = -1.0
     return chosen
-
-
-def knn(query, cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest cloud points to query, ascending by distance, ties by index."""
-    pts = cloud.points
-    if not 1 <= k <= pts.shape[0]:
-        raise ValueError(f"k must lie in [1, {pts.shape[0]}], got {k}")
-    d = np.linalg.norm(pts - np.asarray(query, dtype=float).reshape(3), axis=1)
-    order = np.argsort(d, kind="stable")[:k]
-    return order, d[order]
-
-
-def ball_query(center, radius: float, cloud: PointCloud, max_count: int) -> np.ndarray:
-    """Indices of points within radius of center, nearest-first, capped."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if max_count < 0:
-        raise ValueError("max_count must be non-negative")
-    d = np.linalg.norm(cloud.points - np.asarray(center, dtype=float).reshape(3), axis=1)
-    order = np.argsort(d, kind="stable")
-    order = order[d[order] <= radius]
-    return order[:max_count]
 
 
 def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:
@@ -286,73 +193,3 @@ def box_iou(a: Box3D, b: Box3D, mode: str = "bev") -> float:
     if union <= 0.0:
         return 0.0
     return float(min(1.0, max(0.0, inter / union)))
-
-
-def encode_box(box: Box3D,
-               num_heading_bins: int = DEFAULT_NUM_HEADING_BINS,
-               size_templates=DEFAULT_SIZE_TEMPLATES,
-               num_classes: int = 1,
-               center_reference=None) -> BoxEncoding:
-    """Build target encoding for a box: one-hot bins plus true-bin residuals.
-
-    The heading bin is floor(wrapped_yaw / bin_width) with the residual taken
-    from the bin center; the size bin is the nearest template by L2 with a
-    per-axis relative residual.  `center_reference` (default origin) is
-    subtracted from the box center, so per-point targets can be formed by
-    passing the point position.
-    """
-    templates = np.asarray(size_templates, dtype=float).reshape(-1, 3)
-    if num_heading_bins < 1:
-        raise ValueError("need at least one heading bin")
-    if templates.shape[0] < 1 or np.any(templates <= 0.0):
-        raise ValueError("size templates must be non-empty and strictly positive")
-    if not 0 <= box.class_id < num_classes:
-        raise ValueError(f"class id {box.class_id} outside [0, {num_classes})")
-    ref = np.zeros(3) if center_reference is None else \
-        np.asarray(center_reference, dtype=float).reshape(3)
-
-    two_pi = 2.0 * np.pi
-    bin_width = two_pi / num_heading_bins
-    wrapped = box.yaw % two_pi
-    hbin = min(int(wrapped // bin_width), num_heading_bins - 1)
-    hres = wrapped - (hbin + 0.5) * bin_width
-
-    sbin = int(np.argmin(np.linalg.norm(templates - box.size, axis=1)))
-    sres = (box.size - templates[sbin]) / templates[sbin]
-
-    heading_logits = np.zeros(num_heading_bins)
-    heading_logits[hbin] = 1.0
-    heading_residuals = np.zeros(num_heading_bins)
-    heading_residuals[hbin] = hres
-    size_logits = np.zeros(templates.shape[0])
-    size_logits[sbin] = 1.0
-    size_residuals = np.zeros((templates.shape[0], 3))
-    size_residuals[sbin] = sres
-    class_logits = np.zeros(num_classes)
-    class_logits[box.class_id] = 1.0
-
-    return BoxEncoding(objectness=np.array([0.0, 1.0]), center=box.center - ref,
-                       heading_bin_logits=heading_logits,
-                       heading_residuals=heading_residuals,
-                       size_bin_logits=size_logits, size_residuals=size_residuals,
-                       class_logits=class_logits)
-
-
-def decode_box(enc: BoxEncoding,
-               size_templates=DEFAULT_SIZE_TEMPLATES,
-               center_reference=None) -> Box3D:
-    """Inverse of encode_box: argmax bins (ties to lowest index) plus residuals."""
-    templates = np.asarray(size_templates, dtype=float).reshape(-1, 3)
-    if templates.shape[0] != enc.num_size_bins:
-        raise ValueError(
-            f"encoding has {enc.num_size_bins} size bins but {templates.shape[0]} "
-            "templates were given")
-    ref = np.zeros(3) if center_reference is None else \
-        np.asarray(center_reference, dtype=float).reshape(3)
-    bin_width = 2.0 * np.pi / enc.num_heading_bins
-    hbin = int(np.argmax(enc.heading_bin_logits))
-    yaw = wrap_angle((hbin + 0.5) * bin_width + enc.heading_residuals[hbin])
-    sbin = int(np.argmax(enc.size_bin_logits))
-    size = templates[sbin] * (1.0 + enc.size_residuals[sbin])
-    class_id = int(np.argmax(enc.class_logits))
-    return Box3D(center=enc.center + ref, size=size, yaw=yaw, class_id=class_id)

@@ -14,15 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geom import (
-    DEFAULT_NUM_HEADING_BINS,
-    DEFAULT_SIZE_TEMPLATES,
-    Box3D,
-    BoxEncoding,
-    PointCloud,
-    encode_box,
-    points_in_box,
-)
+from .geom import Box3D, PointCloud, points_in_box
 
 log = logging.getLogger(__name__)
 
@@ -83,15 +75,12 @@ class TrainingTargets:
 
     `displacement` is zero wherever `foreground_mask` is false.  Points of
     objects that vanish in the next frame keep zero displacement and are
-    flagged in `excluded` so the loss can skip them.  `box_targets` holds one
-    encoding per foreground point (None elsewhere), or None entirely when the
-    caller skipped box-target generation.
+    flagged in `excluded` so the loss can skip them.
     """
 
     foreground_mask: np.ndarray
     displacement: np.ndarray
     excluded: np.ndarray
-    box_targets: list[BoxEncoding | None] | None = None
 
     def __post_init__(self) -> None:
         self.foreground_mask = np.asarray(self.foreground_mask, dtype=bool).ravel()
@@ -102,8 +91,6 @@ class TrainingTargets:
             raise ValueError("target arrays must have matching lengths")
         if np.any(np.linalg.norm(self.displacement[~self.foreground_mask], axis=1) > 0):
             raise ValueError("background displacement must be zero")
-        if self.box_targets is not None and len(self.box_targets) != n:
-            raise ValueError("box targets must match the point count")
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +373,21 @@ def _draw_shift(rng: np.random.Generator, magnitude: float, mode: str) -> np.nda
 
 def label_targets(cloud_prev: PointCloud, labels_prev: FrameLabel,
                   labels_curr: FrameLabel,
-                  num_heading_bins: int = DEFAULT_NUM_HEADING_BINS,
-                  size_templates=DEFAULT_SIZE_TEMPLATES,
-                  with_box_targets: bool = True) -> TrainingTargets:
+                  with_box_targets: bool = False) -> TrainingTargets:
     """Per-point supervision from two adjacent frames' labels.
 
     A point is foreground iff it lies inside any previous-frame box (first
     matching box wins for overlaps).  Its displacement target is the track's
     box-center motion into the current frame; tracks that vanish yield zero
-    displacement and an `excluded` flag.  Box targets encode the owning box
-    with the point position as center reference.
+    displacement and an `excluded` flag.  Per-point box targets are no longer
+    produced, so `with_box_targets=True` raises.
     """
+    if with_box_targets:
+        raise ValueError("per-point box targets are not supported")
     n = len(cloud_prev)
     mask = np.zeros(n, dtype=bool)
     displacement = np.zeros((n, 3))
     excluded = np.zeros(n, dtype=bool)
-    box_targets: list[BoxEncoding | None] | None = \
-        [None] * n if with_box_targets else None
 
     for box in labels_prev.boxes:
         inside = points_in_box(cloud_prev, box) & ~mask
@@ -415,17 +400,8 @@ def label_targets(cloud_prev: PointCloud, labels_prev: FrameLabel,
             excluded[inside] = True
         else:
             displacement[inside] = curr.center - box.center
-        if with_box_targets:
-            base = encode_box(box, num_heading_bins=num_heading_bins,
-                              size_templates=size_templates,
-                              num_classes=max(1, box.class_id + 1))
-            for idx in np.flatnonzero(inside):
-                box_targets[idx] = BoxEncoding(
-                    base.objectness, box.center - cloud_prev.points[idx],
-                    base.heading_bin_logits, base.heading_residuals,
-                    base.size_bin_logits, base.size_residuals, base.class_logits)
 
-    return TrainingTargets(mask, displacement, excluded, box_targets)
+    return TrainingTargets(mask, displacement, excluded)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Submodules:
   dense       MLP parameter container, forward pass, and backward tape
   layers      point-set layers: set abstraction, feature propagation,
               cross-frame association head with four fusion variants
-  losses      focal / box / weighted-L2 tracking losses
+  losses      class-balanced weighted-L2 tracking loss
   optim       Adam and the triangular cyclical learning-rate schedule
   gradcheck   central-difference gradient verification harness
   checkpoint  versioned JSON (de)serialization of parameter dictionaries
@@ -22,15 +22,7 @@ from .layers import (
     fp_layer,
     sa_layer,
 )
-from .losses import (
-    box_loss,
-    detection_loss,
-    focal_loss,
-    smooth_l1,
-    softmax,
-    softmax_prob_grad_to_logits,
-    tracking_loss,
-)
+from .losses import tracking_loss
 from .optim import OptState, adam_step, clr_schedule
 from .gradcheck import gradient_check
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -39,8 +31,7 @@ __all__ = [
     "DenseParams", "DenseTape", "dense_apply",
     "FUSION_METHODS", "AssociationSpec", "SaLayerSpec",
     "association_head", "fp_layer", "sa_layer",
-    "box_loss", "detection_loss", "focal_loss", "smooth_l1", "softmax",
-    "softmax_prob_grad_to_logits", "tracking_loss",
+    "tracking_loss",
     "OptState", "adam_step", "clr_schedule",
     "gradient_check",
     "load_checkpoint", "save_checkpoint",

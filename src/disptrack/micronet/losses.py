@@ -1,102 +1,10 @@
-"""Loss functions: focal classification, binned box regression, weighted-L2
-tracking displacement.  Focal and tracking losses return analytic gradients
-so they can drive the manual backward passes; the box loss is a scalar used
-for target-quality checks and detector experiments.
+"""Tracking loss: class-balanced squared-L2 displacement error with its
+analytic gradient, which drives the manual backward pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from ..geom import BoxEncoding
-
-_PROB_FLOOR = 1e-12
-
-
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = np.asarray(logits, dtype=float)
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_prob_grad_to_logits(probs: np.ndarray, true_index: np.ndarray,
-                                grad_p_true: np.ndarray) -> np.ndarray:
-    """Chain d(loss)/d(p_true) through a row-wise softmax to logit gradients.
-
-    probs: (n, c) softmax outputs; true_index: (n,) int; grad_p_true: (n,).
-    """
-    probs = np.asarray(probs, dtype=float)
-    n = probs.shape[0]
-    p_t = probs[np.arange(n), true_index]
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), true_index] = 1.0
-    return grad_p_true[:, None] * p_t[:, None] * (onehot - probs)
-
-
-def focal_loss(prob_true_class, gamma: float) -> tuple[float, np.ndarray, bool]:
-    """Mean of -(1-p)^gamma * log(p) over the true-class probabilities.
-
-    Returns (loss, d(loss)/d(p) per element, clamped) where clamped reports
-    whether any probability was <= 0 and had to be floored at 1e-12.
-    """
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
-    p = np.asarray(prob_true_class, dtype=float).ravel()
-    if p.size == 0:
-        raise ValueError("need at least one probability")
-    if np.any(p > 1.0):
-        raise ValueError("probabilities must not exceed 1")
-    clamped = bool(np.any(p <= 0.0))
-    p = np.clip(p, _PROB_FLOOR, 1.0)
-    n = p.size
-    one_minus = 1.0 - p
-    log_p = np.log(p)
-    loss = float(np.mean(-(one_minus ** gamma) * log_p))
-    if gamma == 0.0:
-        grad = -1.0 / p / n
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lead = np.where(p < 1.0, gamma * one_minus ** (gamma - 1.0) * log_p, 0.0)
-        grad = (lead - one_minus ** gamma / p) / n
-    return loss, grad, clamped
-
-
-def smooth_l1(x) -> np.ndarray:
-    """Element-wise Huber loss with delta 1."""
-    x = np.abs(np.asarray(x, dtype=float))
-    return np.where(x < 1.0, 0.5 * x * x, x - 0.5)
-
-
-def box_loss(pred: BoxEncoding, target: BoxEncoding, gamma: float = 2.0) -> float:
-    """Sum of center, heading-bin, heading-residual, size-bin and size-residual
-    terms.  Classification terms are focal losses on the softmax probability
-    of the true bin; regression terms are smooth-L1 at the true bin only.
-    """
-    if (pred.num_heading_bins != target.num_heading_bins
-            or pred.num_size_bins != target.num_size_bins
-            or pred.num_classes != target.num_classes):
-        raise ValueError("prediction and target encodings must have matching bin counts")
-    hbin = int(np.argmax(target.heading_bin_logits))
-    sbin = int(np.argmax(target.size_bin_logits))
-
-    center = float(smooth_l1(pred.center - target.center).sum())
-    h_cls, _, _ = focal_loss(softmax(pred.heading_bin_logits)[hbin], gamma)
-    h_reg = float(smooth_l1(pred.heading_residuals[hbin]
-                            - target.heading_residuals[hbin]).sum())
-    s_cls, _, _ = focal_loss(softmax(pred.size_bin_logits)[sbin], gamma)
-    s_reg = float(smooth_l1(pred.size_residuals[sbin]
-                            - target.size_residuals[sbin]).sum())
-    return center + h_cls + h_reg + s_cls + s_reg
-
-
-def detection_loss(mask_prob_true: np.ndarray, pred_box: BoxEncoding,
-                   target_box: BoxEncoding, class_prob_true: np.ndarray,
-                   gamma: float = 2.0) -> float:
-    """Mask focal loss + box loss + semantic-class focal loss."""
-    mask_term, _, _ = focal_loss(mask_prob_true, gamma)
-    cls_term, _, _ = focal_loss(class_prob_true, gamma)
-    return mask_term + box_loss(pred_box, target_box, gamma) + cls_term
 
 
 def tracking_loss(pred_disp: np.ndarray, target_disp: np.ndarray,

@@ -9,9 +9,8 @@ connection from the first frame-A abstraction level) upsample back to the
 filtered points; and a two-layer dense head emits a 3-vector per filtered
 frame-A point.
 
-Detection is decoupled behind the Detections interface: the oracle detector
-perturbs ground truth (enabling ground-truth-box experiments), while the
-micro mask classifier is a small trained stand-in for a full detector.
+Detection is decoupled behind the Detections interface; the oracle detector
+perturbs ground truth, enabling ground-truth-box experiments.
 """
 
 from __future__ import annotations
@@ -31,25 +30,24 @@ from .micronet import (
     association_head,
     clr_schedule,
     dense_apply,
-    focal_loss,
     fp_layer,
     load_checkpoint,
     sa_layer,
     save_checkpoint,
-    softmax,
-    softmax_prob_grad_to_logits,
     tracking_loss,
 )
 from .micronet.layers import FUSION_METHODS, fusion_width
 
 __all__ = [
     "Detections", "DisplacementField", "DetectorNoise", "PipelineConfig",
-    "SaConfig", "MaskNetConfig", "DisplacementModel", "MaskModel", "TrainHistory",
-    "probability_filter", "oracle_detector", "micro_mask_classifier",
-    "predict_displacements", "train_association", "train_mask_classifier",
-    "build_displacement_model", "build_mask_model", "oracle_displacement_field",
+    "SaConfig", "DisplacementModel", "TrainHistory",
+    "probability_filter", "oracle_detector",
+    "predict_displacements", "train_association", "build_displacement_model",
     "mean_displacement_error", "save_displacement_model", "load_displacement_model",
 ]
+
+#: Width of the per-point input features that point_features emits.
+POINT_FEATURE_WIDTH = 4
 
 
 @dataclass(eq=False)
@@ -125,8 +123,6 @@ class PipelineConfig:
     n_filtered: int = 512
     k: int = 16
     fusion: str = "cosine_distance"
-    tau: float = 0.1
-    feature_width: int = 4
     sa1: SaConfig = field(default_factory=lambda: SaConfig(256, 0.5, 16, (8, 8, 16)))
     sa2: SaConfig = field(default_factory=lambda: SaConfig(64, 1.0, 16, (16, 16, 32)))
     assoc_widths: tuple[int, ...] = (32, 32)
@@ -138,9 +134,6 @@ class PipelineConfig:
     lr_low: float = 1e-4
     lr_high: float = 1e-3
     clr_cycle_epochs: int = 8
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     alpha: float = 1.0
     beta: float = 0.5
     seed: int = 0
@@ -152,8 +145,6 @@ class PipelineConfig:
             raise ValueError("k must be at least 1")
         if self.fusion not in FUSION_METHODS:
             raise ValueError(f"fusion must be one of {FUSION_METHODS}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
         for name in ("assoc_widths", "fp1_widths", "fp2_widths", "fp3_widths",
                      "head_widths"):
             setattr(self, name, tuple(int(w) for w in getattr(self, name)))
@@ -199,7 +190,7 @@ def probability_filter(cloud: PointCloud, probs, n_filtered: int) -> np.ndarray:
 
 
 def point_features(frame: PointCloud, detections: Detections) -> np.ndarray:
-    """Per-point input features for the displacement network, shape (n, 4).
+    """Per-point input features, shape (n, POINT_FEATURE_WIDTH).
 
     Channel 0 is the mask probability; channels 1..3 are the offset from the
     point to the center of its containing detection box (first containing box
@@ -207,7 +198,7 @@ def point_features(frame: PointCloud, detections: Detections) -> np.ndarray:
     detector-branch features of a full detector, which encode exactly this
     point-to-center relation through their box regression head.
     """
-    feats = np.zeros((len(frame), 4))
+    feats = np.zeros((len(frame), POINT_FEATURE_WIDTH))
     feats[:, 0] = detections.point_mask_probs
     unassigned = np.ones(len(frame), dtype=bool)
     for box in detections.boxes:
@@ -272,7 +263,6 @@ class DisplacementModel:
     fp2: DenseParams
     fp3: DenseParams
     head: DenseParams
-    feature_width: int = 1
 
     def param_groups(self) -> dict[str, DenseParams]:
         return {"sa1": self.sa1.mlp, "sa2": self.sa2.mlp, "assoc": self.assoc.mlp,
@@ -283,10 +273,14 @@ class DisplacementModel:
         return _flatten_groups(self.param_groups())
 
     def load_param_dict(self, params: dict[str, np.ndarray]) -> None:
-        _load_groups(self.param_groups(), params)
-
-    def n_parameters(self) -> int:
-        return sum(arr.size for arr in self.param_dict().values())
+        for name, dp in self.param_groups().items():
+            for i in range(len(dp.weights)):
+                w = np.asarray(params[f"{name}.w{i}"], dtype=float)
+                b = np.asarray(params[f"{name}.b{i}"], dtype=float).ravel()
+                if w.shape != dp.weights[i].shape or b.shape != dp.biases[i].shape:
+                    raise ValueError(f"shape mismatch loading {name} layer {i}")
+                dp.weights[i] = w
+                dp.biases[i] = b
 
 
 def _flatten_groups(groups: dict[str, DenseParams]) -> dict[str, np.ndarray]:
@@ -298,21 +292,9 @@ def _flatten_groups(groups: dict[str, DenseParams]) -> dict[str, np.ndarray]:
     return out
 
 
-def _load_groups(groups: dict[str, DenseParams], params: dict[str, np.ndarray]) -> None:
-    for name, dp in groups.items():
-        for i in range(len(dp.weights)):
-            w = np.asarray(params[f"{name}.w{i}"], dtype=float)
-            b = np.asarray(params[f"{name}.b{i}"], dtype=float).ravel()
-            if w.shape != dp.weights[i].shape or b.shape != dp.biases[i].shape:
-                raise ValueError(f"shape mismatch loading {name} layer {i}")
-            dp.weights[i] = w
-            dp.biases[i] = b
-
-
 def build_displacement_model(config: PipelineConfig, seed: int = 0) -> DisplacementModel:
     rng = np.random.default_rng(seed)
-    c0 = config.feature_width
-    sa1_mlp = DenseParams.create([3 + c0, *config.sa1.widths], rng)
+    sa1_mlp = DenseParams.create([3 + POINT_FEATURE_WIDTH, *config.sa1.widths], rng)
     c1 = sa1_mlp.out_width
     sa2_mlp = DenseParams.create([3 + c1, *config.sa2.widths], rng)
     c2 = sa2_mlp.out_width
@@ -330,7 +312,7 @@ def build_displacement_model(config: PipelineConfig, seed: int = 0) -> Displacem
         sa2=SaLayerSpec(config.sa2.sample, config.sa2.radius, config.sa2.cap, sa2_mlp),
         assoc=AssociationSpec(config.k, config.fusion, assoc_mlp),
         sa3=SaLayerSpec(config.sa3.sample, config.sa3.radius, config.sa3.cap, sa3_mlp),
-        fp1=fp1, fp2=fp2, fp3=fp3, head=head, feature_width=c0)
+        fp1=fp1, fp2=fp2, fp3=fp3, head=head)
 
 
 def save_displacement_model(path, model: DisplacementModel,
@@ -466,150 +448,6 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
 
 
 # ---------------------------------------------------------------------------
-# micro mask classifier
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MaskNetConfig:
-    """Hyperparameters of the point-wise foreground classifier."""
-
-    sa1: SaConfig = field(default_factory=lambda: SaConfig(128, 1.0, 16, (8, 8, 16)))
-    sa2: SaConfig = field(default_factory=lambda: SaConfig(32, 2.0, 16, (16, 16, 32)))
-    fp1_widths: tuple[int, ...] = (16, 16)
-    fp2_widths: tuple[int, ...] = (16, 16)
-    head_widths: tuple[int, ...] = (8,)
-    gamma: float = 2.0
-    lr_low: float = 1e-4
-    lr_high: float = 1e-3
-    clr_cycle_epochs: int = 8
-    seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MaskNetConfig":
-        data = dict(data)
-        for key in ("sa1", "sa2"):
-            if isinstance(data.get(key), dict):
-                data[key] = SaConfig(**data[key])
-        return cls(**data)
-
-
-@dataclass(eq=False)
-class MaskModel:
-    sa1: SaLayerSpec
-    sa2: SaLayerSpec
-    fp1: DenseParams
-    fp2: DenseParams
-    head: DenseParams
-
-    def param_groups(self) -> dict[str, DenseParams]:
-        return {"sa1": self.sa1.mlp, "sa2": self.sa2.mlp, "fp1": self.fp1,
-                "fp2": self.fp2, "head": self.head}
-
-    def param_dict(self) -> dict[str, np.ndarray]:
-        return _flatten_groups(self.param_groups())
-
-    def load_param_dict(self, params: dict[str, np.ndarray]) -> None:
-        _load_groups(self.param_groups(), params)
-
-
-def build_mask_model(config: MaskNetConfig | None = None, seed: int = 0) -> MaskModel:
-    config = config or MaskNetConfig()
-    rng = np.random.default_rng(seed)
-    sa1_mlp = DenseParams.create([3, *config.sa1.widths], rng)  # coordinates only
-    c1 = sa1_mlp.out_width
-    sa2_mlp = DenseParams.create([3 + c1, *config.sa2.widths], rng)
-    c2 = sa2_mlp.out_width
-    fp1 = DenseParams.create([c2 + c1, *config.fp1_widths], rng)  # skip from sa1
-    fp2 = DenseParams.create([fp1.out_width, *config.fp2_widths], rng)
-    head = DenseParams.create([fp2.out_width, *config.head_widths, 2], rng)
-    return MaskModel(
-        sa1=SaLayerSpec(config.sa1.sample, config.sa1.radius, config.sa1.cap, sa1_mlp),
-        sa2=SaLayerSpec(config.sa2.sample, config.sa2.radius, config.sa2.cap, sa2_mlp),
-        fp1=fp1, fp2=fp2, head=head)
-
-
-class MaskTape:
-    def __init__(self, t_sa1, t_sa2, t_fp1, t_fp2, t_head):
-        self.t_sa1, self.t_sa2 = t_sa1, t_sa2
-        self.t_fp1, self.t_fp2, self.t_head = t_fp1, t_fp2, t_head
-
-    def backward(self, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-        head_g, dg0 = self.t_head.backward(grad_logits)
-        fp2_g, dg1, _ = self.t_fp2.backward(dg0)
-        fp1_g, df2, dskip = self.t_fp1.backward(dg1)
-        sa2_g, df1 = self.t_sa2.backward(df2)
-        sa1_g, _ = self.t_sa1.backward(df1 + dskip)
-        return _flatten_groups({"sa1": sa1_g, "sa2": sa2_g, "fp1": fp1_g,
-                                "fp2": fp2_g, "head": head_g})
-
-
-def _forward_mask(frame: PointCloud, model: MaskModel, seed: int = 0,
-                  capture: bool = False):
-    pts = frame.points
-    if len(pts) == 0:
-        raise ValueError("cannot classify an empty cloud")
-    rng = np.random.default_rng(seed)
-    feats0 = np.zeros((len(pts), 0))
-    sa1 = _clamped_spec(model.sa1, len(pts))
-    pts1, f1, t1 = sa_layer(sa1, pts, feats0, int(rng.integers(len(pts))),
-                            capture=capture)
-    sa2 = _clamped_spec(model.sa2, len(pts1))
-    pts2, f2, t2 = sa_layer(sa2, pts1, f1, int(rng.integers(len(pts1))),
-                            capture=capture)
-    g1, tf1 = fp_layer(pts1, pts2, f2, f1, model.fp1, capture=capture)
-    g0, tf2 = fp_layer(pts, pts1, g1, None, model.fp2, capture=capture)
-    logits, th = dense_apply(model.head, g0, capture=capture)
-    probs = softmax(logits, axis=1)
-    tape = MaskTape(t1, t2, tf1, tf2, th) if capture else None
-    return probs, tape
-
-
-def micro_mask_classifier(frame: PointCloud, model: MaskModel,
-                          seed: int = 0) -> np.ndarray:
-    """Per-point foreground probability in [0, 1]."""
-    probs, _ = _forward_mask(frame, model, seed=seed)
-    return probs[:, 1]
-
-
-def train_mask_classifier(frames: list[tuple[PointCloud, FrameLabel]],
-                          config: MaskNetConfig | None = None, epochs: int = 8,
-                          seed: int = 0) -> tuple[MaskModel, list[float]]:
-    """Train the classifier with the focal loss on exact foreground labels."""
-    config = config or MaskNetConfig()
-    if not frames:
-        raise ValueError("need at least one labelled frame")
-    model = build_mask_model(config, seed=seed)
-    params = model.param_dict()
-    state = OptState.init(params)
-    steps_per_epoch = len(frames)
-    cycle = max(2, config.clr_cycle_epochs * steps_per_epoch)
-    cycle += cycle % 2
-    losses = []
-    step = 0
-    for _ in range(epochs):
-        epoch_loss = 0.0
-        for cloud, label in frames:
-            target = np.zeros(len(cloud), dtype=int)
-            for box in label.boxes:
-                target[points_in_box(cloud, box)] = 1
-            probs, tape = _forward_mask(cloud, model, seed=config.seed, capture=True)
-            p_true = probs[np.arange(len(cloud)), target]
-            loss, grad_p, _ = focal_loss(p_true, config.gamma)
-            grad_logits = softmax_prob_grad_to_logits(probs, target, grad_p)
-            grads = tape.backward(grad_logits)
-            lr = clr_schedule(step, cycle, config.lr_low, config.lr_high)
-            params, state = adam_step(params, grads, state, lr)
-            model.load_param_dict(params)
-            epoch_loss += loss
-            step += 1
-        losses.append(epoch_loss / steps_per_epoch)
-    return model, losses
-
-
-# ---------------------------------------------------------------------------
 # association training
 # ---------------------------------------------------------------------------
 
@@ -636,7 +474,7 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
     """Train the displacement network on adjacent frame pairs.
 
     Supervision comes from box-motion targets; the probability filter runs on
-    oracle mask probabilities (detector and tracker nets train separately).
+    oracle mask probabilities.
     Deterministic given the seed; raises if any update goes non-finite.
     """
     pairs = _pair_list(dataset)
@@ -659,8 +497,7 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
             det_b = oracle_detector(cloud_b, label_b)
             field, tape = _forward_displacements(cloud_a, cloud_b, det_a, det_b,
                                                  model, config, capture=True)
-            targets = label_targets(cloud_a, label_a, label_b,
-                                    with_box_targets=False)
+            targets = label_targets(cloud_a, label_a, label_b)
             sel = field.point_indices
             loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
                                        targets.foreground_mask[sel],
@@ -670,10 +507,7 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
                 raise ValueError("training loss became non-finite")
             grads = tape.backward(grad)
             lr = clr_schedule(step, cycle, config.lr_low, config.lr_high)
-            params, state = adam_step(params, grads, state, lr,
-                                      beta1=config.adam_beta1,
-                                      beta2=config.adam_beta2,
-                                      epsilon=config.adam_epsilon)
+            params, state = adam_step(params, grads, state, lr)
             model.load_param_dict(params)
             epoch_loss += loss
             step += 1
@@ -682,19 +516,8 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
 
 
 # ---------------------------------------------------------------------------
-# oracle field and evaluation helpers
+# evaluation
 # ---------------------------------------------------------------------------
-
-def oracle_displacement_field(cloud_prev: PointCloud, labels_prev: FrameLabel,
-                              labels_curr: FrameLabel,
-                              indices: np.ndarray | None = None) -> DisplacementField:
-    """Ground-truth field: box-motion vectors for in-box points, zero elsewhere."""
-    targets = label_targets(cloud_prev, labels_prev, labels_curr,
-                            with_box_targets=False)
-    idx = np.arange(len(cloud_prev)) if indices is None \
-        else np.asarray(indices, dtype=int)
-    return DisplacementField(idx, targets.displacement[idx])
-
 
 def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
                             pairs) -> float:
@@ -704,7 +527,7 @@ def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
         det_a = oracle_detector(cloud_a, label_a)
         det_b = oracle_detector(cloud_b, label_b)
         field = predict_displacements(cloud_a, cloud_b, det_a, det_b, model, config)
-        targets = label_targets(cloud_a, label_a, label_b, with_box_targets=False)
+        targets = label_targets(cloud_a, label_a, label_b)
         sel = field.point_indices
         keep = targets.foreground_mask[sel] & ~targets.excluded[sel]
         if np.any(keep):

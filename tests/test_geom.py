@@ -3,16 +3,10 @@ import pytest
 
 from disptrack.geom import (
     Box3D,
-    BoxEncoding,
     PointCloud,
-    ball_query,
     box_iou,
-    decode_box,
-    encode_box,
     farthest_point_sample,
-    knn,
     points_in_box,
-    wrap_angle,
 )
 
 
@@ -106,69 +100,6 @@ def test_fps_spreads_better_than_random_subsets():
         if min_pairwise(pts, fps_idx) >= min_pairwise(pts, rand_idx):
             wins += 1
     assert wins >= 95
-
-
-# ---------------------------------------------------------------------------
-# knn / ball query
-# ---------------------------------------------------------------------------
-
-def test_knn_sorted_by_distance():
-    c = cloud_of((1, 0, 0), (2, 0, 0), (3, 0, 0))
-    idx, dist = knn((0, 0, 0), c, 2)
-    assert idx.tolist() == [0, 1]
-    assert dist.tolist() == [1.0, 2.0]
-
-
-def test_knn_full_set_in_distance_order():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(15, 3))
-    c = PointCloud(pts)
-    idx, dist = knn((0.1, 0.2, 0.3), c, 15)
-    assert sorted(idx.tolist()) == list(range(15))
-    assert np.all(np.diff(dist) >= 0)
-
-
-def test_knn_zero_distance_first():
-    c = cloud_of((5, 5, 5), (1, 2, 3), (0, 0, 1))
-    idx, dist = knn((1, 2, 3), c, 1)
-    assert idx.tolist() == [1]
-    assert dist[0] == 0.0
-
-
-def test_knn_tie_breaks_by_lower_index():
-    c = cloud_of((1, 0, 0), (-1, 0, 0), (0, 1, 0))
-    idx, _ = knn((0, 0, 0), c, 3)
-    assert idx.tolist() == [0, 1, 2]
-
-
-def test_knn_invalid_k():
-    c = cloud_of((0, 0, 0))
-    with pytest.raises(ValueError):
-        knn((0, 0, 0), c, 2)
-    with pytest.raises(ValueError):
-        knn((0, 0, 0), c, 0)
-
-
-def test_ball_query_basic():
-    c = cloud_of((0.5, 0, 0), (2, 0, 0))
-    assert ball_query((0, 0, 0), 1.0, c, 8).tolist() == [0]
-
-
-def test_ball_query_empty_when_radius_too_small():
-    c = cloud_of((1, 0, 0), (2, 0, 0))
-    assert ball_query((0, 0, 0), 0.5, c, 8).tolist() == []
-
-
-def test_ball_query_cap_keeps_nearest():
-    c = cloud_of((0.6, 0, 0), (0.2, 0, 0))
-    assert ball_query((0, 0, 0), 1.0, c, 1).tolist() == [1]
-
-
-def test_ball_query_boundary_inclusive_and_validated():
-    c = cloud_of((1.0, 0, 0))
-    assert ball_query((0, 0, 0), 1.0, c, 4).tolist() == [0]
-    with pytest.raises(ValueError):
-        ball_query((0, 0, 0), 0.0, c, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -302,79 +233,6 @@ def test_iou_invalid_mode():
     box = Box3D((0, 0, 0), (1, 1, 1), 0.0)
     with pytest.raises(ValueError):
         box_iou(box, box, "volumetric")
-
-
-# ---------------------------------------------------------------------------
-# box codec
-# ---------------------------------------------------------------------------
-
-def test_encode_yaw_zero_bin_and_residual():
-    box = Box3D((0, 0, 0), (3.9, 1.6, 1.56), 0.0)
-    enc = encode_box(box, num_heading_bins=12)
-    assert int(np.argmax(enc.heading_bin_logits)) == 0
-    assert enc.heading_residuals[0] == pytest.approx(-np.pi / 12, abs=1e-12)
-
-
-def test_encode_size_template_hit():
-    templates = ((3.9, 1.6, 1.56), (1.0, 1.0, 2.0))
-    box = Box3D((0, 0, 0), (1.0, 1.0, 2.0), 0.0)
-    enc = encode_box(box, size_templates=templates)
-    assert int(np.argmax(enc.size_bin_logits)) == 1
-    assert np.allclose(enc.size_residuals[1], 0.0)
-
-
-def test_codec_round_trip_random_boxes():
-    rng = np.random.default_rng(5)
-    templates = ((3.9, 1.6, 1.56), (0.8, 0.6, 1.7))
-    for _ in range(1000):
-        box = Box3D(rng.uniform(-50, 50, size=3), rng.uniform(0.3, 5.0, size=3),
-                    rng.uniform(-np.pi, np.pi - 1e-9), class_id=0)
-        enc = encode_box(box, num_heading_bins=12, size_templates=templates)
-        out = decode_box(enc, size_templates=templates)
-        assert np.allclose(out.center, box.center, atol=1e-9)
-        assert np.allclose(out.size, box.size, atol=1e-9)
-        assert abs(wrap_angle(out.yaw - box.yaw)) < 1e-9
-
-
-def test_decode_zero_residual_bin_center():
-    enc = encode_box(Box3D((0, 0, 0), (3.9, 1.6, 1.56), 0.0), num_heading_bins=12)
-    enc.heading_residuals[:] = 0.0
-    enc.heading_bin_logits[:] = 0.0
-    enc.heading_bin_logits[3] = 1.0
-    out = decode_box(enc)
-    assert out.yaw == pytest.approx(wrap_angle((3 + 0.5) * (2 * np.pi / 12)))
-
-
-def test_decode_argmax_tie_breaks_low():
-    enc = encode_box(Box3D((0, 0, 0), (3.9, 1.6, 1.56), 0.0), num_heading_bins=4)
-    enc.heading_bin_logits[:] = 1.0  # all tied
-    out = decode_box(enc)
-    assert out.yaw == pytest.approx(wrap_angle(0.5 * (2 * np.pi / 4) + enc.heading_residuals[0]))
-
-
-def test_encoding_vector_length_invariant():
-    nh, ns, nc = 12, 2, 3
-    box = Box3D((1, 2, 3), (3.9, 1.6, 1.56), 0.4, class_id=1)
-    enc = encode_box(box, num_heading_bins=nh,
-                     size_templates=((3.9, 1.6, 1.56), (1, 1, 2)), num_classes=nc)
-    vec = enc.as_vector()
-    assert vec.size == BoxEncoding.vector_size(nh, ns, nc) == 2 + 3 + 2 * nh + 4 * ns + nc
-    back = BoxEncoding.from_vector(vec, nh, ns, nc)
-    assert np.array_equal(back.as_vector(), vec)
-    with pytest.raises(ValueError):
-        BoxEncoding.from_vector(vec[:-1], nh, ns, nc)
-
-
-def test_encode_rejects_bad_templates():
-    box = Box3D((0, 0, 0), (1, 1, 1), 0.0)
-    with pytest.raises(ValueError):
-        encode_box(box, size_templates=((1.0, -1.0, 1.0),))
-
-
-def test_decode_rejects_template_mismatch():
-    enc = encode_box(Box3D((0, 0, 0), (1, 1, 1), 0.0))
-    with pytest.raises(ValueError):
-        decode_box(enc, size_templates=((1, 1, 1), (2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -330,19 +330,16 @@ def test_label_targets_vanished_track_excluded():
     assert np.array_equal(t.displacement[:2], np.zeros((2, 3)))
 
 
-def test_label_targets_box_encoding_reference_point():
+def test_label_targets_rejects_box_targets():
     cloud, prev = target_fixture()
-    curr = FrameLabel(1, list(prev.boxes))
-    t = label_targets(cloud, prev, curr)
-    assert t.box_targets[3] is None
-    enc = t.box_targets[1]
-    assert np.allclose(enc.center, prev.boxes[0].center - cloud.points[1])
+    with pytest.raises(ValueError, match="box targets"):
+        label_targets(cloud, prev, prev, with_box_targets=True)
 
 
 def test_label_targets_rigid_displacement_per_box():
     seq = small_sequence()
     for cloud_a, la, cloud_b, lb in seq.adjacent_pairs():
-        t = label_targets(cloud_a, la, lb, with_box_targets=False)
+        t = label_targets(cloud_a, la, lb)
         for box in la.boxes:
             inside = points_in_box(cloud_a, box)
             d = t.displacement[inside & t.foreground_mask]

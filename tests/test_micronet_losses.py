@@ -1,184 +1,7 @@
 import numpy as np
 import pytest
 
-from disptrack.geom import Box3D, encode_box
-from disptrack.micronet import (
-    box_loss,
-    detection_loss,
-    focal_loss,
-    smooth_l1,
-    softmax,
-    softmax_prob_grad_to_logits,
-    tracking_loss,
-)
-
-
-# ---------------------------------------------------------------------------
-# focal loss
-# ---------------------------------------------------------------------------
-
-def test_focal_perfect_probability_is_zero():
-    loss, grad, clamped = focal_loss([1.0], gamma=2.0)
-    assert loss == 0.0
-    assert not clamped
-
-
-def test_focal_gamma_zero_is_log_two_at_half():
-    loss, _, _ = focal_loss([0.5], gamma=0.0)
-    assert abs(loss - np.log(2.0)) < 1e-12
-
-
-def test_focal_hand_value_gamma_two():
-    loss, _, _ = focal_loss([0.9], gamma=2.0)
-    assert abs(loss - 0.01 * (-np.log(0.9))) < 1e-12
-
-
-def test_focal_gamma_zero_equals_cross_entropy():
-    rng = np.random.default_rng(0)
-    p = rng.uniform(0.01, 1.0, size=50)
-    loss, _, _ = focal_loss(p, gamma=0.0)
-    assert abs(loss - float(np.mean(-np.log(p)))) < 1e-12
-
-
-def test_focal_clamps_nonpositive_probabilities():
-    loss, grad, clamped = focal_loss([0.0, 0.5], gamma=2.0)
-    assert clamped
-    assert np.isfinite(loss)
-    assert np.all(np.isfinite(grad))
-
-
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
-def test_focal_gradient_matches_finite_differences(gamma):
-    rng = np.random.default_rng(1)
-    p0 = rng.uniform(0.05, 0.95, size=20)
-    _, grad, _ = focal_loss(p0, gamma)
-    eps = 1e-7
-    for i in [0, 7, 19]:
-        pp, pm = p0.copy(), p0.copy()
-        pp[i] += eps
-        pm[i] -= eps
-        numeric = (focal_loss(pp, gamma)[0] - focal_loss(pm, gamma)[0]) / (2 * eps)
-        assert abs(grad[i] - numeric) < 1e-6 * max(1.0, abs(numeric))
-
-
-def test_focal_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        focal_loss([0.5], gamma=-1.0)
-    with pytest.raises(ValueError):
-        focal_loss([1.5], gamma=2.0)
-    with pytest.raises(ValueError):
-        focal_loss([], gamma=2.0)
-
-
-def test_softmax_prob_grad_chain_matches_finite_differences():
-    rng = np.random.default_rng(2)
-    logits0 = rng.normal(size=(6, 2))
-    true = rng.integers(0, 2, size=6)
-
-    def loss_of(logits):
-        p = softmax(logits)
-        p_t = p[np.arange(6), true]
-        return focal_loss(p_t, 2.0)[0]
-
-    p = softmax(logits0)
-    p_t = p[np.arange(6), true]
-    _, grad_p, _ = focal_loss(p_t, 2.0)
-    grad_logits = softmax_prob_grad_to_logits(p, true, grad_p)
-    eps = 1e-7
-    for idx in [(0, 0), (3, 1), (5, 0)]:
-        lp, lm = logits0.copy(), logits0.copy()
-        lp[idx] += eps
-        lm[idx] -= eps
-        numeric = (loss_of(lp) - loss_of(lm)) / (2 * eps)
-        assert abs(grad_logits[idx] - numeric) < 1e-6 * max(1.0, abs(numeric))
-
-
-# ---------------------------------------------------------------------------
-# box loss
-# ---------------------------------------------------------------------------
-
-def strong_logits(onehot):
-    # +-1e4 logits drive the softmax probability of the hot bin to exactly 1.0
-    return np.where(np.asarray(onehot) > 0, 1e4, -1e4)
-
-
-def test_box_loss_perfect_prediction_is_zero():
-    target = encode_box(Box3D((1, 2, 3), (3.9, 1.6, 1.56), 0.4))
-    pred = encode_box(Box3D((1, 2, 3), (3.9, 1.6, 1.56), 0.4))
-    pred.heading_bin_logits = strong_logits(target.heading_bin_logits)
-    pred.size_bin_logits = strong_logits(target.size_bin_logits)
-    assert box_loss(pred, target) == 0.0
-
-
-def box_loss_oracle(pred, target, gamma=2.0):
-    """Straightforward independent recomputation of the five terms."""
-    def huber(x):
-        x = abs(float(x))
-        return 0.5 * x * x if x < 1.0 else x - 0.5
-
-    def focal(p):
-        return -((1.0 - p) ** gamma) * np.log(max(p, 1e-12))
-
-    hb = int(np.argmax(target.heading_bin_logits))
-    sb = int(np.argmax(target.size_bin_logits))
-    ph = np.exp(pred.heading_bin_logits - pred.heading_bin_logits.max())
-    ph = ph / ph.sum()
-    ps = np.exp(pred.size_bin_logits - pred.size_bin_logits.max())
-    ps = ps / ps.sum()
-    total = sum(huber(d) for d in pred.center - target.center)
-    total += focal(ph[hb])
-    total += huber(pred.heading_residuals[hb] - target.heading_residuals[hb])
-    total += focal(ps[sb])
-    total += sum(huber(d) for d in pred.size_residuals[sb] - target.size_residuals[sb])
-    return total
-
-
-def test_box_loss_matches_independent_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        target = encode_box(Box3D(rng.uniform(-5, 5, 3), rng.uniform(0.5, 4, 3),
-                                  rng.uniform(-np.pi, np.pi)))
-        pred = encode_box(Box3D(rng.uniform(-5, 5, 3), rng.uniform(0.5, 4, 3),
-                                rng.uniform(-np.pi, np.pi)))
-        pred.heading_bin_logits = rng.normal(size=pred.heading_bin_logits.shape)
-        pred.size_bin_logits = rng.normal(size=pred.size_bin_logits.shape)
-        pred.heading_residuals = rng.normal(size=pred.heading_residuals.shape)
-        pred.size_residuals = rng.normal(size=pred.size_residuals.shape)
-        assert box_loss(pred, target) == pytest.approx(box_loss_oracle(pred, target),
-                                                       rel=1e-12)
-
-
-def test_box_loss_is_sum_of_components():
-    rng = np.random.default_rng(4)
-    target = encode_box(Box3D((0, 0, 0), (3.9, 1.6, 1.56), 1.0))
-    pred = encode_box(Box3D((1, 0, 0), (3.5, 1.5, 1.5), 1.2))
-    pred.heading_bin_logits = rng.normal(size=pred.heading_bin_logits.shape)
-    # zeroing one error source at a time must only remove its term
-    full = box_loss(pred, target)
-    pred_center_fixed = encode_box(Box3D((1, 0, 0), (3.5, 1.5, 1.5), 1.2))
-    pred_center_fixed.heading_bin_logits = pred.heading_bin_logits.copy()
-    pred_center_fixed.center = target.center.copy()
-    center_term = float(smooth_l1(pred.center - target.center).sum())
-    assert full == pytest.approx(box_loss(pred_center_fixed, target) + center_term,
-                                 rel=1e-12)
-
-
-def test_box_loss_rejects_mismatched_bins():
-    a = encode_box(Box3D((0, 0, 0), (1, 1, 1), 0.0), num_heading_bins=12)
-    b = encode_box(Box3D((0, 0, 0), (1, 1, 1), 0.0), num_heading_bins=6)
-    with pytest.raises(ValueError):
-        box_loss(a, b)
-
-
-def test_detection_loss_is_additive():
-    target = encode_box(Box3D((0, 0, 0), (3.9, 1.6, 1.56), 0.2))
-    pred = encode_box(Box3D((0.5, 0, 0), (3.9, 1.6, 1.56), 0.2))
-    mask_p = np.array([0.9, 0.8])
-    class_p = np.array([0.7])
-    total = detection_loss(mask_p, pred, target, class_p)
-    expected = (focal_loss(mask_p, 2.0)[0] + box_loss(pred, target)
-                + focal_loss(class_p, 2.0)[0])
-    assert total == pytest.approx(expected, rel=1e-12)
+from disptrack.micronet import tracking_loss
 
 
 # ---------------------------------------------------------------------------
