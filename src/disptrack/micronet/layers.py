@@ -64,20 +64,24 @@ class AssociationSpec:
             raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {self.fusion!r}")
 
 
-def fusion_width(fusion: str, feature_width: int) -> int:
+def fusion_width(fusion: str, width: int) -> int:
     """Width of the fused part of an association-head input row."""
     if fusion == "concat":
-        return 2 * feature_width
+        return 2 * width
     if fusion == "elementwise_product":
-        return feature_width
+        return width
     if fusion in ("cosine_distance", "dot_product"):
         return 1
     raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {fusion!r}")
 
 
-def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+def _nearest(query: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (q, k) of the k nearest points to each query row, ascending by
+    distance with ties to the lower index, and their distances (q, k)."""
+    diff = query[:, None, :] - points[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
 
 
 def _scatter_max_grad(grad_pooled: np.ndarray, argmax: np.ndarray,
@@ -134,9 +138,7 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     idx = farthest_point_sample(PointCloud(points), spec.sample_count, start_index)
     centroids = points[idx]
     cap = min(spec.neighbor_cap, n)
-    dist = _distance_matrix(centroids, points)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :cap]
-    near = np.take_along_axis(dist, order, axis=1)
+    order, near = _nearest(centroids, points, cap)
     valid = near <= spec.radius
     valid[:, 0] = True  # the centroid itself, distance zero
 
@@ -195,9 +197,7 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
         raise ValueError("source points and features must align")
 
     kk = min(3, n_s)
-    dist = _distance_matrix(target_points, source_points)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :kk]
-    near = np.take_along_axis(dist, order, axis=1)
+    order, near = _nearest(target_points, source_points, kk)
     w = 1.0 / (near + 1e-10)
     w = w / w.sum(axis=1, keepdims=True)
     interp = np.einsum("tk,tkc->tc", w, source_feats[order])
@@ -301,8 +301,7 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
         raise ValueError(f"MLP expects width {spec.mlp.in_width}, "
                          f"fusion {spec.fusion!r} provides {fwidth + 3}")
 
-    dist = _distance_matrix(points_a, points_b)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :spec.k]
+    order, _ = _nearest(points_a, points_b, spec.k)
     disp = points_b[order] - points_a[:, None, :]
     fb = feats_b[order]                       # (na, k, c)
     fa = feats_a[:, None, :]                  # (na, 1, c)

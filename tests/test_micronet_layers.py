@@ -12,11 +12,36 @@ from disptrack.micronet import (
     gradient_check,
     sa_layer,
 )
+from disptrack.micronet.layers import _nearest
 
 
 def make_sa_spec(rng, feat_width, sample_count=4, radius=1.5, cap=8, widths=(6, 5)):
     mlp = DenseParams.create([3 + feat_width, *widths], rng)
     return SaLayerSpec(sample_count, radius, cap, mlp)
+
+
+# ---------------------------------------------------------------------------
+# neighbour selection
+# ---------------------------------------------------------------------------
+
+def test_nearest_orders_by_distance_then_lower_index():
+    points = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 0.5], [2, 0, 0]])
+    order, dist = _nearest(np.array([[0.0, 0, 0], [2, 0, 0]]), points, 5)
+    assert order.tolist() == [[3, 0, 1, 2, 4], [4, 0, 3, 2, 1]]
+    assert dist[0].tolist() == [0.5, 1.0, 1.0, 1.0, 2.0]
+    assert dist[1, 0] == 0.0
+
+
+def test_nearest_matches_lexsort_reference_on_tied_grid():
+    rng = np.random.default_rng(7)
+    points = rng.integers(-2, 3, size=(40, 3)).astype(float)  # many equal distances
+    query = rng.integers(-2, 3, size=(12, 3)).astype(float)
+    order, dist = _nearest(query, points, 9)
+    for row, q in enumerate(query):
+        d = np.sqrt(((points - q) ** 2).sum(axis=1))
+        ref = np.lexsort((np.arange(len(points)), d))[:9]
+        assert order[row].tolist() == ref.tolist()
+        assert dist[row].tolist() == d[ref].tolist()
 
 
 # ---------------------------------------------------------------------------
