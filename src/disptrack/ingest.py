@@ -10,7 +10,7 @@ used for robustness sweeps, and per-point foreground/displacement targets.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -379,8 +379,8 @@ def label_targets(cloud_prev: PointCloud, labels_prev: FrameLabel,
     A point is foreground iff it lies inside any previous-frame box (first
     matching box wins for overlaps).  Its displacement target is the track's
     box-center motion into the current frame; tracks that vanish yield zero
-    displacement and an `excluded` flag.  Per-point box targets are no longer
-    produced, so `with_box_targets=True` raises.
+    displacement and an `excluded` flag.  No per-point box targets are
+    produced; `with_box_targets=True` raises.
     """
     if with_box_targets:
         raise ValueError("per-point box targets are not supported")

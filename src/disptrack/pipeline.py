@@ -474,8 +474,8 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
     """Train the displacement network on adjacent frame pairs.
 
     Supervision comes from box-motion targets; the probability filter runs on
-    oracle mask probabilities.
-    Deterministic given the seed; raises if any update goes non-finite.
+    oracle mask probabilities.  Deterministic given the seed; raises if any
+    update goes non-finite.
     """
     pairs = _pair_list(dataset)
     if not pairs:
