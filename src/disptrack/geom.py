@@ -113,6 +113,28 @@ def farthest_point_sample(cloud: PointCloud, m: int, start_index: int) -> np.nda
     return chosen
 
 
+def knn(query, cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k nearest cloud points to query, ascending by distance, ties by index."""
+    pts = cloud.points
+    if not 1 <= k <= pts.shape[0]:
+        raise ValueError(f"k must lie in [1, {pts.shape[0]}], got {k}")
+    d = np.linalg.norm(pts - np.asarray(query, dtype=float).reshape(3), axis=1)
+    order = np.argsort(d, kind="stable")[:k]
+    return order, d[order]
+
+
+def ball_query(center, radius: float, cloud: PointCloud, max_count: int) -> np.ndarray:
+    """Indices of points within radius of center, nearest-first, capped."""
+    if radius <= 0.0:
+        raise ValueError("radius must be positive")
+    if max_count < 0:
+        raise ValueError("max_count must be non-negative")
+    d = np.linalg.norm(cloud.points - np.asarray(center, dtype=float).reshape(3), axis=1)
+    order = np.argsort(d, kind="stable")
+    order = order[d[order] <= radius]
+    return order[:max_count]
+
+
 def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:
     """Boolean mask of points inside the box; boundary counts as inside."""
     d = cloud.points - box.center

@@ -4,8 +4,10 @@ import pytest
 from disptrack.geom import (
     Box3D,
     PointCloud,
+    ball_query,
     box_iou,
     farthest_point_sample,
+    knn,
     points_in_box,
 )
 
@@ -100,6 +102,69 @@ def test_fps_spreads_better_than_random_subsets():
         if min_pairwise(pts, fps_idx) >= min_pairwise(pts, rand_idx):
             wins += 1
     assert wins >= 95
+
+
+# ---------------------------------------------------------------------------
+# knn / ball query
+# ---------------------------------------------------------------------------
+
+def test_knn_sorted_by_distance():
+    c = cloud_of((1, 0, 0), (2, 0, 0), (3, 0, 0))
+    idx, dist = knn((0, 0, 0), c, 2)
+    assert idx.tolist() == [0, 1]
+    assert dist.tolist() == [1.0, 2.0]
+
+
+def test_knn_full_set_in_distance_order():
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(15, 3))
+    c = PointCloud(pts)
+    idx, dist = knn((0.1, 0.2, 0.3), c, 15)
+    assert sorted(idx.tolist()) == list(range(15))
+    assert np.all(np.diff(dist) >= 0)
+
+
+def test_knn_zero_distance_first():
+    c = cloud_of((5, 5, 5), (1, 2, 3), (0, 0, 1))
+    idx, dist = knn((1, 2, 3), c, 1)
+    assert idx.tolist() == [1]
+    assert dist[0] == 0.0
+
+
+def test_knn_tie_breaks_by_lower_index():
+    c = cloud_of((1, 0, 0), (-1, 0, 0), (0, 1, 0))
+    idx, _ = knn((0, 0, 0), c, 3)
+    assert idx.tolist() == [0, 1, 2]
+
+
+def test_knn_invalid_k():
+    c = cloud_of((0, 0, 0))
+    with pytest.raises(ValueError):
+        knn((0, 0, 0), c, 2)
+    with pytest.raises(ValueError):
+        knn((0, 0, 0), c, 0)
+
+
+def test_ball_query_basic():
+    c = cloud_of((0.5, 0, 0), (2, 0, 0))
+    assert ball_query((0, 0, 0), 1.0, c, 8).tolist() == [0]
+
+
+def test_ball_query_empty_when_radius_too_small():
+    c = cloud_of((1, 0, 0), (2, 0, 0))
+    assert ball_query((0, 0, 0), 0.5, c, 8).tolist() == []
+
+
+def test_ball_query_cap_keeps_nearest():
+    c = cloud_of((0.6, 0, 0), (0.2, 0, 0))
+    assert ball_query((0, 0, 0), 1.0, c, 1).tolist() == [1]
+
+
+def test_ball_query_boundary_inclusive_and_validated():
+    c = cloud_of((1.0, 0, 0))
+    assert ball_query((0, 0, 0), 1.0, c, 4).tolist() == [0]
+    with pytest.raises(ValueError):
+        ball_query((0, 0, 0), 0.0, c, 4)
 
 
 # ---------------------------------------------------------------------------
