@@ -2,8 +2,8 @@
 
 Everything here is a pure function over float64 numpy arrays: no state, no
 randomness.  Boxes are oriented in the horizontal plane (yaw about +z) and
-sized as (length, width, height), length along the box x axis.  Argmax
-ties break to the lowest index.
+sized as (length, width, height), length along the box x axis.  Argmax and
+nearest-neighbour ties break to the lowest index.
 """
 
 from __future__ import annotations
@@ -92,7 +92,11 @@ class Box3D:
 
 
 def farthest_point_sample(cloud: PointCloud, m: int, start_index: int) -> np.ndarray:
-    """Iteratively pick m indices maximizing the min distance to chosen points."""
+    """Iteratively pick m indices maximizing the min distance to chosen points.
+
+    Squared distances are compared, so no square root is taken; ties resolve
+    to the lowest index.
+    """
     pts = cloud.points
     n = pts.shape[0]
     if n == 0:
@@ -101,38 +105,66 @@ def farthest_point_sample(cloud: PointCloud, m: int, start_index: int) -> np.nda
         raise ValueError(f"sample count must lie in [1, {n}], got {m}")
     if not 0 <= start_index < n:
         raise ValueError(f"start index {start_index} out of range for {n} points")
+    coords = np.ascontiguousarray(pts.T)   # (3, n): one contiguous row per axis
+    diff = np.empty_like(coords)
+    step = np.empty(n)
+    best = np.full(n, np.inf)              # squared distance to the chosen set
     chosen = np.empty(m, dtype=int)
     chosen[0] = start_index
-    dist = np.linalg.norm(pts - pts[start_index], axis=1)
-    dist[start_index] = -1.0
     for i in range(1, m):
-        nxt = int(np.argmax(dist))  # ties resolve to the lowest index
-        chosen[i] = nxt
-        dist = np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1))
-        dist[nxt] = -1.0
+        last = chosen[i - 1]
+        np.subtract(coords, coords[:, last, None], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(diff[0], diff[1], out=step)
+        step += diff[2]
+        np.minimum(best, step, out=best)
+        best[last] = -1.0
+        chosen[i] = np.argmax(best)
     return chosen
 
 
-def knn(query, cloud: PointCloud, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k nearest cloud points to query, ascending by distance, ties by index."""
-    pts = cloud.points
-    if not 1 <= k <= pts.shape[0]:
-        raise ValueError(f"k must lie in [1, {pts.shape[0]}], got {k}")
-    d = np.linalg.norm(pts - np.asarray(query, dtype=float).reshape(3), axis=1)
-    order = np.argsort(d, kind="stable")[:k]
-    return order, d[order]
+def nearest(query, points, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest points to each query row, and their distances.
 
+    query is (q, 3) and points is (n, 3); both results are (q, k).  Each row
+    ascends by Euclidean distance with equal distances in index order, also
+    across the k-th distance: row i equals
+    ``np.lexsort((np.arange(n), d_i))[:k]`` for the distances d_i of query i.
+    """
+    query = np.asarray(query, dtype=float).reshape(-1, 3)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = points.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    q, p = query.T, points.T
+    # Squares are summed as (dx^2 + dz^2) + dy^2: the order numpy's einsum
+    # took when tests/data/pipeline_golden.npz was pinned, so the distances,
+    # and every output built on them, match it bit for bit.
+    dist = np.subtract.outer(q[0], p[0])
+    dist *= dist
+    sq = np.subtract.outer(q[2], p[2])
+    sq *= sq
+    dist += sq
+    np.subtract.outer(q[1], p[1], out=sq)
+    sq *= sq
+    dist += sq
+    del sq
+    np.sqrt(dist, out=dist)
 
-def ball_query(center, radius: float, cloud: PointCloud, max_count: int) -> np.ndarray:
-    """Indices of points within radius of center, nearest-first, capped."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    if max_count < 0:
-        raise ValueError("max_count must be non-negative")
-    d = np.linalg.norm(cloud.points - np.asarray(center, dtype=float).reshape(3), axis=1)
-    order = np.argsort(d, kind="stable")
-    order = order[d[order] <= radius]
-    return order[:max_count]
+    cand = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    cand_dist = np.take_along_axis(dist, cand, axis=1)
+    rank = np.lexsort((cand, cand_dist), axis=1)
+    order = np.take_along_axis(cand, rank, axis=1)
+    near = np.take_along_axis(cand_dist, rank, axis=1)
+    # The partition keeps an arbitrary subset of the points tied at the k-th
+    # distance.  Rows with more points at or below it than were kept get a
+    # stable full sort, which keeps the lowest-index ones.
+    tied = np.count_nonzero(dist <= near[:, -1:], axis=1) > k
+    if tied.any():
+        rows = dist[tied]
+        order[tied] = np.argsort(rows, axis=1, kind="stable")[:, :k]
+        near[tied] = np.take_along_axis(rows, order[tied], axis=1)
+    return order, near
 
 
 def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:

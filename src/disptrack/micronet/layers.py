@@ -12,9 +12,12 @@ Three layers cover the whole displacement network:
                            neighbours, append the neighbour displacement,
                            run the MLP per neighbour and max-pool over k.
 
-Feature gradients flow through features only; point coordinates are data and
-never differentiated.  Neighbour selections are deterministic (ties to the
-lowest index), so finite-difference checks see a fixed computation graph.
+Every layer selects neighbours with ``geom.nearest``: ascending Euclidean
+distance, equal distances to the lower index, and every point tied at the
+k-th distance ranked by index too, so a selection is a pure function of the
+coordinates.  Feature gradients flow through features only; point
+coordinates are data and never differentiated, so finite-difference checks
+see a fixed computation graph.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geom import PointCloud, farthest_point_sample
+from ..geom import PointCloud, farthest_point_sample, nearest
 from .dense import DenseParams, dense_apply
 
 FUSION_METHODS = ("concat", "elementwise_product", "cosine_distance", "dot_product")
@@ -73,15 +76,6 @@ def fusion_width(fusion: str, width: int) -> int:
     if fusion in ("cosine_distance", "dot_product"):
         return 1
     raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {fusion!r}")
-
-
-def _nearest(query: np.ndarray, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (q, k) of the k nearest points to each query row, ascending by
-    distance with ties to the lower index, and their distances (q, k)."""
-    diff = query[:, None, :] - points[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    return order, np.take_along_axis(dist, order, axis=1)
 
 
 def _scatter_max_grad(grad_pooled: np.ndarray, argmax: np.ndarray,
@@ -138,7 +132,7 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     idx = farthest_point_sample(PointCloud(points), spec.sample_count, start_index)
     centroids = points[idx]
     cap = min(spec.neighbor_cap, n)
-    order, near = _nearest(centroids, points, cap)
+    order, near = nearest(centroids, points, cap)
     valid = near <= spec.radius
     valid[:, 0] = True  # the centroid itself, distance zero
 
@@ -197,7 +191,7 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
         raise ValueError("source points and features must align")
 
     kk = min(3, n_s)
-    order, near = _nearest(target_points, source_points, kk)
+    order, near = nearest(target_points, source_points, kk)
     w = 1.0 / (near + 1e-10)
     w = w / w.sum(axis=1, keepdims=True)
     interp = np.einsum("tk,tkc->tc", w, source_feats[order])
@@ -301,7 +295,7 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
         raise ValueError(f"MLP expects width {spec.mlp.in_width}, "
                          f"fusion {spec.fusion!r} provides {fwidth + 3}")
 
-    order, _ = _nearest(points_a, points_b, spec.k)
+    order, _ = nearest(points_a, points_b, spec.k)
     disp = points_b[order] - points_a[:, None, :]
     fb = feats_b[order]                       # (na, k, c)
     fa = feats_a[:, None, :]                  # (na, 1, c)

@@ -15,6 +15,7 @@ perturbs ground truth, enabling ground-truth-box experiments.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -45,6 +46,8 @@ __all__ = [
     "predict_displacements", "train_association", "build_displacement_model",
     "mean_displacement_error", "save_displacement_model", "load_displacement_model",
 ]
+
+log = logging.getLogger(__name__)
 
 #: Width of the per-point input features that point_features emits.
 POINT_FEATURE_WIDTH = 4
@@ -386,6 +389,11 @@ def _forward_displacements(frame_a: PointCloud, frame_b: PointCloud,
     probs_b = detections_b.point_mask_probs[ds_b]
     feats_a_all = point_features(frame_a, detections_a)[ds_a]
     feats_b_all = point_features(frame_b, detections_b)[ds_b]
+    for name, probs in (("A", probs_a), ("B", probs_b)):
+        if not np.any(probs):
+            log.warning("frame %s has no detected points (all %d mask probabilities "
+                        "are zero); the filter keeps its %d lowest-index points",
+                        name, len(probs), min(config.n_filtered, len(probs)))
 
     filt_a = probability_filter(PointCloud(pts_a_all), probs_a, config.n_filtered)
     filt_b = probability_filter(PointCloud(pts_b_all), probs_b, config.n_filtered)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disptrack.geom import (
     Box3D,
     PointCloud,
-    ball_query,
     box_iou,
     farthest_point_sample,
-    knn,
+    nearest,
     points_in_box,
 )
+from disptrack.micronet import DenseParams, SaLayerSpec
 
 
 def cloud_of(*pts):
@@ -104,67 +106,133 @@ def test_fps_spreads_better_than_random_subsets():
     assert wins >= 95
 
 
+def test_fps_matches_oracle_on_integer_grid_ties():
+    # Integer coordinates in [-2, 2]: many equal distances and duplicate
+    # points, so most picks are ties that must go to the lowest index.
+    rng = np.random.default_rng(2)
+    for _ in range(30):
+        pts = rng.integers(-2, 3, size=(16, 3)).astype(float)
+        m = int(rng.integers(1, 17))
+        start = int(rng.integers(0, 16))
+        assert farthest_point_sample(PointCloud(pts), m, start).tolist() \
+            == fps_oracle(pts, m, start)
+
+
 # ---------------------------------------------------------------------------
-# knn / ball query
+# nearest neighbours
 # ---------------------------------------------------------------------------
 
-def test_knn_sorted_by_distance():
+def lexsort_reference(query, points, k):
+    """Per query row: indices ordered by (distance, index), first k."""
+    order, dist = [], []
+    for q in query:
+        d = np.sqrt(((points - q) ** 2).sum(axis=1))
+        idx = np.lexsort((np.arange(len(points)), d))[:k]
+        order.append(idx)
+        dist.append(d[idx])
+    return np.array(order), np.array(dist)
+
+
+def test_nearest_sorted_by_distance():
     c = cloud_of((1, 0, 0), (2, 0, 0), (3, 0, 0))
-    idx, dist = knn((0, 0, 0), c, 2)
-    assert idx.tolist() == [0, 1]
-    assert dist.tolist() == [1.0, 2.0]
+    idx, dist = nearest([(0, 0, 0)], c.points, 2)
+    assert idx.tolist() == [[0, 1]]
+    assert dist.tolist() == [[1.0, 2.0]]
 
 
-def test_knn_full_set_in_distance_order():
+def test_nearest_full_set_in_distance_order():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(15, 3))
-    c = PointCloud(pts)
-    idx, dist = knn((0.1, 0.2, 0.3), c, 15)
-    assert sorted(idx.tolist()) == list(range(15))
-    assert np.all(np.diff(dist) >= 0)
+    idx, dist = nearest([(0.1, 0.2, 0.3)], pts, 15)
+    assert sorted(idx[0].tolist()) == list(range(15))
+    assert np.all(np.diff(dist[0]) >= 0)
 
 
-def test_knn_zero_distance_first():
+def test_nearest_zero_distance_first():
     c = cloud_of((5, 5, 5), (1, 2, 3), (0, 0, 1))
-    idx, dist = knn((1, 2, 3), c, 1)
-    assert idx.tolist() == [1]
-    assert dist[0] == 0.0
+    idx, dist = nearest([(1, 2, 3)], c.points, 1)
+    assert idx.tolist() == [[1]]
+    assert dist[0, 0] == 0.0
 
 
-def test_knn_tie_breaks_by_lower_index():
+def test_nearest_tie_breaks_by_lower_index():
     c = cloud_of((1, 0, 0), (-1, 0, 0), (0, 1, 0))
-    idx, _ = knn((0, 0, 0), c, 3)
-    assert idx.tolist() == [0, 1, 2]
+    idx, _ = nearest([(0, 0, 0)], c.points, 3)
+    assert idx.tolist() == [[0, 1, 2]]
 
 
-def test_knn_invalid_k():
+def test_nearest_invalid_k():
     c = cloud_of((0, 0, 0))
     with pytest.raises(ValueError):
-        knn((0, 0, 0), c, 2)
+        nearest([(0, 0, 0)], c.points, 2)
     with pytest.raises(ValueError):
-        knn((0, 0, 0), c, 0)
+        nearest([(0, 0, 0)], c.points, 0)
 
 
-def test_ball_query_basic():
+def test_nearest_keeps_lowest_index_ties_across_the_kth_distance():
+    # Six points at distance 1 and one at 0.5: with k = 3, the k-th distance
+    # is 1 and six points share it, so the partition splits a tie and the
+    # exact-tie path must pick indices 0 and 1 among them.
+    pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                    [0, 0, -1], [0, 0, 0.5]])
+    query = np.zeros((1, 3))
+    d = np.linalg.norm(pts, axis=1)
+    assert np.count_nonzero(d <= 1.0) > 3
+    idx, dist = nearest(query, pts, 3)
+    assert idx.tolist() == [[6, 0, 1]]
+    assert dist.tolist() == [[0.5, 1.0, 1.0]]
+
+
+@st.composite
+def grid_case(draw):
+    n = draw(st.integers(1, 24))
+    coord = st.integers(-2, 2)
+    points = np.array(draw(st.lists(st.tuples(coord, coord, coord),
+                                    min_size=n, max_size=n)), dtype=float)
+    query = np.array(draw(st.lists(st.tuples(coord, coord, coord),
+                                   min_size=1, max_size=6)), dtype=float)
+    return query, points, draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_case())
+def test_nearest_matches_lexsort_reference_on_integer_grids(case):
+    query, points, k = case
+    idx, dist = nearest(query, points, k)
+    ref_idx, ref_dist = lexsort_reference(query, points, k)
+    assert idx.tolist() == ref_idx.tolist()
+    assert dist.tolist() == ref_dist.tolist()
+
+
+# The ball queries that sa_layer makes: the cap nearest points, masked to the
+# radius (sa_layer also always keeps the centroid itself).
+
+def in_radius(center, radius, points, cap):
+    idx, dist = nearest([center], points, min(cap, len(points)))
+    return idx[0][dist[0] <= radius]
+
+
+def test_nearest_in_radius_basic():
     c = cloud_of((0.5, 0, 0), (2, 0, 0))
-    assert ball_query((0, 0, 0), 1.0, c, 8).tolist() == [0]
+    assert in_radius((0, 0, 0), 1.0, c.points, 8).tolist() == [0]
 
 
-def test_ball_query_empty_when_radius_too_small():
+def test_nearest_in_radius_empty_when_radius_too_small():
     c = cloud_of((1, 0, 0), (2, 0, 0))
-    assert ball_query((0, 0, 0), 0.5, c, 8).tolist() == []
+    assert in_radius((0, 0, 0), 0.5, c.points, 8).tolist() == []
 
 
-def test_ball_query_cap_keeps_nearest():
+def test_nearest_in_radius_cap_keeps_nearest():
     c = cloud_of((0.6, 0, 0), (0.2, 0, 0))
-    assert ball_query((0, 0, 0), 1.0, c, 1).tolist() == [1]
+    assert in_radius((0, 0, 0), 1.0, c.points, 1).tolist() == [1]
 
 
-def test_ball_query_boundary_inclusive_and_validated():
+def test_nearest_in_radius_boundary_inclusive_and_validated():
     c = cloud_of((1.0, 0, 0))
-    assert ball_query((0, 0, 0), 1.0, c, 4).tolist() == [0]
+    assert in_radius((0, 0, 0), 1.0, c.points, 4).tolist() == [0]
+    mlp = DenseParams.create([3, 2], np.random.default_rng(0))
     with pytest.raises(ValueError):
-        ball_query((0, 0, 0), 0.0, c, 4)
+        SaLayerSpec(1, 0.0, 4, mlp)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ and parameters on a fixed seed; regenerate the pinned file only for an
 intended output change, with `PYTHONPATH=src python tests/test_pipeline.py`.
 """
 
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,24 @@ def test_field_is_invariant_to_translating_the_scene():
     moved = predict(model, TINY, *shifted(a, label_a), *shifted(b, label_b))
     assert np.array_equal(base.point_indices, moved.point_indices)
     np.testing.assert_allclose(moved.vectors, base.vectors, rtol=0, atol=1e-9)
+
+
+def test_frame_without_detections_logs_a_warning(caplog):
+    _, a, label_a, b, label_b = scene_pair()
+    model = pipeline.build_displacement_model(TINY, seed=0)
+    det_b = pipeline.oracle_detector(b, label_b)
+    empty_a = pipeline.Detections([], np.zeros(len(a)))
+    with caplog.at_level(logging.WARNING, logger="disptrack.pipeline"):
+        predict(model, TINY, a, label_a, b, label_b)
+        assert caplog.records == []
+        field = pipeline.predict_displacements(a, b, empty_a, det_b, model, TINY)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.getMessage() == (
+        "frame A has no detected points (all 240 mask probabilities are zero); "
+        "the filter keeps its 128 lowest-index points")
+    assert len(field.point_indices) == TINY.n_filtered
+    assert np.all(np.isfinite(field.vectors))
 
 
 def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
