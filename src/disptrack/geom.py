@@ -4,6 +4,11 @@ Everything here is a pure function over float64 numpy arrays: no state, no
 randomness.  Boxes are oriented in the horizontal plane (yaw about +z) and
 sized as (length, width, height), length along the box x axis.  Argmax and
 nearest-neighbour ties break to the lowest index.
+
+Neighbours are selected two ways: ``nearest`` gives the k nearest points
+with no radius (feature propagation, association), and ``ball_query`` the
+nearest points within a radius, up to a cap (set abstraction), from a grid
+so that only nearby points are scored.
 """
 
 from __future__ import annotations
@@ -165,6 +170,80 @@ def nearest(query, points, k: int) -> tuple[np.ndarray, np.ndarray]:
         order[tied] = np.argsort(rows, axis=1, kind="stable")[:, :k]
         near[tied] = np.take_along_axis(rows, order[tied], axis=1)
     return order, near
+
+
+#: Grid key stride per axis: keys of cells whose coordinates stay below 2**20
+#: in magnitude are distinct; farther cells may share a key, which only adds
+#: candidates that the distance test then drops.
+_KEY_STRIDE = 2 ** 21
+_NEIGHBOUR_KEYS = np.array([(a * _KEY_STRIDE + b) * _KEY_STRIDE + c
+                            for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)])
+
+
+def _cell_keys(coords: np.ndarray, edge: float) -> np.ndarray:
+    cell = np.floor(coords / edge).astype(np.int64)
+    return (cell[:, 0] * _KEY_STRIDE + cell[:, 1]) * _KEY_STRIDE + cell[:, 2]
+
+
+def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Up to cap points within radius of each query row, nearest first.
+
+    query is (q, 3) and points is (n, 3); both results are (q, cap): point
+    indices and a mask of the slots that hold one.  The valid slots of row i
+    equal those of ``nearest(query, points, cap)`` masked to
+    ``dist <= radius``, bit for bit: in-radius points by distance, equal
+    distances in index order.  Invalid slots repeat slot 0 (index 0 in a row
+    with no in-radius point).
+
+    Points are bucketed in a cubic grid with a cell edge a hair over the
+    radius, so each query scores only the points in the 27 cells around its
+    own, and memory stays linear in the candidate count.
+    """
+    query = np.asarray(query, dtype=float).reshape(-1, 3)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    n, q = points.shape[0], query.shape[0]
+    if not 1 <= cap <= n:
+        raise ValueError(f"cap must lie in [1, {n}], got {cap}")
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    # Along each axis an in-radius point lies at most radius * (1 + 3 eps)
+    # from its query (a computed distance can fall a few ulps short), and
+    # dividing by the edge rounds a cell coordinate by at most
+    # eps/2 * extent / edge.  The edge exceeds the radius by more than both,
+    # so the point's cell coordinates differ from the query's by less than
+    # one: it lies in one of the 27 cells around the query's.  The extent
+    # term also bounds |cell| by 2**50, within int64 for any radius.
+    extent = max(np.abs(points).max(), np.abs(query).max(initial=0.0))
+    edge = radius * (1.0 + 1e-9) + 4.0 * np.finfo(float).eps * extent
+
+    point_keys = _cell_keys(points, edge)
+    by_key = np.argsort(point_keys, kind="stable")
+    sorted_keys = point_keys[by_key]
+    cell_keys = (_cell_keys(query, edge)[:, None] + _NEIGHBOUR_KEYS).ravel()
+    first = np.searchsorted(sorted_keys, cell_keys, side="left")
+    count = np.searchsorted(sorted_keys, cell_keys, side="right") - first
+    # Every point of every neighbouring cell, query by query.
+    cand = by_key[np.repeat(first - (np.cumsum(count) - count), count)
+                  + np.arange(count.sum())]
+    row = np.repeat(np.arange(q), count.reshape(q, _NEIGHBOUR_KEYS.size).sum(axis=1))
+
+    # nearest's arithmetic, summed as (dx^2 + dz^2) + dy^2, so that equal
+    # points get equal distances in both.
+    dx, dy, dz = (query[row, a] - points[cand, a] for a in range(3))
+    dist = np.sqrt((dx * dx + dz * dz) + dy * dy)
+    inside = dist <= radius
+    row, cand, dist = row[inside], cand[inside], dist[inside]
+    ranked = np.lexsort((cand, dist, row))
+    row, cand = row[ranked], cand[ranked]
+    per_row = np.bincount(row, minlength=q)
+    slot = np.arange(row.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    kept = slot < cap
+
+    order = np.zeros((q, cap), dtype=np.intp)
+    valid = np.zeros((q, cap), dtype=bool)
+    order[row[kept], slot[kept]] = cand[kept]
+    valid[row[kept], slot[kept]] = True
+    return np.where(valid, order, order[:, :1]), valid
 
 
 def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:

@@ -12,12 +12,13 @@ Three layers cover the whole displacement network:
                            neighbours, append the neighbour displacement,
                            run the MLP per neighbour and max-pool over k.
 
-Every layer selects neighbours with ``geom.nearest``: ascending Euclidean
-distance, equal distances to the lower index, and every point tied at the
-k-th distance ranked by index too, so a selection is a pure function of the
-coordinates.  Feature gradients flow through features only; point
-coordinates are data and never differentiated, so finite-difference checks
-see a fixed computation graph.
+Set abstraction selects neighbours with ``geom.ball_query`` and runs its MLP
+on the in-radius rows only; feature propagation and the association head
+need the k nearest points with no radius and use ``geom.nearest``.  Both
+rank by ascending Euclidean distance, equal distances to the lower index,
+so a selection is a pure function of the coordinates.  Feature gradients
+flow through features only; point coordinates are data and never
+differentiated, so finite-difference checks see a fixed computation graph.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geom import PointCloud, farthest_point_sample, nearest
+from ..geom import PointCloud, ball_query, farthest_point_sample, nearest
 from .dense import DenseParams, dense_apply
 
 FUSION_METHODS = ("concat", "elementwise_product", "cosine_distance", "dot_product")
@@ -86,35 +87,43 @@ def _scatter_max_grad(grad_pooled: np.ndarray, argmax: np.ndarray,
     return gy
 
 
+def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, c) sums of the c-wide rows of values into the rows that index names.
+
+    values has shape index.shape + (c,); rows are added in index order, as
+    np.add.at adds them, so the sums match it bit for bit.
+    """
+    c = values.shape[-1]
+    flat = (index[..., None] * c + np.arange(c)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * c).reshape(n, c)
+
+
 class SaTape:
-    def __init__(self, order, valid, argmax, dense_tape, n_points, feat_width):
+    def __init__(self, order, valid, argmax, dense_tape, n_points):
         self.order = order              # (m, cap) neighbour indices
         self.valid = valid              # (m, cap) in-radius mask
         self.argmax = argmax            # (m, c_out) winning neighbour slot
-        self.dense_tape = dense_tape
+        self.dense_tape = dense_tape    # over the valid slots, row-major
         self.n_points = n_points
-        self.feat_width = feat_width
         self.sample_indices = None      # filled by sa_layer
 
     def backward(self, grad_pooled: np.ndarray) -> tuple[DenseParams, np.ndarray]:
         gy = _scatter_max_grad(np.asarray(grad_pooled, dtype=float), self.argmax,
                                self.order.shape[1])
-        mlp_grads, ginp = self.dense_tape.backward(gy.reshape(-1, gy.shape[2]))
-        ginp = ginp.reshape(self.order.shape[0], self.order.shape[1], -1)
-        grad_feats = np.zeros((self.n_points, self.feat_width))
-        if self.feat_width:
-            np.add.at(grad_feats, self.order, ginp[:, :, 3:])
-        return mlp_grads, grad_feats
+        mlp_grads, ginp = self.dense_tape.backward(gy[self.valid])
+        return mlp_grads, _scatter_add(self.order[self.valid], ginp[:, 3:], self.n_points)
 
 
 def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
              start_index: int, capture: bool = False):
     """Downsample points to spec.sample_count centroids with pooled features.
 
-    Per centroid the MLP input rows are (neighbour - centroid) coordinates
-    concatenated with the neighbour feature; pooling is element-wise max over
-    the in-radius neighbours.  A centroid with no other in-radius point keeps
-    itself as sole neighbour (it is always within its own radius).
+    Each centroid groups its spec.neighbor_cap nearest points within
+    spec.radius (``geom.ball_query``).  Per grouped neighbour the MLP input
+    row is the (neighbour - centroid) coordinates concatenated with the
+    neighbour feature; the MLP runs on these in-radius rows only, and pooling
+    is their element-wise max.  A centroid with no other in-radius point
+    keeps itself as sole neighbour (it is always within its own radius).
 
     Returns (sampled points (m,3), pooled features (m,c_out), tape or None).
     """
@@ -131,23 +140,20 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
 
     idx = farthest_point_sample(PointCloud(points), spec.sample_count, start_index)
     centroids = points[idx]
-    cap = min(spec.neighbor_cap, n)
-    order, near = nearest(centroids, points, cap)
-    valid = near <= spec.radius
-    valid[:, 0] = True  # the centroid itself, distance zero
+    order, valid = ball_query(centroids, points, spec.radius, min(spec.neighbor_cap, n))
 
-    rel = points[order] - centroids[:, None, :]
-    group_in = np.concatenate([rel, feats[order]], axis=2)
-    out, dtape = dense_apply(spec.mlp, group_in.reshape(-1, group_in.shape[2]),
+    rows = order[valid]
+    rel = points[rows] - centroids[np.nonzero(valid)[0]]
+    out, dtape = dense_apply(spec.mlp, np.concatenate([rel, feats[rows]], axis=1),
                              capture=capture)
-    out = out.reshape(spec.sample_count, cap, -1)
-    masked = np.where(valid[:, :, None], out, -np.inf)
+    masked = np.full(valid.shape + out.shape[1:], -np.inf)
+    masked[valid] = out
     argmax = masked.argmax(axis=1)
     pooled = np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0, :]
 
     tape = None
     if capture:
-        tape = SaTape(order, valid, argmax, dtape, n, feats.shape[1])
+        tape = SaTape(order, valid, argmax, dtape, n)
         tape.sample_indices = idx
     return centroids, pooled, tape
 
@@ -165,8 +171,8 @@ class FpTape:
         mlp_grads, gx = self.dense_tape.backward(np.asarray(grad_out, dtype=float))
         ginterp = gx[:, :self.source_width]
         grad_skip = gx[:, self.source_width:] if self.skip_width is not None else None
-        grad_source = np.zeros((self.n_source, self.source_width))
-        np.add.at(grad_source, self.order, ginterp[:, None, :] * self.weights[:, :, None])
+        grad_source = _scatter_add(self.order, ginterp[:, None, :] * self.weights[:, :, None],
+                                   self.n_source)
         return mlp_grads, grad_source, grad_skip
 
 
@@ -263,9 +269,7 @@ class AssociationTape:
             grad_fa = (g * da).sum(axis=1)
             gfb = g * db
 
-        grad_feats_b = np.zeros((self.n_b, c))
-        np.add.at(grad_feats_b, self.order, gfb)
-        return mlp_grads, grad_fa, grad_feats_b
+        return mlp_grads, grad_fa, _scatter_add(self.order, gfb, self.n_b)
 
 
 def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.ndarray,

@@ -62,7 +62,8 @@ class Detections:
 
     def __post_init__(self) -> None:
         self.point_mask_probs = np.asarray(self.point_mask_probs, dtype=float).ravel()
-        if np.any((self.point_mask_probs < 0.0) | (self.point_mask_probs > 1.0)):
+        p = self.point_mask_probs
+        if np.any(~((p >= 0.0) & (p <= 1.0))):  # also rejects NaN
             raise ValueError("mask probabilities must lie in [0, 1]")
         for box in self.boxes:
             if box.score is not None and not 0.0 <= box.score <= 1.0:

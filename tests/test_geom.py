@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from disptrack.geom import (
     Box3D,
     PointCloud,
+    ball_query,
     box_iou,
     farthest_point_sample,
     nearest,
@@ -204,12 +207,13 @@ def test_nearest_matches_lexsort_reference_on_integer_grids(case):
     assert dist.tolist() == ref_dist.tolist()
 
 
-# The ball queries that sa_layer makes: the cap nearest points, masked to the
-# radius (sa_layer also always keeps the centroid itself).
+# ---------------------------------------------------------------------------
+# ball query
+# ---------------------------------------------------------------------------
 
 def in_radius(center, radius, points, cap):
-    idx, dist = nearest([center], points, min(cap, len(points)))
-    return idx[0][dist[0] <= radius]
+    order, valid = ball_query([center], points, radius, min(cap, len(points)))
+    return order[0][valid[0]]
 
 
 def test_nearest_in_radius_basic():
@@ -233,6 +237,70 @@ def test_nearest_in_radius_boundary_inclusive_and_validated():
     mlp = DenseParams.create([3, 2], np.random.default_rng(0))
     with pytest.raises(ValueError):
         SaLayerSpec(1, 0.0, 4, mlp)
+
+
+def test_ball_query_keeps_a_point_at_the_radius_across_a_cell_boundary():
+    # The query sits just below zero and the point exactly one radius away on
+    # the other side; with a cell edge of exactly the radius they would fall
+    # in cells -1 and 1, which are not neighbours.
+    order, valid = ball_query([(-1e-17, 0, 0)], [(5.0, 0, 0), (1.0, 0, 0)], 1.0, 2)
+    assert order.tolist() == [[1, 1]]
+    assert valid.tolist() == [[True, False]]
+
+
+def test_ball_query_radius_far_below_the_coordinates():
+    # Cell coordinates of about 1e300 would not fit int64; the edge is kept
+    # wide enough relative to the coordinates that they do.
+    pts = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-12]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order, valid = ball_query(pts, pts, 1e-300, 3)
+    assert valid.tolist() == [[True, True, False]] * 2 + [[True, False, False]]
+    assert order[valid].tolist() == [0, 1, 0, 1, 2]
+
+
+def test_ball_query_validates_and_handles_no_queries():
+    pts = np.zeros((3, 3))
+    for cap in (0, 4):
+        with pytest.raises(ValueError, match="cap"):
+            ball_query(pts, pts, 1.0, cap)
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="radius"):
+            ball_query(pts, pts, radius, 2)
+    order, valid = ball_query(np.zeros((0, 3)), pts, 1.0, 2)
+    assert order.shape == valid.shape == (0, 2)
+
+
+#: Radii equal to grid distances (so points lie exactly at the radius), a
+#: half step, and radii far below the grid step and far above the extent.
+RADII = (1e-6, 0.5, 1.0, float(np.sqrt(2.0)), float(np.sqrt(3.0)), 2.0, 3.0, 1e6)
+
+
+@st.composite
+def ball_case(draw):
+    query, points, cap = draw(grid_case())
+    # More queries: cloud points moved half a step, or moved just below zero
+    # on some axes, where a point one radius away across zero would be two
+    # cells off if the cell edge equalled the radius.
+    shift = st.sampled_from((0.0, 0.5, -1e-17))
+    moves = draw(st.lists(st.tuples(st.integers(0, len(points) - 1), shift, shift, shift),
+                          max_size=4))
+    moved = [points[i] + np.array(offset) for i, *offset in moves]
+    return np.vstack([query, *moved]), points, draw(st.sampled_from(RADII)), cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(ball_case())
+def test_ball_query_equals_masked_nearest_on_integer_grids(case):
+    query, points, radius, cap = case
+    order, valid = ball_query(query, points, radius, cap)
+    near, dist = nearest(query, points, cap)
+    inside = dist <= radius
+    assert valid.tolist() == inside.tolist()
+    assert order[valid].tolist() == near[inside].tolist()
+    # Invalid slots repeat slot 0, and a row with no point in radius is all 0.
+    assert order.tolist() == np.where(valid, order, order[:, :1]).tolist()
+    assert not order[~valid[:, 0]].any()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from disptrack.micronet import (
     gradient_check,
     sa_layer,
 )
-from disptrack.geom import nearest
+from disptrack.geom import PointCloud, farthest_point_sample, nearest
 
 
 def make_sa_spec(rng, feat_width, sample_count=4, radius=1.5, cap=8, widths=(6, 5)):
@@ -134,6 +134,44 @@ def test_sa_input_feature_gradient_matches_finite_differences():
         fm[idx] -= eps
         numeric = (loss_of(fp_)[0] - loss_of(fm)[0]) / (2 * eps)
         assert abs(grad_feats[idx] - numeric) < 1e-5 * max(1.0, abs(numeric))
+
+
+def padded_sa_reference(spec, points, feats, start_index, grad_pooled):
+    """The all-slot set abstraction: the cap nearest points, the MLP on every
+    slot, a max over the in-radius ones.  Returns (centroids, pooled,
+    feature gradient for grad_pooled)."""
+    centroids = points[farthest_point_sample(PointCloud(points), spec.sample_count,
+                                             start_index)]
+    order, dist = nearest(centroids, points, min(spec.neighbor_cap, len(points)))
+    valid = dist <= spec.radius
+    group_in = np.concatenate([points[order] - centroids[:, None, :], feats[order]], axis=2)
+    out, tape = dense_apply(spec.mlp, group_in.reshape(-1, group_in.shape[2]), capture=True)
+    masked = np.where(valid[:, :, None], out.reshape(*valid.shape, -1), -np.inf)
+    argmax = masked.argmax(axis=1)
+    pooled = np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0, :]
+    gy = np.zeros_like(masked)
+    np.put_along_axis(gy, argmax[:, None, :], grad_pooled[:, None, :], axis=1)
+    _, ginp = tape.backward(gy.reshape(-1, gy.shape[2]))
+    grad_feats = np.zeros_like(feats)
+    np.add.at(grad_feats, order, ginp.reshape(*valid.shape, -1)[:, :, 3:])
+    return centroids, pooled, grad_feats
+
+
+@pytest.mark.parametrize("radius", [0.5, 0.75, 5.0])
+def test_sa_matches_padded_nearest_reference(radius):
+    rng = np.random.default_rng(8)
+    # A quarter-step grid: duplicate points, equal distances, points exactly
+    # at the radius; at radius 5 every point is in range and the cap decides.
+    pts = rng.integers(-3, 4, size=(60, 3)) * 0.25
+    feats = rng.normal(size=(60, 2))
+    spec = make_sa_spec(rng, feat_width=2, sample_count=12, radius=radius, cap=8)
+    grad = rng.normal(size=(12, 5))
+    centroids, pooled, tape = sa_layer(spec, pts, feats, start_index=3, capture=True)
+    _, grad_feats = tape.backward(grad)
+    ref_centroids, ref_pooled, ref_grad = padded_sa_reference(spec, pts, feats, 3, grad)
+    assert np.array_equal(centroids, ref_centroids)
+    np.testing.assert_allclose(pooled, ref_pooled, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grad_feats, ref_grad, rtol=1e-12, atol=0)
 
 
 def test_sa_rejects_oversampling():

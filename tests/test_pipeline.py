@@ -13,7 +13,13 @@ import pytest
 
 from disptrack import pipeline
 from disptrack.geom import PointCloud
-from disptrack.ingest import FrameLabel, SceneConfig, label_targets, synthesize_sequence
+from disptrack.ingest import (
+    FrameLabel,
+    SceneConfig,
+    label_targets,
+    remove_ground,
+    synthesize_sequence,
+)
 from disptrack.micronet import FUSION_METHODS, gradient_check, save_checkpoint, tracking_loss
 from disptrack.pipeline import PipelineConfig, SaConfig
 
@@ -183,6 +189,35 @@ def test_frame_without_detections_logs_a_warning(caplog):
         "the filter keeps its 128 lowest-index points")
     assert len(field.point_indices) == TINY.n_filtered
     assert np.all(np.isfinite(field.vectors))
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 0.5], [-0.1, 0.5], [0.5, 1.5]])
+def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
+    with pytest.raises(ValueError, match=r"mask probabilities must lie in \[0, 1\]"):
+        pipeline.Detections([], probs)
+
+
+def test_frame_emptied_by_ground_removal_raises_a_clear_error():
+    _, a, label_a, b, label_b = scene_pair()
+    model = pipeline.build_displacement_model(TINY, seed=0)
+    no_points = remove_ground(a, z_threshold=float(a.points[:, 2].max()))
+    assert len(no_points) == 0
+    with pytest.raises(ValueError, match="no points remain after the probability filter"):
+        predict(model, TINY, no_points, label_a, b, label_b)
+
+
+def test_k_above_the_frame_b_point_count_raises_a_clear_error():
+    _, a, label_a, b, label_b = scene_pair()
+    model = pipeline.build_displacement_model(TINY, seed=0)
+    few_b = PointCloud(b.points[:5])
+    with pytest.raises(ValueError, match="only 5 filtered frame-B points for k=8"):
+        pipeline.predict_displacements(a, few_b, pipeline.oracle_detector(a, label_a),
+                                       pipeline.Detections([], np.ones(5)), model, TINY)
+    # sa2 leaves 16 frame-B points, fewer than the association head's k.
+    config = tiny_config(k=20)
+    model = pipeline.build_displacement_model(config, seed=0)
+    with pytest.raises(ValueError, match="only 16 abstracted frame-B points for k=20"):
+        predict(model, config, a, label_a, b, label_b)
 
 
 def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
