@@ -12,13 +12,17 @@ Three layers cover the whole displacement network:
                            neighbours, append the neighbour displacement,
                            run the MLP per neighbour and max-pool over k.
 
-Set abstraction selects neighbours with ``geom.ball_query`` and runs its MLP
-on the in-radius rows only; feature propagation and the association head
-need the k nearest points with no radius and use ``geom.nearest``.  Both
-rank by ascending Euclidean distance, equal distances to the lower index,
-so a selection is a pure function of the coordinates.  Feature gradients
-flow through features only; point coordinates are data and never
-differentiated, so finite-difference checks see a fixed computation graph.
+Set abstraction selects neighbours with ``geom.ball_query``, runs its MLP on
+the in-radius rows only and max-pools each centroid's contiguous run of
+them (``np.maximum.reduceat``); its backward pass sends each pooled gradient
+to the lowest row holding the max.  Feature propagation and the association
+head need the k nearest points with no radius and use ``geom.nearest``,
+which searches a grid for large inputs (paper-scale fp2 and fp3) and scores
+every pair for small ones.  All rank by ascending Euclidean distance, equal
+distances to the lower index, so a selection is a pure function of the
+coordinates.  Feature gradients flow through features only; point
+coordinates are data and never differentiated, so finite-difference checks
+see a fixed computation graph.
 """
 
 from __future__ import annotations
@@ -99,19 +103,18 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 class SaTape:
-    def __init__(self, order, valid, argmax, dense_tape, n_points):
-        self.order = order              # (m, cap) neighbour indices
+    def __init__(self, rows, valid, winner, dense_tape, n_points):
+        self.rows = rows                # (r,) point index of each in-radius row
         self.valid = valid              # (m, cap) in-radius mask
-        self.argmax = argmax            # (m, c_out) winning neighbour slot
-        self.dense_tape = dense_tape    # over the valid slots, row-major
+        self.winner = winner            # (m, c_out) row holding each pooled max
+        self.dense_tape = dense_tape    # over the in-radius rows
         self.n_points = n_points
-        self.sample_indices = None      # filled by sa_layer
 
     def backward(self, grad_pooled: np.ndarray) -> tuple[DenseParams, np.ndarray]:
-        gy = _scatter_max_grad(np.asarray(grad_pooled, dtype=float), self.argmax,
-                               self.order.shape[1])
-        mlp_grads, ginp = self.dense_tape.backward(gy[self.valid])
-        return mlp_grads, _scatter_add(self.order[self.valid], ginp[:, 3:], self.n_points)
+        gy = np.zeros((self.rows.size, self.winner.shape[1]))
+        np.put_along_axis(gy, self.winner, np.asarray(grad_pooled, dtype=float), axis=0)
+        mlp_grads, ginp = self.dense_tape.backward(gy)
+        return mlp_grads, _scatter_add(self.rows, ginp[:, 3:], self.n_points)
 
 
 def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
@@ -142,19 +145,25 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     centroids = points[idx]
     order, valid = ball_query(centroids, points, spec.radius, min(spec.neighbor_cap, n))
 
+    # A centroid's in-radius rows are contiguous, slot order, and never
+    # empty: the centroid itself is always among them.
     rows = order[valid]
-    rel = points[rows] - centroids[np.nonzero(valid)[0]]
+    count = np.count_nonzero(valid, axis=1)
+    start = np.cumsum(count) - count
+    rel = points[rows] - np.repeat(centroids, count, axis=0)
     out, dtape = dense_apply(spec.mlp, np.concatenate([rel, feats[rows]], axis=1),
                              capture=capture)
-    masked = np.full(valid.shape + out.shape[1:], -np.inf)
-    masked[valid] = out
-    argmax = masked.argmax(axis=1)
-    pooled = np.take_along_axis(masked, argmax[:, None, :], axis=1)[:, 0, :]
+    pooled = np.maximum.reduceat(out, start, axis=0)
 
     tape = None
     if capture:
-        tape = SaTape(order, valid, argmax, dtape, n)
-        tape.sample_indices = idx
+        # The lowest row reaching the max wins, as argmax would pick it.  No
+        # row compares below a NaN max, so there the group's first row wins.
+        index = np.arange(rows.size)[:, None]
+        winner = np.minimum.reduceat(
+            np.where(out < np.repeat(pooled, count, axis=0), rows.size, index),
+            start, axis=0)
+        tape = SaTape(rows, valid, winner, dtape, n)
     return centroids, pooled, tape
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disptrack import geom
 from disptrack.geom import (
     Box3D,
     PointCloud,
@@ -19,6 +20,15 @@ from disptrack.micronet import DenseParams, SaLayerSpec
 
 def cloud_of(*pts):
     return PointCloud(np.array(pts, dtype=float))
+
+
+def nearest_both_ways(query, points, k):
+    """nearest's (order, dist) from its dense path, which it takes for inputs
+    this small, then from its grid path, which it takes for large ones."""
+    dense = nearest(query, points, k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geom, "_DENSE_MAX_PAIRS", 0)
+        return dense, nearest(query, points, k)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +191,9 @@ def test_nearest_keeps_lowest_index_ties_across_the_kth_distance():
     query = np.zeros((1, 3))
     d = np.linalg.norm(pts, axis=1)
     assert np.count_nonzero(d <= 1.0) > 3
-    idx, dist = nearest(query, pts, 3)
-    assert idx.tolist() == [[6, 0, 1]]
-    assert dist.tolist() == [[0.5, 1.0, 1.0]]
+    for idx, dist in nearest_both_ways(query, pts, 3):
+        assert idx.tolist() == [[6, 0, 1]]
+        assert dist.tolist() == [[0.5, 1.0, 1.0]]
 
 
 @st.composite
@@ -201,10 +211,90 @@ def grid_case(draw):
 @given(grid_case())
 def test_nearest_matches_lexsort_reference_on_integer_grids(case):
     query, points, k = case
-    idx, dist = nearest(query, points, k)
     ref_idx, ref_dist = lexsort_reference(query, points, k)
+    for idx, dist in nearest_both_ways(query, points, k):
+        assert idx.tolist() == ref_idx.tolist()
+        assert dist.tolist() == ref_dist.tolist()
+
+
+@st.composite
+def cluster_case(draw):
+    # A dense integer cluster sets the grid's first radius near 1; queries and
+    # points far out need several doublings before k points are in range.
+    near = st.integers(-1, 1)
+    far = st.integers(-60, 60)
+    cluster = draw(st.lists(st.tuples(near, near, near), min_size=8, max_size=30))
+    sparse = draw(st.lists(st.tuples(far, far, far), min_size=1, max_size=5))
+    points = np.array(cluster + sparse, dtype=float)
+    anywhere = st.sampled_from(cluster + sparse) | st.tuples(far, far, far)
+    query = np.array(draw(st.lists(anywhere, min_size=1, max_size=8)), dtype=float)
+    return query, points, draw(st.integers(1, len(points)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cluster_case())
+def test_nearest_matches_lexsort_reference_on_a_cluster_with_far_points(case):
+    query, points, k = case
+    ref_idx, ref_dist = lexsort_reference(query, points, k)
+    for idx, dist in nearest_both_ways(query, points, k):
+        assert idx.tolist() == ref_idx.tolist()
+        assert dist.tolist() == ref_dist.tolist()
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_nearest_grid_equals_dense_bit_for_bit_on_float_clouds(k):
+    # Non-integer coordinates round differently under another summation
+    # order, so this pins the grid path to the dense arithmetic.
+    rng = np.random.default_rng(k)
+    points = np.vstack([rng.normal(size=(250, 3)),
+                        rng.normal(scale=0.05, size=(50, 3)) + 4.0])
+    query = np.vstack([rng.normal(scale=2.0, size=(150, 3)), points[::7] + 1e-3])
+    dense, grid = nearest_both_ways(query, points, k)
+    assert dense[0].tobytes() == grid[0].tobytes()
+    assert dense[1].tobytes() == grid[1].tobytes()
+
+
+#: Clouds whose median k-th distance (k = 3) is 0 or far below the spacing
+#: of the rest: four copies of five integer points, and points 1e-150 apart
+#: at the origin next to copies of two integer points.
+FLAT_CLOUDS = {
+    "duplicates": np.repeat(np.random.default_rng(0).integers(-5, 6, size=(5, 3)), 4,
+                            axis=0),
+    "tiny spacing": np.vstack([np.outer(np.arange(12) * 1e-150, [1, 0, 0]),
+                               np.repeat([[3, -2, 1], [-4, 0, 2]], 4, axis=0)]),
+}
+
+
+@pytest.mark.parametrize("cloud", FLAT_CLOUDS)
+def test_nearest_grid_rounds_stay_few_on_flat_clouds(cloud, monkeypatch):
+    # The first radius is floored, so the outlier query doubles its way out
+    # to the cloud in about 21 rounds, not one per binade from 1e-150 or 0.
+    # Integer and single-axis coordinates keep the reference's distances
+    # exact.
+    points = FLAT_CLOUDS[cloud].astype(float)
+    query = np.vstack([points, [[1e6, -1e6, 1e6]]])
+    radii = []
+
+    def counted(*args):
+        radii.append(args[2])
+        return ball_query(*args)
+    monkeypatch.setattr(geom, "_DENSE_MAX_PAIRS", 0)
+    monkeypatch.setattr(geom, "ball_query", counted)
+    idx, dist = nearest(query, points, 3)
+    ref_idx, ref_dist = lexsort_reference(query, points, 3)
     assert idx.tolist() == ref_idx.tolist()
     assert dist.tolist() == ref_dist.tolist()
+    assert radii[0] > 0.5
+    assert len(radii) <= 25
+
+
+def test_nearest_rejects_non_finite_coordinates():
+    points = np.zeros((4, 3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            nearest([(bad, 0.0, 0.0)], points, 2)
+        with pytest.raises(ValueError, match="finite"):
+            nearest([(0.0, 0.0, 0.0)], np.vstack([points, [[0.0, bad, 0.0]]]), 2)
 
 
 # ---------------------------------------------------------------------------

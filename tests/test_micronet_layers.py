@@ -174,6 +174,22 @@ def test_sa_matches_padded_nearest_reference(radius):
     np.testing.assert_allclose(grad_feats, ref_grad, rtol=1e-12, atol=0)
 
 
+def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
+    rng = np.random.default_rng(9)
+    # Every point twice, same feature: each group holds pairs of equal MLP
+    # rows, and the copy with the higher index sorts to the later slot.
+    pts = np.tile(rng.integers(-2, 3, size=(20, 3)) * 0.5, (2, 1))
+    feats = np.tile(rng.normal(size=(20, 2)), (2, 1))
+    spec = make_sa_spec(rng, feat_width=2, sample_count=6, radius=1.0, cap=8)
+    grad = rng.normal(size=(6, 5))
+    _, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
+    _, grad_feats = tape.backward(grad)
+    _, ref_pooled, ref_grad = padded_sa_reference(spec, pts, feats, 0, grad)
+    assert np.array_equal(pooled, ref_pooled)
+    assert np.array_equal(grad_feats, ref_grad)
+    assert not grad_feats[20:].any() and grad_feats[:20].any()
+
+
 def test_sa_rejects_oversampling():
     rng = np.random.default_rng(6)
     spec = make_sa_spec(rng, feat_width=0, sample_count=5)

@@ -1,8 +1,10 @@
 """Whole-network checks of the displacement pipeline.
 
-The golden test pins the predicted field and one training step's gradients
-and parameters on a fixed seed; regenerate the pinned file only for an
-intended output change, with `PYTHONPATH=src python tests/test_pipeline.py`.
+The golden tests pin, on fixed seeds, the predicted field and one training
+step's gradients and parameters of a tiny model, and the field of an
+untrained paper-scale model, whose large layers take other code paths
+(nearest's grid search).  Regenerate the pinned files only for an intended
+output change, with `PYTHONPATH=src python tests/test_pipeline.py`.
 """
 
 import logging
@@ -24,6 +26,7 @@ from disptrack.micronet import FUSION_METHODS, gradient_check, save_checkpoint, 
 from disptrack.pipeline import PipelineConfig, SaConfig
 
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.npz"
+PAPER_GOLDEN = Path(__file__).parent / "data" / "paper_field_golden.npz"
 TINY = PipelineConfig(n_input=240, n_filtered=128, k=8,
                       sa1=SaConfig(32, 0.5, 8, (8, 8)), sa2=SaConfig(16, 1.0, 8, (8, 8)),
                       assoc_widths=(8,), sa3=SaConfig(4, 4.0, 8, (8,)),
@@ -99,6 +102,26 @@ def test_golden_field_gradients_and_step():
             assert np.array_equal(actual[key], expected[key]), key
         np.testing.assert_allclose(actual[key], expected[key], rtol=1e-12, atol=0,
                                    err_msg=key)
+
+
+def paper_field_outputs() -> dict[str, np.ndarray]:
+    """The field of an untrained paper-scale model on one 15 000-point pair,
+    the scene of the paper benchmark workloads."""
+    scene = SceneConfig(frames=2, objects=8, points_per_object=500, background_points=11000)
+    a, label_a, b, label_b = next(synthesize_sequence(scene, 601).adjacent_pairs())
+    config = PipelineConfig.paper_scale()
+    model = pipeline.build_displacement_model(config)
+    field = predict(model, config, a, label_a, b, label_b)
+    return {"field.indices": field.point_indices, "field.vectors": field.vectors}
+
+
+def test_paper_scale_golden_field():
+    expected = np.load(PAPER_GOLDEN)
+    actual = paper_field_outputs()
+    assert sorted(actual) == sorted(expected.files)
+    assert np.array_equal(actual["field.indices"], expected["field.indices"])
+    np.testing.assert_allclose(actual["field.vectors"], expected["field.vectors"],
+                               rtol=1e-12, atol=0)
 
 
 def loss_closure(model, config, a, label_a, b, label_b):
@@ -197,6 +220,49 @@ def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
         pipeline.Detections([], probs)
 
 
+@pytest.mark.parametrize("levels, message", [
+    ({"center_sigma": -0.1}, "sigmas"),
+    ({"yaw_sigma": -1.0}, "sigmas"),
+    ({"dropout": 1.5}, "rates"),
+    ({"dropout": float("nan")}, "rates"),
+    ({"fp_rate": -0.2}, "rates"),
+])
+def test_detector_noise_rejects_invalid_levels(levels, message):
+    with pytest.raises(ValueError, match=message):
+        pipeline.DetectorNoise(**levels)
+
+
+def test_oracle_detector_dropout_and_false_positives():
+    _, a, label_a, _, _ = scene_pair()
+    clean = pipeline.oracle_detector(a, label_a)
+    assert len(clean.boxes) == len(label_a.boxes) == 2
+    assert clean.point_mask_probs.any()
+
+    dropped = pipeline.oracle_detector(a, label_a, pipeline.DetectorNoise(dropout=1.0))
+    assert dropped.boxes == []
+    assert not dropped.point_mask_probs.any()
+
+    spurious = pipeline.oracle_detector(a, label_a, pipeline.DetectorNoise(fp_rate=1.0))
+    assert [box.score for box in spurious.boxes] == [1.0, 1.0, 0.5, 0.5]
+    # Spurious boxes mark no points: the mask comes from the labels alone.
+    assert np.array_equal(spurious.point_mask_probs, clean.point_mask_probs)
+
+
+def test_oracle_detector_is_deterministic_per_seed():
+    _, a, label_a, _, _ = scene_pair()
+    noise = pipeline.DetectorNoise(center_sigma=0.3, yaw_sigma=0.1, dropout=0.5,
+                                   fp_rate=0.5)
+
+    def detect(seed):
+        det = pipeline.oracle_detector(a, label_a, noise, seed=seed)
+        boxes = [(*box.center, *box.size, box.yaw, box.score) for box in det.boxes]
+        return det.point_mask_probs, boxes
+
+    first, again, other = detect(4), detect(4), detect(5)
+    assert np.array_equal(first[0], again[0]) and first[1] == again[1]
+    assert first[1] != other[1]
+
+
 def test_frame_emptied_by_ground_removal_raises_a_clear_error():
     _, a, label_a, b, label_b = scene_pair()
     model = pipeline.build_displacement_model(TINY, seed=0)
@@ -247,4 +313,5 @@ def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     np.savez(GOLDEN, **golden_outputs())
-    print(f"wrote {GOLDEN}")
+    np.savez(PAPER_GOLDEN, **paper_field_outputs())
+    print(f"wrote {GOLDEN} and {PAPER_GOLDEN}")
