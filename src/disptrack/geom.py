@@ -1,16 +1,18 @@
 """Deterministic point-cloud and oriented-box geometry kernels.
 
 Everything here is a pure function over float64 numpy arrays: no state, no
-randomness.  Boxes are oriented in the horizontal plane (yaw about +z) and
-sized as (length, width, height), length along the box x axis.  Argmax and
-nearest-neighbour ties break to the lowest index.
+randomness.  A PointCloud holds a frame's point coordinates and nothing
+else.  Boxes are oriented in the horizontal plane (yaw about +z) and sized
+as (length, width, height), length along the box x axis; centre, size and
+yaw must be finite.  Argmax and nearest-neighbour ties break to the lowest index.
 
 Neighbours are selected two ways: ``nearest`` gives the k nearest points
 with no radius (feature propagation, association), and ``ball_query`` the
 nearest points within a radius, up to a cap (set abstraction), from a grid
 so that only nearby points are scored.  ``nearest`` scores every pair of a
 small input and runs ``ball_query`` at a growing radius on a large one; the
-two strategies agree bit for bit.
+two strategies agree bit for bit: every path sums squared coordinate
+differences in one order, that of ``_pair_distances``.
 """
 
 from __future__ import annotations
@@ -27,21 +29,14 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(eq=False)
 class PointCloud:
-    """A frame of 3-D points with optional per-point intensity in [0, 1]."""
+    """A frame of 3-D points."""
 
     points: np.ndarray
-    intensity: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(self.points)):
             raise ValueError("point coordinates must be finite")
-        if self.intensity is not None:
-            self.intensity = np.asarray(self.intensity, dtype=float).ravel()
-            if self.intensity.shape[0] != self.points.shape[0]:
-                raise ValueError("intensity length must match point count")
-            if np.any((self.intensity < 0.0) | (self.intensity > 1.0)):
-                raise ValueError("intensity values must lie in [0, 1]")
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -61,8 +56,9 @@ class Box3D:
     def __post_init__(self) -> None:
         self.center = np.asarray(self.center, dtype=float).reshape(3)
         self.size = np.asarray(self.size, dtype=float).reshape(3)
-        if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.size))):
-            raise ValueError("box center and size must be finite")
+        if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.size))
+                and np.isfinite(self.yaw)):
+            raise ValueError("box center, size and yaw must be finite")
         if np.any(self.size <= 0.0):
             raise ValueError("box size components must be strictly positive")
         self.yaw = wrap_angle(float(self.yaw))
@@ -72,10 +68,6 @@ class Box3D:
     def translated(self, offset) -> "Box3D":
         return Box3D(self.center + np.asarray(offset, dtype=float), self.size.copy(),
                      self.yaw, self.class_id, self.track_id, self.score)
-
-    def with_track_id(self, track_id: int | None) -> "Box3D":
-        return Box3D(self.center.copy(), self.size.copy(), self.yaw,
-                     self.class_id, track_id, self.score)
 
     def bev_corners(self) -> np.ndarray:
         """Counter-clockwise footprint corners, shape (4, 2)."""
@@ -170,9 +162,7 @@ def nearest(query, points, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _nearest_dense(query: np.ndarray, points: np.ndarray, k: int):
     q, p = query.T, points.T
-    # Squares are summed as (dx^2 + dz^2) + dy^2: the order numpy's einsum
-    # took when tests/data/pipeline_golden.npz was pinned, so the distances,
-    # and every output built on them, match it bit for bit.
+    # _pair_distances' arithmetic, done in place on the (q, n) matrix.
     dist = np.subtract.outer(q[0], p[0])
     dist *= dist
     sq = np.subtract.outer(q[2], p[2])
@@ -227,9 +217,19 @@ def _nearest_grid(query: np.ndarray, points: np.ndarray, k: int):
         order[todo[done]] = found[done]
         todo = todo[~done]
         radius *= 2.0
-    # (dx^2 + dz^2) + dy^2, as _nearest_dense and ball_query sum them.
-    dx, dy, dz = np.moveaxis(query[:, None, :] - points[order], 2, 0)
-    return order, np.sqrt((dx * dx + dz * dz) + dy * dy)
+    return order, _pair_distances(query, np.arange(query.shape[0])[:, None], points, order)
+
+
+def _pair_distances(query: np.ndarray, rows, points: np.ndarray, cand) -> np.ndarray:
+    """Euclidean distances from query[rows] to points[cand], index arrays
+    that broadcast against each other.
+
+    Squares are summed as (dx^2 + dz^2) + dy^2: the order numpy's einsum took
+    when tests/data/pipeline_golden.npz was pinned.  Every selection path
+    sums them so, and equal point pairs get bit-equal distances on each.
+    """
+    dx, dy, dz = (query[rows, a] - points[cand, a] for a in range(3))
+    return np.sqrt((dx * dx + dz * dz) + dy * dy)
 
 
 #: Grid key stride per axis: keys of cells whose coordinates stay below 2**20
@@ -287,10 +287,7 @@ def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.n
                   + np.arange(count.sum())]
     row = np.repeat(np.arange(q), count.reshape(q, _NEIGHBOUR_KEYS.size).sum(axis=1))
 
-    # nearest's arithmetic, summed as (dx^2 + dz^2) + dy^2, so that equal
-    # points get equal distances in both.
-    dx, dy, dz = (query[row, a] - points[cand, a] for a in range(3))
-    dist = np.sqrt((dx * dx + dz * dz) + dy * dy)
+    dist = _pair_distances(query, row, points, cand)
     inside = dist <= radius
     row, cand, dist = row[inside], cand[inside], dist[inside]
     ranked = np.lexsort((cand, dist, row))

@@ -1,10 +1,9 @@
-"""Sequence loading, synthesis and training-target generation.
+"""Frame sequences, their synthesis and training-target generation.
 
 Covers the KITTI tracking label text format (17 whitespace-separated fields
-per line) and the raw velodyne binary layout (little-endian float32 x,y,z,
-intensity quadruples), a deterministic synthetic-scene generator that stands
-in for real drives at desk scale, the per-object displacement augmentation
-used for robustness sweeps, and per-point foreground/displacement targets.
+per line), a deterministic synthetic-scene generator that stands in for real
+drives at desk scale, the per-object displacement augmentation used for
+robustness sweeps, and per-point foreground/displacement targets.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ KITTI_CLASS_NAMES = ("Car", "Van", "Truck", "Pedestrian", "Person_sitting",
                      "Cyclist", "Tram", "Misc")
 _CLASS_TO_ID = {name: i for i, name in enumerate(KITTI_CLASS_NAMES)}
 _FIELDS_PER_LINE = 17
-_BYTES_PER_POINT = 16
-
-DEFAULT_GROUND_Z = -1.4  # sensor-frame height threshold, z up
 
 
 @dataclass(eq=False)
@@ -94,7 +90,7 @@ class TrainingTargets:
 
 
 # ---------------------------------------------------------------------------
-# KITTI tracking formats
+# KITTI tracking labels
 # ---------------------------------------------------------------------------
 
 def parse_kitti_labels(text: str) -> list[FrameLabel]:
@@ -151,30 +147,6 @@ def format_kitti_labels(frames: list[FrameLabel]) -> str:
                 f"{label.frame_index} {track} {name} 0 0 0 0 0 0 0 "
                 f"{h!r} {w!r} {l!r} {x!r} {y!r} {z!r} {float(box.yaw)!r}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_point_cloud(data: bytes) -> PointCloud:
-    """Decode little-endian float32 (x, y, z, intensity) quadruples."""
-    if len(data) % _BYTES_PER_POINT != 0:
-        raise ValueError(f"point cloud byte length {len(data)} is not a multiple "
-                         f"of {_BYTES_PER_POINT}")
-    raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(float)
-    intensity = np.clip(raw[:, 3], 0.0, 1.0) if raw.shape[0] else None
-    return PointCloud(raw[:, :3], intensity)
-
-
-def write_point_cloud(cloud: PointCloud) -> bytes:
-    intensity = cloud.intensity if cloud.intensity is not None \
-        else np.zeros(len(cloud))
-    raw = np.column_stack([cloud.points, intensity]).astype("<f4")
-    return raw.tobytes()
-
-
-def remove_ground(cloud: PointCloud, z_threshold: float = DEFAULT_GROUND_Z) -> PointCloud:
-    """Keep points strictly above the height threshold, order preserved."""
-    keep = cloud.points[:, 2] > z_threshold
-    intensity = cloud.intensity[keep] if cloud.intensity is not None else None
-    return PointCloud(cloud.points[keep], intensity)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +328,7 @@ def apply_displacement_augmentation(seq: Sequence, magnitude: float,
             inside = points_in_box(cloud, box)
             pts[inside] = pts[inside] + delta
             boxes.append(box.translated(delta))
-        intensity = cloud.intensity.copy() if cloud.intensity is not None else None
-        frames.append((PointCloud(pts, intensity), FrameLabel(label.frame_index, boxes)))
+        frames.append((PointCloud(pts), FrameLabel(label.frame_index, boxes)))
     return Sequence(frames, name=seq.name, frame_period=seq.frame_period)
 
 
@@ -403,46 +374,3 @@ def label_targets(cloud_prev: PointCloud, labels_prev: FrameLabel,
 
     return TrainingTargets(mask, displacement, excluded)
 
-
-# ---------------------------------------------------------------------------
-# scene config files
-# ---------------------------------------------------------------------------
-
-_SCENE_KEYS = {
-    "frames": int, "objects": int, "velocity_min": float, "velocity_max": float,
-    "points_per_object": int, "background_points": int, "noise_sigma": float,
-    "spawn_spacing": float, "arena_half_extent": float,
-    "direction_change_every": int, "frame_period": float, "name": str,
-}
-
-
-def parse_scene_config(text: str) -> tuple[SceneConfig, int | None]:
-    """Parse `key = value` lines ('#' comments allowed) into a SceneConfig.
-
-    Returns (config, seed) where seed is taken from an optional `seed` key.
-    """
-    values: dict[str, object] = {}
-    seed: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key == "seed":
-            seed = int(value)
-        elif key in _SCENE_KEYS:
-            values[key] = _SCENE_KEYS[key](value)
-        else:
-            raise ValueError(f"line {lineno}: unknown scene key {key!r}")
-    config = SceneConfig(**values)
-    config.validate()
-    return config, seed
-
-
-def format_scene_config(config: SceneConfig, seed: int | None = None) -> str:
-    lines = [f"{key} = {getattr(config, key)}" for key in _SCENE_KEYS]
-    if seed is not None:
-        lines.append(f"seed = {seed}")
-    return "\n".join(lines) + "\n"

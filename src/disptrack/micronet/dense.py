@@ -3,7 +3,9 @@
 A DenseParams is a chain of Linear layers with ReLU between them and a linear
 final layer.  ``dense_apply`` runs the chain row-wise over a feature matrix
 and, when capturing, returns a tape that turns an output gradient into
-parameter gradients plus the input gradient.
+parameter gradients plus the input gradient.  The tape returns those
+parameter gradients as a DenseParams too, and ``add_`` sums the gradients
+of a layer that two streams share.
 """
 
 from __future__ import annotations
@@ -58,14 +60,6 @@ class DenseParams:
     @property
     def out_width(self) -> int:
         return int(self.weights[-1].shape[1])
-
-    def zeros_like(self) -> "DenseParams":
-        return DenseParams([np.zeros_like(w) for w in self.weights],
-                           [np.zeros_like(b) for b in self.biases])
-
-    def copy(self) -> "DenseParams":
-        return DenseParams([w.copy() for w in self.weights],
-                           [b.copy() for b in self.biases])
 
     def add_(self, other: "DenseParams") -> "DenseParams":
         """In-place accumulation, used to merge gradients of shared layers."""

@@ -232,14 +232,13 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
 
 class AssociationTape:
     def __init__(self, spec, order, argmax, dense_tape, feats_a, feats_b_grouped,
-                 disp, fused_width, n_b):
+                 fused_width, n_b):
         self.spec = spec
         self.order = order                  # (na, k) frame-B neighbour indices
         self.argmax = argmax                # (na, c_out)
         self.dense_tape = dense_tape
         self.feats_a = feats_a              # (na, c)
         self.feats_b_grouped = feats_b_grouped  # (na, k, c)
-        self.neighbor_disp = disp           # (na, k, 3)
         self.fused_width = fused_width
         self.n_b = n_b
 
@@ -257,13 +256,10 @@ class AssociationTape:
         if fusion == "concat":
             grad_fa = gfused[:, :, :c].sum(axis=1)
             gfb = gfused[:, :, c:]
-        elif fusion == "elementwise_product":
+        elif fusion in ("elementwise_product", "dot_product"):
+            # gfused is (na, k, c) for the product, (na, k, 1) for the dot.
             grad_fa = (gfused * fb).sum(axis=1)
             gfb = gfused * fa
-        elif fusion == "dot_product":
-            g = gfused  # (na, k, 1)
-            grad_fa = (g * fb).sum(axis=1)
-            gfb = g * fa
         else:  # cosine_distance
             g = gfused  # (na, k, 1)
             s = np.einsum("nc,nkc->nk", self.feats_a, fb)[:, :, None]
@@ -334,6 +330,6 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
 
     tape = None
     if capture:
-        tape = AssociationTape(spec, order, argmax, dtape, feats_a, fb, disp, fwidth,
+        tape = AssociationTape(spec, order, argmax, dtape, feats_a, fb, fwidth,
                                points_b.shape[0])
     return embedded, tape

@@ -96,8 +96,9 @@ class DetectorNoise:
     fp_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.center_sigma < 0 or self.yaw_sigma < 0:
-            raise ValueError("noise sigmas must be non-negative")
+        # Every comparison with NaN is false, so NaN fails these checks too.
+        if not (0.0 <= self.center_sigma < np.inf and 0.0 <= self.yaw_sigma < np.inf):
+            raise ValueError("noise sigmas must be finite and non-negative")
         if not (0.0 <= self.dropout <= 1.0 and 0.0 <= self.fp_rate <= 1.0):
             raise ValueError("dropout and false-positive rates must lie in [0, 1]")
 
@@ -277,14 +278,26 @@ class DisplacementModel:
         return _flatten_groups(self.param_groups())
 
     def load_param_dict(self, params: dict[str, np.ndarray]) -> None:
+        """Replace every parameter with the same-named array of params.
+
+        Raises, leaving the model unchanged, on a missing or extra name, a
+        shape mismatch or a non-finite value.
+        """
+        current = self.param_dict()
+        if set(params) != set(current):
+            raise ValueError(f"parameter names do not match the model: missing "
+                             f"{sorted(set(current) - set(params))}, extra "
+                             f"{sorted(set(params) - set(current))}")
+        params = {key: np.asarray(value, dtype=float) for key, value in params.items()}
+        for key, value in params.items():
+            if value.shape != current[key].shape:
+                raise ValueError(f"shape mismatch loading {key}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"non-finite values loading {key}")
         for name, dp in self.param_groups().items():
             for i in range(len(dp.weights)):
-                w = np.asarray(params[f"{name}.w{i}"], dtype=float)
-                b = np.asarray(params[f"{name}.b{i}"], dtype=float).ravel()
-                if w.shape != dp.weights[i].shape or b.shape != dp.biases[i].shape:
-                    raise ValueError(f"shape mismatch loading {name} layer {i}")
-                dp.weights[i] = w
-                dp.biases[i] = b
+                dp.weights[i] = params[f"{name}.w{i}"]
+                dp.biases[i] = params[f"{name}.b{i}"]
 
 
 def _flatten_groups(groups: dict[str, DenseParams]) -> dict[str, np.ndarray]:
@@ -362,81 +375,65 @@ class PipelineTape:
         return _flatten_groups(groups)
 
 
-def _clamped_spec(spec: SaLayerSpec, n: int) -> SaLayerSpec:
-    if spec.sample_count <= n:
-        return spec
-    return SaLayerSpec(n, spec.radius, spec.neighbor_cap, spec.mlp)
-
-
-def _downsample(rng: np.random.Generator, n: int, n_input: int) -> np.ndarray:
-    if n <= n_input:
-        return np.arange(n)
-    return np.sort(rng.choice(n, size=n_input, replace=False))
+def _network_input(name: str, frame: PointCloud, detections: Detections,
+                   config: PipelineConfig, rng: np.random.Generator):
+    """One frame's points as the network sees them: a random config.n_input
+    of them (all, if there are no more), then the config.n_filtered most
+    probable of those.  Returns their indices into the frame, coordinates
+    and input features."""
+    probs = detections.point_mask_probs
+    n = len(frame)
+    if probs.shape[0] != n:
+        raise ValueError("detection mask probabilities must match their clouds")
+    sampled = np.arange(n) if n <= config.n_input \
+        else np.sort(rng.choice(n, size=config.n_input, replace=False))
+    probs = probs[sampled]
+    if not np.any(probs):
+        log.warning("frame %s has no detected points (all %d mask probabilities "
+                    "are zero); the filter keeps its %d lowest-index points",
+                    name, len(probs), min(config.n_filtered, len(probs)))
+    kept = sampled[probability_filter(PointCloud(frame.points[sampled]), probs,
+                                      config.n_filtered)]
+    if len(kept) == 0:
+        raise ValueError("no points remain after the probability filter")
+    return kept, frame.points[kept], point_features(frame, detections)[kept]
 
 
 def _forward_displacements(frame_a: PointCloud, frame_b: PointCloud,
                            detections_a: Detections, detections_b: Detections,
                            model: DisplacementModel, config: PipelineConfig,
                            capture: bool = False):
-    if detections_a.point_mask_probs.shape[0] != len(frame_a) \
-            or detections_b.point_mask_probs.shape[0] != len(frame_b):
-        raise ValueError("detection mask probabilities must match their clouds")
     rng = np.random.default_rng(config.seed)
-    ds_a = _downsample(rng, len(frame_a), config.n_input)
-    ds_b = _downsample(rng, len(frame_b), config.n_input)
-    pts_a_all = frame_a.points[ds_a]
-    pts_b_all = frame_b.points[ds_b]
-    probs_a = detections_a.point_mask_probs[ds_a]
-    probs_b = detections_b.point_mask_probs[ds_b]
-    feats_a_all = point_features(frame_a, detections_a)[ds_a]
-    feats_b_all = point_features(frame_b, detections_b)[ds_b]
-    for name, probs in (("A", probs_a), ("B", probs_b)):
-        if not np.any(probs):
-            log.warning("frame %s has no detected points (all %d mask probabilities "
-                        "are zero); the filter keeps its %d lowest-index points",
-                        name, len(probs), min(config.n_filtered, len(probs)))
-
-    filt_a = probability_filter(PointCloud(pts_a_all), probs_a, config.n_filtered)
-    filt_b = probability_filter(PointCloud(pts_b_all), probs_b, config.n_filtered)
-    if len(filt_a) == 0 or len(filt_b) == 0:
-        raise ValueError("no points remain after the probability filter")
-    if len(filt_b) < config.k:
-        raise ValueError(f"only {len(filt_b)} filtered frame-B points for "
+    kept_a, pts_a0, feats_a0 = _network_input("A", frame_a, detections_a, config, rng)
+    _, pts_b0, feats_b0 = _network_input("B", frame_b, detections_b, config, rng)
+    if len(pts_b0) < config.k:
+        raise ValueError(f"only {len(pts_b0)} filtered frame-B points for "
                          f"k={config.k}; lower k or raise n_filtered")
 
-    pts_a0, feats_a0 = pts_a_all[filt_a], feats_a_all[filt_a]
-    pts_b0, feats_b0 = pts_b_all[filt_b], feats_b_all[filt_b]
+    def abstract(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray):
+        # At most one centroid per point; FPS starts at the next draw of rng.
+        if spec.sample_count > len(points):
+            spec = SaLayerSpec(len(points), spec.radius, spec.neighbor_cap, spec.mlp)
+        return sa_layer(spec, points, feats, int(rng.integers(len(points))),
+                        capture=capture)
 
-    def start(n):
-        return int(rng.integers(n))
-
-    sa1_a = _clamped_spec(model.sa1, len(pts_a0))
-    pts_a1, feats_a1, t_a1 = sa_layer(sa1_a, pts_a0, feats_a0, start(len(pts_a0)),
-                                      capture=capture)
-    sa2_a = _clamped_spec(model.sa2, len(pts_a1))
-    pts_a2, feats_a2, t_a2 = sa_layer(sa2_a, pts_a1, feats_a1, start(len(pts_a1)),
-                                      capture=capture)
-    sa1_b = _clamped_spec(model.sa1, len(pts_b0))
-    pts_b1, feats_b1, t_b1 = sa_layer(sa1_b, pts_b0, feats_b0, start(len(pts_b0)),
-                                      capture=capture)
-    sa2_b = _clamped_spec(model.sa2, len(pts_b1))
-    pts_b2, feats_b2, t_b2 = sa_layer(sa2_b, pts_b1, feats_b1, start(len(pts_b1)),
-                                      capture=capture)
+    pts_a1, feats_a1, t_a1 = abstract(model.sa1, pts_a0, feats_a0)
+    pts_a2, feats_a2, t_a2 = abstract(model.sa2, pts_a1, feats_a1)
+    pts_b1, feats_b1, t_b1 = abstract(model.sa1, pts_b0, feats_b0)
+    pts_b2, feats_b2, t_b2 = abstract(model.sa2, pts_b1, feats_b1)
     if len(pts_b2) < model.assoc.k:
         raise ValueError(f"only {len(pts_b2)} abstracted frame-B points for "
                          f"k={model.assoc.k}; lower k")
 
     embedded, t_assoc = association_head(model.assoc, pts_a2, feats_a2, pts_b2,
                                          feats_b2, capture=capture)
-    sa3 = _clamped_spec(model.sa3, len(pts_a2))
-    pts_a3, feats_a3, t_sa3 = sa_layer(sa3, pts_a2, embedded, start(len(pts_a2)),
-                                       capture=capture)
+    pts_a3, feats_a3, t_sa3 = abstract(model.sa3, pts_a2, embedded)
     up2, t_fp1 = fp_layer(pts_a2, pts_a3, feats_a3, None, model.fp1, capture=capture)
     up1, t_fp2 = fp_layer(pts_a1, pts_a2, up2, feats_a1, model.fp2, capture=capture)
     up0, t_fp3 = fp_layer(pts_a0, pts_a1, up1, None, model.fp3, capture=capture)
     vectors, t_head = dense_apply(model.head, up0, capture=capture)
 
-    field = DisplacementField(ds_a[filt_a], vectors)
+    field = DisplacementField(kept_a, vectors)
     tape = PipelineTape(t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3, t_fp1, t_fp2,
                         t_fp3, t_head) if capture else None
     return field, tape
@@ -462,12 +459,9 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
 
 @dataclass
 class TrainHistory:
-    """Per-epoch mean loss and the learning rate at each epoch boundary."""
+    """Per-epoch mean training loss."""
 
     epoch_losses: list[float] = field(default_factory=list)
-    epoch_lrs: list[float] = field(default_factory=list)
-    steps_per_epoch: int = 0
-    steps_per_cycle: int = 0
 
 
 def _pair_list(dataset) -> list[tuple[PointCloud, FrameLabel, PointCloud, FrameLabel]]:
@@ -492,14 +486,11 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
     model = build_displacement_model(config, seed=seed)
     params = model.param_dict()
     state = OptState.init(params)
-    steps_per_epoch = len(pairs)
-    cycle = max(2, config.clr_cycle_epochs * steps_per_epoch)
+    cycle = max(2, config.clr_cycle_epochs * len(pairs))
     cycle += cycle % 2
-    history = TrainHistory(steps_per_epoch=steps_per_epoch, steps_per_cycle=cycle)
+    history = TrainHistory()
     step = 0
     for _ in range(epochs):
-        history.epoch_lrs.append(clr_schedule(step, cycle, config.lr_low,
-                                              config.lr_high))
         epoch_loss = 0.0
         for cloud_a, label_a, cloud_b, label_b in pairs:
             det_a = oracle_detector(cloud_a, label_a)
@@ -520,7 +511,7 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
             model.load_param_dict(params)
             epoch_loss += loss
             step += 1
-        history.epoch_losses.append(epoch_loss / steps_per_epoch)
+        history.epoch_losses.append(epoch_loss / len(pairs))
     return model, history
 
 

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -10,14 +8,9 @@ from disptrack.ingest import (
     Sequence,
     apply_displacement_augmentation,
     format_kitti_labels,
-    format_scene_config,
     label_targets,
     parse_kitti_labels,
-    parse_scene_config,
-    read_point_cloud,
-    remove_ground,
     synthesize_sequence,
-    write_point_cloud,
 )
 
 
@@ -84,63 +77,6 @@ def test_label_round_trip_lossless():
             assert np.array_equal(bo.size, bp.size)
             assert bo.yaw == bp.yaw
             assert (bo.class_id, bo.track_id) == (bp.class_id, bp.track_id)
-
-
-# ---------------------------------------------------------------------------
-# point cloud binary
-# ---------------------------------------------------------------------------
-
-def test_read_point_cloud_hand_encoded():
-    data = struct.pack("<8f", 1, 2, 3, 0.5, 4, 5, 6, 0.1)
-    cloud = read_point_cloud(data)
-    assert len(cloud) == 2
-    assert np.allclose(cloud.points, [[1, 2, 3], [4, 5, 6]])
-    assert np.allclose(cloud.intensity, [0.5, 0.1], atol=1e-7)
-
-
-def test_read_point_cloud_empty():
-    assert len(read_point_cloud(b"")) == 0
-
-
-def test_read_point_cloud_bad_length():
-    with pytest.raises(ValueError):
-        read_point_cloud(b"\x00" * 17)
-
-
-def test_point_cloud_binary_round_trip():
-    rng = np.random.default_rng(1)
-    cloud = PointCloud(rng.normal(size=(10, 3)).astype("<f4").astype(float),
-                       rng.uniform(0, 1, 10).astype("<f4").astype(float))
-    back = read_point_cloud(write_point_cloud(cloud))
-    assert np.array_equal(back.points, cloud.points)
-    assert np.array_equal(back.intensity, cloud.intensity)
-
-
-# ---------------------------------------------------------------------------
-# ground removal
-# ---------------------------------------------------------------------------
-
-def test_remove_ground_all_below():
-    cloud = PointCloud(np.array([[0, 0, -1.7], [1, 1, -1.7]]))
-    assert len(remove_ground(cloud, -1.4)) == 0
-
-
-def test_remove_ground_keeps_above():
-    cloud = PointCloud(np.array([[0, 0, -1.7], [1, 1, 0.5]]))
-    out = remove_ground(cloud, -1.4)
-    assert len(out) == 1 and out.points[0, 2] == 0.5
-
-
-def test_remove_ground_plane_plus_boxes_scene():
-    rng = np.random.default_rng(2)
-    plane = np.column_stack([rng.uniform(-20, 20, (300, 2)),
-                             rng.normal(-1.7, 0.02, 300)])
-    objects = np.column_stack([rng.uniform(-20, 20, (80, 2)),
-                               rng.uniform(-1.0, 1.5, 80)])
-    cloud = PointCloud(np.vstack([plane, objects]))
-    out = remove_ground(cloud, -1.4)
-    assert len(out) == 80
-    assert np.array_equal(out.points, objects)  # order preserved
 
 
 # ---------------------------------------------------------------------------
@@ -345,34 +281,6 @@ def test_label_targets_rigid_displacement_per_box():
             d = t.displacement[inside & t.foreground_mask]
             assert len(d) > 0
             assert np.allclose(d, d[0])
-
-
-# ---------------------------------------------------------------------------
-# scene config files
-# ---------------------------------------------------------------------------
-
-def test_scene_config_round_trip():
-    config = SceneConfig(frames=12, objects=4, velocity_max=1.5,
-                         points_per_object=64, background_points=100,
-                         noise_sigma=0.01)
-    text = format_scene_config(config, seed=9)
-    parsed, seed = parse_scene_config(text)
-    assert seed == 9
-    for key in ("frames", "objects", "velocity_max", "points_per_object",
-                "background_points", "noise_sigma"):
-        assert getattr(parsed, key) == getattr(config, key)
-
-
-def test_scene_config_parse_errors():
-    with pytest.raises(ValueError, match="line 1"):
-        parse_scene_config("frames 10")
-    with pytest.raises(ValueError, match="unknown"):
-        parse_scene_config("warp_speed = 9")
-
-
-def test_scene_config_comments_and_blanks():
-    config, seed = parse_scene_config("# comment\nframes = 7\n\nobjects = 2 # trailing\n")
-    assert config.frames == 7 and config.objects == 2 and seed is None
 
 
 # ---------------------------------------------------------------------------

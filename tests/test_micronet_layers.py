@@ -295,7 +295,10 @@ def test_assoc_identical_frames_zero_displacement():
     pts = rng.uniform(-3, 3, size=(6, 3))
     feats = rng.normal(size=(6, 2))
     _, tape = association_head(spec, pts, feats, pts, feats, capture=True)
-    assert np.array_equal(tape.neighbor_disp, np.zeros((6, 1, 3)))
+    # One MLP input row per (point, neighbour): [f_a, f_b, p_b - p_a].
+    rows = tape.dense_tape._inputs[0]
+    assert np.array_equal(rows[:, :4], np.hstack([feats, feats]))
+    assert np.array_equal(rows[:, 4:], np.zeros((6, 3)))
 
 
 def test_assoc_cosine_identical_features_is_one():

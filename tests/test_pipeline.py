@@ -19,7 +19,6 @@ from disptrack.ingest import (
     FrameLabel,
     SceneConfig,
     label_targets,
-    remove_ground,
     synthesize_sequence,
 )
 from disptrack.micronet import FUSION_METHODS, gradient_check, save_checkpoint, tracking_loss
@@ -226,6 +225,9 @@ def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
     ({"dropout": 1.5}, "rates"),
     ({"dropout": float("nan")}, "rates"),
     ({"fp_rate": -0.2}, "rates"),
+    ({"center_sigma": float("nan")}, "sigmas"),
+    ({"yaw_sigma": float("nan")}, "sigmas"),
+    ({"yaw_sigma": float("inf")}, "sigmas"),
 ])
 def test_detector_noise_rejects_invalid_levels(levels, message):
     with pytest.raises(ValueError, match=message):
@@ -266,8 +268,7 @@ def test_oracle_detector_is_deterministic_per_seed():
 def test_frame_emptied_by_ground_removal_raises_a_clear_error():
     _, a, label_a, b, label_b = scene_pair()
     model = pipeline.build_displacement_model(TINY, seed=0)
-    no_points = remove_ground(a, z_threshold=float(a.points[:, 2].max()))
-    assert len(no_points) == 0
+    no_points = PointCloud(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="no points remain after the probability filter"):
         predict(model, TINY, no_points, label_a, b, label_b)
 
@@ -301,6 +302,47 @@ def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
     f1 = predict(model, config, a, label_a, b, label_b)
     f2 = predict(loaded, loaded_config, a, label_a, b, label_b)
     assert np.array_equal(f1.vectors, f2.vectors)
+
+
+def test_load_rejects_a_non_finite_checkpoint(tmp_path):
+    model = pipeline.build_displacement_model(TINY, seed=0)
+    model.head.weights[0][0, 0] = np.nan
+    path = tmp_path / "model.json"
+    pipeline.save_displacement_model(path, model, TINY)
+    with pytest.raises(ValueError, match="non-finite values loading head.w0"):
+        pipeline.load_displacement_model(path)
+
+
+def test_load_param_dict_rejects_bad_parameters_and_keeps_the_model():
+    model = pipeline.build_displacement_model(TINY, seed=0)
+    before = model.param_dict()
+    good = {k: v + 1.0 for k, v in before.items()}
+    bad = [
+        ({k: v for k, v in good.items() if k != "fp2.b0"}, r"missing \['fp2.b0'\]"),
+        ({**good, "fp4.w0": np.zeros((2, 2))}, r"extra \['fp4.w0'\]"),
+        ({**good, "sa1.w0": good["sa1.w0"].T}, "shape mismatch loading sa1.w0"),
+        ({**good, "assoc.b0": np.full_like(good["assoc.b0"], np.inf)},
+         "non-finite values loading assoc.b0"),
+    ]
+    for params, message in bad:
+        with pytest.raises(ValueError, match=message):
+            model.load_param_dict(params)
+        assert all(np.array_equal(v, before[k]) for k, v in model.param_dict().items())
+
+
+def test_training_raises_when_the_last_update_goes_non_finite(monkeypatch):
+    seq, *_ = scene_pair()
+    original = pipeline.adam_step
+
+    def poisoned_adam_step(params, grads, state, lr, **kwargs):
+        params, state = original(params, grads, state, lr, **kwargs)
+        params["head.b0"] = np.full_like(params["head.b0"], np.nan)
+        return params, state
+
+    monkeypatch.setattr(pipeline, "adam_step", poisoned_adam_step)
+    # One pair and one epoch: the poisoned update is also the last.
+    with pytest.raises(ValueError, match="non-finite values loading head.b0"):
+        pipeline.train_association(seq, TINY, epochs=1, seed=0)
 
 
 def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
