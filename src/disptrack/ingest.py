@@ -178,10 +178,12 @@ class SceneConfig:
             raise ValueError("frame and object counts must be positive")
         if self.points_per_object < 1 or self.background_points < 0:
             raise ValueError("point counts must be positive")
-        if self.velocity_min < 0 or self.velocity_max < self.velocity_min:
+        # Every comparison with NaN is false, so NaN fails this check too.
+        for name in ("noise_sigma", "velocity_min", "velocity_max", "spawn_spacing"):
+            if not (0.0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if self.velocity_max < self.velocity_min:
             raise ValueError("velocity range must satisfy 0 <= min <= max")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
 
 
 def _box_surface_points(rng: np.random.Generator, size: np.ndarray, count: int,
@@ -302,8 +304,8 @@ def apply_displacement_augmentation(seq: Sequence, magnitude: float,
     With per_object=False all objects share one shift per transition.
     Background points and frame 0 are untouched.
     """
-    if magnitude < 0:
-        raise ValueError("magnitude must be non-negative")
+    if not (0.0 <= magnitude < np.inf):
+        raise ValueError("magnitude must be finite and non-negative")
     if mode not in ("fixed", "uniform_random"):
         raise ValueError(f"mode must be 'fixed' or 'uniform_random', got {mode!r}")
     rng = np.random.default_rng(seed)

@@ -5,7 +5,8 @@ final layer.  ``dense_apply`` runs the chain row-wise over a feature matrix
 and, when capturing, returns a tape that turns an output gradient into
 parameter gradients plus the input gradient.  The tape returns those
 parameter gradients as a DenseParams too, and ``add_`` sums the gradients
-of a layer that two streams share.
+of a layer that two streams share.  ``DenseTape.rows`` restricts a tape to
+the rows that receive gradient, such as the winners of a max-pool.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ class DenseTape:
         self._params = params
         self._inputs = layer_inputs
         self._masks = relu_masks
+
+    def rows(self, index: np.ndarray) -> "DenseTape":
+        """The tape of the same chain over rows `index` of the captured batch.
+
+        Its backward pass equals the full one with zero output gradient on
+        every other row, up to summation order in the parameter gradients.
+        """
+        return DenseTape(self._params, [x[index] for x in self._inputs],
+                         [m[index] for m in self._masks])
 
     def backward(self, grad_out: np.ndarray) -> tuple[DenseParams, np.ndarray]:
         """Map d(loss)/d(output) to (parameter gradients, d(loss)/d(input))."""

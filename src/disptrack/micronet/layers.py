@@ -20,9 +20,20 @@ head need the k nearest points with no radius and use ``geom.nearest``,
 which searches a grid for large inputs (paper-scale fp2 and fp3) and scores
 every pair for small ones.  All rank by ascending Euclidean distance, equal
 distances to the lower index, so a selection is a pure function of the
-coordinates.  Feature gradients flow through features only; point
-coordinates are data and never differentiated, so finite-difference checks
-see a fixed computation graph.
+coordinates.
+
+The association head's dot and cosine fusions never gather frame-B
+features: they read one (na, nb) GEMM of the two frames' features at each
+point's k neighbours, and one norm per point.  Their backward pass is two
+GEMMs against the (na, nb) matrix of per-pair gradient weights.  Concat and
+elementwise-product fusion gather (na, k, c) frame-B features.  The head's
+max-pool backward sends each pooled gradient to the lowest slot holding the
+max, and its MLP backward runs on those winning rows only: a row that wins
+no channel gets no gradient.
+
+Feature gradients flow through features only; point coordinates are data
+and never differentiated, so finite-difference checks see a fixed
+computation graph.
 """
 
 from __future__ import annotations
@@ -81,14 +92,6 @@ def fusion_width(fusion: str, width: int) -> int:
     if fusion in ("cosine_distance", "dot_product"):
         return 1
     raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {fusion!r}")
-
-
-def _scatter_max_grad(grad_pooled: np.ndarray, argmax: np.ndarray,
-                      group_size: int) -> np.ndarray:
-    m, c = grad_pooled.shape
-    gy = np.zeros((m, group_size, c))
-    np.put_along_axis(gy, argmax[:, None, :], grad_pooled[:, None, :], axis=1)
-    return gy
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -231,50 +234,78 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
 
 
 class AssociationTape:
-    def __init__(self, spec, order, argmax, dense_tape, feats_a, feats_b_grouped,
-                 fused_width, n_b):
+    def __init__(self, spec, order, argmax, dense_tape, feats_a, feats_b, fused_width,
+                 dots):
         self.spec = spec
-        self.order = order                  # (na, k) frame-B neighbour indices
-        self.argmax = argmax                # (na, c_out)
-        self.dense_tape = dense_tape
-        self.feats_a = feats_a              # (na, c)
-        self.feats_b_grouped = feats_b_grouped  # (na, k, c)
+        self.order = order              # (na, k) frame-B neighbour indices
+        self.argmax = argmax            # (na, c_out) slot holding each pooled max
+        self.dense_tape = dense_tape    # over all na * k rows
+        self.feats_a = feats_a          # (na, c)
+        self.feats_b = feats_b          # (nb, c)
         self.fused_width = fused_width
-        self.n_b = n_b
+        self.dots = dots                # (na, k) f_a . f_b for dot and cosine, else None
 
     def backward(self, grad_emb: np.ndarray):
         na, k = self.order.shape
-        c = self.feats_a.shape[1]
-        gy = _scatter_max_grad(np.asarray(grad_emb, dtype=float), self.argmax, k)
-        mlp_grads, ginp = self.dense_tape.backward(gy.reshape(na * k, -1))
-        ginp = ginp.reshape(na, k, -1)
-        gfused = ginp[:, :, :self.fused_width]
+        nb = self.feats_b.shape[0]
+        c_out = self.argmax.shape[1]
+        # A row that holds no channel's max gets no gradient, so the MLP
+        # backward runs on the winning rows alone.
+        win = np.arange(na)[:, None] * k + self.argmax
+        won = np.zeros(na * k, dtype=bool)
+        won[win] = True
+        rows = np.flatnonzero(won)
+        slot = np.empty(na * k, dtype=np.intp)
+        slot[rows] = np.arange(rows.size)
+        gy = np.zeros((rows.size, c_out))
+        gy[slot[win], np.arange(c_out)] = np.asarray(grad_emb, dtype=float)
+        mlp_grads, ginp = self.dense_tape.rows(rows).backward(gy)
+        gfused = np.zeros((na * k, self.fused_width))
+        gfused[rows] = ginp[:, :self.fused_width]
+        gfused = gfused.reshape(na, k, -1)
 
-        fa = self.feats_a[:, None, :]          # (na, 1, c)
-        fb = self.feats_b_grouped               # (na, k, c)
+        fa, fb = self.feats_a, self.feats_b
         fusion = self.spec.fusion
         if fusion == "concat":
-            grad_fa = gfused[:, :, :c].sum(axis=1)
-            gfb = gfused[:, :, c:]
-        elif fusion in ("elementwise_product", "dot_product"):
-            # gfused is (na, k, c) for the product, (na, k, 1) for the dot.
-            grad_fa = (gfused * fb).sum(axis=1)
-            gfb = gfused * fa
-        else:  # cosine_distance
-            g = gfused  # (na, k, 1)
-            s = np.einsum("nc,nkc->nk", self.feats_a, fb)[:, :, None]
-            norm_a = np.linalg.norm(self.feats_a, axis=1)[:, None, None]
-            norm_b = np.linalg.norm(fb, axis=2)[:, :, None]
-            denom = norm_a * norm_b + _COSINE_EPS
-            with np.errstate(divide="ignore", invalid="ignore"):
-                da = fb / denom - np.where(norm_a > 0.0,
-                                           s * norm_b * fa / (norm_a * denom ** 2), 0.0)
-                db = fa / denom - np.where(norm_b > 0.0,
-                                           s * norm_a * fb / (norm_b * denom ** 2), 0.0)
-            grad_fa = (g * da).sum(axis=1)
-            gfb = g * db
+            c = fa.shape[1]
+            return (mlp_grads, gfused[:, :, :c].sum(axis=1),
+                    _scatter_add(self.order, gfused[:, :, c:], nb))
+        if fusion == "elementwise_product":
+            return (mlp_grads, (gfused * fb[self.order]).sum(axis=1),
+                    _scatter_add(self.order, gfused * fa[:, None, :], nb))
 
-        return mlp_grads, grad_fa, _scatter_add(self.order, gfb, self.n_b)
+        # Dot and cosine fusion: the (i, j) input gradient is a weight w_ij
+        # on f_b[order[i, j]] for f_a[i] and on f_a[i] for f_b[order[i, j]],
+        # so both sums are GEMMs against the (na, nb) matrix of those weights
+        # (an order row has no repeated index).  Cosine adds the derivative
+        # of the norms, a multiple of each point's own feature.
+        g = gfused[:, :, 0]
+        if fusion == "dot_product":
+            w = g
+        else:
+            norm_a, norm_b, denom = _cosine_norms(fa, fb, self.order)
+            w = g / denom
+            t = w * self.dots / denom
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c_a = np.where(norm_a > 0.0, (t * norm_b).sum(axis=1) / norm_a, 0.0)
+                c_b = np.bincount(self.order.ravel(), minlength=nb, weights=np.where(
+                    norm_b > 0.0, t * norm_a[:, None] / norm_b, 0.0).ravel())
+        weights = np.zeros((na, nb))
+        np.put_along_axis(weights, self.order, w, axis=1)
+        grad_fa = weights @ fb
+        grad_fb = weights.T @ fa
+        if fusion == "cosine_distance":
+            grad_fa -= c_a[:, None] * fa
+            grad_fb -= c_b[:, None] * fb
+        return mlp_grads, grad_fa, grad_fb
+
+
+def _cosine_norms(feats_a: np.ndarray, feats_b: np.ndarray, order: np.ndarray):
+    """Frame-A norms (na,), frame-B norms gathered at order (na, k), and the
+    cosine denominators |f_a| |f_b| + eps (na, k)."""
+    norm_a = np.linalg.norm(feats_a, axis=1)
+    norm_b = np.linalg.norm(feats_b, axis=1)[order]
+    return norm_a, norm_b, norm_a[:, None] * norm_b + _COSINE_EPS
 
 
 def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.ndarray,
@@ -306,30 +337,25 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
 
     order, _ = nearest(points_a, points_b, spec.k)
     disp = points_b[order] - points_a[:, None, :]
-    fb = feats_b[order]                       # (na, k, c)
-    fa = feats_a[:, None, :]                  # (na, 1, c)
-
+    dots = None
     if spec.fusion == "concat":
-        fused = np.concatenate([np.broadcast_to(fa, fb.shape), fb], axis=2)
+        fb = feats_b[order]
+        fused = np.concatenate([np.broadcast_to(feats_a[:, None, :], fb.shape), fb], axis=2)
     elif spec.fusion == "elementwise_product":
-        fused = fa * fb
-    elif spec.fusion == "dot_product":
-        fused = np.einsum("nc,nkc->nk", feats_a, fb)[:, :, None]
-    else:  # cosine_distance
-        s = np.einsum("nc,nkc->nk", feats_a, fb)
-        denom = (np.linalg.norm(feats_a, axis=1)[:, None]
-                 * np.linalg.norm(fb, axis=2) + _COSINE_EPS)
-        fused = (s / denom)[:, :, None]
+        fused = feats_a[:, None, :] * feats_b[order]
+    else:  # dot_product, cosine_distance
+        dots = np.take_along_axis(feats_a @ feats_b.T, order, axis=1)
+        sim = dots / _cosine_norms(feats_a, feats_b, order)[2] \
+            if spec.fusion == "cosine_distance" else dots
+        fused = sim[:, :, None]
 
     group_in = np.concatenate([fused, disp], axis=2)
     na, k = order.shape
     out, dtape = dense_apply(spec.mlp, group_in.reshape(na * k, -1), capture=capture)
     out = out.reshape(na, k, -1)
+    if not capture:
+        return out.max(axis=1), None
     argmax = out.argmax(axis=1)
     embedded = np.take_along_axis(out, argmax[:, None, :], axis=1)[:, 0, :]
-
-    tape = None
-    if capture:
-        tape = AssociationTape(spec, order, argmax, dtape, feats_a, fb, fwidth,
-                               points_b.shape[0])
+    tape = AssociationTape(spec, order, argmax, dtape, feats_a, feats_b, fwidth, dots)
     return embedded, tape

@@ -134,6 +134,14 @@ def test_synthesize_invalid_config():
         synthesize_sequence(SceneConfig(objects=0), seed=0)
 
 
+@pytest.mark.parametrize("field", ["noise_sigma", "velocity_min", "velocity_max",
+                                   "spawn_spacing"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_synthesize_rejects_a_non_finite_or_negative_scalar(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+        synthesize_sequence(SceneConfig(**{field: value}), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------------
@@ -212,6 +220,9 @@ def test_augmentation_validates_arguments():
         apply_displacement_augmentation(seq, -1.0, "fixed")
     with pytest.raises(ValueError):
         apply_displacement_augmentation(seq, 1.0, "sideways")
+    for magnitude in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="magnitude must be finite and non-negative"):
+            apply_displacement_augmentation(seq, magnitude, "fixed")
 
 
 # ---------------------------------------------------------------------------

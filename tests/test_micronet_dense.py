@@ -65,6 +65,23 @@ def test_backward_input_gradient_matches_finite_differences():
         assert abs(grad_x[idx] - numeric) < 1e-5 * max(1.0, abs(numeric))
 
 
+def test_row_subset_tape_matches_full_backward_with_zero_gradient_elsewhere():
+    rng = np.random.default_rng(5)
+    params = DenseParams.create([4, 7, 6, 3], rng)
+    _, tape = dense_apply(params, rng.normal(size=(20, 4)), capture=True)
+    rows = np.array([1, 4, 5, 11, 19])
+    grad = rng.normal(size=(rows.size, 3))
+    full_grad = np.zeros((20, 3))
+    full_grad[rows] = grad
+    want_params, want_input = tape.backward(full_grad)
+    got_params, got_input = tape.rows(rows).backward(grad)
+    np.testing.assert_allclose(got_input, want_input[rows], rtol=1e-12, atol=0)
+    assert not np.delete(want_input, rows, axis=0).any()
+    for got, want in zip(got_params.weights + got_params.biases,
+                         want_params.weights + want_params.biases):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def test_dimension_mismatch_raises():
     params = DenseParams([np.eye(3)], [np.zeros(3)])
     with pytest.raises(ValueError):

@@ -390,6 +390,98 @@ def test_assoc_feature_gradients_match_finite_differences(fusion):
         assert abs(grad_fb[idx] - numeric) < 1e-4 * max(1.0, abs(numeric))
 
 
+def gathered_association_reference(spec, points_a, feats_a, points_b, feats_b, grad_emb):
+    """The association head on gathered (na, k, c) frame-B features: every
+    fusion formed per neighbour, argmax pooling and the MLP backward on all
+    na * k rows.  Returns (embedded, MLP gradients, frame-A and frame-B
+    feature gradients for grad_emb)."""
+    order, _ = nearest(points_a, points_b, spec.k)
+    na, k = order.shape
+    c = feats_a.shape[1]
+    fa, fb = feats_a[:, None, :], feats_b[order]
+    s = np.einsum("nc,nkc->nk", feats_a, fb)[:, :, None]
+    norm_a = np.linalg.norm(feats_a, axis=1)[:, None, None]
+    norm_b = np.linalg.norm(fb, axis=2)[:, :, None]
+    denom = norm_a * norm_b + 1e-10
+    fused = {"concat": np.concatenate([np.broadcast_to(fa, fb.shape), fb], axis=2),
+             "elementwise_product": fa * fb, "dot_product": s,
+             "cosine_distance": s / denom}[spec.fusion]
+    group_in = np.concatenate([fused, points_b[order] - points_a[:, None, :]], axis=2)
+    out, tape = dense_apply(spec.mlp, group_in.reshape(na * k, -1), capture=True)
+    out = out.reshape(na, k, -1)
+    argmax = out.argmax(axis=1)
+    embedded = np.take_along_axis(out, argmax[:, None, :], axis=1)[:, 0, :]
+    gy = np.zeros_like(out)
+    np.put_along_axis(gy, argmax[:, None, :], grad_emb[:, None, :], axis=1)
+    mlp_grads, ginp = tape.backward(gy.reshape(na * k, -1))
+    gfused = ginp.reshape(na, k, -1)[:, :, :fused.shape[2]]
+    if spec.fusion == "concat":
+        grad_fa, gfb = gfused[:, :, :c].sum(axis=1), gfused[:, :, c:]
+    elif spec.fusion in ("elementwise_product", "dot_product"):
+        grad_fa, gfb = (gfused * fb).sum(axis=1), gfused * fa
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            da = fb / denom - np.where(norm_a > 0.0, s * norm_b * fa / (norm_a * denom ** 2), 0.0)
+            db = fa / denom - np.where(norm_b > 0.0, s * norm_a * fb / (norm_b * denom ** 2), 0.0)
+        grad_fa, gfb = (gfused * da).sum(axis=1), gfused * db
+    grad_fb = np.zeros_like(feats_b)
+    np.add.at(grad_fb, order, gfb)
+    return embedded, mlp_grads, grad_fa, grad_fb
+
+
+def assert_assoc_matches_reference(spec, pts_a, feats_a, pts_b, feats_b, grad):
+    """The head matches the gathered reference at rtol 1e-10, and its
+    embedding does not depend on capture.  Returns its feature gradients."""
+    embedded, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
+    plain, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
+    assert np.array_equal(plain, embedded)
+    mlp_grads, grad_fa, grad_fb = tape.backward(grad)
+    ref_embedded, ref_mlp, ref_fa, ref_fb = gathered_association_reference(
+        spec, pts_a, feats_a, pts_b, feats_b, grad)
+    tol = dict(rtol=1e-10, atol=0)
+    np.testing.assert_allclose(embedded, ref_embedded, **tol)
+    for got, want in zip(mlp_grads.weights + mlp_grads.biases,
+                         ref_mlp.weights + ref_mlp.biases):
+        np.testing.assert_allclose(got, want, **tol)
+    np.testing.assert_allclose(grad_fa, ref_fa, **tol)
+    np.testing.assert_allclose(grad_fb, ref_fb, **tol)
+    return grad_fa, grad_fb
+
+
+@pytest.mark.parametrize("fusion, zero_rows", [(f, False) for f in FUSION_METHODS]
+                         + [("cosine_distance", True)])
+def test_assoc_matches_gathered_reference(fusion, zero_rows):
+    rng = np.random.default_rng(18)
+    spec = make_assoc_spec(rng, fusion, feat_width=5, k=4, widths=(8, 6))
+    pts_a = rng.uniform(-2, 2, size=(9, 3))
+    pts_b = rng.uniform(-2, 2, size=(11, 3))
+    feats_a = rng.normal(size=(9, 5))
+    feats_b = rng.normal(size=(11, 5))
+    if zero_rows:
+        # Zero-norm features take the eps-only cosine denominator.
+        feats_a[2] = 0.0
+        feats_b[nearest(pts_a, pts_b, 4)[0][0, 1]] = 0.0
+    grad_fa, grad_fb = assert_assoc_matches_reference(
+        spec, pts_a, feats_a, pts_b, feats_b, rng.normal(size=(9, 6)))
+    assert grad_fa.any() and grad_fb.any()
+
+
+@pytest.mark.parametrize("fusion", FUSION_METHODS)
+def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion):
+    rng = np.random.default_rng(19)
+    # Every frame-B point twice, same feature: each neighbourhood holds pairs
+    # of equal MLP rows, and the copy with the higher index sorts to the later
+    # slot.
+    pts_b = np.tile(rng.uniform(-2, 2, size=(6, 3)), (2, 1))
+    feats_b = np.tile(rng.normal(size=(6, 3)), (2, 1))
+    pts_a = rng.uniform(-2, 2, size=(5, 3))
+    feats_a = rng.normal(size=(5, 3))
+    spec = make_assoc_spec(rng, fusion, feat_width=3, k=4)
+    _, grad_fb = assert_assoc_matches_reference(spec, pts_a, feats_a, pts_b, feats_b,
+                                                rng.normal(size=(5, 4)))
+    assert not grad_fb[6:].any() and grad_fb[:6].any()
+
+
 def test_assoc_rejects_oversized_k_and_mismatched_widths():
     rng = np.random.default_rng(17)
     spec = make_assoc_spec(rng, "concat", feat_width=2, k=5)

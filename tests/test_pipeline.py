@@ -352,8 +352,31 @@ def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
         pipeline.load_displacement_model(path)
 
 
+def print_golden_diffs(path: Path, actual: dict[str, np.ndarray]) -> None:
+    """Print, per array, the max |actual - pinned| and the max relative diff
+    |actual - pinned| / |pinned| (inf where a pinned zero changed)."""
+    if not path.exists():
+        print(f"{path.name}: no pinned file")
+        return
+    pinned = np.load(path)
+    for key in sorted(set(actual) | set(pinned.files)):
+        if key not in actual or key not in pinned.files:
+            print(f"{path.name} {key}: only in the {'new' if key in actual else 'pinned'} outputs")
+            continue
+        new, old = np.asarray(actual[key], dtype=float), pinned[key].astype(float)
+        if new.shape != old.shape:
+            print(f"{path.name} {key}: shape {old.shape} -> {new.shape}")
+            continue
+        diff = np.abs(new - old)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(diff == 0.0, 0.0, diff / np.abs(old))
+        print(f"{path.name} {key}: max |diff| {diff.max(initial=0.0):.3g}, "
+              f"max rel diff {rel.max(initial=0.0):.3g}")
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    np.savez(GOLDEN, **golden_outputs())
-    np.savez(PAPER_GOLDEN, **paper_field_outputs())
+    for path, outputs in ((GOLDEN, golden_outputs()), (PAPER_GOLDEN, paper_field_outputs())):
+        print_golden_diffs(path, outputs)
+        np.savez(path, **outputs)
     print(f"wrote {GOLDEN} and {PAPER_GOLDEN}")
