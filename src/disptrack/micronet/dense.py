@@ -7,6 +7,11 @@ parameter gradients plus the input gradient.  The tape returns those
 parameter gradients as a DenseParams too, and ``add_`` sums the gradients
 of a layer that two streams share.  ``DenseTape.rows`` restricts a tape to
 the rows that receive gradient, such as the winners of a max-pool.
+
+The forward pass adds the bias and applies the ReLU in place on each GEMM's
+output, so a layer allocates one array of its output's size.  The ReLU maps
+NaN to 0.  The tape stores no masks: the backward pass rebuilds a hidden
+layer's mask from the activation it captured as the next layer's input.
 """
 
 from __future__ import annotations
@@ -72,13 +77,15 @@ class DenseParams:
 
 
 class DenseTape:
-    """Captured forward state of dense_apply; replays the exact backward pass."""
+    """Captured forward state of dense_apply; replays the exact backward pass.
 
-    def __init__(self, params: DenseParams, layer_inputs: list[np.ndarray],
-                 relu_masks: list[np.ndarray]):
+    It keeps each layer's input and no ReLU mask: a hidden layer's mask
+    ``z > 0`` is rebuilt as ``relu(z) > 0`` from the next layer's input.
+    """
+
+    def __init__(self, params: DenseParams, layer_inputs: list[np.ndarray]):
         self._params = params
         self._inputs = layer_inputs
-        self._masks = relu_masks
 
     def rows(self, index: np.ndarray) -> "DenseTape":
         """The tape of the same chain over rows `index` of the captured batch.
@@ -86,8 +93,7 @@ class DenseTape:
         Its backward pass equals the full one with zero output gradient on
         every other row, up to summation order in the parameter gradients.
         """
-        return DenseTape(self._params, [x[index] for x in self._inputs],
-                         [m[index] for m in self._masks])
+        return DenseTape(self._params, [x[index] for x in self._inputs])
 
     def backward(self, grad_out: np.ndarray) -> tuple[DenseParams, np.ndarray]:
         """Map d(loss)/d(output) to (parameter gradients, d(loss)/d(input))."""
@@ -100,28 +106,32 @@ class DenseTape:
             grads_b[i] = g.sum(axis=0)
             g = g @ self._params.weights[i].T
             if i > 0:
-                g = g * self._masks[i - 1]
+                np.multiply(g, self._inputs[i] > 0.0, out=g)
         return DenseParams(grads_w, grads_b), g
 
 
 def dense_apply(params: DenseParams, x: np.ndarray,
                 capture: bool = False) -> tuple[np.ndarray, DenseTape | None]:
-    """Apply the Linear->ReLU chain row-wise; final layer has no ReLU."""
+    """Apply the Linear->ReLU chain row-wise; final layer has no ReLU.
+
+    The ReLU maps NaN to 0, so a NaN pre-activation stops at a hidden layer
+    (and gets no gradient); the final layer passes NaN through.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.in_width:
         raise ValueError(f"input of width {x.shape[-1] if x.ndim else '?'} does not match "
                          f"first layer width {params.in_width}")
-    inputs, masks = [], []
+    inputs = []
     h = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(h)
-        z = h @ w + b
+        if capture:
+            inputs.append(h)
+        h = h @ w
+        h += b
         if i < last:
-            mask = z > 0.0
-            h = np.where(mask, z, 0.0)
-            masks.append(mask)
-        else:
-            h = z
-    tape = DenseTape(params, inputs, masks) if capture else None
-    return h, tape
+            # fmax maps NaN to 0.0 as np.where(z > 0, z, 0.0) does.  It may
+            # keep a -0.0, which every later product and `> 0` test reads
+            # as 0.0.
+            np.fmax(h, 0.0, out=h)
+    return h, DenseTape(params, inputs) if capture else None

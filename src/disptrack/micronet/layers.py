@@ -22,6 +22,11 @@ every pair for small ones.  All rank by ascending Euclidean distance, equal
 distances to the lower index, so a selection is a pure function of the
 coordinates.
 
+Feature propagation applies its MLP's first layer to the source features
+before interpolating, which interpolation's linearity allows, so that GEMM
+runs over the fewer source rows; its backward pass interpolates the layer's
+output gradient back onto the sources.
+
 The association head's dot and cosine fusions never gather frame-B
 features: they read one (na, nb) GEMM of the two frames' features at each
 point's k neighbours, and one norm per point.  Their backward pass is two
@@ -171,21 +176,36 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
 
 
 class FpTape:
-    def __init__(self, order, weights, dense_tape, n_source, source_width, skip_width):
+    def __init__(self, order, weights, source_feats, skip_feats, w0, hidden, dense_tape):
         self.order = order              # (t, kk) source indices
         self.weights = weights          # (t, kk) normalized interpolation weights
-        self.dense_tape = dense_tape
-        self.n_source = n_source
-        self.source_width = source_width
-        self.skip_width = skip_width    # None when no skip features were given
+        self.source_feats = source_feats
+        self.skip_feats = skip_feats    # None when no skip features were given
+        self.w0 = w0                    # first layer's weights
+        self.hidden = hidden            # (t, h) first layer's ReLU output, or None
+        self.dense_tape = dense_tape    # later layers over hidden, or None
 
     def backward(self, grad_out: np.ndarray):
-        mlp_grads, gx = self.dense_tape.backward(np.asarray(grad_out, dtype=float))
-        ginterp = gx[:, :self.source_width]
-        grad_skip = gx[:, self.source_width:] if self.skip_width is not None else None
-        grad_source = _scatter_add(self.order, ginterp[:, None, :] * self.weights[:, :, None],
-                                   self.n_source)
-        return mlp_grads, grad_source, grad_skip
+        g = np.asarray(grad_out, dtype=float)
+        grads_w, grads_b = [], []
+        if self.dense_tape is not None:
+            later, g = self.dense_tape.backward(g)
+            np.multiply(g, self.hidden > 0.0, out=g)
+            grads_w, grads_b = later.weights, later.biases
+        # g is now the gradient of the first layer's pre-activation.  Its
+        # source part was interpolated after the GEMM, so g goes back to the
+        # sources first and the GEMM's gradients are taken there.
+        c_s = self.source_feats.shape[1]
+        g_src = _scatter_add(self.order, g[:, None, :] * self.weights[:, :, None],
+                             self.source_feats.shape[0])
+        grad_w0 = self.source_feats.T @ g_src
+        grad_source = g_src @ self.w0[:c_s].T
+        grad_skip = None
+        if self.skip_feats is not None:
+            grad_w0 = np.concatenate([grad_w0, self.skip_feats.T @ g])
+            grad_skip = g @ self.w0[c_s:].T
+        return (DenseParams([grad_w0, *grads_w], [g.sum(axis=0), *grads_b]),
+                grad_source, grad_skip)
 
 
 def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
@@ -197,6 +217,11 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
     1/(d+1e-10), normalized) of its 3 nearest source features, concatenated
     with its skip feature when one is provided, then passed through the MLP.
 
+    Interpolation is linear, so the MLP's first layer is applied to the
+    source features before it: ``interp(F) @ W`` is computed as
+    ``interp(F @ W)``, a GEMM over the sources instead of the targets.  The
+    skip columns add their own GEMM; the later layers run on the targets.
+
     Returns (target features (t,c_out), tape or None).
     """
     target_points = np.asarray(target_points, dtype=float)
@@ -207,29 +232,36 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
         raise ValueError("need at least one source point")
     if source_feats.shape[0] != n_s:
         raise ValueError("source points and features must align")
+    c_s = source_feats.shape[1]
+    width = c_s
+    if skip_feats is not None:
+        skip_feats = np.asarray(skip_feats, dtype=float)
+        if skip_feats.shape[0] != target_points.shape[0]:
+            raise ValueError("skip features must align with target points")
+        width += skip_feats.shape[1]
+    if mlp.in_width != width:
+        raise ValueError(f"MLP expects width {mlp.in_width}, inputs provide {width}")
 
     kk = min(3, n_s)
     order, near = nearest(target_points, source_points, kk)
     w = 1.0 / (near + 1e-10)
     w = w / w.sum(axis=1, keepdims=True)
-    interp = np.einsum("tk,tkc->tc", w, source_feats[order])
-
+    w0 = mlp.weights[0]
+    z = np.einsum("tk,tkc->tc", w, (source_feats @ w0[:c_s])[order])
     if skip_feats is not None:
-        skip_feats = np.asarray(skip_feats, dtype=float)
-        if skip_feats.shape[0] != target_points.shape[0]:
-            raise ValueError("skip features must align with target points")
-        x = np.concatenate([interp, skip_feats], axis=1)
-        skip_width = skip_feats.shape[1]
-    else:
-        x = interp
-        skip_width = None
-    if mlp.in_width != x.shape[1]:
-        raise ValueError(f"MLP expects width {mlp.in_width}, inputs provide {x.shape[1]}")
+        z += skip_feats @ w0[c_s:]
+    z += mlp.biases[0]
 
-    out, dtape = dense_apply(mlp, x, capture=capture)
+    hidden = dtape = None
+    if len(mlp.weights) == 1:
+        out = z
+    else:
+        hidden = np.fmax(z, 0.0, out=z)     # dense_apply's ReLU
+        out, dtape = dense_apply(DenseParams(mlp.weights[1:], mlp.biases[1:]), hidden,
+                                 capture=capture)
     tape = None
     if capture:
-        tape = FpTape(order, w, dtape, n_s, source_feats.shape[1], skip_width)
+        tape = FpTape(order, w, source_feats, skip_feats, w0, hidden, dtape)
     return out, tape
 
 

@@ -150,6 +150,12 @@ class PipelineConfig:
             raise ValueError("k must be at least 1")
         if self.fusion not in FUSION_METHODS:
             raise ValueError(f"fusion must be one of {FUSION_METHODS}")
+        # Every comparison with NaN is false, so NaN fails these checks too.
+        for name in ("lr_low", "lr_high", "alpha", "beta"):
+            if not (0.0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not (1 <= self.clr_cycle_epochs < np.inf):
+            raise ValueError("clr_cycle_epochs must be finite and at least 1")
         for name in ("assoc_widths", "fp1_widths", "fp2_widths", "fp3_widths",
                      "head_widths"):
             setattr(self, name, tuple(int(w) for w in getattr(self, name)))

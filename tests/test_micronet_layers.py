@@ -271,6 +271,62 @@ def test_fp_source_and_skip_gradients_match_finite_differences():
         assert abs(grad_skip[idx] - numeric) < 1e-5 * max(1.0, abs(numeric))
 
 
+def gathered_fp_reference(target_points, source_points, source_feats, skip_feats, mlp,
+                          grad_out):
+    """Feature propagation with the whole MLP on the targets: interpolate the
+    source features, concatenate the skip features, run the MLP.  Returns
+    (output, MLP gradients, source gradient, skip gradient) for grad_out."""
+    order, near = nearest(target_points, source_points, min(3, len(source_points)))
+    w = 1.0 / (near + 1e-10)
+    w = w / w.sum(axis=1, keepdims=True)
+    interp = np.einsum("tk,tkc->tc", w, source_feats[order])
+    x = interp if skip_feats is None else np.concatenate([interp, skip_feats], axis=1)
+    out, tape = dense_apply(mlp, x, capture=True)
+    mlp_grads, gx = tape.backward(grad_out)
+    c = source_feats.shape[1]
+    grad_source = np.zeros_like(source_feats)
+    np.add.at(grad_source, order, gx[:, None, :c] * w[:, :, None])
+    grad_skip = None if skip_feats is None else gx[:, c:]
+    return out, mlp_grads, grad_source, grad_skip
+
+
+@pytest.mark.parametrize("n_source, skip_width, widths", [
+    (7, 2, (6, 4)),
+    (7, None, (6, 4)),
+    (7, 2, (4,)),          # one linear layer
+    (7, None, (5, 6, 4)),
+    (2, 2, (6, 4)),        # fewer sources than interpolation neighbours
+    (1, None, (6, 4)),
+])
+def test_fp_matches_gathered_reference(n_source, skip_width, widths):
+    # The layer applies its first GEMM before interpolating, which reorders
+    # sums: each array must agree to 1e-12 of its largest magnitude.
+    rng = np.random.default_rng(19)
+    src = rng.uniform(-1, 1, size=(n_source, 3))
+    tgt = np.concatenate([src[:1], rng.uniform(-1, 1, size=(8, 3))])  # target 0 on a source
+    src_feats = rng.normal(size=(n_source, 3))
+    skip = None if skip_width is None else rng.normal(size=(9, skip_width))
+    mlp = DenseParams.create([3 + (skip_width or 0), *widths], rng)
+    grad = rng.normal(size=(9, widths[-1]))
+
+    out, tape = fp_layer(tgt, src, src_feats, skip, mlp, capture=True)
+    plain, _ = fp_layer(tgt, src, src_feats, skip, mlp)
+    assert np.array_equal(plain, out)
+    mlp_grads, grad_src, grad_skip = tape.backward(grad)
+    ref_out, ref_mlp, ref_src, ref_skip = gathered_fp_reference(tgt, src, src_feats, skip,
+                                                                mlp, grad)
+    got = [out, grad_src, *mlp_grads.weights, *mlp_grads.biases]
+    want = [ref_out, ref_src, *ref_mlp.weights, *ref_mlp.biases]
+    if skip is None:
+        assert grad_skip is None
+    else:
+        got.append(grad_skip)
+        want.append(ref_skip)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
 def test_fp_requires_sources_and_matching_widths():
     mlp = DenseParams([np.eye(2)], [np.zeros(2)])
     with pytest.raises(ValueError):

@@ -219,6 +219,18 @@ def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
         pipeline.Detections([], probs)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", ["lr_low", "lr_high", "alpha", "beta", "clr_cycle_epochs"])
+def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
+    # Before the check, a negative beta trained without error, NaN or inf
+    # learning rates failed only after the first update, and a zero cycle
+    # length ran as a 2-step cycle.
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        PipelineConfig(**{name: value})
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        PipelineConfig.from_dict({**TINY.to_dict(), name: value})
+
+
 @pytest.mark.parametrize("levels, message", [
     ({"center_sigma": -0.1}, "sigmas"),
     ({"yaw_sigma": -1.0}, "sigmas"),
