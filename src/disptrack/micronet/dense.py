@@ -8,10 +8,11 @@ parameter gradients as a DenseParams too, and ``add_`` sums the gradients
 of a layer that two streams share.  ``DenseTape.rows`` restricts a tape to
 the rows that receive gradient, such as the winners of a max-pool.
 
-The forward pass adds the bias and applies the ReLU in place on each GEMM's
-output, so a layer allocates one array of its output's size.  The ReLU maps
-NaN to 0.  The tape stores no masks: the backward pass rebuilds a hidden
-layer's mask from the activation it captured as the next layer's input.
+Each layer adds its bias and applies its ReLU in place on its GEMM's output,
+so it allocates one array of its output's size.  The ReLU maps NaN to 0, so
+a NaN stops at a hidden layer and gets no gradient; the final layer passes
+it through.  The tape stores no masks: the backward pass rebuilds a hidden
+layer's mask ``z > 0`` as ``relu(z) > 0`` from the next layer's input.
 """
 
 from __future__ import annotations
@@ -77,11 +78,7 @@ class DenseParams:
 
 
 class DenseTape:
-    """Captured forward state of dense_apply; replays the exact backward pass.
-
-    It keeps each layer's input and no ReLU mask: a hidden layer's mask
-    ``z > 0`` is rebuilt as ``relu(z) > 0`` from the next layer's input.
-    """
+    """Captured forward state of dense_apply; replays the exact backward pass."""
 
     def __init__(self, params: DenseParams, layer_inputs: list[np.ndarray]):
         self._params = params
@@ -112,11 +109,7 @@ class DenseTape:
 
 def dense_apply(params: DenseParams, x: np.ndarray,
                 capture: bool = False) -> tuple[np.ndarray, DenseTape | None]:
-    """Apply the Linear->ReLU chain row-wise; final layer has no ReLU.
-
-    The ReLU maps NaN to 0, so a NaN pre-activation stops at a hidden layer
-    (and gets no gradient); the final layer passes NaN through.
-    """
+    """Apply the Linear->ReLU chain row-wise; final layer has no ReLU."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.in_width:
         raise ValueError(f"input of width {x.shape[-1] if x.ndim else '?'} does not match "
@@ -130,8 +123,7 @@ def dense_apply(params: DenseParams, x: np.ndarray,
         h = h @ w
         h += b
         if i < last:
-            # fmax maps NaN to 0.0 as np.where(z > 0, z, 0.0) does.  It may
-            # keep a -0.0, which every later product and `> 0` test reads
-            # as 0.0.
+            # Like np.where(z > 0, z, 0.0), fmax maps NaN to 0.0; a -0.0 it
+            # may keep reads as 0.0 in every later product and test.
             np.fmax(h, 0.0, out=h)
     return h, DenseTape(params, inputs) if capture else None

@@ -217,10 +217,9 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
     1/(d+1e-10), normalized) of its 3 nearest source features, concatenated
     with its skip feature when one is provided, then passed through the MLP.
 
-    Interpolation is linear, so the MLP's first layer is applied to the
-    source features before it: ``interp(F) @ W`` is computed as
-    ``interp(F @ W)``, a GEMM over the sources instead of the targets.  The
-    skip columns add their own GEMM; the later layers run on the targets.
+    The first layer's source columns run on the sources, before the
+    interpolation (``interp(F) @ W == interp(F @ W)``); its skip columns and
+    the later layers run on the targets.
 
     Returns (target features (t,c_out), tape or None).
     """
