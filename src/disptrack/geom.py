@@ -13,6 +13,13 @@ so that only nearby points are scored.  ``nearest`` scores every pair of a
 small input and runs ``ball_query`` at a growing radius on a large one; the
 two strategies agree bit for bit: every path sums squared coordinate
 differences in one order, that of ``_pair_distances``.
+
+``ball_query`` finds a query's 27 neighbouring cells as 9 runs of the
+points sorted by int64 cell key (one per column of three z-adjacent cells,
+whose keys are consecutive); a run that wraps from INT64_MAX to INT64_MIN
+continues at the start of the order.  It ranks in-radius candidates by one argsort of a
+single int64 key, (row, dense distance rank, index), which must stay below
+2**63: queries x distinct distances x points, checked before sorting.
 """
 
 from __future__ import annotations
@@ -110,15 +117,15 @@ def farthest_point_sample(cloud: PointCloud, m: int, start_index: int) -> np.nda
     best = np.full(n, np.inf)              # squared distance to the chosen set
     chosen = np.empty(m, dtype=int)
     chosen[0] = start_index
+    last = start_index
     for i in range(1, m):
-        last = chosen[i - 1]
         np.subtract(coords, coords[:, last, None], out=diff)
         np.multiply(diff, diff, out=diff)
         np.add(diff[0], diff[1], out=step)
         step += diff[2]
         np.minimum(best, step, out=best)
         best[last] = -1.0
-        chosen[i] = np.argmax(best)
+        last = chosen[i] = best.argmax()
     return chosen
 
 
@@ -228,21 +235,44 @@ def _pair_distances(query: np.ndarray, rows, points: np.ndarray, cand) -> np.nda
     when tests/data/pipeline_golden.npz was pinned.  Every selection path
     sums them so, and equal point pairs get bit-equal distances on each.
     """
-    dx, dy, dz = (query[rows, a] - points[cand, a] for a in range(3))
+    dx, dy, dz = (query[:, a][rows] - points[:, a][cand] for a in range(3))
     return np.sqrt((dx * dx + dz * dz) + dy * dy)
 
 
 #: Grid key stride per axis: keys of cells whose coordinates stay below 2**20
 #: in magnitude are distinct; farther cells may share a key, which only adds
-#: candidates that the distance test then drops.
+#: candidates that the distance test then drops.  Keys are int64 and wrap,
+#: consistently: a neighbouring cell's key is always the query cell's key
+#: plus a fixed offset, modulo 2**64.
 _KEY_STRIDE = 2 ** 21
-_NEIGHBOUR_KEYS = np.array([(a * _KEY_STRIDE + b) * _KEY_STRIDE + c
-                            for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)])
+#: Key offsets of the 9 (x, y) columns around a cell.  Each column's three
+#: cells z - 1, z, z + 1 have consecutive keys, one run of the sorted keys.
+_COLUMN_KEYS = np.array([(a * _KEY_STRIDE + b) * _KEY_STRIDE
+                         for a in (-1, 0, 1) for b in (-1, 0, 1)])
 
 
 def _cell_keys(coords: np.ndarray, edge: float) -> np.ndarray:
     cell = np.floor(coords / edge).astype(np.int64)
     return (cell[:, 0] * _KEY_STRIDE + cell[:, 1]) * _KEY_STRIDE + cell[:, 2]
+
+
+def _rank_pairs(row: np.ndarray, dist: np.ndarray, cand: np.ndarray,
+                q: int, n: int) -> np.ndarray:
+    """The permutation that sorts (row, dist, cand) triples by row, then
+    distance, then candidate, as ``np.lexsort((cand, dist, row))`` does.
+
+    row lies in [0, q) and cand in [0, n).  The triples are ranked by one
+    argsort of the int64 key (row * d + rank) * n + cand, where rank is the
+    dense rank of the distance among the d distinct ones.  The key is below
+    q * d * n, so that product must stay under 2**63 (about 1.9e11 for
+    paper-scale sa1); it is checked with Python ints, and a larger input
+    raises ValueError.
+    """
+    levels, rank = np.unique(dist, return_inverse=True)
+    if q * levels.size * n >= 2 ** 63:
+        raise ValueError(f"{q} queries x {levels.size} distinct distances x {n} points "
+                         f"overflow the int64 ranking key")
+    return np.argsort((row * levels.size + rank) * n + cand)
 
 
 def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +287,13 @@ def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.n
 
     Points are bucketed in a cubic grid with a cell edge a hair over the
     radius, so each query scores only the points in the 27 cells around its
-    own, and memory stays linear in the candidate count.
+    own, and memory stays linear in the candidate count.  The points are
+    sorted by cell key, and each of the 9 columns of three z-adjacent cells
+    is one run of that order, found by one pair of binary searches.  Where
+    the key wraps inside a run (a centre key of INT64_MAX or INT64_MIN, at
+    finite coordinates near 2**20 cell edges), the run continues from the
+    start of the order.  In-radius candidates are ranked by one sort of a
+    combined int64 key (``_rank_pairs``).
     """
     query = np.asarray(query, dtype=float).reshape(-1, 3)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -279,22 +315,25 @@ def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.n
     point_keys = _cell_keys(points, edge)
     by_key = np.argsort(point_keys, kind="stable")
     sorted_keys = point_keys[by_key]
-    cell_keys = (_cell_keys(query, edge)[:, None] + _NEIGHBOUR_KEYS).ravel()
-    first = np.searchsorted(sorted_keys, cell_keys, side="left")
-    count = np.searchsorted(sorted_keys, cell_keys, side="right") - first
-    # Every point of every neighbouring cell, query by query.
-    cand = by_key[np.repeat(first - (np.cumsum(count) - count), count)
-                  + np.arange(count.sum())]
-    row = np.repeat(np.arange(q), count.reshape(q, _NEIGHBOUR_KEYS.size).sum(axis=1))
+    centre = (_cell_keys(query, edge)[:, None] + _COLUMN_KEYS).ravel()
+    low, high = centre - 1, centre + 1
+    first = np.searchsorted(sorted_keys, low, side="left")
+    count = np.searchsorted(sorted_keys, high, side="right") - first
+    count[low > high] += n     # a wrapped run: [low, INT64_MAX], then [INT64_MIN, high]
+    # Every point of every neighbouring column, query by query; a wrapped
+    # run's positions pass n and continue at 0.
+    cand = by_key.take(np.repeat(first - (np.cumsum(count) - count), count)
+                       + np.arange(count.sum()), mode="wrap")
+    row = np.repeat(np.arange(q), count.reshape(q, _COLUMN_KEYS.size).sum(axis=1))
 
     dist = _pair_distances(query, row, points, cand)
-    inside = dist <= radius
-    row, cand, dist = row[inside], cand[inside], dist[inside]
-    ranked = np.lexsort((cand, dist, row))
-    row, cand = row[ranked], cand[ranked]
+    inside = np.flatnonzero(dist <= radius)
+    row, cand = row[inside], cand[inside]
+    # row ascends already, and ranking keeps it so.
+    cand = cand[_rank_pairs(row, dist[inside], cand, q, n)]
     per_row = np.bincount(row, minlength=q)
     slot = np.arange(row.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    kept = slot < cap
+    kept = np.flatnonzero(slot < cap)
 
     order = np.zeros((q, cap), dtype=np.intp)
     valid = np.zeros((q, cap), dtype=bool)

@@ -1,7 +1,8 @@
 """Minimal trainable point-network stack with exact manual gradients.
 
 Submodules:
-  dense       MLP parameter container, forward pass, and backward tape
+  dense       MLP parameter and gradient containers, forward pass, and
+              backward tape
   layers      point-set layers: set abstraction, feature propagation,
               cross-frame association head with four fusion variants
   losses      class-balanced weighted-L2 tracking loss
@@ -13,7 +14,7 @@ All math is float64; every differentiable operation returns a tape whose
 ``backward`` reproduces the analytic gradient exactly.
 """
 
-from .dense import DenseParams, DenseTape, dense_apply
+from .dense import DenseGrads, DenseParams, DenseTape, dense_apply
 from .layers import (
     FUSION_METHODS,
     AssociationSpec,
@@ -28,7 +29,7 @@ from .gradcheck import gradient_check
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "DenseParams", "DenseTape", "dense_apply",
+    "DenseGrads", "DenseParams", "DenseTape", "dense_apply",
     "FUSION_METHODS", "AssociationSpec", "SaLayerSpec",
     "association_head", "fp_layer", "sa_layer",
     "tracking_loss",

@@ -4,9 +4,11 @@ A DenseParams is a chain of Linear layers with ReLU between them and a linear
 final layer.  ``dense_apply`` runs the chain row-wise over a feature matrix
 and, when capturing, returns a tape that turns an output gradient into
 parameter gradients plus the input gradient.  The tape returns those
-parameter gradients as a DenseParams too, and ``add_`` sums the gradients
-of a layer that two streams share.  ``DenseTape.rows`` restricts a tape to
-the rows that receive gradient, such as the winners of a max-pool.
+parameter gradients as a DenseGrads, which checks nothing: a NaN input
+reaches them as NaN, and whoever applies them decides what a non-finite
+gradient means.  ``DenseGrads.add_`` sums the gradients of a layer that two
+streams share.  ``DenseTape.rows`` restricts a tape to the rows that receive
+gradient, such as the winners of a max-pool.
 
 Each layer adds its bias and applies its ReLU in place on its GEMM's output,
 so it allocates one array of its output's size.  The ReLU maps NaN to 0, so
@@ -68,7 +70,15 @@ class DenseParams:
     def out_width(self) -> int:
         return int(self.weights[-1].shape[1])
 
-    def add_(self, other: "DenseParams") -> "DenseParams":
+
+@dataclass(eq=False)
+class DenseGrads:
+    """Gradients of a DenseParams chain's weights and biases, unchecked."""
+
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+
+    def add_(self, other: "DenseGrads") -> "DenseGrads":
         """In-place accumulation, used to merge gradients of shared layers."""
         for w, ow in zip(self.weights, other.weights):
             w += ow
@@ -92,7 +102,7 @@ class DenseTape:
         """
         return DenseTape(self._params, [x[index] for x in self._inputs])
 
-    def backward(self, grad_out: np.ndarray) -> tuple[DenseParams, np.ndarray]:
+    def backward(self, grad_out: np.ndarray) -> tuple[DenseGrads, np.ndarray]:
         """Map d(loss)/d(output) to (parameter gradients, d(loss)/d(input))."""
         grad_out = np.asarray(grad_out, dtype=float)
         grads_w = [None] * len(self._params.weights)
@@ -104,7 +114,7 @@ class DenseTape:
             g = g @ self._params.weights[i].T
             if i > 0:
                 np.multiply(g, self._inputs[i] > 0.0, out=g)
-        return DenseParams(grads_w, grads_b), g
+        return DenseGrads(grads_w, grads_b), g
 
 
 def dense_apply(params: DenseParams, x: np.ndarray,

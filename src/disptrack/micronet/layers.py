@@ -12,10 +12,9 @@ Three layers cover the whole displacement network:
                            neighbours, append the neighbour displacement,
                            run the MLP per neighbour and max-pool over k.
 
-Set abstraction selects neighbours with ``geom.ball_query``, runs its MLP on
-the in-radius rows only and max-pools each centroid's contiguous run of
-them (``np.maximum.reduceat``); its backward pass sends each pooled gradient
-to the lowest row holding the max.  Feature propagation and the association
+Set abstraction selects neighbours with ``geom.ball_query`` and runs its
+MLP on the in-radius rows only, a contiguous run per centroid.  Feature
+propagation and the association
 head need the k nearest points with no radius and use ``geom.nearest``,
 which searches a grid for large inputs (paper-scale fp2 and fp3) and scores
 every pair for small ones.  All rank by ascending Euclidean distance, equal
@@ -32,9 +31,16 @@ features: they read one (na, nb) GEMM of the two frames' features at each
 point's k neighbours, and one norm per point.  Their backward pass is two
 GEMMs against the (na, nb) matrix of per-pair gradient weights.  Concat and
 elementwise-product fusion gather (na, k, c) frame-B features.  The head's
-max-pool backward sends each pooled gradient to the lowest slot holding the
-max, and its MLP backward runs on those winning rows only: a row that wins
-no channel gets no gradient.
+MLP backward runs on the rows that win some pooled channel only: a row that
+wins no channel gets no gradient.
+
+Set abstraction and the association head max-pool with one helper,
+``_max_pool``.  It folds a group's slots, neighbour by neighbour, into the
+pooled array with a running ``np.maximum``: bit for bit the values of
+``np.maximum.reduceat`` over the group's rows.  SA orders its centroids
+largest group first, so slot s is a prefix of them, while its MLP rows stay
+centroid-major.  Each pooled gradient goes to np.argmax's slot: the lowest
+slot holding the max, and for a NaN max the lowest NaN slot.
 
 Feature gradients flow through features only; point coordinates are data
 and never differentiated, so finite-difference checks see a fixed
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geom import PointCloud, ball_query, farthest_point_sample, nearest
-from .dense import DenseParams, dense_apply
+from .dense import DenseGrads, DenseParams, dense_apply
 
 FUSION_METHODS = ("concat", "elementwise_product", "cosine_distance", "dot_product")
 
@@ -99,6 +105,37 @@ def fusion_width(fusion: str, width: int) -> int:
     raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {fusion!r}")
 
 
+def _max_pool(slot, depth: int, capture: bool):
+    """Element-wise max over the slots of groups, and with capture the slot
+    holding it.
+
+    slot(s), for s < depth, returns slot s of the first len(slot(s)) groups
+    as a (len, c) array, and no slot is longer than the one before it.
+    Slots fold into the pooled array in order with a running np.maximum, as
+    np.maximum.reduceat folds rows.  The winner is np.argmax's: the lowest
+    slot holding the max, or for a NaN max the lowest NaN slot.  Returns
+    (pooled (g, c), winning slot (g, c) or None).
+    """
+    pooled = slot(0).copy()
+    for s in range(1, depth):
+        x = slot(s)
+        head = pooled[:len(x)]
+        np.maximum(head, x, out=head)
+    if not capture:
+        return pooled, None
+    # From the last slot down, so the lowest hit is written last.  A NaN
+    # max equals no slot; only a group whose max is NaN has NaN slots.
+    has_nan = np.isnan(pooled).any()
+    winner = np.empty(pooled.shape, dtype=np.intp)
+    for s in range(depth - 1, -1, -1):
+        x = slot(s)
+        hit = x == pooled[:len(x)]
+        if has_nan:
+            hit |= np.isnan(x)
+        np.copyto(winner[:len(x)], s, where=hit)
+    return pooled, winner
+
+
 def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """(n, c) sums of the c-wide rows of values into the rows that index names.
 
@@ -118,7 +155,7 @@ class SaTape:
         self.dense_tape = dense_tape    # over the in-radius rows
         self.n_points = n_points
 
-    def backward(self, grad_pooled: np.ndarray) -> tuple[DenseParams, np.ndarray]:
+    def backward(self, grad_pooled: np.ndarray) -> tuple[DenseGrads, np.ndarray]:
         gy = np.zeros((self.rows.size, self.winner.shape[1]))
         np.put_along_axis(gy, self.winner, np.asarray(grad_pooled, dtype=float), axis=0)
         mlp_grads, ginp = self.dense_tape.backward(gy)
@@ -161,16 +198,18 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     rel = points[rows] - np.repeat(centroids, count, axis=0)
     out, dtape = dense_apply(spec.mlp, np.concatenate([rel, feats[rows]], axis=1),
                              capture=capture)
-    pooled = np.maximum.reduceat(out, start, axis=0)
+    # Pool largest groups first, so the centroids holding slot s are a prefix.
+    by_size = np.argsort(-count, kind="stable")
+    first = start[by_size]
+    by_size_pooled, slot = _max_pool(
+        lambda s: out[first[:np.count_nonzero(count > s)] + s], count.max(), capture)
+    pooled = np.empty_like(by_size_pooled)
+    pooled[by_size] = by_size_pooled
 
     tape = None
     if capture:
-        # The lowest row reaching the max wins, as argmax would pick it.  No
-        # row compares below a NaN max, so there the group's first row wins.
-        index = np.arange(rows.size)[:, None]
-        winner = np.minimum.reduceat(
-            np.where(out < np.repeat(pooled, count, axis=0), rows.size, index),
-            start, axis=0)
+        winner = np.empty_like(slot)
+        winner[by_size] = first[:, None] + slot
         tape = SaTape(rows, valid, winner, dtape, n)
     return centroids, pooled, tape
 
@@ -204,7 +243,7 @@ class FpTape:
         if self.skip_feats is not None:
             grad_w0 = np.concatenate([grad_w0, self.skip_feats.T @ g])
             grad_skip = g @ self.w0[c_s:].T
-        return (DenseParams([grad_w0, *grads_w], [g.sum(axis=0), *grads_b]),
+        return (DenseGrads([grad_w0, *grads_w], [g.sum(axis=0), *grads_b]),
                 grad_source, grad_skip)
 
 
@@ -384,9 +423,8 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
     na, k = order.shape
     out, dtape = dense_apply(spec.mlp, group_in.reshape(na * k, -1), capture=capture)
     out = out.reshape(na, k, -1)
-    if not capture:
-        return out.max(axis=1), None
-    argmax = out.argmax(axis=1)
-    embedded = np.take_along_axis(out, argmax[:, None, :], axis=1)[:, 0, :]
-    tape = AssociationTape(spec, order, argmax, dtape, feats_a, feats_b, fwidth, dots)
+    embedded, argmax = _max_pool(lambda j: out[:, j], k, capture)
+    tape = None
+    if capture:
+        tape = AssociationTape(spec, order, argmax, dtape, feats_a, feats_b, fwidth, dots)
     return embedded, tape

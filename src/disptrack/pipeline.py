@@ -24,6 +24,7 @@ from .geom import Box3D, PointCloud, points_in_box
 from .ingest import FrameLabel, Sequence, label_targets
 from .micronet import (
     AssociationSpec,
+    DenseGrads,
     DenseParams,
     OptState,
     SaLayerSpec,
@@ -306,7 +307,7 @@ class DisplacementModel:
                 dp.biases[i] = params[f"{name}.b{i}"]
 
 
-def _flatten_groups(groups: dict[str, DenseParams]) -> dict[str, np.ndarray]:
+def _flatten_groups(groups: dict[str, DenseParams | DenseGrads]) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for name, dp in groups.items():
         for i, (w, b) in enumerate(zip(dp.weights, dp.biases)):
@@ -483,8 +484,9 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
     """Train the displacement network on adjacent frame pairs.
 
     Supervision comes from box-motion targets; the probability filter runs on
-    oracle mask probabilities.  Deterministic given the seed; raises if any
-    update goes non-finite.
+    oracle mask probabilities.  Deterministic given the seed.  Raises on a
+    non-finite loss, on a non-finite gradient (naming the first such array,
+    before any update) and on an update that goes non-finite.
     """
     pairs = _pair_list(dataset)
     if not pairs:
@@ -512,6 +514,9 @@ def train_association(dataset, config: PipelineConfig, epochs: int,
             if not np.isfinite(loss):
                 raise ValueError("training loss became non-finite")
             grads = tape.backward(grad)
+            bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
+            if bad is not None:
+                raise ValueError(f"non-finite gradient in {bad}")
             lr = clr_schedule(step, cycle, config.lr_low, config.lr_high)
             params, state = adam_step(params, grads, state, lr)
             model.load_param_dict(params)

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -245,13 +246,25 @@ def test_nearest_matches_lexsort_reference_on_a_cluster_with_far_points(case):
 def test_nearest_grid_equals_dense_bit_for_bit_on_float_clouds(k):
     # Non-integer coordinates round differently under another summation
     # order, so this pins the grid path to the dense arithmetic.
+    # Exact ties too: copies of 40 points, and twelve points around each of
+    # six far centres at one exactly computed distance (signed permutations
+    # of dyadic offsets), more than k, so ties cross the k-th slot.
     rng = np.random.default_rng(k)
-    points = np.vstack([rng.normal(size=(250, 3)),
-                        rng.normal(scale=0.05, size=(50, 3)) + 4.0])
-    query = np.vstack([rng.normal(scale=2.0, size=(150, 3)), points[::7] + 1e-3])
+    cloud = np.vstack([rng.normal(size=(250, 3)),
+                       rng.normal(scale=0.05, size=(50, 3)) + 4.0])
+    centres = np.array([[10.0, 10, 10], [10, 10, -10], [-10, 10, 10], [10, -10, 10],
+                        [-10, -10, -10], [20, 0, 0]])
+    offsets = np.array(list(itertools.permutations([0.25, 0.5, 0.75])))
+    shells = (centres[:, None, :] + np.vstack([offsets, -offsets])).reshape(-1, 3)
+    points = np.vstack([cloud, cloud[:40], shells])
+    query = np.vstack([rng.normal(scale=2.0, size=(150, 3)), points[::7] + 1e-3, centres])
     dense, grid = nearest_both_ways(query, points, k)
     assert dense[0].tobytes() == grid[0].tobytes()
     assert dense[1].tobytes() == grid[1].tobytes()
+    assert (dense[1][-6:] == np.sqrt(0.875)).all()
+    assert (dense[0][-6:] == 340 + 12 * np.arange(6)[:, None] + np.arange(k)).all()
+    copies = np.arange(301, 340, 7)     # queries next to a copied point
+    assert (dense[0][150 + copies // 7, 0] == copies - 300).all()
 
 
 #: Clouds whose median k-th distance (k = 3) is 0 or far below the spacing
@@ -359,6 +372,33 @@ def test_ball_query_validates_and_handles_no_queries():
             ball_query(pts, pts, radius, 2)
     order, valid = ball_query(np.zeros((0, 3)), pts, 1.0, 2)
     assert order.shape == valid.shape == (0, 2)
+
+
+def test_ball_query_finds_points_where_the_cell_key_wraps():
+    # At radius 0.5 the query's cell is 2**21 - 1 along every axis, whose
+    # key is INT64_MAX; the cell above it in z has key INT64_MIN, so the
+    # query's own column of three cells wraps from the top of the key order
+    # to the bottom.
+    query = np.full((1, 3), 1048575.75)
+    for edge in (0.5, 0.5 * (1 + 1e-8)):
+        assert geom._cell_keys(query, edge).tolist() == [np.iinfo(np.int64).max]
+        assert geom._cell_keys(query + [0, 0, 0.4], edge).tolist() == [np.iinfo(np.int64).min]
+    points = query + np.array([[3.0, 0, 0], [0, 0, 0.4], [0, 0, -0.3], [0.3, 0, 0],
+                               [0, 0, 0.6], [0, 0, 0.45]])
+    order, valid = ball_query(query, points, 0.5, 5)
+    near, dist = nearest(query, points, 5)
+    inside = dist <= 0.5
+    assert inside.sum() == 4
+    assert valid.tolist() == inside.tolist()
+    assert order[valid].tolist() == near[inside].tolist()
+
+
+def test_rank_pairs_refuses_a_key_past_int64():
+    # The key (row * distinct + rank) * n + cand stays below q * distinct * n.
+    row, dist, cand = np.array([0, 0, 1]), np.array([2.0, 1.0, 1.0]), np.array([0, 1, 0])
+    assert geom._rank_pairs(row, dist, cand, 2 ** 30, 2 ** 31).tolist() == [1, 0, 2]
+    with pytest.raises(ValueError, match="int64"):
+        geom._rank_pairs(row, dist, cand, 2 ** 31, 2 ** 31)
 
 
 #: Radii equal to grid distances (so points lie exactly at the radius), a

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from disptrack.micronet import DenseParams, dense_apply, gradient_check
-from disptrack.micronet import dense as dense_module
 
 
 def test_identity_layer_passes_input_through():
@@ -143,15 +142,7 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.fixture
-def unchecked_gradients(monkeypatch):
-    """Let DenseTape.backward return its gradient arrays as a (weights,
-    biases) pair.  DenseParams would reject the NaN that a NaN input puts
-    into the first layer's weight gradient (NaN * 0), and hide the rest."""
-    monkeypatch.setattr(dense_module, "DenseParams", lambda w, b: (w, b))
-
-
-def test_dense_matches_stored_mask_reference_bit_for_bit(unchecked_gradients):
+def test_dense_matches_stored_mask_reference_bit_for_bit():
     # Hidden pre-activations include exact zeros (unit 0 reads only its
     # bias) and NaN (row 5), with -0.0 among the inputs and biases.
     rng = np.random.default_rng(12)
@@ -177,22 +168,25 @@ def test_dense_matches_stored_mask_reference_bit_for_bit(unchecked_gradients):
 
     for rows in (slice(None), np.array([0, 5, 6, 11, 12, 39]), np.array([5]), np.array([7])):
         sub = tape if isinstance(rows, slice) else tape.rows(rows)
-        (grads_w, grads_b), grad_x = sub.backward(grad[rows])
+        grads, grad_x = sub.backward(grad[rows])
         want_grads, want_x = reference_backward(
             params, [h[rows] for h in inputs], [m[rows] for m in masks], grad[rows])
-        for g, w in zip(grads_w + grads_b, want_grads):
+        for g, w in zip(grads.weights + grads.biases, want_grads):
             assert_same_bytes(g, w)
         assert_same_bytes(grad_x, want_x)
 
 
-def test_relu_maps_nan_to_zero_with_zero_gradient_and_final_nan_passes(unchecked_gradients):
+def test_relu_maps_nan_to_zero_with_zero_gradient_and_final_nan_passes():
     params = DenseParams([np.array([[1.0, 2.0], [1.0, -1.0]]), np.ones((2, 1))],
                          [np.zeros(2), np.array([0.5])])
     x = np.array([[np.nan, 1.0], [1.0, 1.0]])
     # Row 0's hidden units are NaN and come out of the ReLU as 0; row 1's are [2, 1].
     y, tape = dense_apply(params, x, capture=True)
     assert y.tolist() == [[0.5], [3.5]]
-    (grads_w, grads_b), grad_x = tape.backward(np.ones((2, 1)))
+    # backward returns, without raising, the NaN that NaN * 0 puts into the
+    # first weight gradient.
+    grads, grad_x = tape.backward(np.ones((2, 1)))
+    grads_w, grads_b = grads.weights, grads.biases
     assert grad_x.tolist() == [[0.0, 0.0], [3.0, 0.0]]
     assert grads_b[0].tolist() == [1.0, 1.0]
     assert grads_w[1].tolist() == [[2.0], [1.0]]

@@ -13,6 +13,7 @@ from disptrack.micronet import (
     sa_layer,
 )
 from disptrack.geom import PointCloud, farthest_point_sample, nearest
+from disptrack.micronet import layers as layers_module
 
 
 def make_sa_spec(rng, feat_width, sample_count=4, radius=1.5, cap=8, widths=(6, 5)):
@@ -174,7 +175,37 @@ def test_sa_matches_padded_nearest_reference(radius):
     np.testing.assert_allclose(grad_feats, ref_grad, rtol=1e-12, atol=0)
 
 
-def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
+def signed_zero_outputs(monkeypatch):
+    """Make the layers' MLP output +0.0 and -0.0 in channel 0 (every third
+    row -0.0), which no GEMM returns, and collect each output array."""
+    outputs = []
+    real = layers_module.dense_apply
+
+    def patched(params, x, capture=False):
+        out, tape = real(params, x, capture=capture)
+        out[:, 0] = np.where(np.arange(len(out)) % 3 == 1, -0.0, 0.0)
+        outputs.append(out)
+        return out, tape
+    monkeypatch.setattr(layers_module, "dense_apply", patched)
+    return outputs
+
+
+def assert_pool_follows_argmax(out, count, pooled, slot):
+    """pooled is np.maximum.reduceat over groups of count[i] consecutive rows
+    of out, bit for bit, and slot holds np.argmax's pick in each group: the
+    lowest slot holding the max, or the lowest NaN one.  Returns slot."""
+    ref = np.maximum.reduceat(out, np.cumsum(count) - count, axis=0)
+    assert np.array_equal(pooled, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(pooled), np.signbit(ref))
+    padded = np.full((len(count), count.max(), out.shape[1]), -np.inf)
+    padded[np.arange(count.max()) < count[:, None]] = out
+    assert np.array_equal(slot, padded.argmax(axis=1))
+    # channel 0 ties +0.0 and -0.0 in every group of more than one row
+    assert (pooled[:, 0] == 0.0).all() and np.signbit(out[:, 0]).any()
+    return slot
+
+
+def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot(monkeypatch):
     rng = np.random.default_rng(9)
     # Every point twice, same feature: each group holds pairs of equal MLP
     # rows, and the copy with the higher index sorts to the later slot.
@@ -188,6 +219,23 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     assert np.array_equal(pooled, ref_pooled)
     assert np.array_equal(grad_feats, ref_grad)
     assert not grad_feats[20:].any() and grad_feats[:20].any()
+
+    # Signed-zero ties in channel 0, and a NaN column from an inf feature
+    # (a one-layer MLP passes inf - inf on), which reaches some group at a
+    # later slot than its first.
+    spec = make_sa_spec(rng, feat_width=2, sample_count=6, radius=1.0, cap=8, widths=(5,))
+    feats = feats.copy()
+    feats[33] = [np.inf, np.inf]
+    outputs = signed_zero_outputs(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        _, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
+    count = np.count_nonzero(tape.valid, axis=1)
+    start = np.cumsum(count) - count
+    slot = assert_pool_follows_argmax(outputs[0], count, pooled, tape.winner - start[:, None])
+    nan = np.isnan(pooled)
+    assert nan[:, 1:].any() and (slot[nan] > 0).any()
+    with np.errstate(invalid="ignore"):
+        tape.backward(grad)
 
 
 def test_sa_rejects_oversampling():
@@ -523,7 +571,7 @@ def test_assoc_matches_gathered_reference(fusion, zero_rows):
 
 
 @pytest.mark.parametrize("fusion", FUSION_METHODS)
-def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion):
+def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion, monkeypatch):
     rng = np.random.default_rng(19)
     # Every frame-B point twice, same feature: each neighbourhood holds pairs
     # of equal MLP rows, and the copy with the higher index sorts to the later
@@ -536,6 +584,21 @@ def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion):
     _, grad_fb = assert_assoc_matches_reference(spec, pts_a, feats_a, pts_b, feats_b,
                                                 rng.normal(size=(5, 4)))
     assert not grad_fb[6:].any() and grad_fb[:6].any()
+
+    # Signed-zero ties in channel 0, and a NaN column from an inf feature on
+    # frame-A point 0's second neighbour (a one-layer MLP passes it on).
+    spec = make_assoc_spec(rng, fusion, feat_width=3, k=4, widths=(5,))
+    order, _ = nearest(pts_a, pts_b, 4)
+    feats_b = feats_b.copy()
+    feats_b[order[0, 1]] = np.inf
+    outputs = signed_zero_outputs(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        embedded, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
+        plain, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
+        tape.backward(rng.normal(size=(5, 5)))
+    assert np.array_equal(plain, embedded, equal_nan=True)
+    slot = assert_pool_follows_argmax(outputs[0], np.full(5, 4), embedded, tape.argmax)
+    assert np.isnan(embedded[0, 1:]).any() and (slot[0][np.isnan(embedded[0])] == 1).all()
 
 
 def test_assoc_rejects_oversized_k_and_mismatched_widths():

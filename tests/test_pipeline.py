@@ -357,6 +357,24 @@ def test_training_raises_when_the_last_update_goes_non_finite(monkeypatch):
         pipeline.train_association(seq, TINY, epochs=1, seed=0)
 
 
+def test_training_names_the_first_non_finite_gradient_before_any_update(monkeypatch):
+    seq, *_ = scene_pair()
+    original = pipeline.PipelineTape.backward
+    updates = []
+
+    def poisoned_backward(tape, grad):
+        grads = original(tape, grad)
+        grads["fp2.w0"][0, 0] = np.inf
+        grads["head.b0"][0] = np.nan
+        return grads
+
+    monkeypatch.setattr(pipeline.PipelineTape, "backward", poisoned_backward)
+    monkeypatch.setattr(pipeline, "adam_step", lambda *args, **kwargs: updates.append(1))
+    with pytest.raises(ValueError, match=r"non-finite gradient in fp2\.w0"):
+        pipeline.train_association(seq, TINY, epochs=1, seed=0)
+    assert updates == []
+
+
 def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
     path = tmp_path / "other.json"
     save_checkpoint(path, "other", TINY.to_dict(), {})
