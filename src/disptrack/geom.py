@@ -8,18 +8,18 @@ yaw must be finite.  Argmax and nearest-neighbour ties break to the lowest index
 
 Neighbours are selected two ways: ``nearest`` gives the k nearest points
 with no radius (feature propagation, association), and ``ball_query`` the
-nearest points within a radius, up to a cap (set abstraction), from a grid
-so that only nearby points are scored.  ``nearest`` scores every pair of a
-small input and runs ``ball_query`` at a growing radius on a large one; the
-two strategies agree bit for bit: every path sums squared coordinate
-differences in one order, that of ``_pair_distances``.
+nearest points within a radius, up to a cap (set abstraction).  Both rank
+with one routine, ``_rank_pairs``, over one of two candidate sources: every
+pair at or below each row's k-th distance in a dense distance matrix (small
+``nearest`` inputs), or the in-radius points of a grid search
+(``ball_query``, which large ``nearest`` inputs run at a growing radius).
+The paths agree bit for bit: every one sums squared coordinate differences
+in one order, that of ``_pair_distances``.
 
 ``ball_query`` finds a query's 27 neighbouring cells as 9 runs of the
 points sorted by int64 cell key (one per column of three z-adjacent cells,
 whose keys are consecutive); a run that wraps from INT64_MAX to INT64_MIN
-continues at the start of the order.  It ranks in-radius candidates by one argsort of a
-single int64 key, (row, dense distance rank, index), which must stay below
-2**63: queries x distinct distances x points, checked before sorting.
+continues at the start of the order.
 """
 
 from __future__ import annotations
@@ -144,12 +144,13 @@ def nearest(query, points, k: int) -> tuple[np.ndarray, np.ndarray]:
     query is (q, 3) and points is (n, 3); both results are (q, k).  Each row
     ascends by Euclidean distance with equal distances in index order, also
     across the k-th distance: row i equals
-    ``np.lexsort((np.arange(n), d_i))[:k]`` for the distances d_i of query i.
+    ``np.argsort(d_i, kind="stable")[:k]`` for the distances d_i of query i.
 
     Two strategies give this result bit for bit, chosen by input size:
 
     * q * n up to ``_DENSE_MAX_PAIRS``: score every pair in a (q, n) distance
-      matrix, partition out the k smallest per row and sort them.
+      matrix, keep each row's points at or below its k-th distance (ties
+      included) and rank them with ``_rank_pairs``.
     * larger inputs: ``ball_query`` at a radius doubled until each row's k
       slots fill.  A filled row is exact: every point at or below its k-th
       distance lies within the radius, and ``ball_query`` ranks in-radius
@@ -181,20 +182,13 @@ def _nearest_dense(query: np.ndarray, points: np.ndarray, k: int):
     del sq
     np.sqrt(dist, out=dist)
 
-    cand = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    cand_dist = np.take_along_axis(dist, cand, axis=1)
-    rank = np.lexsort((cand, cand_dist), axis=1)
-    order = np.take_along_axis(cand, rank, axis=1)
-    near = np.take_along_axis(cand_dist, rank, axis=1)
-    # The partition keeps an arbitrary subset of the points tied at the k-th
-    # distance.  Rows with more points at or below it than were kept get a
-    # stable full sort, which keeps the lowest-index ones.
-    tied = np.count_nonzero(dist <= near[:, -1:], axis=1) > k
-    if tied.any():
-        rows = dist[tied]
-        order[tied] = np.argsort(rows, axis=1, kind="stable")[:, :k]
-        near[tied] = np.take_along_axis(rows, order[tied], axis=1)
-    return order, near
+    # Every point at or below a row's k-th distance, ties included, in row
+    # order; ranking keeps the first k of each row.
+    n = points.shape[0]
+    pair = np.flatnonzero(dist <= np.partition(dist, k - 1, axis=1)[:, k - 1:k])
+    row, cand = np.divmod(pair, n)
+    order, _ = _rank_pairs(row, dist.ravel()[pair], cand, query.shape[0], n, k)
+    return order, np.take_along_axis(dist, order, axis=1)
 
 
 def _nearest_grid(query: np.ndarray, points: np.ndarray, k: int):
@@ -257,22 +251,34 @@ def _cell_keys(coords: np.ndarray, edge: float) -> np.ndarray:
 
 
 def _rank_pairs(row: np.ndarray, dist: np.ndarray, cand: np.ndarray,
-                q: int, n: int) -> np.ndarray:
-    """The permutation that sorts (row, dist, cand) triples by row, then
-    distance, then candidate, as ``np.lexsort((cand, dist, row))`` does.
+                q: int, n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first cap candidates of each query row, nearest first, equal
+    distances in index order, from (row, dist, cand) triples with row
+    ascending in [0, q) and cand in [0, n).  Returns ``ball_query``'s
+    (q, cap) indices and slot mask; invalid slots repeat slot 0.
 
-    row lies in [0, q) and cand in [0, n).  The triples are ranked by one
-    argsort of the int64 key (row * d + rank) * n + cand, where rank is the
-    dense rank of the distance among the d distinct ones.  The key is below
-    q * d * n, so that product must stay under 2**63 (about 1.9e11 for
-    paper-scale sa1); it is checked with Python ints, and a larger input
-    raises ValueError.
+    One argsort ranks the pairs by the int64 key (row * d + rank) * n + cand,
+    rank being the dense rank of the distance among the d distinct ones.  The
+    key is below q * d * n, which is checked with Python ints to be under
+    2**63 (a larger input raises ValueError): ~1.9e11 at paper-scale sa1.
+    ``_nearest_dense`` has d <= q * n, so direct calls (q * n <= 2**19) stay
+    below 2**38, and the grid's seed of at most 64 queries below 4096 * n**2.
     """
     levels, rank = np.unique(dist, return_inverse=True)
     if q * levels.size * n >= 2 ** 63:
         raise ValueError(f"{q} queries x {levels.size} distinct distances x {n} points "
                          f"overflow the int64 ranking key")
-    return np.argsort((row * levels.size + rank) * n + cand)
+    # row ascends already, and ranking keeps it so.
+    cand = cand[np.argsort((row * levels.size + rank) * n + cand)]
+    per_row = np.bincount(row, minlength=q)
+    slot = np.arange(row.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    kept = np.flatnonzero(slot < cap)
+
+    order = np.zeros((q, cap), dtype=np.intp)
+    valid = np.zeros((q, cap), dtype=bool)
+    order[row[kept], slot[kept]] = cand[kept]
+    valid[row[kept], slot[kept]] = True
+    return np.where(valid, order, order[:, :1]), valid
 
 
 def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,8 +298,7 @@ def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.n
     is one run of that order, found by one pair of binary searches.  Where
     the key wraps inside a run (a centre key of INT64_MAX or INT64_MIN, at
     finite coordinates near 2**20 cell edges), the run continues from the
-    start of the order.  In-radius candidates are ranked by one sort of a
-    combined int64 key (``_rank_pairs``).
+    start of the order.  In-radius candidates are ranked by ``_rank_pairs``.
     """
     query = np.asarray(query, dtype=float).reshape(-1, 3)
     points = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -328,18 +333,7 @@ def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.n
 
     dist = _pair_distances(query, row, points, cand)
     inside = np.flatnonzero(dist <= radius)
-    row, cand = row[inside], cand[inside]
-    # row ascends already, and ranking keeps it so.
-    cand = cand[_rank_pairs(row, dist[inside], cand, q, n)]
-    per_row = np.bincount(row, minlength=q)
-    slot = np.arange(row.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
-    kept = np.flatnonzero(slot < cap)
-
-    order = np.zeros((q, cap), dtype=np.intp)
-    valid = np.zeros((q, cap), dtype=bool)
-    order[row[kept], slot[kept]] = cand[kept]
-    valid[row[kept], slot[kept]] = True
-    return np.where(valid, order, order[:, :1]), valid
+    return _rank_pairs(row[inside], dist[inside], cand[inside], q, n, cap)
 
 
 def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:

@@ -59,10 +59,6 @@ class DenseParams:
         return cls(weights, biases)
 
     @property
-    def widths(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    @property
     def in_width(self) -> int:
         return int(self.weights[0].shape[0])
 

@@ -73,7 +73,7 @@ class SaLayerSpec:
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:  # also rejects NaN
             raise ValueError("radius must be positive")
         if self.neighbor_cap < 1:
             raise ValueError("neighbor_cap must be at least 1")

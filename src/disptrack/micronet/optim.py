@@ -31,9 +31,7 @@ class OptState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: OptState, lr: float, beta1: float = ADAM_BETA1,
-              beta2: float = ADAM_BETA2,
-              epsilon: float = ADAM_EPSILON) -> tuple[dict[str, np.ndarray], OptState]:
+              state: OptState, lr: float) -> tuple[dict[str, np.ndarray], OptState]:
     """One bias-corrected Adam update; returns (new params, new state)."""
     if set(params) != set(grads):
         raise ValueError("parameter and gradient keys must match")
@@ -44,18 +42,18 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter "
                              f"{key} shape {p.shape}")
-        m = beta1 * state.m[key] + (1.0 - beta1) * g
-        v = beta2 * state.v[key] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_params[key] = p - lr * m_hat / (np.sqrt(v_hat) + epsilon)
+        m = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        new_params[key] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
         new_m[key] = m
         new_v[key] = v
     return new_params, OptState(m=new_m, v=new_v, step=t)
 
 
-def clr_schedule(step: int, steps_per_cycle: int, lr_low: float = 1e-4,
-                 lr_high: float = 1e-3) -> float:
+def clr_schedule(step: int, steps_per_cycle: int, lr_low: float,
+                 lr_high: float) -> float:
     """Triangular wave: lr_low -> lr_high over the first half cycle, back down
     over the second; periodic in `steps_per_cycle` (which must be even)."""
     if steps_per_cycle <= 0 or steps_per_cycle % 2 != 0:

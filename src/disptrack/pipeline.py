@@ -16,7 +16,7 @@ perturbs ground truth, enabling ground-truth-box experiments.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -114,6 +114,10 @@ class SaConfig:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Every comparison with NaN is false, so NaN fails these checks too.
+        if not (self.sample >= 1 and self.radius > 0.0 and self.cap >= 1):
+            raise ValueError(f"set abstraction needs sample >= 1, radius > 0 and "
+                             f"cap >= 1, got {self.sample}, {self.radius}, {self.cap}")
         self.widths = tuple(int(w) for w in self.widths)
 
 
@@ -197,8 +201,7 @@ def probability_filter(cloud: PointCloud, probs, n_filtered: int) -> np.ndarray:
     if probs.shape[0] != len(cloud):
         raise ValueError("probability vector must match the cloud length")
     keep = min(int(n_filtered), probs.shape[0])
-    order = np.lexsort((np.arange(probs.shape[0]), -probs))
-    return np.sort(order[:keep])
+    return np.sort(np.argsort(-probs, kind="stable")[:keep])
 
 
 def point_features(frame: PointCloud, detections: Detections) -> np.ndarray:
@@ -261,25 +264,24 @@ def oracle_detector(frame: PointCloud, labels: FrameLabel,
 
 @dataclass(eq=False)
 class DisplacementModel:
-    """All trainable pieces of the displacement network.
+    """The MLP parameters of every layer of the displacement network.
 
     The two frame streams share sa1/sa2 weights; fp2 consumes a skip
-    connection from the frame-A sa1 output.
+    connection from the frame-A sa1 output.  Layer hyperparameters (sample
+    counts, radii, caps, k and fusion) live in the PipelineConfig alone.
     """
 
-    sa1: SaLayerSpec
-    sa2: SaLayerSpec
-    assoc: AssociationSpec
-    sa3: SaLayerSpec
+    sa1: DenseParams
+    sa2: DenseParams
+    assoc: DenseParams
+    sa3: DenseParams
     fp1: DenseParams
     fp2: DenseParams
     fp3: DenseParams
     head: DenseParams
 
     def param_groups(self) -> dict[str, DenseParams]:
-        return {"sa1": self.sa1.mlp, "sa2": self.sa2.mlp, "assoc": self.assoc.mlp,
-                "sa3": self.sa3.mlp, "fp1": self.fp1, "fp2": self.fp2,
-                "fp3": self.fp3, "head": self.head}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def param_dict(self) -> dict[str, np.ndarray]:
         return _flatten_groups(self.param_groups())
@@ -318,25 +320,16 @@ def _flatten_groups(groups: dict[str, DenseParams | DenseGrads]) -> dict[str, np
 
 def build_displacement_model(config: PipelineConfig, seed: int = 0) -> DisplacementModel:
     rng = np.random.default_rng(seed)
-    sa1_mlp = DenseParams.create([3 + POINT_FEATURE_WIDTH, *config.sa1.widths], rng)
-    c1 = sa1_mlp.out_width
-    sa2_mlp = DenseParams.create([3 + c1, *config.sa2.widths], rng)
-    c2 = sa2_mlp.out_width
-    assoc_mlp = DenseParams.create([fusion_width(config.fusion, c2) + 3,
-                                    *config.assoc_widths], rng)
-    ce = assoc_mlp.out_width
-    sa3_mlp = DenseParams.create([3 + ce, *config.sa3.widths], rng)
-    c3 = sa3_mlp.out_width
-    fp1 = DenseParams.create([c3, *config.fp1_widths], rng)
-    fp2 = DenseParams.create([fp1.out_width + c1, *config.fp2_widths], rng)
+    sa1 = DenseParams.create([3 + POINT_FEATURE_WIDTH, *config.sa1.widths], rng)
+    sa2 = DenseParams.create([3 + sa1.out_width, *config.sa2.widths], rng)
+    assoc = DenseParams.create([fusion_width(config.fusion, sa2.out_width) + 3,
+                                *config.assoc_widths], rng)
+    sa3 = DenseParams.create([3 + assoc.out_width, *config.sa3.widths], rng)
+    fp1 = DenseParams.create([sa3.out_width, *config.fp1_widths], rng)
+    fp2 = DenseParams.create([fp1.out_width + sa1.out_width, *config.fp2_widths], rng)
     fp3 = DenseParams.create([fp2.out_width, *config.fp3_widths], rng)
     head = DenseParams.create([fp3.out_width, *config.head_widths, 3], rng)
-    return DisplacementModel(
-        sa1=SaLayerSpec(config.sa1.sample, config.sa1.radius, config.sa1.cap, sa1_mlp),
-        sa2=SaLayerSpec(config.sa2.sample, config.sa2.radius, config.sa2.cap, sa2_mlp),
-        assoc=AssociationSpec(config.k, config.fusion, assoc_mlp),
-        sa3=SaLayerSpec(config.sa3.sample, config.sa3.radius, config.sa3.cap, sa3_mlp),
-        fp1=fp1, fp2=fp2, fp3=fp3, head=head)
+    return DisplacementModel(sa1, sa2, assoc, sa3, fp1, fp2, fp3, head)
 
 
 def save_displacement_model(path, model: DisplacementModel,
@@ -417,24 +410,25 @@ def _forward_displacements(frame_a: PointCloud, frame_b: PointCloud,
         raise ValueError(f"only {len(pts_b0)} filtered frame-B points for "
                          f"k={config.k}; lower k or raise n_filtered")
 
-    def abstract(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray):
+    def abstract(level: SaConfig, mlp: DenseParams, points: np.ndarray,
+                 feats: np.ndarray):
         # At most one centroid per point; FPS starts at the next draw of rng.
-        if spec.sample_count > len(points):
-            spec = SaLayerSpec(len(points), spec.radius, spec.neighbor_cap, spec.mlp)
+        spec = SaLayerSpec(min(level.sample, len(points)), level.radius, level.cap, mlp)
         return sa_layer(spec, points, feats, int(rng.integers(len(points))),
                         capture=capture)
 
-    pts_a1, feats_a1, t_a1 = abstract(model.sa1, pts_a0, feats_a0)
-    pts_a2, feats_a2, t_a2 = abstract(model.sa2, pts_a1, feats_a1)
-    pts_b1, feats_b1, t_b1 = abstract(model.sa1, pts_b0, feats_b0)
-    pts_b2, feats_b2, t_b2 = abstract(model.sa2, pts_b1, feats_b1)
-    if len(pts_b2) < model.assoc.k:
+    pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, feats_a0)
+    pts_a2, feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1)
+    pts_b1, feats_b1, t_b1 = abstract(config.sa1, model.sa1, pts_b0, feats_b0)
+    pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1)
+    if len(pts_b2) < config.k:
         raise ValueError(f"only {len(pts_b2)} abstracted frame-B points for "
-                         f"k={model.assoc.k}; lower k")
+                         f"k={config.k}; lower k")
 
-    embedded, t_assoc = association_head(model.assoc, pts_a2, feats_a2, pts_b2,
-                                         feats_b2, capture=capture)
-    pts_a3, feats_a3, t_sa3 = abstract(model.sa3, pts_a2, embedded)
+    assoc = AssociationSpec(config.k, config.fusion, model.assoc)
+    embedded, t_assoc = association_head(assoc, pts_a2, feats_a2, pts_b2, feats_b2,
+                                         capture=capture)
+    pts_a3, feats_a3, t_sa3 = abstract(config.sa3, model.sa3, pts_a2, embedded)
     up2, t_fp1 = fp_layer(pts_a2, pts_a3, feats_a3, None, model.fp1, capture=capture)
     up1, t_fp2 = fp_layer(pts_a1, pts_a2, up2, feats_a1, model.fp2, capture=capture)
     up0, t_fp3 = fp_layer(pts_a0, pts_a1, up1, None, model.fp3, capture=capture)

@@ -394,11 +394,15 @@ def test_ball_query_finds_points_where_the_cell_key_wraps():
 
 
 def test_rank_pairs_refuses_a_key_past_int64():
-    # The key (row * distinct + rank) * n + cand stays below q * distinct * n.
+    # The key (row * distinct + rank) * n + cand stays below q * distinct * n:
+    # with 2 queries and 2 distinct distances, n = 2**60 fits and 2**61 does
+    # not.  The (q, cap) results stay small either way.
     row, dist, cand = np.array([0, 0, 1]), np.array([2.0, 1.0, 1.0]), np.array([0, 1, 0])
-    assert geom._rank_pairs(row, dist, cand, 2 ** 30, 2 ** 31).tolist() == [1, 0, 2]
+    order, valid = geom._rank_pairs(row, dist, cand, 2, 2 ** 60, 2)
+    assert order.tolist() == [[1, 0], [0, 0]]
+    assert valid.tolist() == [[True, True], [True, False]]
     with pytest.raises(ValueError, match="int64"):
-        geom._rank_pairs(row, dist, cand, 2 ** 31, 2 ** 31)
+        geom._rank_pairs(row, dist, cand, 2, 2 ** 61, 2)
 
 
 #: Radii equal to grid distances (so points lie exactly at the radius), a

@@ -98,7 +98,6 @@ def test_create_initializes_within_glorot_bound():
     bound = np.sqrt(6.0 / 30.0)
     assert np.all(np.abs(params.weights[0]) <= bound)
     assert np.all(params.biases[0] == 0.0)
-    assert params.widths == [10, 20]
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,19 @@ def test_nearest_matches_lexsort_reference_on_tied_grid():
 # set abstraction
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("sample_count, radius, cap, message", [
+    (0, 1.0, 4, "sample_count"),
+    (1, 0.0, 4, "radius"),
+    (1, -1.0, 4, "radius"),
+    (1, float("nan"), 4, "radius"),
+    (1, 1.0, 0, "neighbor_cap"),
+])
+def test_sa_spec_rejects_bad_hyperparameters(sample_count, radius, cap, message):
+    mlp = DenseParams.create([3, 2], np.random.default_rng(0))
+    with pytest.raises(ValueError, match=message):
+        SaLayerSpec(sample_count, radius, cap, mlp)
+
+
 def test_sa_single_point_uses_itself():
     rng = np.random.default_rng(0)
     spec = make_sa_spec(rng, feat_width=2, sample_count=1)

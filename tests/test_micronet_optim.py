@@ -61,25 +61,26 @@ def test_adam_validates_shapes_and_keys():
 
 def test_clr_bounds_and_midpoints():
     cycle = 80
-    assert clr_schedule(0, cycle) == pytest.approx(1e-4)
-    assert clr_schedule(cycle // 2, cycle) == pytest.approx(1e-3)
-    assert clr_schedule(cycle // 4, cycle) == pytest.approx(0.00055)
-    assert clr_schedule(3 * cycle // 4, cycle) == pytest.approx(0.00055)
-    assert clr_schedule(cycle, cycle) == pytest.approx(1e-4)
+    assert clr_schedule(0, cycle, 1e-4, 1e-3) == pytest.approx(1e-4)
+    assert clr_schedule(cycle // 2, cycle, 1e-4, 1e-3) == pytest.approx(1e-3)
+    assert clr_schedule(cycle // 4, cycle, 1e-4, 1e-3) == pytest.approx(0.00055)
+    assert clr_schedule(3 * cycle // 4, cycle, 1e-4, 1e-3) == pytest.approx(0.00055)
+    assert clr_schedule(cycle, cycle, 1e-4, 1e-3) == pytest.approx(1e-4)
 
 
 def test_clr_is_periodic():
     for step in range(0, 33):
-        assert clr_schedule(step, 16) == pytest.approx(clr_schedule(step + 16, 16))
+        assert clr_schedule(step, 16, 1e-4, 1e-3) == \
+            pytest.approx(clr_schedule(step + 16, 16, 1e-4, 1e-3))
 
 
 def test_clr_validates_cycle():
     with pytest.raises(ValueError):
-        clr_schedule(0, 7)
+        clr_schedule(0, 7, 1e-4, 1e-3)
     with pytest.raises(ValueError):
-        clr_schedule(0, 0)
+        clr_schedule(0, 0, 1e-4, 1e-3)
     with pytest.raises(ValueError):
-        clr_schedule(-1, 8)
+        clr_schedule(-1, 8, 1e-4, 1e-3)
 
 
 # ---------------------------------------------------------------------------

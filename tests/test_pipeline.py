@@ -231,6 +231,33 @@ def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
         PipelineConfig.from_dict({**TINY.to_dict(), name: value})
 
 
+@pytest.mark.parametrize("sample, radius, cap", [
+    (0, 1.0, 8), (16, 0.0, 8), (16, -1.0, 8), (16, float("nan"), 8), (16, 1.0, 0),
+])
+def test_config_rejects_a_bad_set_abstraction_level(sample, radius, cap):
+    # A NaN radius used to pass until ball_query met it in the first forward pass.
+    with pytest.raises(ValueError, match="set abstraction needs"):
+        SaConfig(sample, radius, cap, (8, 8))
+    level = {"sample": sample, "radius": radius, "cap": cap, "widths": (8, 8)}
+    with pytest.raises(ValueError, match="set abstraction needs"):
+        PipelineConfig.from_dict({**TINY.to_dict(), "sa2": level})
+
+
+def test_probability_filter_keeps_the_most_probable_with_ties_to_the_lower_index():
+    cloud = PointCloud(np.zeros((6, 3)))
+    probs = [0.5, 0.9, 0.5, 0.9, 0.0, 0.5]
+    assert pipeline.probability_filter(cloud, probs, 3).tolist() == [0, 1, 3]
+    assert pipeline.probability_filter(cloud, probs, 4).tolist() == [0, 1, 2, 3]
+    assert pipeline.probability_filter(cloud, probs, 9).tolist() == [0, 1, 2, 3, 4, 5]
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        probs = rng.integers(0, 4, size=30) / 3.0
+        keep = int(rng.integers(1, 31))
+        expected = sorted(sorted(range(30), key=lambda i: (-probs[i], i))[:keep])
+        assert pipeline.probability_filter(PointCloud(np.zeros((30, 3))), probs,
+                                           keep).tolist() == expected
+
+
 @pytest.mark.parametrize("levels, message", [
     ({"center_sigma": -0.1}, "sigmas"),
     ({"yaw_sigma": -1.0}, "sigmas"),
@@ -383,8 +410,10 @@ def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
 
 
 def print_golden_diffs(path: Path, actual: dict[str, np.ndarray]) -> None:
-    """Print, per array, the max |actual - pinned| and the max relative diff
-    |actual - pinned| / |pinned| (inf where a pinned zero changed)."""
+    """Print, per array, whether it is byte-identical to the pinned one (same
+    dtype, shape and bytes), and if not the max |actual - pinned| and the max
+    relative diff |actual - pinned| / |pinned| (inf where a pinned zero
+    changed).  A zero diff alone would hide a +0.0 -> -0.0 flip."""
     if not path.exists():
         print(f"{path.name}: no pinned file")
         return
@@ -393,14 +422,18 @@ def print_golden_diffs(path: Path, actual: dict[str, np.ndarray]) -> None:
         if key not in actual or key not in pinned.files:
             print(f"{path.name} {key}: only in the {'new' if key in actual else 'pinned'} outputs")
             continue
-        new, old = np.asarray(actual[key], dtype=float), pinned[key].astype(float)
+        new, old = np.asarray(actual[key]), pinned[key]
+        if (new.dtype, new.shape) == (old.dtype, old.shape) and new.tobytes() == old.tobytes():
+            print(f"{path.name} {key}: byte-identical")
+            continue
         if new.shape != old.shape:
             print(f"{path.name} {key}: shape {old.shape} -> {new.shape}")
             continue
-        diff = np.abs(new - old)
+        diff = np.abs(new.astype(float) - old.astype(float))
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = np.where(diff == 0.0, 0.0, diff / np.abs(old))
-        print(f"{path.name} {key}: max |diff| {diff.max(initial=0.0):.3g}, "
+        print(f"{path.name} {key}: {old.dtype} -> {new.dtype}, "
+              f"max |diff| {diff.max(initial=0.0):.3g}, "
               f"max rel diff {rel.max(initial=0.0):.3g}")
 
 
