@@ -7,8 +7,9 @@ parameter gradients plus the input gradient.  The tape returns those
 parameter gradients as a DenseGrads, which checks nothing: a NaN input
 reaches them as NaN, and whoever applies them decides what a non-finite
 gradient means.  ``DenseGrads.add_`` sums the gradients of a layer that two
-streams share.  ``DenseTape.rows`` restricts a tape to the rows that receive
-gradient, such as the winners of a max-pool.
+streams share.  A tape's ``inputs`` are the captured input of each layer; a
+tape built from some of their rows runs the backward pass of those rows
+alone, as the association head does for the winners of its max-pool.
 
 Each layer adds its bias and applies its ReLU in place on its GEMM's output,
 so it allocates one array of its output's size.  The ReLU maps NaN to 0, so
@@ -86,17 +87,9 @@ class DenseGrads:
 class DenseTape:
     """Captured forward state of dense_apply; replays the exact backward pass."""
 
-    def __init__(self, params: DenseParams, layer_inputs: list[np.ndarray]):
+    def __init__(self, params: DenseParams, inputs: list[np.ndarray]):
         self._params = params
-        self._inputs = layer_inputs
-
-    def rows(self, index: np.ndarray) -> "DenseTape":
-        """The tape of the same chain over rows `index` of the captured batch.
-
-        Its backward pass equals the full one with zero output gradient on
-        every other row, up to summation order in the parameter gradients.
-        """
-        return DenseTape(self._params, [x[index] for x in self._inputs])
+        self.inputs = inputs            # the input of each layer, row for row
 
     def backward(self, grad_out: np.ndarray) -> tuple[DenseGrads, np.ndarray]:
         """Map d(loss)/d(output) to (parameter gradients, d(loss)/d(input))."""
@@ -105,11 +98,11 @@ class DenseTape:
         grads_b = [None] * len(self._params.biases)
         g = grad_out
         for i in range(len(self._params.weights) - 1, -1, -1):
-            grads_w[i] = self._inputs[i].T @ g
+            grads_w[i] = self.inputs[i].T @ g
             grads_b[i] = g.sum(axis=0)
             g = g @ self._params.weights[i].T
             if i > 0:
-                np.multiply(g, self._inputs[i] > 0.0, out=g)
+                np.multiply(g, self.inputs[i] > 0.0, out=g)
         return DenseGrads(grads_w, grads_b), g
 
 

@@ -30,9 +30,28 @@ The association head's dot and cosine fusions never gather frame-B
 features: they read one (na, nb) GEMM of the two frames' features at each
 point's k neighbours, and one norm per point.  Their backward pass is two
 GEMMs against the (na, nb) matrix of per-pair gradient weights.  Concat and
-elementwise-product fusion gather (na, k, c) frame-B features.  The head's
-MLP backward runs on the rows that win some pooled channel only: a row that
-wins no channel gets no gradient.
+elementwise-product fusion gather frame-B features a block at a time.  With
+capture the head keeps the layer inputs of the rows that win some pooled
+channel, and only those: its MLP backward runs on them alone, since a row
+that wins no channel gets no gradient.
+
+The association head and feature propagation's interpolation build one row
+per (point, neighbour) pair, and never all of them at once.  ``_blocks``
+splits the points into the fewest blocks of at most ``_BLOCK_ROWS`` such
+rows, sized evenly so that no block is a small remainder.  The head builds,
+runs through its MLP and max-pools one block of whole frame-A points at a
+time, its rows slot-major (slot 0 of every point, then slot 1, ...) so that
+each slot the pool folds is one contiguous array.  FP gathers and
+interpolates one block of targets at a time into its output.
+
+Blocking changes no output bit.  Interpolation is an einsum, which sums each
+target's neighbours in the same order at any block size.  A GEMM split by
+rows returns the same bits only where BLAS computes a row the same way in a
+short call as in a long one.  With OpenBLAS that held for 32- to 256-wide
+layers in blocks of 64 rows or more (the paper-scale head runs 1024-row
+blocks), but not for 1- or 7-row blocks, nor for a 3-wide layer at any block
+size.  So FP's later layers and the dense head stay whole, and a desk-scale
+head (64 points, k = 16) is one block.
 
 Set abstraction and the association head max-pool with one helper,
 ``_max_pool``.  It folds a group's slots, neighbour by neighbour, into the
@@ -54,11 +73,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geom import PointCloud, ball_query, farthest_point_sample, nearest
-from .dense import DenseGrads, DenseParams, dense_apply
+from .dense import DenseGrads, DenseParams, DenseTape, dense_apply
 
 FUSION_METHODS = ("concat", "elementwise_product", "cosine_distance", "dot_product")
 
 _COSINE_EPS = 1e-10
+
+#: Rows of a neighbour-gathered array, one per (point, neighbour) pair, that
+#: the association head and feature propagation build at once.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(eq=False)
@@ -134,6 +157,14 @@ def _max_pool(slot, depth: int, capture: bool):
             hit |= np.isnan(x)
         np.copyto(winner[:len(x)], s, where=hit)
     return pooled, winner
+
+
+def _blocks(n: int, width: int) -> list[slice]:
+    """range(n) in the fewest blocks of at most _BLOCK_ROWS // width items
+    (at least one), sized evenly: block sizes differ by at most one."""
+    count = max(1, -(-n // max(1, _BLOCK_ROWS // width)))
+    bounds = np.arange(count + 1) * n // count
+    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -285,7 +316,10 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
     w = 1.0 / (near + 1e-10)
     w = w / w.sum(axis=1, keepdims=True)
     w0 = mlp.weights[0]
-    z = np.einsum("tk,tkc->tc", w, (source_feats @ w0[:c_s])[order])
+    proj = source_feats @ w0[:c_s]
+    z = np.empty((len(target_points), proj.shape[1]))
+    for t in _blocks(len(z), kk):
+        np.einsum("tk,tkc->tc", w[t], proj[order[t]], out=z[t])
     if skip_feats is not None:
         z += skip_feats @ w0[c_s:]
     z += mlp.biases[0]
@@ -304,12 +338,13 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
 
 
 class AssociationTape:
-    def __init__(self, spec, order, argmax, dense_tape, feats_a, feats_b, fused_width,
-                 dots):
+    def __init__(self, spec, order, argmax, rows, dense_tape, feats_a, feats_b,
+                 fused_width, dots):
         self.spec = spec
         self.order = order              # (na, k) frame-B neighbour indices
         self.argmax = argmax            # (na, c_out) slot holding each pooled max
-        self.dense_tape = dense_tape    # over all na * k rows
+        self.rows = rows                # (r,) ascending flat (point, slot) rows that win
+        self.dense_tape = dense_tape    # over those rows only
         self.feats_a = feats_a          # (na, c)
         self.feats_b = feats_b          # (nb, c)
         self.fused_width = fused_width
@@ -321,17 +356,14 @@ class AssociationTape:
         c_out = self.argmax.shape[1]
         # A row that holds no channel's max gets no gradient, so the MLP
         # backward runs on the winning rows alone.
-        win = np.arange(na)[:, None] * k + self.argmax
-        won = np.zeros(na * k, dtype=bool)
-        won[win] = True
-        rows = np.flatnonzero(won)
         slot = np.empty(na * k, dtype=np.intp)
-        slot[rows] = np.arange(rows.size)
-        gy = np.zeros((rows.size, c_out))
+        slot[self.rows] = np.arange(self.rows.size)
+        win = np.arange(na)[:, None] * k + self.argmax
+        gy = np.zeros((self.rows.size, c_out))
         gy[slot[win], np.arange(c_out)] = np.asarray(grad_emb, dtype=float)
-        mlp_grads, ginp = self.dense_tape.rows(rows).backward(gy)
+        mlp_grads, ginp = self.dense_tape.backward(gy)
         gfused = np.zeros((na * k, self.fused_width))
-        gfused[rows] = ginp[:, :self.fused_width]
+        gfused[self.rows] = ginp[:, :self.fused_width]
         gfused = gfused.reshape(na, k, -1)
 
         fa, fb = self.feats_a, self.feats_b
@@ -406,25 +438,49 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
                          f"fusion {spec.fusion!r} provides {fwidth + 3}")
 
     order, _ = nearest(points_a, points_b, spec.k)
-    disp = points_b[order] - points_a[:, None, :]
-    dots = None
-    if spec.fusion == "concat":
-        fb = feats_b[order]
-        fused = np.concatenate([np.broadcast_to(feats_a[:, None, :], fb.shape), fb], axis=2)
-    elif spec.fusion == "elementwise_product":
-        fused = feats_a[:, None, :] * feats_b[order]
-    else:  # dot_product, cosine_distance
+    na, k = order.shape
+    dots = sim = None
+    if spec.fusion in ("dot_product", "cosine_distance"):
         dots = np.take_along_axis(feats_a @ feats_b.T, order, axis=1)
         sim = dots / _cosine_norms(feats_a, feats_b, order)[2] \
             if spec.fusion == "cosine_distance" else dots
-        fused = sim[:, :, None]
 
-    group_in = np.concatenate([fused, disp], axis=2)
-    na, k = order.shape
-    out, dtape = dense_apply(spec.mlp, group_in.reshape(na * k, -1), capture=capture)
-    out = out.reshape(na, k, -1)
-    embedded, argmax = _max_pool(lambda j: out[:, j], k, capture)
+    def group_in(a: slice) -> np.ndarray:
+        """MLP input rows of frame-A points a, slot-major: slot 0 of each
+        point, then slot 1, and so on."""
+        near = order[a].T
+        if spec.fusion == "concat":
+            fb = feats_b[near]
+            fused = np.concatenate([np.broadcast_to(feats_a[a], fb.shape), fb], axis=2)
+        elif spec.fusion == "elementwise_product":
+            fused = feats_a[a] * feats_b[near]
+        else:
+            fused = sim[a].T[:, :, None]
+        disp = points_b[near] - points_a[a]
+        return np.concatenate([fused, disp], axis=2).reshape(-1, fwidth + 3)
+
+    embedded = np.empty((na, spec.mlp.out_width))
+    argmax = np.empty(embedded.shape, dtype=np.intp)
+    rows, kept = [], []
+    for a in _blocks(na, k):
+        out, dtape = dense_apply(spec.mlp, group_in(a), capture=capture)
+        out = out.reshape(k, -1, out.shape[1])
+        pooled, slot = _max_pool(lambda j: out[j], k, capture)
+        embedded[a] = pooled
+        if capture:
+            argmax[a] = slot
+            # Keep the layer inputs of the rows that win some channel, the
+            # only rows the backward pass reads, point-major: point i's slot
+            # j is row i * k + j there and row j * n + i in the block.
+            n = len(pooled)
+            won = np.zeros((n, k), dtype=bool)
+            won[np.arange(n)[:, None], slot] = True
+            r = np.flatnonzero(won)
+            rows.append(a.start * k + r)
+            kept.append([x[r % k * n + r // k] for x in dtape.inputs])
     tape = None
     if capture:
-        tape = AssociationTape(spec, order, argmax, dtape, feats_a, feats_b, fwidth, dots)
+        dtape = DenseTape(spec.mlp, [np.concatenate(x) for x in zip(*kept)])
+        tape = AssociationTape(spec, order, argmax, np.concatenate(rows), dtape,
+                               feats_a, feats_b, fwidth, dots)
     return embedded, tape

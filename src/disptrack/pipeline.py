@@ -149,6 +149,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_input", "n_filtered"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.n_filtered > self.n_input:
             raise ValueError("n_filtered must not exceed n_input")
         if self.k < 1:
@@ -200,6 +203,8 @@ def probability_filter(cloud: PointCloud, probs, n_filtered: int) -> np.ndarray:
     probs = np.asarray(probs, dtype=float).ravel()
     if probs.shape[0] != len(cloud):
         raise ValueError("probability vector must match the cloud length")
+    if n_filtered < 0:
+        raise ValueError(f"n_filtered must not be negative, got {n_filtered}")
     keep = min(int(n_filtered), probs.shape[0])
     return np.sort(np.argsort(-probs, kind="stable")[:keep])
 

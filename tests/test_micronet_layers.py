@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,42 @@ def test_fp_requires_sources_and_matching_widths():
         fp_layer(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros((3, 3)), None, mlp)
 
 
+def unblocked_fp_layer(target_points, source_points, source_feats, skip_feats, mlp):
+    """fp_layer's forward pass with the whole (t, kk, c) gather interpolated
+    by one einsum.  Returns the target features."""
+    order, near = nearest(target_points, source_points, min(3, len(source_points)))
+    w = 1.0 / (near + 1e-10)
+    w = w / w.sum(axis=1, keepdims=True)
+    c_s = source_feats.shape[1]
+    z = np.einsum("tk,tkc->tc", w, (source_feats @ mlp.weights[0][:c_s])[order])
+    if skip_feats is not None:
+        z += skip_feats @ mlp.weights[0][c_s:]
+    z += mlp.biases[0]
+    if len(mlp.weights) == 1:
+        return z
+    return dense_apply(DenseParams(mlp.weights[1:], mlp.biases[1:]), np.fmax(z, 0.0))[0]
+
+
+@pytest.mark.parametrize("block_rows, n_target, n_source, skip_width", [
+    (1024, 700, 40, 2),    # at most 341 targets a block: 233, 233, 234
+    (1024, 700, 2, None),  # two neighbours per target: two blocks of 350
+    (7, 11, 9, 2),         # at most two targets a block: 1, 2, 2, 2, 2, 2
+    (1, 5, 9, None),       # one target a block
+])
+def test_fp_blocked_interpolation_equals_unblocked_bit_for_bit(
+        monkeypatch, block_rows, n_target, n_source, skip_width):
+    monkeypatch.setattr(layers_module, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(20)
+    src = rng.uniform(-1, 1, size=(n_source, 3))
+    tgt = rng.uniform(-1, 1, size=(n_target, 3))
+    src_feats = rng.normal(size=(n_source, 6))
+    skip = None if skip_width is None else rng.normal(size=(n_target, skip_width))
+    mlp = DenseParams.create([6 + (skip_width or 0), 8, 5], rng)
+    out, _ = fp_layer(tgt, src, src_feats, skip, mlp, capture=True)
+    want = unblocked_fp_layer(tgt, src, src_feats, skip, mlp)
+    assert out.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # association head
 # ---------------------------------------------------------------------------
@@ -413,7 +451,7 @@ def test_assoc_identical_frames_zero_displacement():
     feats = rng.normal(size=(6, 2))
     _, tape = association_head(spec, pts, feats, pts, feats, capture=True)
     # One MLP input row per (point, neighbour): [f_a, f_b, p_b - p_a].
-    rows = tape.dense_tape._inputs[0]
+    rows = tape.dense_tape.inputs[0]
     assert np.array_equal(rows[:, :4], np.hstack([feats, feats]))
     assert np.array_equal(rows[:, 4:], np.zeros((6, 3)))
 
@@ -424,7 +462,7 @@ def test_assoc_cosine_identical_features_is_one():
     pts = np.array([[0.0, 0.0, 0.0]])
     feats = np.array([[1.0, 2.0, -1.0]])
     _, tape = association_head(spec, pts, feats, pts, feats, capture=True)
-    fused = tape.dense_tape._inputs[0][0, 0]
+    fused = tape.dense_tape.inputs[0][0, 0]
     assert fused == pytest.approx(1.0, abs=1e-9)
 
 
@@ -435,7 +473,7 @@ def test_assoc_dot_orthogonal_features_is_zero():
     fa = np.array([[1.0, 0.0]])
     fb = np.array([[0.0, 5.0]])
     _, tape = association_head(spec, pts, fa, pts, fb, capture=True)
-    assert tape.dense_tape._inputs[0][0, 0] == 0.0
+    assert tape.dense_tape.inputs[0][0, 0] == 0.0
 
 
 def test_assoc_output_is_local_to_knn_neighbourhood():
@@ -610,7 +648,9 @@ def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion, monkey
         plain, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
         tape.backward(rng.normal(size=(5, 5)))
     assert np.array_equal(plain, embedded, equal_nan=True)
-    slot = assert_pool_follows_argmax(outputs[0], np.full(5, 4), embedded, tape.argmax)
+    # The head's MLP rows run slot-major; the check reads them point by point.
+    by_point = outputs[0].reshape(4, 5, -1).swapaxes(0, 1).reshape(20, -1)
+    slot = assert_pool_follows_argmax(by_point, np.full(5, 4), embedded, tape.argmax)
     assert np.isnan(embedded[0, 1:]).any() and (slot[0][np.isnan(embedded[0])] == 1).all()
 
 
@@ -623,3 +663,172 @@ def test_assoc_rejects_oversized_k_and_mismatched_widths():
         association_head(spec, pts, feats, pts, feats)
     with pytest.raises(ValueError):
         AssociationSpec(2, "butterfly", spec.mlp)
+
+
+def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_emb):
+    """The association head as one MLP call over all na * k rows, pooled at
+    once, with its backward pass on the full MLP tape: zero output gradient
+    on every row that holds no channel's max.  Returns (embedded, winning
+    slots (na, c_out), MLP gradients, MLP input gradient (na * k, width),
+    frame-A and frame-B feature gradients)."""
+    order, _ = nearest(points_a, points_b, spec.k)
+    na, k = order.shape
+    nb, c = feats_b.shape
+    dots = None
+    if spec.fusion == "concat":
+        fb = feats_b[order]
+        fused = np.concatenate([np.broadcast_to(feats_a[:, None, :], fb.shape), fb], axis=2)
+    elif spec.fusion == "elementwise_product":
+        fused = feats_a[:, None, :] * feats_b[order]
+    else:
+        dots = np.take_along_axis(feats_a @ feats_b.T, order, axis=1)
+        norm_a, norm_b, denom = layers_module._cosine_norms(feats_a, feats_b, order)
+        fused = (dots / denom if spec.fusion == "cosine_distance" else dots)[:, :, None]
+    x = np.concatenate([fused, points_b[order] - points_a[:, None, :]], axis=2)
+    out, tape = dense_apply(spec.mlp, x.reshape(na * k, -1), capture=True)
+    out = out.reshape(na, k, -1)
+    argmax = out.argmax(axis=1)
+    embedded = np.take_along_axis(out, argmax[:, None, :], axis=1)[:, 0, :]
+    gy = np.zeros_like(out)
+    np.put_along_axis(gy, argmax[:, None, :], grad_emb[:, None, :], axis=1)
+    mlp_grads, ginp = tape.backward(gy.reshape(na * k, -1))
+    g = ginp.reshape(na, k, -1)[:, :, :fused.shape[2]]
+    scatter = layers_module._scatter_add
+    if spec.fusion == "concat":
+        return (embedded, argmax, mlp_grads, ginp, g[:, :, :c].sum(axis=1),
+                scatter(order, g[:, :, c:], nb))
+    if spec.fusion == "elementwise_product":
+        return (embedded, argmax, mlp_grads, ginp, (g * feats_b[order]).sum(axis=1),
+                scatter(order, g * feats_a[:, None, :], nb))
+    w = g[:, :, 0]
+    if spec.fusion == "cosine_distance":
+        w = w / denom
+        t = w * dots / denom
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c_a = np.where(norm_a > 0.0, (t * norm_b).sum(axis=1) / norm_a, 0.0)
+            c_b = scatter(order, np.where(norm_b > 0.0, t * norm_a[:, None] / norm_b,
+                                          0.0)[:, :, None], nb)[:, 0]
+    weights = np.zeros((na, nb))
+    np.put_along_axis(weights, order, w, axis=1)
+    grad_fa, grad_fb = weights @ feats_b, weights.T @ feats_a
+    if spec.fusion == "cosine_distance":
+        grad_fa -= c_a[:, None] * feats_a
+        grad_fb -= c_b[:, None] * feats_b
+    return embedded, argmax, mlp_grads, ginp, grad_fa, grad_fb
+
+
+def assert_close(got, want):
+    """Equal shapes, and equal to 1e-12 of want's largest magnitude."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
+def blocked_head_case(monkeypatch, fusion, block_rows, duplicates):
+    """A 23-point frame A against 16 frame-B points, k=4, with _BLOCK_ROWS
+    set to block_rows; with duplicates frame B is 8 points twice over."""
+    monkeypatch.setattr(layers_module, "_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(21)
+    pts_b = rng.uniform(-2, 2, size=(16, 3))
+    feats_b = rng.normal(size=(16, 5))
+    if duplicates:
+        pts_b[8:], feats_b[8:] = pts_b[:8], feats_b[:8]
+    pts_a = rng.uniform(-2, 2, size=(23, 3))
+    feats_a = rng.normal(size=(23, 5))
+    spec = make_assoc_spec(rng, fusion, feat_width=5, k=4, widths=(8, 6))
+    return spec, pts_a, feats_a, pts_b, feats_b, rng.normal(size=(23, 6))
+
+
+# 1024 rows: one block; 24: four blocks of 5 or 6 points; 4: one point each.
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("block_rows", [1024, 24, 4])
+@pytest.mark.parametrize("fusion", FUSION_METHODS)
+def test_assoc_blocked_head_matches_unblocked_reference(monkeypatch, fusion, block_rows,
+                                                        duplicates):
+    spec, pts_a, feats_a, pts_b, feats_b, grad = blocked_head_case(
+        monkeypatch, fusion, block_rows, duplicates)
+    embedded, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
+    plain, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
+    assert np.array_equal(plain, embedded)
+    mlp_grads, grad_fa, grad_fb = tape.backward(grad)
+    ref_embedded, ref_argmax, ref_mlp, _, ref_fa, ref_fb = unblocked_association_head(
+        spec, pts_a, feats_a, pts_b, feats_b, grad)
+    assert np.array_equal(tape.argmax, ref_argmax)
+    for got, want in zip([embedded, grad_fa, grad_fb, *mlp_grads.weights, *mlp_grads.biases],
+                         [ref_embedded, ref_fa, ref_fb, *ref_mlp.weights, *ref_mlp.biases]):
+        assert_close(got, want)
+    if duplicates:
+        # Every slot tie goes to the lower-index copy, in every block.
+        assert not grad_fb[8:].any() and grad_fb[:8].any()
+
+
+@pytest.mark.parametrize("block_rows", [1024, 24, 4])
+def test_assoc_winner_tape_matches_full_backward_with_zero_gradient_elsewhere(
+        monkeypatch, block_rows):
+    spec, pts_a, feats_a, pts_b, feats_b, grad = blocked_head_case(
+        monkeypatch, "concat", block_rows, duplicates=True)
+    _, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
+    _, argmax, want_params, want_input, _, _ = unblocked_association_head(
+        spec, pts_a, feats_a, pts_b, feats_b, grad)
+    # The tape keeps the MLP inputs of the rows that win some channel, and
+    # only those, in row order.
+    na, k = 23, spec.k
+    won = np.zeros(na * k, dtype=bool)
+    won[np.arange(na)[:, None] * k + argmax] = True
+    assert np.array_equal(tape.rows, np.flatnonzero(won)) and not won.all()
+    gy = np.zeros((tape.rows.size, grad.shape[1]))
+    slot = np.searchsorted(tape.rows, np.arange(na)[:, None] * k + argmax)
+    gy[slot, np.arange(grad.shape[1])] = grad
+    got_params, got_input = tape.dense_tape.backward(gy)
+    assert_close(got_input, want_input[tape.rows])
+    assert not want_input[~won].any()
+    for got, want in zip(got_params.weights + got_params.biases,
+                         want_params.weights + want_params.biases):
+        assert_close(got, want)
+
+
+@pytest.mark.parametrize("n, width, block_rows, sizes", [
+    (512, 64, 1024, [16] * 32),
+    (23, 4, 24, [5, 6, 6, 6]),
+    (10, 4, 12, [2, 3, 2, 3]),
+    (3, 4, 2, [1, 1, 1]),
+    (0, 4, 1024, [0]),
+])
+def test_blocks_split_evenly_within_the_row_budget(monkeypatch, n, width, block_rows, sizes):
+    monkeypatch.setattr(layers_module, "_BLOCK_ROWS", block_rows)
+    blocks = layers_module._blocks(n, width)
+    assert [b.stop - b.start for b in blocks] == sizes
+    assert blocks[0].start == 0 and blocks[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_paper_shaped_assoc_forward_never_holds_a_full_activation():
+    # na = nb = 512, k = 64, 128 channels: one (na * k, 128) activation is
+    # 33.5 MB, and the unblocked head held two of them at once.
+    rng = np.random.default_rng(22)
+    spec = AssociationSpec(64, "cosine_distance", DenseParams.create([4, 128, 128], rng))
+    pts_a, pts_b = rng.uniform(-10, 10, size=(2, 512, 3))
+    feats_a, feats_b = rng.normal(size=(2, 512, 128))
+    activation = 512 * 64 * 128 * 8
+    peak = traced_peak(association_head, spec, pts_a, feats_a, pts_b, feats_b)
+    assert peak < activation / 2, peak / activation
+
+
+def test_paper_shaped_fp_forward_never_holds_the_full_gather():
+    # 5000 targets, 2048 sources, 256 channels: the (5000, 3, 256) gather of
+    # projected source features is 30.7 MB.
+    rng = np.random.default_rng(23)
+    mlp = DenseParams.create([256, 256], rng)
+    tgt, src = rng.uniform(-10, 10, size=(5000, 3)), rng.uniform(-10, 10, size=(2048, 3))
+    src_feats = rng.normal(size=(2048, 256))
+    gather = 5000 * 3 * 256 * 8
+    peak = traced_peak(fp_layer, tgt, src, src_feats, None, mlp)
+    assert peak < 0.75 * gather, peak / gather

@@ -243,6 +243,27 @@ def test_config_rejects_a_bad_set_abstraction_level(sample, radius, cap):
         PipelineConfig.from_dict({**TINY.to_dict(), "sa2": level})
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"n_filtered": -3}, "^n_filtered must be at least 1"),
+    ({"n_filtered": 0}, "^n_filtered must be at least 1"),
+    ({"n_input": 0, "n_filtered": 0}, "^n_input must be at least 1"),
+    ({"n_input": -5, "n_filtered": -10}, "^n_input must be at least 1"),
+])
+def test_config_rejects_point_counts_below_one(counts, message):
+    # Before the check, only n_filtered > n_input was caught, so these built.
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig(**counts)
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig.from_dict({**TINY.to_dict(), **counts})
+
+
+def test_probability_filter_rejects_a_negative_count():
+    # order[:-3] used to drop the last three points instead of failing.
+    cloud = PointCloud(np.zeros((6, 3)))
+    with pytest.raises(ValueError, match="n_filtered must not be negative, got -3"):
+        pipeline.probability_filter(cloud, np.full(6, 0.5), -3)
+    assert pipeline.probability_filter(cloud, np.full(6, 0.5), 0).tolist() == []
+
 def test_probability_filter_keeps_the_most_probable_with_ties_to_the_lower_index():
     cloud = PointCloud(np.zeros((6, 3)))
     probs = [0.5, 0.9, 0.5, 0.9, 0.0, 0.5]
