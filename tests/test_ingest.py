@@ -7,76 +7,9 @@ from disptrack.ingest import (
     SceneConfig,
     Sequence,
     apply_displacement_augmentation,
-    format_kitti_labels,
     label_targets,
-    parse_kitti_labels,
     synthesize_sequence,
 )
-
-
-# ---------------------------------------------------------------------------
-# label parsing
-# ---------------------------------------------------------------------------
-
-SAMPLE_LINE = "0 2 Car 0 0 -1.57 0 0 50 50 1.5 1.6 3.9 5.0 1.0 10.0 -1.57"
-
-
-def test_parse_single_line():
-    frames = parse_kitti_labels(SAMPLE_LINE)
-    assert len(frames) == 1 and frames[0].frame_index == 0
-    box = frames[0].boxes[0]
-    assert box.track_id == 2
-    assert np.allclose(box.size, (3.9, 1.6, 1.5))   # (l, w, h)
-    assert np.allclose(box.center, (5.0, 1.0, 10.0))
-    assert box.yaw == pytest.approx(-1.57)
-    assert box.class_id == 0
-
-
-def test_parse_empty_file():
-    assert parse_kitti_labels("") == []
-    assert parse_kitti_labels("\n\n") == []
-
-
-def test_parse_dontcare_excluded():
-    text = SAMPLE_LINE + "\n0 -1 DontCare 0 0 0 0 0 0 0 1 1 1 0 0 0 0\n"
-    frames = parse_kitti_labels(text)
-    assert len(frames[0].boxes) == 1
-
-
-def test_parse_malformed_line_names_line_number():
-    text = SAMPLE_LINE + "\n0 3 Car 1 2 3\n"
-    with pytest.raises(ValueError, match="line 2"):
-        parse_kitti_labels(text)
-    with pytest.raises(ValueError, match="line 1"):
-        parse_kitti_labels("0 x Car 0 0 0 0 0 0 0 1 1 1 0 0 0 0")
-
-
-def test_parse_unknown_type_skipped_with_warning(caplog):
-    text = SAMPLE_LINE + "\n1 4 Unicorn 0 0 0 0 0 0 0 1 1 1 0 0 0 0\n"
-    with caplog.at_level("WARNING", logger="disptrack.ingest"):
-        frames = parse_kitti_labels(text)
-    assert len(frames) == 1
-    assert any("Unicorn" in rec.message or "unknown" in rec.message
-               for rec in caplog.records)
-
-
-def test_label_round_trip_lossless():
-    rng = np.random.default_rng(0)
-    frames = []
-    for f in range(3):
-        boxes = [Box3D(rng.uniform(-40, 40, 3), rng.uniform(0.5, 4, 3),
-                       rng.uniform(-np.pi, np.pi - 1e-9), class_id=int(rng.integers(0, 8)),
-                       track_id=t) for t in range(4)]
-        frames.append(FrameLabel(f, boxes))
-    back = parse_kitti_labels(format_kitti_labels(frames))
-    assert len(back) == 3
-    for orig, parsed in zip(frames, back):
-        assert parsed.frame_index == orig.frame_index
-        for bo, bp in zip(orig.boxes, parsed.boxes):
-            assert np.array_equal(bo.center, bp.center)
-            assert np.array_equal(bo.size, bp.size)
-            assert bo.yaw == bp.yaw
-            assert (bo.class_id, bo.track_id) == (bp.class_id, bp.track_id)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +68,11 @@ def test_synthesize_invalid_config():
 
 
 @pytest.mark.parametrize("field", ["noise_sigma", "velocity_min", "velocity_max",
-                                   "spawn_spacing"])
+                                   "spawn_spacing", "direction_change_every"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_synthesize_rejects_a_non_finite_or_negative_scalar(field, value):
+    # SceneConfig raises on construction.  A negative direction_change_every
+    # used to run as constant velocity.
     with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
         synthesize_sequence(SceneConfig(**{field: value}), seed=0)
 
@@ -201,6 +136,29 @@ def test_augmentation_points_move_with_box():
         # background untouched
         bg = ~np.any([points_in_box(cloud_orig, b) for b in label_orig.boxes], axis=0)
         assert np.array_equal(cloud_aug.points[bg], cloud_orig.points[bg])
+
+
+def test_augmentation_moves_a_point_in_overlapping_boxes_with_the_first_box():
+    # Two static, overlapping boxes; the first point lies inside both.
+    points = np.array([[0.5, 0.0, 0.0], [-0.8, 0.0, 0.0], [1.8, 0.0, 0.0]])
+    boxes = [Box3D((0, 0, 0), (2, 2, 2), 0.0, track_id=0),
+             Box3D((1, 0, 0), (2, 2, 2), 0.0, track_id=1)]
+    seq = Sequence([(PointCloud(points), FrameLabel(f, list(boxes))) for f in range(2)])
+    out = apply_displacement_augmentation(seq, 1.0, "fixed", seed=0)
+    (cloud_0, label_0), (cloud_1, label_1) = out.frames
+    shift_0, shift_1 = (label_1.boxes[i].center - boxes[i].center for i in range(2))
+    assert not np.allclose(shift_0, shift_1)
+
+    # Each point moves with the first box that contains it, and by nothing else.
+    assert np.allclose(cloud_1.points, points + [shift_0, shift_0, shift_1],
+                       rtol=0, atol=1e-12)
+    # Its target is that same box's motion, so the target carries every point
+    # onto its next position.
+    targets = label_targets(cloud_0, label_0, label_1)
+    assert targets.foreground_mask.all()
+    assert np.allclose(targets.displacement, [shift_0, shift_0, shift_1], rtol=0, atol=1e-12)
+    assert np.allclose(cloud_0.points + targets.displacement, cloud_1.points,
+                       rtol=0, atol=1e-12)
 
 
 def test_augmentation_shared_mode_moves_objects_together():

@@ -75,7 +75,7 @@ def golden_outputs() -> dict[str, np.ndarray]:
     out = {}
     for fusion in GOLDEN_FUSIONS:
         config = tiny_config(fusion=fusion)
-        model = pipeline.build_displacement_model(config, seed=0)
+        model = pipeline.build_displacement_model(config)
         field = predict(model, config, a, label_a, b, label_b)
         out[f"{fusion}/field.indices"] = field.point_indices
         out[f"{fusion}/field.vectors"] = field.vectors
@@ -83,7 +83,7 @@ def golden_outputs() -> dict[str, np.ndarray]:
         seen.clear()
         pipeline.adam_step = recording_adam_step
         try:
-            trained, _ = pipeline.train_association(seq, config, epochs=1, seed=0)
+            trained, _ = pipeline.train_association(seq, config, epochs=1)
         finally:
             pipeline.adam_step = original
         assert len(seen) == 1
@@ -145,7 +145,7 @@ def loss_closure(model, config, a, label_a, b, label_b):
 def test_whole_network_gradients_match_finite_differences(fusion):
     config = tiny_config(fusion=fusion)
     _, a, label_a, b, label_b = scene_pair()
-    model = pipeline.build_displacement_model(config, seed=1)
+    model = pipeline.build_displacement_model(tiny_config(fusion=fusion, seed=1))
     loss_fn = loss_closure(model, config, a, label_a, b, label_b)
     # Biases start at zero and background points enter sa1 as all-zero rows,
     # which puts ReLU pre-activations exactly on the kink; jitter every
@@ -166,9 +166,9 @@ def test_whole_network_gradients_match_finite_differences(fusion):
 
 def test_training_and_prediction_are_deterministic_per_seed():
     seq, a, label_a, b, label_b = scene_pair()
-    model_1, hist_1 = pipeline.train_association(seq, TINY, epochs=2, seed=5)
-    model_2, hist_2 = pipeline.train_association(seq, TINY, epochs=2, seed=5)
-    model_3, _ = pipeline.train_association(seq, TINY, epochs=2, seed=6)
+    model_1, hist_1 = pipeline.train_association(seq, tiny_config(seed=5), epochs=2)
+    model_2, hist_2 = pipeline.train_association(seq, tiny_config(seed=5), epochs=2)
+    model_3, _ = pipeline.train_association(seq, tiny_config(seed=6), epochs=2)
     assert hist_1.epoch_losses == hist_2.epoch_losses
     p1, p2, p3 = model_1.param_dict(), model_2.param_dict(), model_3.param_dict()
     assert all(np.array_equal(p1[k], p2[k]) for k in p1)
@@ -182,7 +182,7 @@ def test_training_and_prediction_are_deterministic_per_seed():
 
 def test_field_is_invariant_to_translating_the_scene():
     _, a, label_a, b, label_b = scene_pair()
-    model = pipeline.build_displacement_model(TINY, seed=0)
+    model = pipeline.build_displacement_model(TINY)
     offset = np.array([12.5, -7.25, 0.75])
 
     def shifted(cloud, label):
@@ -197,7 +197,7 @@ def test_field_is_invariant_to_translating_the_scene():
 
 def test_frame_without_detections_logs_a_warning(caplog):
     _, a, label_a, b, label_b = scene_pair()
-    model = pipeline.build_displacement_model(TINY, seed=0)
+    model = pipeline.build_displacement_model(TINY)
     det_b = pipeline.oracle_detector(b, label_b)
     empty_a = pipeline.Detections([], np.zeros(len(a)))
     with caplog.at_level(logging.WARNING, logger="disptrack.pipeline"):
@@ -305,7 +305,13 @@ def test_oracle_detector_dropout_and_false_positives():
     assert not dropped.point_mask_probs.any()
 
     spurious = pipeline.oracle_detector(a, label_a, pipeline.DetectorNoise(fp_rate=1.0))
-    assert [box.score for box in spurious.boxes] == [1.0, 1.0, 0.5, 0.5]
+    # False positives follow the survivors, one per label at fp_rate 1.
+    assert len(spurious.boxes) == 4
+    for box, label in zip(spurious.boxes[:2], label_a.boxes):
+        assert np.array_equal(box.center, label.center)
+        assert np.array_equal(box.size, label.size) and box.yaw == label.yaw
+    for box in spurious.boxes[2:]:
+        assert box.size.tolist() == [3.9, 1.6, 1.56]
     # Spurious boxes mark no points: the mask comes from the labels alone.
     assert np.array_equal(spurious.point_mask_probs, clean.point_mask_probs)
 
@@ -317,7 +323,7 @@ def test_oracle_detector_is_deterministic_per_seed():
 
     def detect(seed):
         det = pipeline.oracle_detector(a, label_a, noise, seed=seed)
-        boxes = [(*box.center, *box.size, box.yaw, box.score) for box in det.boxes]
+        boxes = [(*box.center, *box.size, box.yaw) for box in det.boxes]
         return det.point_mask_probs, boxes
 
     first, again, other = detect(4), detect(4), detect(5)
@@ -325,9 +331,9 @@ def test_oracle_detector_is_deterministic_per_seed():
     assert first[1] != other[1]
 
 
-def test_frame_emptied_by_ground_removal_raises_a_clear_error():
+def test_empty_frame_raises_a_clear_error():
     _, a, label_a, b, label_b = scene_pair()
-    model = pipeline.build_displacement_model(TINY, seed=0)
+    model = pipeline.build_displacement_model(TINY)
     no_points = PointCloud(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="no points remain after the probability filter"):
         predict(model, TINY, no_points, label_a, b, label_b)
@@ -335,14 +341,14 @@ def test_frame_emptied_by_ground_removal_raises_a_clear_error():
 
 def test_k_above_the_frame_b_point_count_raises_a_clear_error():
     _, a, label_a, b, label_b = scene_pair()
-    model = pipeline.build_displacement_model(TINY, seed=0)
+    model = pipeline.build_displacement_model(TINY)
     few_b = PointCloud(b.points[:5])
     with pytest.raises(ValueError, match="only 5 filtered frame-B points for k=8"):
         pipeline.predict_displacements(a, few_b, pipeline.oracle_detector(a, label_a),
                                        pipeline.Detections([], np.ones(5)), model, TINY)
     # sa2 leaves 16 frame-B points, fewer than the association head's k.
     config = tiny_config(k=20)
-    model = pipeline.build_displacement_model(config, seed=0)
+    model = pipeline.build_displacement_model(config)
     with pytest.raises(ValueError, match="only 16 abstracted frame-B points for k=20"):
         predict(model, config, a, label_a, b, label_b)
 
@@ -350,7 +356,7 @@ def test_k_above_the_frame_b_point_count_raises_a_clear_error():
 def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
     seq, a, label_a, b, label_b = scene_pair()
     config = tiny_config(fusion="concat", seed=4)
-    model, _ = pipeline.train_association(seq, config, epochs=1, seed=9)
+    model, _ = pipeline.train_association(seq, config, epochs=1)
     path = tmp_path / "model.json"
     pipeline.save_displacement_model(path, model, config)
     loaded, loaded_config = pipeline.load_displacement_model(path)
@@ -365,7 +371,7 @@ def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
 
 
 def test_load_rejects_a_non_finite_checkpoint(tmp_path):
-    model = pipeline.build_displacement_model(TINY, seed=0)
+    model = pipeline.build_displacement_model(TINY)
     model.head.weights[0][0, 0] = np.nan
     path = tmp_path / "model.json"
     pipeline.save_displacement_model(path, model, TINY)
@@ -374,7 +380,7 @@ def test_load_rejects_a_non_finite_checkpoint(tmp_path):
 
 
 def test_load_param_dict_rejects_bad_parameters_and_keeps_the_model():
-    model = pipeline.build_displacement_model(TINY, seed=0)
+    model = pipeline.build_displacement_model(TINY)
     before = model.param_dict()
     good = {k: v + 1.0 for k, v in before.items()}
     bad = [
@@ -402,7 +408,7 @@ def test_training_raises_when_the_last_update_goes_non_finite(monkeypatch):
     monkeypatch.setattr(pipeline, "adam_step", poisoned_adam_step)
     # One pair and one epoch: the poisoned update is also the last.
     with pytest.raises(ValueError, match="non-finite values loading head.b0"):
-        pipeline.train_association(seq, TINY, epochs=1, seed=0)
+        pipeline.train_association(seq, TINY, epochs=1)
 
 
 def test_training_names_the_first_non_finite_gradient_before_any_update(monkeypatch):
@@ -419,7 +425,7 @@ def test_training_names_the_first_non_finite_gradient_before_any_update(monkeypa
     monkeypatch.setattr(pipeline.PipelineTape, "backward", poisoned_backward)
     monkeypatch.setattr(pipeline, "adam_step", lambda *args, **kwargs: updates.append(1))
     with pytest.raises(ValueError, match=r"non-finite gradient in fp2\.w0"):
-        pipeline.train_association(seq, TINY, epochs=1, seed=0)
+        pipeline.train_association(seq, TINY, epochs=1)
     assert updates == []
 
 
