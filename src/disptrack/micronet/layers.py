@@ -12,54 +12,51 @@ Three layers cover the whole displacement network:
                            neighbours, append the neighbour displacement,
                            run the MLP per neighbour and max-pool over k.
 
-Set abstraction selects neighbours with ``geom.ball_query`` and runs its
-MLP on the in-radius rows only, a contiguous run per centroid.  Feature
-propagation and the association
-head need the k nearest points with no radius and use ``geom.nearest``,
-which searches a grid for large inputs (paper-scale fp2 and fp3) and scores
-every pair for small ones.  All rank by ascending Euclidean distance, equal
-distances to the lower index, so a selection is a pure function of the
-coordinates.
+Set abstraction selects neighbours with ``geom.ball_query``.  Feature
+propagation and the association head need the k nearest points with no
+radius and use ``geom.nearest``, which searches a grid for large inputs
+(paper-scale fp2 and fp3) and scores every pair for small ones.  All rank by
+ascending Euclidean distance, equal distances to the lower index, so a
+selection is a pure function of the coordinates.
+
+Set abstraction and the association head are one computation on different
+(group, candidate) pairs: a centroid and its in-radius points, or a frame-A
+point and its frame-B neighbours.  One kernel, ``_group_pool``, runs it.  It
+takes a selection's padded (order, valid) pair and a ``rows_of(group,
+candidate)`` callback that builds each pair's MLP input row, and never
+builds all rows at once.  It orders the groups largest first and runs them
+in blocks of whole groups, at most ``_BLOCK_ROWS`` rows each (a larger group
+alone), rows slot-major: slot 0 of every group of the block, then slot 1,
+and so on.  Slot s is then one contiguous run, a prefix of the block's
+groups, and ``_max_pool`` folds the runs into the pooled array with a
+running ``np.maximum``: bit for bit the values of ``np.maximum.reduceat``
+over each group's rows.  Each pooled gradient goes to np.argmax's slot: the
+lowest slot holding the max, and for a NaN max the lowest NaN slot.  With
+capture a block keeps the layer inputs of the rows that win some pooled
+channel, and only those, as its own ``DenseTape``: a row that wins no
+channel gets no gradient.  The backward pass runs block by block and
+returns the MLP gradients and each kept row's input gradient with its
+(group, candidate) pair.  Set abstraction scatters the neighbour-feature
+part of those to the points.  The association head applies its fusion
+rule: concat and elementwise product scatter to both frames, and dot and
+cosine fusion, which read one (na, nb) GEMM of the two frames' features at
+the pairs, take two GEMMs against the (na, nb) matrix of per-pair gradient
+weights.
 
 Feature propagation applies its MLP's first layer to the source features
 before interpolating, which interpolation's linearity allows, so that GEMM
 runs over the fewer source rows; its backward pass interpolates the layer's
-output gradient back onto the sources.
+output gradient back onto the sources.  It interpolates one block of
+targets at a time, cut by the kernel's block splitter ``_blocks``.
 
-The association head's dot and cosine fusions never gather frame-B
-features: they read one (na, nb) GEMM of the two frames' features at each
-point's k neighbours, and one norm per point.  Their backward pass is two
-GEMMs against the (na, nb) matrix of per-pair gradient weights.  Concat and
-elementwise-product fusion gather frame-B features a block at a time.  With
-capture the head keeps the layer inputs of the rows that win some pooled
-channel, and only those: its MLP backward runs on them alone, since a row
-that wins no channel gets no gradient.
-
-The association head and feature propagation's interpolation build one row
-per (point, neighbour) pair, and never all of them at once.  ``_blocks``
-splits the points into the fewest blocks of at most ``_BLOCK_ROWS`` such
-rows, sized evenly so that no block is a small remainder.  The head builds,
-runs through its MLP and max-pools one block of whole frame-A points at a
-time, its rows slot-major (slot 0 of every point, then slot 1, ...) so that
-each slot the pool folds is one contiguous array.  FP gathers and
-interpolates one block of targets at a time into its output.
-
-Blocking changes no output bit.  Interpolation is an einsum, which sums each
-target's neighbours in the same order at any block size.  A GEMM split by
-rows returns the same bits only where BLAS computes a row the same way in a
-short call as in a long one.  With OpenBLAS that held for 32- to 256-wide
-layers in blocks of 64 rows or more (the paper-scale head runs 1024-row
-blocks), but not for 1- or 7-row blocks, nor for a 3-wide layer at any block
-size.  So FP's later layers and the dense head stay whole, and a desk-scale
-head (64 points, k = 16) is one block.
-
-Set abstraction and the association head max-pool with one helper,
-``_max_pool``.  It folds a group's slots, neighbour by neighbour, into the
-pooled array with a running ``np.maximum``: bit for bit the values of
-``np.maximum.reduceat`` over the group's rows.  SA orders its centroids
-largest group first, so slot s is a prefix of them, while its MLP rows stay
-centroid-major.  Each pooled gradient goes to np.argmax's slot: the lowest
-slot holding the max, and for a NaN max the lowest NaN slot.
+Blocking changes no interpolated bit: interpolation is an einsum, which sums
+each target's neighbours in the same order at any block size.  A GEMM split
+by rows returns the same bits only where BLAS computes a row the same way in
+a short call as in a long one.  With OpenBLAS that held for 32- to 256-wide
+layers in blocks of 64 rows or more, but not for 1- or 7-row blocks, nor for
+a 3-wide layer at any block size.  So ``_blocks`` cuts at evenly spaced row
+counts, leaving no small remainder block, and FP's later layers and the
+dense head stay whole.
 
 Feature gradients flow through features only; point coordinates are data
 and never differentiated, so finite-difference checks see a fixed
@@ -80,7 +77,7 @@ FUSION_METHODS = ("concat", "elementwise_product", "cosine_distance", "dot_produ
 _COSINE_EPS = 1e-10
 
 #: Rows of a neighbour-gathered array, one per (point, neighbour) pair, that
-#: the association head and feature propagation build at once.
+#: the group kernel and feature propagation build at once.
 _BLOCK_ROWS = 1024
 
 
@@ -159,12 +156,25 @@ def _max_pool(slot, depth: int, capture: bool):
     return pooled, winner
 
 
-def _blocks(n: int, width: int) -> list[slice]:
-    """range(n) in the fewest blocks of at most _BLOCK_ROWS // width items
-    (at least one), sized evenly: block sizes differ by at most one."""
-    count = max(1, -(-n // max(1, _BLOCK_ROWS // width)))
-    bounds = np.arange(count + 1) * n // count
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+def _blocks(sizes: np.ndarray) -> list[slice]:
+    """Consecutive groups of sizes[i] >= 1 rows in blocks of whole groups:
+    the fewest blocks of at most _BLOCK_ROWS rows when the groups are cut at
+    evenly spaced row counts, so that no block is a small remainder.  A
+    group larger than _BLOCK_ROWS is a block of its own."""
+    n = len(sizes)
+    if n and sizes.max() > _BLOCK_ROWS:
+        return [slice(i, i + 1) for i in range(n)]
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if n else 0
+    # An even cut leaves a block at most max(sizes) - 1 rows over
+    # total / count, so the loop ends by total / (_BLOCK_ROWS - max + 1).
+    count = max(1, -(-total // _BLOCK_ROWS))
+    while True:
+        bounds = np.unique(np.searchsorted(ends, np.arange(count + 1) * total // count,
+                                           side="right"))
+        if (np.diff(np.concatenate(([0], ends))[bounds]) <= _BLOCK_ROWS).all():
+            return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        count += 1
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -178,19 +188,78 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=values.ravel(), minlength=n * c).reshape(n, c)
 
 
+class _GroupTape:
+    """Captured state of _group_pool, one entry per block: its groups, the
+    kept row holding each of their pooled maxima, and each kept row's
+    (group, candidate) pair and layer inputs."""
+
+    def __init__(self, blocks):
+        self.blocks = blocks    # [(members, win, group, cand, dense tape)]
+
+    def backward(self, grad_pooled: np.ndarray):
+        """(MLP gradients, group (r,), candidate (r,), MLP input gradient
+        (r, width)) of the r kept rows."""
+        grad_pooled = np.asarray(grad_pooled, dtype=float)
+        channels = np.arange(grad_pooled.shape[1])
+        mlp_grads, groups, cands, ginps = None, [], [], []
+        for members, win, group, cand, dtape in self.blocks:
+            gy = np.zeros((len(group), len(channels)))
+            gy[win, channels] = grad_pooled[members]
+            grads, ginp = dtape.backward(gy)
+            mlp_grads = grads if mlp_grads is None else mlp_grads.add_(grads)
+            groups.append(group)
+            cands.append(cand)
+            ginps.append(ginp)
+        return mlp_grads, np.concatenate(groups), np.concatenate(cands), np.concatenate(ginps)
+
+
+def _group_pool(mlp: DenseParams, order: np.ndarray, valid: np.ndarray, rows_of,
+                capture: bool):
+    """Each group's shared-MLP outputs over its candidates, max-pooled.
+
+    order and valid are (g, cap) candidate indices and the mask of the slots
+    that hold one, each row's valid slots first and at least one of them,
+    as ``geom.ball_query`` returns them.  rows_of(group, cand) returns the
+    MLP input rows of those (group, candidate) pairs.  Returns (pooled
+    (g, c_out), _GroupTape or None).
+    """
+    count = np.count_nonzero(valid, axis=1)
+    by_size = np.argsort(-count, kind="stable")
+    pooled = np.empty((len(count), mlp.out_width))
+    blocks = []
+    for b in _blocks(count[by_size]):
+        members = by_size[b]
+        # Slot-major rows; members run largest first, so the groups holding
+        # slot s are a prefix of them and slot s is rows start[s]:start[s+1].
+        held = count[members] > np.arange(count[members[0]])[:, None]
+        slot, pos = np.nonzero(held)
+        group = members[pos]
+        cand = order[group, slot]
+        start = np.concatenate(([0], np.cumsum(np.count_nonzero(held, axis=1))))
+        out, dtape = dense_apply(mlp, rows_of(group, cand), capture=capture)
+        pooled[members], win = _max_pool(lambda s: out[start[s]:start[s + 1]],
+                                         len(start) - 1, capture)
+        if capture:
+            # Keep the layer inputs of the rows that win some channel, the
+            # only rows the backward pass reads.
+            win = start[win] + np.arange(len(members))[:, None]
+            won = np.zeros(len(out), dtype=bool)
+            won[win] = True
+            rows = np.flatnonzero(won)
+            blocks.append((members, (np.cumsum(won) - 1)[win], group[rows], cand[rows],
+                           DenseTape(mlp, [x[rows] for x in dtape.inputs])))
+    return pooled, _GroupTape(blocks) if capture else None
+
+
 class SaTape:
-    def __init__(self, rows, valid, winner, dense_tape, n_points):
-        self.rows = rows                # (r,) point index of each in-radius row
+    def __init__(self, valid, group_tape, n_points):
         self.valid = valid              # (m, cap) in-radius mask
-        self.winner = winner            # (m, c_out) row holding each pooled max
-        self.dense_tape = dense_tape    # over the in-radius rows
+        self.group_tape = group_tape
         self.n_points = n_points
 
     def backward(self, grad_pooled: np.ndarray) -> tuple[DenseGrads, np.ndarray]:
-        gy = np.zeros((self.rows.size, self.winner.shape[1]))
-        np.put_along_axis(gy, self.winner, np.asarray(grad_pooled, dtype=float), axis=0)
-        mlp_grads, ginp = self.dense_tape.backward(gy)
-        return mlp_grads, _scatter_add(self.rows, ginp[:, 3:], self.n_points)
+        mlp_grads, _, cand, ginp = self.group_tape.backward(grad_pooled)
+        return mlp_grads, _scatter_add(cand, ginp[:, 3:], self.n_points)
 
 
 def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
@@ -221,28 +290,11 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     centroids = points[idx]
     order, valid = ball_query(centroids, points, spec.radius, min(spec.neighbor_cap, n))
 
-    # A centroid's in-radius rows are contiguous, slot order, and never
-    # empty: the centroid itself is always among them.
-    rows = order[valid]
-    count = np.count_nonzero(valid, axis=1)
-    start = np.cumsum(count) - count
-    rel = points[rows] - np.repeat(centroids, count, axis=0)
-    out, dtape = dense_apply(spec.mlp, np.concatenate([rel, feats[rows]], axis=1),
-                             capture=capture)
-    # Pool largest groups first, so the centroids holding slot s are a prefix.
-    by_size = np.argsort(-count, kind="stable")
-    first = start[by_size]
-    by_size_pooled, slot = _max_pool(
-        lambda s: out[first[:np.count_nonzero(count > s)] + s], count.max(), capture)
-    pooled = np.empty_like(by_size_pooled)
-    pooled[by_size] = by_size_pooled
+    def rows_of(group: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        return np.concatenate([points[cand] - centroids[group], feats[cand]], axis=1)
 
-    tape = None
-    if capture:
-        winner = np.empty_like(slot)
-        winner[by_size] = first[:, None] + slot
-        tape = SaTape(rows, valid, winner, dtape, n)
-    return centroids, pooled, tape
+    pooled, group_tape = _group_pool(spec.mlp, order, valid, rows_of, capture)
+    return centroids, pooled, SaTape(valid, group_tape, n) if capture else None
 
 
 class FpTape:
@@ -318,7 +370,7 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
     w0 = mlp.weights[0]
     proj = source_feats @ w0[:c_s]
     z = np.empty((len(target_points), proj.shape[1]))
-    for t in _blocks(len(z), kk):
+    for t in _blocks(np.full(len(z), kk)):
         np.einsum("tk,tkc->tc", w[t], proj[order[t]], out=z[t])
     if skip_feats is not None:
         z += skip_feats @ w0[c_s:]
@@ -338,76 +390,49 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
 
 
 class AssociationTape:
-    def __init__(self, spec, order, argmax, rows, dense_tape, feats_a, feats_b,
-                 fused_width, dots):
+    def __init__(self, spec, group_tape, feats_a, feats_b, dots):
         self.spec = spec
-        self.order = order              # (na, k) frame-B neighbour indices
-        self.argmax = argmax            # (na, c_out) slot holding each pooled max
-        self.rows = rows                # (r,) ascending flat (point, slot) rows that win
-        self.dense_tape = dense_tape    # over those rows only
+        self.group_tape = group_tape
         self.feats_a = feats_a          # (na, c)
         self.feats_b = feats_b          # (nb, c)
-        self.fused_width = fused_width
-        self.dots = dots                # (na, k) f_a . f_b for dot and cosine, else None
+        self.dots = dots                # (na, nb) F_a @ F_b.T for cosine, else None
 
     def backward(self, grad_emb: np.ndarray):
-        na, k = self.order.shape
-        nb = self.feats_b.shape[0]
-        c_out = self.argmax.shape[1]
-        # A row that holds no channel's max gets no gradient, so the MLP
-        # backward runs on the winning rows alone.
-        slot = np.empty(na * k, dtype=np.intp)
-        slot[self.rows] = np.arange(self.rows.size)
-        win = np.arange(na)[:, None] * k + self.argmax
-        gy = np.zeros((self.rows.size, c_out))
-        gy[slot[win], np.arange(c_out)] = np.asarray(grad_emb, dtype=float)
-        mlp_grads, ginp = self.dense_tape.backward(gy)
-        gfused = np.zeros((na * k, self.fused_width))
-        gfused[self.rows] = ginp[:, :self.fused_width]
-        gfused = gfused.reshape(na, k, -1)
-
+        mlp_grads, a, b, ginp = self.group_tape.backward(grad_emb)
         fa, fb = self.feats_a, self.feats_b
+        (na, c), nb = fa.shape, fb.shape[0]
         fusion = self.spec.fusion
         if fusion == "concat":
-            c = fa.shape[1]
-            return (mlp_grads, gfused[:, :, :c].sum(axis=1),
-                    _scatter_add(self.order, gfused[:, :, c:], nb))
+            return (mlp_grads, _scatter_add(a, ginp[:, :c], na),
+                    _scatter_add(b, ginp[:, c:2 * c], nb))
         if fusion == "elementwise_product":
-            return (mlp_grads, (gfused * fb[self.order]).sum(axis=1),
-                    _scatter_add(self.order, gfused * fa[:, None, :], nb))
+            g = ginp[:, :c]
+            return mlp_grads, _scatter_add(a, g * fb[b], na), _scatter_add(b, g * fa[a], nb)
 
-        # Dot and cosine fusion: the (i, j) input gradient is a weight w_ij
-        # on f_b[order[i, j]] for f_a[i] and on f_a[i] for f_b[order[i, j]],
-        # so both sums are GEMMs against the (na, nb) matrix of those weights
-        # (an order row has no repeated index).  Cosine adds the derivative
-        # of the norms, a multiple of each point's own feature.
-        g = gfused[:, :, 0]
-        if fusion == "dot_product":
-            w = g
-        else:
-            norm_a, norm_b, denom = _cosine_norms(fa, fb, self.order)
-            w = g / denom
-            t = w * self.dots / denom
+        # Dot and cosine fusion: pair (i, j)'s input gradient is a weight w_ij
+        # on f_b[j] for f_a[i] and on f_a[i] for f_b[j], so both sums are GEMMs
+        # against the (na, nb) matrix of those weights (no pair repeats).
+        # Cosine adds the derivative of the norms, a multiple of each point's
+        # own feature.
+        w = ginp[:, 0]
+        if fusion == "cosine_distance":
+            norm_a, norm_b = np.linalg.norm(fa, axis=1), np.linalg.norm(fb, axis=1)
+            denom = norm_a[a] * norm_b[b] + _COSINE_EPS
+            w = w / denom
+            t = w * self.dots[a, b] / denom
             with np.errstate(divide="ignore", invalid="ignore"):
-                c_a = np.where(norm_a > 0.0, (t * norm_b).sum(axis=1) / norm_a, 0.0)
-                c_b = np.bincount(self.order.ravel(), minlength=nb, weights=np.where(
-                    norm_b > 0.0, t * norm_a[:, None] / norm_b, 0.0).ravel())
+                c_a = np.where(norm_a > 0.0, np.bincount(
+                    a, weights=t * norm_b[b], minlength=na) / norm_a, 0.0)
+                c_b = np.where(norm_b > 0.0, np.bincount(
+                    b, weights=t * norm_a[a], minlength=nb) / norm_b, 0.0)
         weights = np.zeros((na, nb))
-        np.put_along_axis(weights, self.order, w, axis=1)
+        weights[a, b] = w
         grad_fa = weights @ fb
         grad_fb = weights.T @ fa
         if fusion == "cosine_distance":
             grad_fa -= c_a[:, None] * fa
             grad_fb -= c_b[:, None] * fb
         return mlp_grads, grad_fa, grad_fb
-
-
-def _cosine_norms(feats_a: np.ndarray, feats_b: np.ndarray, order: np.ndarray):
-    """Frame-A norms (na,), frame-B norms gathered at order (na, k), and the
-    cosine denominators |f_a| |f_b| + eps (na, k)."""
-    norm_a = np.linalg.norm(feats_a, axis=1)
-    norm_b = np.linalg.norm(feats_b, axis=1)[order]
-    return norm_a, norm_b, norm_a[:, None] * norm_b + _COSINE_EPS
 
 
 def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.ndarray,
@@ -431,56 +456,34 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
     if spec.k > points_b.shape[0]:
         raise ValueError(f"k={spec.k} exceeds frame-B point count {points_b.shape[0]}")
 
-    c = feats_a.shape[1]
-    fwidth = fusion_width(spec.fusion, c)
+    fwidth = fusion_width(spec.fusion, feats_a.shape[1])
     if spec.mlp.in_width != fwidth + 3:
         raise ValueError(f"MLP expects width {spec.mlp.in_width}, "
                          f"fusion {spec.fusion!r} provides {fwidth + 3}")
 
     order, _ = nearest(points_a, points_b, spec.k)
-    na, k = order.shape
-    dots = sim = None
-    if spec.fusion in ("dot_product", "cosine_distance"):
-        dots = np.take_along_axis(feats_a @ feats_b.T, order, axis=1)
-        sim = dots / _cosine_norms(feats_a, feats_b, order)[2] \
-            if spec.fusion == "cosine_distance" else dots
+    fusion = spec.fusion
+    if fusion in ("dot_product", "cosine_distance"):
+        dots = feats_a @ feats_b.T
+    if fusion == "cosine_distance":
+        norm_a = np.linalg.norm(feats_a, axis=1)
+        norm_b = np.linalg.norm(feats_b, axis=1)
 
-    def group_in(a: slice) -> np.ndarray:
-        """MLP input rows of frame-A points a, slot-major: slot 0 of each
-        point, then slot 1, and so on."""
-        near = order[a].T
-        if spec.fusion == "concat":
-            fb = feats_b[near]
-            fused = np.concatenate([np.broadcast_to(feats_a[a], fb.shape), fb], axis=2)
-        elif spec.fusion == "elementwise_product":
-            fused = feats_a[a] * feats_b[near]
+    def rows_of(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if fusion == "concat":
+            fused = [feats_a[a], feats_b[b]]
+        elif fusion == "elementwise_product":
+            fused = [feats_a[a] * feats_b[b]]
+        elif fusion == "dot_product":
+            fused = [dots[a, b][:, None]]
         else:
-            fused = sim[a].T[:, :, None]
-        disp = points_b[near] - points_a[a]
-        return np.concatenate([fused, disp], axis=2).reshape(-1, fwidth + 3)
+            fused = [(dots[a, b] / (norm_a[a] * norm_b[b] + _COSINE_EPS))[:, None]]
+        return np.concatenate([*fused, points_b[b] - points_a[a]], axis=1)
 
-    embedded = np.empty((na, spec.mlp.out_width))
-    argmax = np.empty(embedded.shape, dtype=np.intp)
-    rows, kept = [], []
-    for a in _blocks(na, k):
-        out, dtape = dense_apply(spec.mlp, group_in(a), capture=capture)
-        out = out.reshape(k, -1, out.shape[1])
-        pooled, slot = _max_pool(lambda j: out[j], k, capture)
-        embedded[a] = pooled
-        if capture:
-            argmax[a] = slot
-            # Keep the layer inputs of the rows that win some channel, the
-            # only rows the backward pass reads, point-major: point i's slot
-            # j is row i * k + j there and row j * n + i in the block.
-            n = len(pooled)
-            won = np.zeros((n, k), dtype=bool)
-            won[np.arange(n)[:, None], slot] = True
-            r = np.flatnonzero(won)
-            rows.append(a.start * k + r)
-            kept.append([x[r % k * n + r // k] for x in dtape.inputs])
+    embedded, group_tape = _group_pool(spec.mlp, order, np.ones(order.shape, dtype=bool),
+                                       rows_of, capture)
     tape = None
     if capture:
-        dtape = DenseTape(spec.mlp, [np.concatenate(x) for x in zip(*kept)])
-        tape = AssociationTape(spec, order, argmax, np.concatenate(rows), dtape,
-                               feats_a, feats_b, fwidth, dots)
+        tape = AssociationTape(spec, group_tape, feats_a, feats_b,
+                               dots if fusion == "cosine_distance" else None)
     return embedded, tape

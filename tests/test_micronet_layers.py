@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disptrack.micronet import (
     FUSION_METHODS,
@@ -155,7 +157,7 @@ def test_sa_input_feature_gradient_matches_finite_differences():
 def padded_sa_reference(spec, points, feats, start_index, grad_pooled):
     """The all-slot set abstraction: the cap nearest points, the MLP on every
     slot, a max over the in-radius ones.  Returns (centroids, pooled,
-    feature gradient for grad_pooled)."""
+    feature gradient for grad_pooled, the candidate holding each max)."""
     centroids = points[farthest_point_sample(PointCloud(points), spec.sample_count,
                                              start_index)]
     order, dist = nearest(centroids, points, min(spec.neighbor_cap, len(points)))
@@ -170,7 +172,7 @@ def padded_sa_reference(spec, points, feats, start_index, grad_pooled):
     _, ginp = tape.backward(gy.reshape(-1, gy.shape[2]))
     grad_feats = np.zeros_like(feats)
     np.add.at(grad_feats, order, ginp.reshape(*valid.shape, -1)[:, :, 3:])
-    return centroids, pooled, grad_feats
+    return centroids, pooled, grad_feats, np.take_along_axis(order, argmax, axis=1)
 
 
 @pytest.mark.parametrize("radius", [0.5, 0.75, 5.0])
@@ -184,43 +186,22 @@ def test_sa_matches_padded_nearest_reference(radius):
     grad = rng.normal(size=(12, 5))
     centroids, pooled, tape = sa_layer(spec, pts, feats, start_index=3, capture=True)
     _, grad_feats = tape.backward(grad)
-    ref_centroids, ref_pooled, ref_grad = padded_sa_reference(spec, pts, feats, 3, grad)
+    ref_centroids, ref_pooled, ref_grad, _ = padded_sa_reference(spec, pts, feats, 3, grad)
     assert np.array_equal(centroids, ref_centroids)
     np.testing.assert_allclose(pooled, ref_pooled, rtol=1e-12, atol=0)
     np.testing.assert_allclose(grad_feats, ref_grad, rtol=1e-12, atol=0)
 
 
-def signed_zero_outputs(monkeypatch):
-    """Make the layers' MLP output +0.0 and -0.0 in channel 0 (every third
-    row -0.0), which no GEMM returns, and collect each output array."""
-    outputs = []
-    real = layers_module.dense_apply
-
-    def patched(params, x, capture=False):
-        out, tape = real(params, x, capture=capture)
-        out[:, 0] = np.where(np.arange(len(out)) % 3 == 1, -0.0, 0.0)
-        outputs.append(out)
-        return out, tape
-    monkeypatch.setattr(layers_module, "dense_apply", patched)
-    return outputs
+def kernel_winners(group_tape, n_groups: int, width: int) -> np.ndarray:
+    """The candidate holding each pooled max, (g, c), read off a
+    ``_group_pool`` tape."""
+    won = np.empty((n_groups, width), dtype=np.intp)
+    for members, win, _, cand, _ in group_tape.blocks:
+        won[members] = cand[win]
+    return won
 
 
-def assert_pool_follows_argmax(out, count, pooled, slot):
-    """pooled is np.maximum.reduceat over groups of count[i] consecutive rows
-    of out, bit for bit, and slot holds np.argmax's pick in each group: the
-    lowest slot holding the max, or the lowest NaN one.  Returns slot."""
-    ref = np.maximum.reduceat(out, np.cumsum(count) - count, axis=0)
-    assert np.array_equal(pooled, ref, equal_nan=True)
-    assert np.array_equal(np.signbit(pooled), np.signbit(ref))
-    padded = np.full((len(count), count.max(), out.shape[1]), -np.inf)
-    padded[np.arange(count.max()) < count[:, None]] = out
-    assert np.array_equal(slot, padded.argmax(axis=1))
-    # channel 0 ties +0.0 and -0.0 in every group of more than one row
-    assert (pooled[:, 0] == 0.0).all() and np.signbit(out[:, 0]).any()
-    return slot
-
-
-def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot(monkeypatch):
+def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     rng = np.random.default_rng(9)
     # Every point twice, same feature: each group holds pairs of equal MLP
     # rows, and the copy with the higher index sorts to the later slot.
@@ -230,27 +211,31 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot(monkeypatch):
     grad = rng.normal(size=(6, 5))
     _, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
     _, grad_feats = tape.backward(grad)
-    _, ref_pooled, ref_grad = padded_sa_reference(spec, pts, feats, 0, grad)
+    _, ref_pooled, ref_grad, ref_won = padded_sa_reference(spec, pts, feats, 0, grad)
     assert np.array_equal(pooled, ref_pooled)
     assert np.array_equal(grad_feats, ref_grad)
+    assert np.array_equal(kernel_winners(tape.group_tape, 6, 5), ref_won)
     assert not grad_feats[20:].any() and grad_feats[:20].any()
 
-    # Signed-zero ties in channel 0, and a NaN column from an inf feature
-    # (a one-layer MLP passes inf - inf on), which reaches some group at a
-    # later slot than its first.
+    # A NaN column from an inf feature (a one-layer MLP passes inf - inf on),
+    # which reaches some group at a later slot than its first: the max and
+    # its gradient go to the lowest NaN slot.
     spec = make_sa_spec(rng, feat_width=2, sample_count=6, radius=1.0, cap=8, widths=(5,))
     feats = feats.copy()
     feats[33] = [np.inf, np.inf]
-    outputs = signed_zero_outputs(monkeypatch)
     with np.errstate(invalid="ignore"):
-        _, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
-    count = np.count_nonzero(tape.valid, axis=1)
-    start = np.cumsum(count) - count
-    slot = assert_pool_follows_argmax(outputs[0], count, pooled, tape.winner - start[:, None])
-    nan = np.isnan(pooled)
-    assert nan[:, 1:].any() and (slot[nan] > 0).any()
-    with np.errstate(invalid="ignore"):
+        centroids, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
+        _, plain, _ = sa_layer(spec, pts, feats, start_index=0)
+        _, ref_pooled, _, ref_won = padded_sa_reference(spec, pts, feats, 0, grad)
         tape.backward(grad)
+    assert np.array_equal(plain, pooled, equal_nan=True)
+    np.testing.assert_allclose(pooled, ref_pooled, rtol=1e-12, atol=0)
+    won = kernel_winners(tape.group_tape, 6, 5)
+    assert np.array_equal(won, ref_won)
+    nan = np.isnan(pooled)
+    assert nan[:, 1:].any() and (won[nan] == 33).all()
+    first = nearest(centroids, pts, 1)[0][:, 0]
+    assert (first[nan.any(axis=1)] != 33).any()     # 33 is not every such group's slot 0
 
 
 def test_sa_rejects_oversampling():
@@ -444,36 +429,51 @@ def make_assoc_spec(rng, fusion, feat_width, k=3, widths=(6, 4)):
     return AssociationSpec(k, fusion, mlp)
 
 
-def test_assoc_identical_frames_zero_displacement():
+def recorded_mlp_inputs(monkeypatch) -> list[np.ndarray]:
+    """Record the input of every MLP call the layers make."""
+    inputs = []
+    real = layers_module.dense_apply
+
+    def recording(params, x, capture=False):
+        inputs.append(x)
+        return real(params, x, capture=capture)
+    monkeypatch.setattr(layers_module, "dense_apply", recording)
+    return inputs
+
+
+def test_assoc_identical_frames_zero_displacement(monkeypatch):
     rng = np.random.default_rng(11)
     spec = make_assoc_spec(rng, "concat", feat_width=2, k=1)
     pts = rng.uniform(-3, 3, size=(6, 3))
     feats = rng.normal(size=(6, 2))
-    _, tape = association_head(spec, pts, feats, pts, feats, capture=True)
+    inputs = recorded_mlp_inputs(monkeypatch)
+    association_head(spec, pts, feats, pts, feats)
     # One MLP input row per (point, neighbour): [f_a, f_b, p_b - p_a].
-    rows = tape.dense_tape.inputs[0]
+    (rows,) = inputs
     assert np.array_equal(rows[:, :4], np.hstack([feats, feats]))
     assert np.array_equal(rows[:, 4:], np.zeros((6, 3)))
 
 
-def test_assoc_cosine_identical_features_is_one():
+def test_assoc_cosine_identical_features_is_one(monkeypatch):
     rng = np.random.default_rng(12)
     spec = make_assoc_spec(rng, "cosine_distance", feat_width=3, k=1)
     pts = np.array([[0.0, 0.0, 0.0]])
     feats = np.array([[1.0, 2.0, -1.0]])
-    _, tape = association_head(spec, pts, feats, pts, feats, capture=True)
-    fused = tape.dense_tape.inputs[0][0, 0]
+    inputs = recorded_mlp_inputs(monkeypatch)
+    association_head(spec, pts, feats, pts, feats)
+    fused = inputs[0][0, 0]
     assert fused == pytest.approx(1.0, abs=1e-9)
 
 
-def test_assoc_dot_orthogonal_features_is_zero():
+def test_assoc_dot_orthogonal_features_is_zero(monkeypatch):
     rng = np.random.default_rng(13)
     spec = make_assoc_spec(rng, "dot_product", feat_width=2, k=1)
     pts = np.array([[0.0, 0.0, 0.0]])
     fa = np.array([[1.0, 0.0]])
     fb = np.array([[0.0, 5.0]])
-    _, tape = association_head(spec, pts, fa, pts, fb, capture=True)
-    assert tape.dense_tape.inputs[0][0, 0] == 0.0
+    inputs = recorded_mlp_inputs(monkeypatch)
+    association_head(spec, pts, fa, pts, fb)
+    assert inputs[0][0, 0] == 0.0
 
 
 def test_assoc_output_is_local_to_knn_neighbourhood():
@@ -622,7 +622,7 @@ def test_assoc_matches_gathered_reference(fusion, zero_rows):
 
 
 @pytest.mark.parametrize("fusion", FUSION_METHODS)
-def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion, monkeypatch):
+def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion):
     rng = np.random.default_rng(19)
     # Every frame-B point twice, same feature: each neighbourhood holds pairs
     # of equal MLP rows, and the copy with the higher index sorts to the later
@@ -636,22 +636,26 @@ def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion, monkey
                                                 rng.normal(size=(5, 4)))
     assert not grad_fb[6:].any() and grad_fb[:6].any()
 
-    # Signed-zero ties in channel 0, and a NaN column from an inf feature on
-    # frame-A point 0's second neighbour (a one-layer MLP passes it on).
+    # A NaN column from an inf feature on frame-A point 0's second neighbour
+    # (a one-layer MLP passes it on): the max and its gradient go to that
+    # lowest NaN slot.
     spec = make_assoc_spec(rng, fusion, feat_width=3, k=4, widths=(5,))
     order, _ = nearest(pts_a, pts_b, 4)
     feats_b = feats_b.copy()
     feats_b[order[0, 1]] = np.inf
-    outputs = signed_zero_outputs(monkeypatch)
+    grad = rng.normal(size=(5, 5))
     with np.errstate(invalid="ignore"):
         embedded, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
         plain, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
-        tape.backward(rng.normal(size=(5, 5)))
+        tape.backward(grad)
+        ref_embedded, argmax, *_ = unblocked_association_head(spec, pts_a, feats_a, pts_b,
+                                                              feats_b, grad)
     assert np.array_equal(plain, embedded, equal_nan=True)
-    # The head's MLP rows run slot-major; the check reads them point by point.
-    by_point = outputs[0].reshape(4, 5, -1).swapaxes(0, 1).reshape(20, -1)
-    slot = assert_pool_follows_argmax(by_point, np.full(5, 4), embedded, tape.argmax)
-    assert np.isnan(embedded[0, 1:]).any() and (slot[0][np.isnan(embedded[0])] == 1).all()
+    np.testing.assert_allclose(embedded, ref_embedded, rtol=1e-12, atol=0)
+    won = kernel_winners(tape.group_tape, 5, 5)
+    assert np.array_equal(won, np.take_along_axis(order, argmax, axis=1))
+    nan = np.isnan(embedded[0])
+    assert nan[1:].any() and (won[0][nan] == order[0, 1]).all()
 
 
 def test_assoc_rejects_oversized_k_and_mismatched_widths():
@@ -682,7 +686,9 @@ def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_
         fused = feats_a[:, None, :] * feats_b[order]
     else:
         dots = np.take_along_axis(feats_a @ feats_b.T, order, axis=1)
-        norm_a, norm_b, denom = layers_module._cosine_norms(feats_a, feats_b, order)
+        norm_a = np.linalg.norm(feats_a, axis=1)
+        norm_b = np.linalg.norm(feats_b, axis=1)[order]
+        denom = norm_a[:, None] * norm_b + 1e-10
         fused = (dots / denom if spec.fusion == "cosine_distance" else dots)[:, :, None]
     x = np.concatenate([fused, points_b[order] - points_a[:, None, :]], axis=2)
     out, tape = dense_apply(spec.mlp, x.reshape(na * k, -1), capture=True)
@@ -752,7 +758,9 @@ def test_assoc_blocked_head_matches_unblocked_reference(monkeypatch, fusion, blo
     mlp_grads, grad_fa, grad_fb = tape.backward(grad)
     ref_embedded, ref_argmax, ref_mlp, _, ref_fa, ref_fb = unblocked_association_head(
         spec, pts_a, feats_a, pts_b, feats_b, grad)
-    assert np.array_equal(tape.argmax, ref_argmax)
+    order, _ = nearest(pts_a, pts_b, spec.k)
+    assert np.array_equal(kernel_winners(tape.group_tape, 23, 6),
+                          np.take_along_axis(order, ref_argmax, axis=1))
     for got, want in zip([embedded, grad_fa, grad_fb, *mlp_grads.weights, *mlp_grads.biases],
                          [ref_embedded, ref_fa, ref_fb, *ref_mlp.weights, *ref_mlp.biases]):
         assert_close(got, want)
@@ -770,35 +778,112 @@ def test_assoc_winner_tape_matches_full_backward_with_zero_gradient_elsewhere(
     _, argmax, want_params, want_input, _, _ = unblocked_association_head(
         spec, pts_a, feats_a, pts_b, feats_b, grad)
     # The tape keeps the MLP inputs of the rows that win some channel, and
-    # only those, in row order.
+    # only those, each once.
     na, k = 23, spec.k
-    won = np.zeros(na * k, dtype=bool)
-    won[np.arange(na)[:, None] * k + argmax] = True
-    assert np.array_equal(tape.rows, np.flatnonzero(won)) and not won.all()
-    gy = np.zeros((tape.rows.size, grad.shape[1]))
-    slot = np.searchsorted(tape.rows, np.arange(na)[:, None] * k + argmax)
-    gy[slot, np.arange(grad.shape[1])] = grad
-    got_params, got_input = tape.dense_tape.backward(gy)
-    assert_close(got_input, want_input[tape.rows])
+    order, _ = nearest(pts_a, pts_b, k)
+    won = np.zeros((na, k), dtype=bool)
+    won[np.arange(na)[:, None], argmax] = True
+    got_params, group, cand, got_input = tape.group_tape.backward(grad)
+    slot = (order[group] == cand[:, None]).argmax(axis=1)
+    assert won[group, slot].all() and len(group) == won.sum() and not won.all()
+    want_input = want_input.reshape(na, k, -1)
+    assert_close(got_input, want_input[group, slot])
     assert not want_input[~won].any()
     for got, want in zip(got_params.weights + got_params.biases,
                          want_params.weights + want_params.biases):
         assert_close(got, want)
 
 
-@pytest.mark.parametrize("n, width, block_rows, sizes", [
-    (512, 64, 1024, [16] * 32),
-    (23, 4, 24, [5, 6, 6, 6]),
-    (10, 4, 12, [2, 3, 2, 3]),
-    (3, 4, 2, [1, 1, 1]),
-    (0, 4, 1024, [0]),
+@pytest.mark.parametrize("sizes, block_rows, groups", [
+    ([64] * 512, 1024, [16] * 32),
+    ([4] * 23, 24, [5, 6, 6, 6]),
+    ([4] * 10, 12, [2, 3, 2, 3]),
+    ([4] * 3, 2, [1, 1, 1]),            # a group over the budget is a block alone
+    ([5, 5, 4, 3, 3, 1], 8, [1, 1, 1, 3]),
+    ([], 1024, []),
 ])
-def test_blocks_split_evenly_within_the_row_budget(monkeypatch, n, width, block_rows, sizes):
+def test_blocks_split_evenly_within_the_row_budget(monkeypatch, sizes, block_rows, groups):
     monkeypatch.setattr(layers_module, "_BLOCK_ROWS", block_rows)
-    blocks = layers_module._blocks(n, width)
-    assert [b.stop - b.start for b in blocks] == sizes
-    assert blocks[0].start == 0 and blocks[-1].stop == n
-    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = np.array(sizes, dtype=int)
+    blocks = layers_module._blocks(sizes)
+    assert [b.stop - b.start for b in blocks] == groups
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+    assert all(sizes[b].sum() <= block_rows or b.stop - b.start == 1 for b in blocks)
+    if blocks:
+        assert blocks[0].start == 0 and blocks[-1].stop == len(sizes)
+
+
+def marked_mlp(params, x, capture=False):
+    """dense_apply, then output channel 0 set to +0.0 or -0.0 and channel 1
+    to NaN where input column 2 is positive, both by the row's content."""
+    out, tape = dense_apply(params, x, capture=capture)
+    out[:, 0] = np.where(x[:, 0] % 2 == 0, 0.0, -0.0)
+    out[x[:, 2] > 0, 1] = np.nan
+    return out, tape
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_group_pool_matches_a_per_group_reference(data):
+    cap = data.draw(st.integers(1, 6), label="cap")
+    sizes = np.array(data.draw(st.lists(st.integers(1, cap), min_size=1, max_size=12),
+                               label="sizes"))
+    block_rows = data.draw(st.sampled_from([1, 2, 5, 9, 1024]), label="block_rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    g, n = len(sizes), 8
+    # Small integers throughout, so every sum is exact in any order and
+    # blocked and per-group MLP calls agree bit for bit.  Candidate j + 4
+    # repeats candidate j, so a group holding both has equal rows; column 2
+    # marks the candidates whose rows output NaN in channel 1.
+    cand_feats = rng.integers(-3, 4, size=(n, 3)).astype(float)
+    cand_feats[:, 2] = rng.random(n) < 0.2
+    cand_feats[4:] = cand_feats[:4]
+    group_feats = rng.integers(-3, 4, size=(g, 2)).astype(float)
+    mlp = DenseParams([rng.integers(-2, 3, size=(5, 4)).astype(float),
+                       rng.integers(-2, 3, size=(4, 3)).astype(float)],
+                      [rng.integers(-2, 3, size=4).astype(float),
+                       rng.integers(-2, 3, size=3).astype(float)])
+    grad = rng.integers(-3, 4, size=(g, 3)).astype(float)
+    # ball_query's layout: distinct candidates, valid slots first, invalid
+    # slots repeating slot 0.
+    order = np.array([rng.permutation(n)[:cap] for _ in range(g)]).reshape(g, cap)
+    valid = np.arange(cap) < sizes[:, None]
+    order = np.where(valid, order, order[:, :1])
+
+    def rows_of(group, cand):
+        return np.concatenate([cand_feats[cand], group_feats[group]], axis=1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layers_module, "_BLOCK_ROWS", block_rows)
+        mp.setattr(layers_module, "dense_apply", marked_mlp)
+        pooled, tape = layers_module._group_pool(mlp, order, valid, rows_of, True)
+        plain, _ = layers_module._group_pool(mlp, order, valid, rows_of, False)
+    mlp_grads, group, cand, ginp = tape.backward(grad)
+
+    ref_pooled, ref_won = np.empty((g, 3)), np.empty((g, 3), dtype=np.intp)
+    ref_grads, ref_inputs = [], {}
+    for i, size in enumerate(sizes):
+        out, dtape = marked_mlp(mlp, rows_of(np.full(size, i), order[i, :size]), capture=True)
+        ref_pooled[i] = np.maximum.reduceat(out, [0], axis=0)[0]
+        slot = out.argmax(axis=0)       # the lowest max, or the lowest NaN
+        ref_won[i] = order[i, slot]
+        gy = np.zeros_like(out)
+        gy[slot, np.arange(3)] = grad[i]
+        grads, gx = dtape.backward(gy)
+        ref_grads.append(grads.weights + grads.biases)
+        ref_inputs.update({(i, order[i, s]): gx[s] for s in np.unique(slot)})
+
+    for got in (pooled, plain):
+        assert np.array_equal(got, ref_pooled, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref_pooled))
+    assert np.array_equal(kernel_winners(tape, g, 3), ref_won)
+    for got, want in zip(mlp_grads.weights + mlp_grads.biases, zip(*ref_grads)):
+        assert np.array_equal(got, np.sum(want, axis=0))
+    # Input gradients for the rows that win some channel, each once.
+    pairs = list(zip(group.tolist(), cand.tolist()))
+    assert sorted(pairs) == sorted(ref_inputs)
+    for pair, row in zip(pairs, ginp):
+        assert np.array_equal(row, ref_inputs[pair])
 
 
 def traced_peak(fn, *args) -> int:
