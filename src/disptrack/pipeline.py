@@ -395,7 +395,9 @@ def _network_input(name: str, frame: PointCloud, detections: Detections,
                                       config.n_filtered)]
     if len(kept) == 0:
         raise ValueError("no points remain after the probability filter")
-    return kept, frame.points[kept], point_features(frame, detections)[kept]
+    points = frame.points[kept]
+    return kept, points, point_features(
+        PointCloud(points), Detections(detections.boxes, detections.point_mask_probs[kept]))
 
 
 def _forward_displacements(frame_a: PointCloud, frame_b: PointCloud,

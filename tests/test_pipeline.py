@@ -195,6 +195,19 @@ def test_field_is_invariant_to_translating_the_scene():
     np.testing.assert_allclose(moved.vectors, base.vectors, rtol=0, atol=1e-9)
 
 
+def test_point_features_run_once_per_frame_on_the_kept_points_only(monkeypatch):
+    seen = []
+    real = pipeline.point_features
+
+    def recording(frame, detections):
+        seen.append((len(frame), len(detections.point_mask_probs)))
+        return real(frame, detections)
+    monkeypatch.setattr(pipeline, "point_features", recording)
+    _, a, label_a, b, label_b = scene_pair()
+    predict(pipeline.build_displacement_model(TINY), TINY, a, label_a, b, label_b)
+    assert seen == [(TINY.n_filtered, TINY.n_filtered)] * 2
+
+
 def test_frame_without_detections_logs_a_warning(caplog):
     _, a, label_a, b, label_b = scene_pair()
     model = pipeline.build_displacement_model(TINY)
