@@ -417,14 +417,16 @@ class AssociationTape:
         w = ginp[:, 0]
         if fusion == "cosine_distance":
             norm_a, norm_b = np.linalg.norm(fa, axis=1), np.linalg.norm(fb, axis=1)
-            denom = norm_a[a] * norm_b[b] + _COSINE_EPS
-            w = w / denom
+            pair_a, pair_b = norm_a[a], norm_b[b]
+            denom = pair_a * pair_b + _COSINE_EPS
+            # A pair with a zero feature reads cosine 0 whatever the other
+            # feature is, and passes no gradient (not f / eps).
+            w = np.where((pair_a > 0.0) & (pair_b > 0.0), w / denom, 0.0)
             t = w * self.dots[a, b] / denom
-            with np.errstate(divide="ignore", invalid="ignore"):
-                c_a = np.where(norm_a > 0.0, np.bincount(
-                    a, weights=t * norm_b[b], minlength=na) / norm_a, 0.0)
-                c_b = np.where(norm_b > 0.0, np.bincount(
-                    b, weights=t * norm_a[a], minlength=nb) / norm_b, 0.0)
+            c_a = np.bincount(a, weights=t * pair_b, minlength=na)
+            c_b = np.bincount(b, weights=t * pair_a, minlength=nb)
+            np.divide(c_a, norm_a, out=c_a, where=norm_a > 0.0)
+            np.divide(c_b, norm_b, out=c_b, where=norm_b > 0.0)
         weights = np.zeros((na, nb))
         weights[a, b] = w
         grad_fa = weights @ fb

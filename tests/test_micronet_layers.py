@@ -575,9 +575,11 @@ def gathered_association_reference(spec, points_a, feats_a, points_b, feats_b, g
     elif spec.fusion in ("elementwise_product", "dot_product"):
         grad_fa, gfb = (gfused * fb).sum(axis=1), gfused * fa
     else:
+        # A pair with a zero-norm feature passes no gradient.
+        live = (norm_a > 0.0) & (norm_b > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            da = fb / denom - np.where(norm_a > 0.0, s * norm_b * fa / (norm_a * denom ** 2), 0.0)
-            db = fa / denom - np.where(norm_b > 0.0, s * norm_a * fb / (norm_b * denom ** 2), 0.0)
+            da = np.where(live, fb / denom - s * norm_b * fa / (norm_a * denom ** 2), 0.0)
+            db = np.where(live, fa / denom - s * norm_a * fb / (norm_b * denom ** 2), 0.0)
         grad_fa, gfb = (gfused * da).sum(axis=1), gfused * db
     grad_fb = np.zeros_like(feats_b)
     np.add.at(grad_fb, order, gfb)
@@ -613,12 +615,30 @@ def test_assoc_matches_gathered_reference(fusion, zero_rows):
     feats_a = rng.normal(size=(9, 5))
     feats_b = rng.normal(size=(11, 5))
     if zero_rows:
-        # Zero-norm features take the eps-only cosine denominator.
+        # Zero-norm features read cosine 0 and pass no gradient.
         feats_a[2] = 0.0
         feats_b[nearest(pts_a, pts_b, 4)[0][0, 1]] = 0.0
     grad_fa, grad_fb = assert_assoc_matches_reference(
         spec, pts_a, feats_a, pts_b, feats_b, rng.normal(size=(9, 6)))
     assert grad_fa.any() and grad_fb.any()
+
+
+def test_assoc_cosine_passes_no_gradient_through_a_zero_norm_feature():
+    # Frame-A point 0 and frame-A point 1's nearest frame-B neighbour carry
+    # all-zero features: their pairs read cosine 0 for any other feature, so
+    # the gradient is zero there, not f / eps (up to 1e10 times f).
+    rng = np.random.default_rng(24)
+    spec = make_assoc_spec(rng, "cosine_distance", feat_width=3, k=2)
+    pts_a, pts_b = rng.uniform(-2, 2, size=(3, 3)), rng.uniform(-2, 2, size=(4, 3))
+    feats_a, feats_b = rng.normal(size=(3, 3)), rng.normal(size=(4, 3))
+    order, _ = nearest(pts_a, pts_b, 2)
+    zero_b = order[1, 0]
+    feats_a[0] = 0.0
+    feats_b[zero_b] = 0.0
+    embedded, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
+    _, grad_fa, grad_fb = tape.backward(np.ones_like(embedded))
+    assert not grad_fa[0].any() and not grad_fb[zero_b].any()
+    assert grad_fa[1:].any() and np.abs(np.concatenate([grad_fa, grad_fb])).max() < 1e3
 
 
 @pytest.mark.parametrize("fusion", FUSION_METHODS)
@@ -708,7 +728,7 @@ def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_
                 scatter(order, g * feats_a[:, None, :], nb))
     w = g[:, :, 0]
     if spec.fusion == "cosine_distance":
-        w = w / denom
+        w = np.where((norm_a[:, None] > 0.0) & (norm_b > 0.0), w / denom, 0.0)
         t = w * dots / denom
         with np.errstate(divide="ignore", invalid="ignore"):
             c_a = np.where(norm_a > 0.0, (t * norm_b).sum(axis=1) / norm_a, 0.0)
