@@ -139,13 +139,14 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
     (piecewise-)constant velocities over static background clutter.
 
     Cluster points are sampled once per object and moved rigidly with the box;
-    per-frame sensor noise is Gaussian, clipped at 3 sigma so labelled points
-    always stay inside their boxes.
+    per-frame sensor noise is Gaussian, clipped at 3 sigma per world axis.
+    Along a box's yawed axes that noise reaches 3 sigma * sqrt(2), so points
+    sit that far plus 1 cm inside their box and always stay in it.
     """
     rng = np.random.default_rng(seed)
 
     sizes, clusters, yaws = [], [], []
-    inset = 3.0 * config.noise_sigma + 0.01
+    inset = 3.0 * np.sqrt(2.0) * config.noise_sigma + 0.01
     for _ in range(config.objects):
         size = np.array([rng.uniform(*config.length_range),
                          rng.uniform(*config.width_range),
