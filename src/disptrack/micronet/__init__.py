@@ -3,8 +3,9 @@
 Submodules:
   dense       MLP parameter and gradient containers, forward pass, and
               backward tape
-  layers      point-set layers: set abstraction, feature propagation,
-              cross-frame association head with four fusion variants
+  layers      point-set layers: set abstraction and the cross-frame
+              association head (four fusion variants), both on one
+              group -> MLP -> max-pool kernel, and feature propagation
   losses      class-balanced weighted-L2 tracking loss
   optim       Adam and the triangular cyclical learning-rate schedule
   gradcheck   central-difference gradient verification harness

@@ -12,51 +12,40 @@ Three layers cover the whole displacement network:
                            neighbours, append the neighbour displacement,
                            run the MLP per neighbour and max-pool over k.
 
-Set abstraction selects neighbours with ``geom.ball_query``.  Feature
-propagation and the association head need the k nearest points with no
-radius and use ``geom.nearest``, which searches a grid for large inputs
-(paper-scale fp2 and fp3) and scores every pair for small ones.  All rank by
-ascending Euclidean distance, equal distances to the lower index, so a
-selection is a pure function of the coordinates.
+Set abstraction selects neighbours with ``geom.ball_query``; feature
+propagation and the association head take the k nearest with
+``geom.nearest``.  All rank by ascending distance, equal distances to the
+lower index, so a selection is a pure function of the coordinates.
 
-Set abstraction and the association head are one computation on different
-(group, candidate) pairs: a centroid and its in-radius points, or a frame-A
-point and its frame-B neighbours.  One kernel, ``_group_pool``, runs it.  It
-takes a selection's padded (order, valid) pair and a ``rows_of(group,
-candidate)`` callback that builds each pair's MLP input row, and never
-builds all rows at once.  It orders the groups largest first and runs them
-in blocks of whole groups, at most ``_BLOCK_ROWS`` rows each (a larger group
-alone), rows slot-major: slot 0 of every group of the block, then slot 1,
-and so on.  Slot s is then one contiguous run, a prefix of the block's
-groups, and ``_max_pool`` folds the runs into the pooled array with a
-running ``np.maximum``: bit for bit the values of ``np.maximum.reduceat``
-over each group's rows.  Each pooled gradient goes to np.argmax's slot: the
-lowest slot holding the max, and for a NaN max the lowest NaN slot.  With
-capture a block keeps the layer inputs of the rows that win some pooled
-channel, and only those, as its own ``DenseTape``: a row that wins no
-channel gets no gradient.  The backward pass runs block by block and
-returns the MLP gradients and each kept row's input gradient with its
-(group, candidate) pair.  Set abstraction scatters the neighbour-feature
-part of those to the points.  The association head applies its fusion
-rule: concat and elementwise product scatter to both frames, and dot and
-cosine fusion, which read one (na, nb) GEMM of the two frames' features at
-the pairs, take two GEMMs against the (na, nb) matrix of per-pair gradient
-weights.
+Set abstraction and the association head are one kernel, ``_group_pool``,
+on different (group, candidate) pairs: a centroid and its in-radius points,
+or a frame-A point and its frame-B neighbours.  It takes a selection's
+padded (order, valid) pair and a ``rows_of(group, candidate)`` callback that
+builds MLP input rows.  It sorts the groups largest first and runs them in
+blocks of whole groups, at most ``_BLOCK_ROWS`` rows each, slot-major (slot
+0 of every group, then slot 1, ...), so slot s is one contiguous run over a
+prefix of the block's groups.  ``_max_pool`` folds those runs with a running
+``np.maximum``, bit for bit ``np.maximum.reduceat`` over each group's rows,
+and sends each pooled gradient to np.argmax's slot: the lowest one holding
+the max, or for a NaN max the lowest NaN slot.  With capture a block keeps
+the layer inputs of its winning rows only, as its own ``DenseTape``: a row
+that wins no channel gets no gradient.  The backward pass runs block by
+block and returns the MLP gradients and each winning row's input gradient
+with its (group, candidate) pair.  Set abstraction scatters the
+neighbour-feature part; the head applies its fusion rule.  Dot and cosine
+fusion read one (na, nb) GEMM of the two frames' features at the pairs, and
+their backward pass is two GEMMs against the (na, nb) matrix of per-pair
+gradient weights.  A cosine pair with a zero-norm feature passes no gradient.
 
 Feature propagation applies its MLP's first layer to the source features
-before interpolating, which interpolation's linearity allows, so that GEMM
-runs over the fewer source rows; its backward pass interpolates the layer's
-output gradient back onto the sources.  It interpolates one block of
-targets at a time, cut by the kernel's block splitter ``_blocks``.
-
-Blocking changes no interpolated bit: interpolation is an einsum, which sums
-each target's neighbours in the same order at any block size.  A GEMM split
-by rows returns the same bits only where BLAS computes a row the same way in
-a short call as in a long one.  With OpenBLAS that held for 32- to 256-wide
-layers in blocks of 64 rows or more, but not for 1- or 7-row blocks, nor for
-a 3-wide layer at any block size.  So ``_blocks`` cuts at evenly spaced row
-counts, leaving no small remainder block, and FP's later layers and the
-dense head stay whole.
+before interpolating (interpolation is linear), so that GEMM runs over the
+fewer source rows, and interpolates a block of targets at a time.  Blocking
+changes no interpolated bit: the einsum sums each target's neighbours in the
+same order at any block size.  A GEMM split by rows keeps its bits only
+where BLAS computes a row alike in short and long calls; with OpenBLAS that
+held for 32- to 256-wide layers in blocks of 64 rows or more, not for 1- or
+7-row blocks or 3-wide layers.  So ``_blocks`` leaves no small remainder
+block, and FP's later layers and the dense head run whole.
 
 Feature gradients flow through features only; point coordinates are data
 and never differentiated, so finite-difference checks see a fixed
@@ -201,16 +190,14 @@ class _GroupTape:
         (r, width)) of the r kept rows."""
         grad_pooled = np.asarray(grad_pooled, dtype=float)
         channels = np.arange(grad_pooled.shape[1])
-        mlp_grads, groups, cands, ginps = None, [], [], []
+        rows = []
         for members, win, group, cand, dtape in self.blocks:
             gy = np.zeros((len(group), len(channels)))
             gy[win, channels] = grad_pooled[members]
             grads, ginp = dtape.backward(gy)
-            mlp_grads = grads if mlp_grads is None else mlp_grads.add_(grads)
-            groups.append(group)
-            cands.append(cand)
-            ginps.append(ginp)
-        return mlp_grads, np.concatenate(groups), np.concatenate(cands), np.concatenate(ginps)
+            mlp_grads = mlp_grads.add_(grads) if rows else grads
+            rows.append((group, cand, ginp))
+        return mlp_grads, *(np.concatenate(x) for x in zip(*rows))
 
 
 def _group_pool(mlp: DenseParams, order: np.ndarray, valid: np.ndarray, rows_of,
@@ -465,8 +452,7 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
 
     order, _ = nearest(points_a, points_b, spec.k)
     fusion = spec.fusion
-    if fusion in ("dot_product", "cosine_distance"):
-        dots = feats_a @ feats_b.T
+    dots = feats_a @ feats_b.T if fusion in ("dot_product", "cosine_distance") else None
     if fusion == "cosine_distance":
         norm_a = np.linalg.norm(feats_a, axis=1)
         norm_b = np.linalg.norm(feats_b, axis=1)
@@ -484,8 +470,7 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
 
     embedded, group_tape = _group_pool(spec.mlp, order, np.ones(order.shape, dtype=bool),
                                        rows_of, capture)
-    tape = None
-    if capture:
-        tape = AssociationTape(spec, group_tape, feats_a, feats_b,
-                               dots if fusion == "cosine_distance" else None)
-    return embedded, tape
+    if not capture:
+        return embedded, None
+    return embedded, AssociationTape(spec, group_tape, feats_a, feats_b,
+                                     dots if fusion == "cosine_distance" else None)
