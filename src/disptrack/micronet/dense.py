@@ -9,7 +9,7 @@ reaches them as NaN, and whoever applies them decides what a non-finite
 gradient means.  ``DenseGrads.add_`` sums the gradients of a layer that two
 streams share.  A tape's ``inputs`` are the captured input of each layer; a
 tape built from some of their rows runs the backward pass of those rows
-alone, as the association head does for the winners of its max-pool.
+alone, as ``layers._group_pool`` does for the winners of its max-pool.
 
 Each layer adds its bias and applies its ReLU in place on its GEMM's output,
 so it allocates one array of its output's size.  The ReLU maps NaN to 0, so

@@ -153,16 +153,16 @@ def _blocks(sizes: np.ndarray) -> list[slice]:
     n = len(sizes)
     if n and sizes.max() > _BLOCK_ROWS:
         return [slice(i, i + 1) for i in range(n)]
-    ends = np.cumsum(sizes)
-    total = int(ends[-1]) if n else 0
+    ends = np.concatenate(([0], np.cumsum(sizes)))
     # An even cut leaves a block at most max(sizes) - 1 rows over
-    # total / count, so the loop ends by total / (_BLOCK_ROWS - max + 1).
-    count = max(1, -(-total // _BLOCK_ROWS))
+    # total / count, so count stops by total / (_BLOCK_ROWS - max + 1).
+    count = max(1, -(-int(ends[-1]) // _BLOCK_ROWS))
     while True:
-        bounds = np.unique(np.searchsorted(ends, np.arange(count + 1) * total // count,
-                                           side="right"))
-        if (np.diff(np.concatenate(([0], ends))[bounds]) <= _BLOCK_ROWS).all():
-            return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        cuts = np.arange(count + 1) * ends[-1] // count
+        bounds = np.searchsorted(ends, cuts, side="right") - 1
+        if (np.diff(ends[bounds]) <= _BLOCK_ROWS).all():
+            bounds = bounds.tolist()
+            return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
         count += 1
 
 
@@ -216,13 +216,13 @@ def _group_pool(mlp: DenseParams, order: np.ndarray, valid: np.ndarray, rows_of,
     blocks = []
     for b in _blocks(count[by_size]):
         members = by_size[b]
+        size = count[members]
         # Slot-major rows; members run largest first, so the groups holding
         # slot s are a prefix of them and slot s is rows start[s]:start[s+1].
-        held = count[members] > np.arange(count[members[0]])[:, None]
-        slot, pos = np.nonzero(held)
-        group = members[pos]
-        cand = order[group, slot]
-        start = np.concatenate(([0], np.cumsum(np.count_nonzero(held, axis=1))))
+        held = size > np.arange(size[0])[:, None]
+        group = np.broadcast_to(members, held.shape)[held]
+        cand = order[members, :size[0]].T[held]
+        start = np.concatenate(([0], np.cumsum(held.sum(axis=1))))
         out, dtape = dense_apply(mlp, rows_of(group, cand), capture=capture)
         pooled[members], win = _max_pool(lambda s: out[start[s]:start[s + 1]],
                                          len(start) - 1, capture)
