@@ -154,9 +154,11 @@ def _blocks(sizes: np.ndarray) -> list[slice]:
     if n and sizes.max() > _BLOCK_ROWS:
         return [slice(i, i + 1) for i in range(n)]
     ends = np.concatenate(([0], np.cumsum(sizes)))
+    count = -(-int(ends[-1]) // _BLOCK_ROWS)
+    if count <= 1:
+        return [slice(0, n)] if n else []
     # An even cut leaves a block at most max(sizes) - 1 rows over
     # total / count, so count stops by total / (_BLOCK_ROWS - max + 1).
-    count = max(1, -(-int(ends[-1]) // _BLOCK_ROWS))
     while True:
         cuts = np.arange(count + 1) * ends[-1] // count
         bounds = np.searchsorted(ends, cuts, side="right") - 1
