@@ -33,14 +33,17 @@ TINY = PipelineConfig(n_input=240, n_filtered=128, k=8,
 # 260 points per frame, so the n_input downsampling runs, and ~120 foreground
 # points, so the filter keeps some background and both loss sides are used.
 SCENE = SceneConfig(frames=2, objects=2, points_per_object=60, background_points=140)
+# Also 260 points per frame, but mostly on objects: most sa2 outputs then have
+# non-zero norm, so cosine fusion passes gradient back into sa2.
+OBJECT_SCENE = SceneConfig(frames=2, objects=4, points_per_object=60, background_points=20)
 
 
 def tiny_config(**changes) -> PipelineConfig:
     return PipelineConfig.from_dict({**TINY.to_dict(), **changes})
 
 
-def scene_pair(seed: int = 3):
-    seq = synthesize_sequence(SCENE, seed)
+def scene_pair(seed: int = 3, scene: SceneConfig = SCENE):
+    seq = synthesize_sequence(scene, seed)
     a, label_a, b, label_b = next(seq.adjacent_pairs())
     return seq, a, label_a, b, label_b
 
@@ -51,20 +54,22 @@ def predict(model, config, a, label_a, b, label_b):
     return pipeline.predict_displacements(a, b, det_a, det_b, model, config)
 
 
-GOLDEN_FUSIONS = (
+GOLDEN_CASES = (
+    # (key prefix, fusion, scene)
     # the default, which the benchmark runs
-    "cosine_distance",
+    ("cosine_distance", "cosine_distance", SCENE),
     # At initialisation isolated background points carry all-zero features,
-    # so under cosine fusion no gradient reaches the frame-B stream; concat
+    # so under cosine fusion no gradient reaches the sa2 stream; concat
     # fusion carries gradient through both streams.
-    "concat",
+    ("concat", "concat", SCENE),
+    # the default fusion on a scene where it does reach sa2
+    ("cosine_distance.objects", "cosine_distance", OBJECT_SCENE),
 )
 
 
 def golden_outputs() -> dict[str, np.ndarray]:
-    """Per fusion: the field of an untrained model, then one train_association
+    """Per case: the field of an untrained model, then one train_association
     step's gradients (as handed to Adam) and the parameters after it."""
-    seq, a, label_a, b, label_b = scene_pair()
     seen = []
     original = pipeline.adam_step
 
@@ -73,12 +78,13 @@ def golden_outputs() -> dict[str, np.ndarray]:
         return original(params, grads, state, lr, **kwargs)
 
     out = {}
-    for fusion in GOLDEN_FUSIONS:
+    for name, fusion, scene in GOLDEN_CASES:
+        seq, a, label_a, b, label_b = scene_pair(scene=scene)
         config = tiny_config(fusion=fusion)
         model = pipeline.build_displacement_model(config)
         field = predict(model, config, a, label_a, b, label_b)
-        out[f"{fusion}/field.indices"] = field.point_indices
-        out[f"{fusion}/field.vectors"] = field.vectors
+        out[f"{name}/field.indices"] = field.point_indices
+        out[f"{name}/field.vectors"] = field.vectors
 
         seen.clear()
         pipeline.adam_step = recording_adam_step
@@ -87,8 +93,8 @@ def golden_outputs() -> dict[str, np.ndarray]:
         finally:
             pipeline.adam_step = original
         assert len(seen) == 1
-        out.update({f"{fusion}/grad.{k}": v for k, v in seen[0].items()})
-        out.update({f"{fusion}/param.{k}": v for k, v in trained.param_dict().items()})
+        out.update({f"{name}/grad.{k}": v for k, v in seen[0].items()})
+        out.update({f"{name}/param.{k}": v for k, v in trained.param_dict().items()})
     return out
 
 
@@ -96,6 +102,9 @@ def test_golden_field_gradients_and_step():
     expected = np.load(GOLDEN)
     actual = golden_outputs()
     assert sorted(actual) == sorted(expected.files)
+    # The object-scene case exists to pin sa2's backward under cosine fusion.
+    for key in ("w0", "b0", "w1", "b1"):
+        assert np.any(expected[f"cosine_distance.objects/grad.sa2.{key}"]), key
     for key in expected.files:
         if key.endswith("field.indices"):
             assert np.array_equal(actual[key], expected[key]), key
