@@ -45,7 +45,11 @@ same order at any block size.  A GEMM split by rows keeps its bits only
 where BLAS computes a row alike in short and long calls; with OpenBLAS that
 held for 32- to 256-wide layers in blocks of 64 rows or more, not for 1- or
 7-row blocks or 3-wide layers.  So ``_blocks`` leaves no small remainder
-block, and FP's later layers and the dense head run whole.
+block, and FP's later layers and the dense head run whole.  The backward
+pass sends the first layer's gradient to the sources with
+``_interp_transpose``, one round per pair rank over the sources that have
+that many pairs, so each source sums its pairs from zero in (target, slot)
+order, bit for bit the np.add.at order, without a (t, 3, c) array.
 
 Feature gradients flow through features only; point coordinates are data
 and never differentiated, so finite-difference checks see a fixed
@@ -172,11 +176,46 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """(n, c) sums of the c-wide rows of values into the rows that index names.
 
     values has shape index.shape + (c,); rows are added in index order, as
-    np.add.at adds them, so the sums match it bit for bit.
+    np.add.at adds them, so the sums match it bit for bit.  Set abstraction
+    and the concat and elementwise-product association head scatter their
+    narrow rows with it; feature propagation uses ``_interp_transpose``.
     """
     c = values.shape[-1]
     flat = (index[..., None] * c + np.arange(c)).ravel()
     return np.bincount(flat, weights=values.ravel(), minlength=n * c).reshape(n, c)
+
+
+def _interp_transpose(order: np.ndarray, weights: np.ndarray, g: np.ndarray,
+                      n: int) -> np.ndarray:
+    """(n, c) transpose of an interpolation: row j sums weights[t, s] * g[t]
+    over the (t, s) with order[t, s] == j.
+
+    Equals _scatter_add(order, g[:, None, :] * weights[:, :, None], n) bit
+    for bit without building those (t, kk, c) products or a flat index.  The
+    pairs are grouped by source in (t, s) order and the sources ordered by
+    pair count, so round r adds the r-th pair of every source that has more
+    than r pairs into a prefix of one zeroed accumulator: each sum runs from
+    zero in (t, s) order, the order np.add.at and np.bincount add in.
+    """
+    kk = order.shape[1]
+    src = order.ravel()
+    pairs = np.argsort(src, kind="stable")
+    count = np.bincount(src, minlength=n)
+    by_count = np.argsort(-count, kind="stable")
+    depth = count[by_count]
+    first = (np.cumsum(count) - count)[by_count]
+    # active[r]: how many sources have more than r pairs, a prefix of by_count.
+    active = np.searchsorted(-depth, -np.arange(depth[0]), side="left")
+    w = weights.ravel()
+    acc = np.zeros((n, g.shape[1]))
+    for r, m in enumerate(active.tolist()):
+        p = pairs[first[:m] + r]
+        x = g[p // kk]
+        x *= w[p][:, None]
+        acc[:m] += x
+    out = np.empty_like(acc)
+    out[by_count] = acc
+    return out
 
 
 class _GroupTape:
@@ -307,8 +346,7 @@ class FpTape:
         # source part was interpolated after the GEMM, so g goes back to the
         # sources first and the GEMM's gradients are taken there.
         c_s = self.source_feats.shape[1]
-        g_src = _scatter_add(self.order, g[:, None, :] * self.weights[:, :, None],
-                             self.source_feats.shape[0])
+        g_src = _interp_transpose(self.order, self.weights, g, self.source_feats.shape[0])
         grad_w0 = self.source_feats.T @ g_src
         grad_source = g_src @ self.w0[:c_s].T
         grad_skip = None

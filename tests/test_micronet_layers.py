@@ -419,6 +419,55 @@ def test_fp_blocked_interpolation_equals_unblocked_bit_for_bit(
     assert out.tobytes() == want.tobytes()
 
 
+def add_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, c) np.add.at sums of the c-wide rows of values into the rows that
+    index names."""
+    out = np.zeros((n, values.shape[-1]))
+    np.add.at(out, index, values)
+    return out
+
+
+# Signed zeros, and magnitudes whose sums depend on the order of addition.
+SCATTER_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 3e16, -3e16, 5e-324])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_interp_transpose_matches_add_at_bit_for_bit(data):
+    kk = data.draw(st.integers(1, 3), label="kk")
+    n = data.draw(st.integers(1, 6), label="n")         # n = 1: a single source
+    t = data.draw(st.integers(0, 12), label="t")
+    c = data.draw(st.integers(1, 3), label="c")
+    # Few sources for many pairs repeat sources; the top index is often
+    # unused, so some sources get no pairs.
+    order = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=t * kk,
+                                        max_size=t * kk)), dtype=np.intp).reshape(t, kk)
+    weights = np.array(data.draw(st.lists(SCATTER_VALUES, min_size=t * kk,
+                                          max_size=t * kk))).reshape(t, kk)
+    g = np.array(data.draw(st.lists(SCATTER_VALUES, min_size=t * c,
+                                    max_size=t * c))).reshape(t, c)
+    got = layers_module._interp_transpose(order, weights, g, n)
+    want = add_at(order, g[:, None, :] * weights[:, :, None], n)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order, n", [
+    ([[0, 0, 0], [0, 0, 0]], 1),        # one source takes every pair
+    ([[2, 2], [2, 0], [0, 2]], 4),      # sources 1 and 3 get no pair
+    ([[1], [0], [1], [1]], 2),          # one neighbour per target
+])
+def test_interp_transpose_signed_zero_cases(order, n):
+    # -0.0 + -0.0 stays -0.0 in np.add.at, but a sum that starts from +0.0
+    # turns it +0.0: the sums must start from zero as np.add.at's do.
+    order = np.array(order)
+    weights = np.full(order.shape, -0.0)
+    weights[::2, 0] = 0.5
+    g = np.array([[-0.0, 1.0], [0.0, -0.0], [-0.0, -2.0], [3.0, -0.0]])[:len(order)]
+    got = layers_module._interp_transpose(order, weights, g, n)
+    assert got.tobytes() == add_at(order, g[:, None, :] * weights[:, :, None], n).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # association head
 # ---------------------------------------------------------------------------
@@ -719,7 +768,7 @@ def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_
     np.put_along_axis(gy, argmax[:, None, :], grad_emb[:, None, :], axis=1)
     mlp_grads, ginp = tape.backward(gy.reshape(na * k, -1))
     g = ginp.reshape(na, k, -1)[:, :, :fused.shape[2]]
-    scatter = layers_module._scatter_add
+    scatter = add_at
     if spec.fusion == "concat":
         return (embedded, argmax, mlp_grads, ginp, g[:, :, :c].sum(axis=1),
                 scatter(order, g[:, :, c:], nb))
@@ -937,3 +986,18 @@ def test_paper_shaped_fp_forward_never_holds_the_full_gather():
     gather = 5000 * 3 * 256 * 8
     peak = traced_peak(fp_layer, tgt, src, src_feats, None, mlp)
     assert peak < 0.75 * gather, peak / gather
+
+
+def test_fp_backward_scatter_never_holds_the_weighted_gradient():
+    # 4000 targets, 3 neighbours, 128 channels, 1500 sources: the (t, 3, c)
+    # weighted gradient and its int64 flat index are 3 (t, c) arrays each.
+    # The transpose needs its (n_s, c) output and less than one (t, c) more.
+    rng = np.random.default_rng(24)
+    n_t, n_s, c = 4000, 1500, 128
+    mlp = DenseParams.create([16, c], rng)
+    tgt, src = rng.uniform(-10, 10, size=(n_t, 3)), rng.uniform(-10, 10, size=(n_s, 3))
+    _, tape = fp_layer(tgt, src, rng.normal(size=(n_s, 16)), None, mlp, capture=True)
+    grad = rng.normal(size=(n_t, c))
+    bound = (n_s + n_t) * c * 8
+    peak = traced_peak(tape.backward, grad)
+    assert peak < bound, peak / bound
