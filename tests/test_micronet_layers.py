@@ -458,8 +458,8 @@ def test_interp_transpose_matches_add_at_bit_for_bit(data):
     ([[1], [0], [1], [1]], 2),          # one neighbour per target
 ])
 def test_interp_transpose_signed_zero_cases(order, n):
-    # -0.0 + -0.0 stays -0.0 in np.add.at, but a sum that starts from +0.0
-    # turns it +0.0: the sums must start from zero as np.add.at's do.
+    # np.add.at starts every sum from +0.0, so a source whose products are
+    # all -0.0 sums to +0.0; a sum seeded with its first product stays -0.0.
     order = np.array(order)
     weights = np.full(order.shape, -0.0)
     weights[::2, 0] = 0.5
@@ -768,21 +768,20 @@ def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_
     np.put_along_axis(gy, argmax[:, None, :], grad_emb[:, None, :], axis=1)
     mlp_grads, ginp = tape.backward(gy.reshape(na * k, -1))
     g = ginp.reshape(na, k, -1)[:, :, :fused.shape[2]]
-    scatter = add_at
     if spec.fusion == "concat":
         return (embedded, argmax, mlp_grads, ginp, g[:, :, :c].sum(axis=1),
-                scatter(order, g[:, :, c:], nb))
+                add_at(order, g[:, :, c:], nb))
     if spec.fusion == "elementwise_product":
         return (embedded, argmax, mlp_grads, ginp, (g * feats_b[order]).sum(axis=1),
-                scatter(order, g * feats_a[:, None, :], nb))
+                add_at(order, g * feats_a[:, None, :], nb))
     w = g[:, :, 0]
     if spec.fusion == "cosine_distance":
         w = np.where((norm_a[:, None] > 0.0) & (norm_b > 0.0), w / denom, 0.0)
         t = w * dots / denom
         with np.errstate(divide="ignore", invalid="ignore"):
             c_a = np.where(norm_a > 0.0, (t * norm_b).sum(axis=1) / norm_a, 0.0)
-            c_b = scatter(order, np.where(norm_b > 0.0, t * norm_a[:, None] / norm_b,
-                                          0.0)[:, :, None], nb)[:, 0]
+            c_b = add_at(order, np.where(norm_b > 0.0, t * norm_a[:, None] / norm_b,
+                                         0.0)[:, :, None], nb)[:, 0]
     weights = np.zeros((na, nb))
     np.put_along_axis(weights, order, w, axis=1)
     grad_fa, grad_fb = weights @ feats_b, weights.T @ feats_a
