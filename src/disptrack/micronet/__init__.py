@@ -4,8 +4,8 @@ Submodules:
   dense       MLP parameter and gradient containers, forward pass, and
               backward tape
   layers      point-set layers: set abstraction and the cross-frame
-              association head (four fusion variants), both on one
-              group -> MLP -> max-pool kernel, and feature propagation
+              cosine association head, both on one group -> MLP ->
+              max-pool kernel, and feature propagation
   losses      class-balanced weighted-L2 tracking loss
   optim       Adam and the triangular cyclical learning-rate schedule
   gradcheck   central-difference gradient verification harness
@@ -17,7 +17,6 @@ All math is float64; every differentiable operation returns a tape whose
 
 from .dense import DenseGrads, DenseParams, DenseTape, dense_apply
 from .layers import (
-    FUSION_METHODS,
     AssociationSpec,
     SaLayerSpec,
     association_head,
@@ -31,7 +30,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "DenseGrads", "DenseParams", "DenseTape", "dense_apply",
-    "FUSION_METHODS", "AssociationSpec", "SaLayerSpec",
+    "AssociationSpec", "SaLayerSpec",
     "association_head", "fp_layer", "sa_layer",
     "tracking_loss",
     "OptState", "adam_step", "clr_schedule",

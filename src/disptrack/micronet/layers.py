@@ -7,10 +7,11 @@ Three layers cover the whole displacement network:
                            neighbour, and element-wise max pools each group.
 * ``fp_layer``          -- upsample: inverse-distance interpolation of the 3
                            nearest source features, optional skip concat, MLP.
-* ``association_head``  -- cross-frame mixer: for every frame-A point, fuse
-                           its feature with each of its k nearest frame-B
-                           neighbours, append the neighbour displacement,
-                           run the MLP per neighbour and max-pool over k.
+* ``association_head``  -- cross-frame mixer: for every frame-A point and
+                           each of its k nearest frame-B neighbours, the
+                           cosine of their features and the neighbour
+                           displacement run through the MLP, and
+                           element-wise max pools over k.
 
 Set abstraction selects neighbours with ``geom.ball_query``; feature
 propagation and the association head take the k nearest with
@@ -32,10 +33,10 @@ the layer inputs of its winning rows only, as its own ``DenseTape``: a row
 that wins no channel gets no gradient.  The backward pass runs block by
 block and returns the MLP gradients and each winning row's input gradient
 with its (group, candidate) pair.  Set abstraction scatters the
-neighbour-feature part; the head applies its fusion rule.  Dot and cosine
-fusion read one (na, nb) GEMM of the two frames' features at the pairs, and
-their backward pass is two GEMMs against the (na, nb) matrix of per-pair
-gradient weights.  A cosine pair with a zero-norm feature passes no gradient.
+neighbour-feature part; the head reads each pair's cosine from one (na, nb)
+GEMM of the two frames' features, and its backward pass is two GEMMs against
+the (na, nb) matrix of per-pair gradient weights.  A pair with a zero-norm
+feature passes no gradient.
 
 Feature propagation applies its MLP's first layer to the source features
 before interpolating (interpolation is linear), so that GEMM runs over the
@@ -64,8 +65,6 @@ import numpy as np
 
 from ..geom import PointCloud, ball_query, farthest_point_sample, nearest
 from .dense import DenseGrads, DenseParams, DenseTape, dense_apply
-
-FUSION_METHODS = ("concat", "elementwise_product", "cosine_distance", "dot_product")
 
 _COSINE_EPS = 1e-10
 
@@ -97,25 +96,11 @@ class AssociationSpec:
     """Cross-frame association hyperparameters plus the head MLP parameters."""
 
     k: int
-    fusion: str
     mlp: DenseParams
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.fusion not in FUSION_METHODS:
-            raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {self.fusion!r}")
-
-
-def fusion_width(fusion: str, width: int) -> int:
-    """Width of the fused part of an association-head input row."""
-    if fusion == "concat":
-        return 2 * width
-    if fusion == "elementwise_product":
-        return width
-    if fusion in ("cosine_distance", "dot_product"):
-        return 1
-    raise ValueError(f"fusion must be one of {FUSION_METHODS}, got {fusion!r}")
 
 
 def _max_pool(slot, depth: int, capture: bool):
@@ -177,8 +162,8 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
     values has shape index.shape + (c,); rows are added in index order, as
     np.add.at adds them, so the sums match it bit for bit.  Set abstraction
-    and the concat and elementwise-product association head scatter their
-    narrow rows with it; feature propagation uses ``_interp_transpose``.
+    scatters its narrow neighbour-feature rows with it; feature propagation
+    uses ``_interp_transpose``.
     """
     c = values.shape[-1]
     flat = (index[..., None] * c + np.arange(c)).ravel()
@@ -417,50 +402,39 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
 
 
 class AssociationTape:
-    def __init__(self, spec, group_tape, feats_a, feats_b, dots):
-        self.spec = spec
+    def __init__(self, group_tape, feats_a, feats_b, dots, norm_a, norm_b):
         self.group_tape = group_tape
         self.feats_a = feats_a          # (na, c)
         self.feats_b = feats_b          # (nb, c)
-        self.dots = dots                # (na, nb) F_a @ F_b.T for cosine, else None
+        self.dots = dots                # (na, nb) F_a @ F_b.T
+        self.norm_a = norm_a            # (na,) feature norms
+        self.norm_b = norm_b            # (nb,)
 
     def backward(self, grad_emb: np.ndarray):
         mlp_grads, a, b, ginp = self.group_tape.backward(grad_emb)
         fa, fb = self.feats_a, self.feats_b
-        (na, c), nb = fa.shape, fb.shape[0]
-        fusion = self.spec.fusion
-        if fusion == "concat":
-            return (mlp_grads, _scatter_add(a, ginp[:, :c], na),
-                    _scatter_add(b, ginp[:, c:2 * c], nb))
-        if fusion == "elementwise_product":
-            g = ginp[:, :c]
-            return mlp_grads, _scatter_add(a, g * fb[b], na), _scatter_add(b, g * fa[a], nb)
-
-        # Dot and cosine fusion: pair (i, j)'s input gradient is a weight w_ij
-        # on f_b[j] for f_a[i] and on f_a[i] for f_b[j], so both sums are GEMMs
-        # against the (na, nb) matrix of those weights (no pair repeats).
-        # Cosine adds the derivative of the norms, a multiple of each point's
-        # own feature.
-        w = ginp[:, 0]
-        if fusion == "cosine_distance":
-            norm_a, norm_b = np.linalg.norm(fa, axis=1), np.linalg.norm(fb, axis=1)
-            pair_a, pair_b = norm_a[a], norm_b[b]
-            denom = pair_a * pair_b + _COSINE_EPS
-            # A pair with a zero feature reads cosine 0 whatever the other
-            # feature is, and passes no gradient (not f / eps).
-            w = np.where((pair_a > 0.0) & (pair_b > 0.0), w / denom, 0.0)
-            t = w * self.dots[a, b] / denom
-            c_a = np.bincount(a, weights=t * pair_b, minlength=na)
-            c_b = np.bincount(b, weights=t * pair_a, minlength=nb)
-            np.divide(c_a, norm_a, out=c_a, where=norm_a > 0.0)
-            np.divide(c_b, norm_b, out=c_b, where=norm_b > 0.0)
+        norm_a, norm_b = self.norm_a, self.norm_b
+        na, nb = len(fa), len(fb)
+        # Pair (i, j)'s input gradient is a weight w_ij on f_b[j] for f_a[i]
+        # and on f_a[i] for f_b[j], so both sums are GEMMs against the (na, nb)
+        # matrix of those weights (no pair repeats).  The derivative of the
+        # norms adds a multiple of each point's own feature.
+        pair_a, pair_b = norm_a[a], norm_b[b]
+        denom = pair_a * pair_b + _COSINE_EPS
+        # A pair with a zero feature reads cosine 0 whatever the other feature
+        # is, and passes no gradient (not f / eps).
+        w = np.where((pair_a > 0.0) & (pair_b > 0.0), ginp[:, 0] / denom, 0.0)
+        t = w * self.dots[a, b] / denom
+        c_a = np.bincount(a, weights=t * pair_b, minlength=na)
+        c_b = np.bincount(b, weights=t * pair_a, minlength=nb)
+        np.divide(c_a, norm_a, out=c_a, where=norm_a > 0.0)
+        np.divide(c_b, norm_b, out=c_b, where=norm_b > 0.0)
         weights = np.zeros((na, nb))
         weights[a, b] = w
         grad_fa = weights @ fb
         grad_fb = weights.T @ fa
-        if fusion == "cosine_distance":
-            grad_fa -= c_a[:, None] * fa
-            grad_fb -= c_b[:, None] * fb
+        grad_fa -= c_a[:, None] * fa
+        grad_fb -= c_b[:, None] * fb
         return mlp_grads, grad_fa, grad_fb
 
 
@@ -468,9 +442,10 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
                      points_b: np.ndarray, feats_b: np.ndarray, capture: bool = False):
     """Embed every frame-A point against its k nearest frame-B neighbours.
 
-    Per neighbour j the MLP input row is fuse(f_a, f_b_j) concatenated with
-    the displacement p_b_j - p_a; fusion is one of FUSION_METHODS.  The
-    embedded feature is the element-wise max over the k neighbour outputs.
+    Per neighbour j the MLP input row is the cosine similarity
+    f_a . f_b_j / (|f_a| |f_b_j| + 1e-10) followed by the displacement
+    p_b_j - p_a.  The embedded feature is the element-wise max over the k
+    neighbour outputs.
 
     Returns (embedded features (na, c_out), tape or None).
     """
@@ -482,35 +457,23 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
         raise ValueError("frame feature widths must match")
     if feats_a.shape[0] != points_a.shape[0] or feats_b.shape[0] != points_b.shape[0]:
         raise ValueError("points and features must align")
-    if spec.k > points_b.shape[0]:
-        raise ValueError(f"k={spec.k} exceeds frame-B point count {points_b.shape[0]}")
-
-    fwidth = fusion_width(spec.fusion, feats_a.shape[1])
-    if spec.mlp.in_width != fwidth + 3:
-        raise ValueError(f"MLP expects width {spec.mlp.in_width}, "
-                         f"fusion {spec.fusion!r} provides {fwidth + 3}")
+    nb = points_b.shape[0]
+    if spec.k > nb:
+        raise ValueError(f"only {nb} frame-B points for k={spec.k}")
+    if spec.mlp.in_width != 4:
+        raise ValueError(f"MLP expects width {spec.mlp.in_width}, the head provides 4")
 
     order, _ = nearest(points_a, points_b, spec.k)
-    fusion = spec.fusion
-    dots = feats_a @ feats_b.T if fusion in ("dot_product", "cosine_distance") else None
-    if fusion == "cosine_distance":
-        norm_a = np.linalg.norm(feats_a, axis=1)
-        norm_b = np.linalg.norm(feats_b, axis=1)
+    dots = feats_a @ feats_b.T
+    norm_a = np.linalg.norm(feats_a, axis=1)
+    norm_b = np.linalg.norm(feats_b, axis=1)
 
     def rows_of(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if fusion == "concat":
-            fused = [feats_a[a], feats_b[b]]
-        elif fusion == "elementwise_product":
-            fused = [feats_a[a] * feats_b[b]]
-        elif fusion == "dot_product":
-            fused = [dots[a, b][:, None]]
-        else:
-            fused = [(dots[a, b] / (norm_a[a] * norm_b[b] + _COSINE_EPS))[:, None]]
-        return np.concatenate([*fused, points_b[b] - points_a[a]], axis=1)
+        cosine = dots[a, b] / (norm_a[a] * norm_b[b] + _COSINE_EPS)
+        return np.concatenate([cosine[:, None], points_b[b] - points_a[a]], axis=1)
 
     embedded, group_tape = _group_pool(spec.mlp, order, np.ones(order.shape, dtype=bool),
                                        rows_of, capture)
     if not capture:
         return embedded, None
-    return embedded, AssociationTape(spec, group_tape, feats_a, feats_b,
-                                     dots if fusion == "cosine_distance" else None)
+    return embedded, AssociationTape(group_tape, feats_a, feats_b, dots, norm_a, norm_b)

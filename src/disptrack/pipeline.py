@@ -38,7 +38,6 @@ from .micronet import (
     save_checkpoint,
     tracking_loss,
 )
-from .micronet.layers import FUSION_METHODS, fusion_width
 
 __all__ = [
     "Detections", "DisplacementField", "DetectorNoise", "PipelineConfig",
@@ -129,7 +128,6 @@ class PipelineConfig:
     n_input: int = 2048
     n_filtered: int = 512
     k: int = 16
-    fusion: str = "cosine_distance"
     sa1: SaConfig = field(default_factory=lambda: SaConfig(256, 0.5, 16, (8, 8, 16)))
     sa2: SaConfig = field(default_factory=lambda: SaConfig(64, 1.0, 16, (16, 16, 32)))
     assoc_widths: tuple[int, ...] = (32, 32)
@@ -153,8 +151,6 @@ class PipelineConfig:
             raise ValueError("n_filtered must not exceed n_input")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.fusion not in FUSION_METHODS:
-            raise ValueError(f"fusion must be one of {FUSION_METHODS}")
         # Every comparison with NaN is false, so NaN fails these checks too.
         for name in ("lr_low", "lr_high", "alpha", "beta"):
             if not (0.0 <= getattr(self, name) < np.inf):
@@ -180,6 +176,9 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys loading {unknown}")
         data = dict(data)
         for key in ("sa1", "sa2", "sa3"):
             if isinstance(data.get(key), dict):
@@ -266,7 +265,7 @@ class DisplacementModel:
 
     The two frame streams share sa1/sa2 weights; fp2 consumes a skip
     connection from the frame-A sa1 output.  Layer hyperparameters (sample
-    counts, radii, caps, k and fusion) live in the PipelineConfig alone.
+    counts, radii, caps and k) live in the PipelineConfig alone.
     """
 
     sa1: DenseParams
@@ -321,8 +320,8 @@ def build_displacement_model(config: PipelineConfig) -> DisplacementModel:
     rng = np.random.default_rng(config.seed)
     sa1 = DenseParams.create([3 + POINT_FEATURE_WIDTH, *config.sa1.widths], rng)
     sa2 = DenseParams.create([3 + sa1.out_width, *config.sa2.widths], rng)
-    assoc = DenseParams.create([fusion_width(config.fusion, sa2.out_width) + 3,
-                                *config.assoc_widths], rng)
+    # The head's input row: one cosine column, then the 3-vector displacement.
+    assoc = DenseParams.create([1 + 3, *config.assoc_widths], rng)
     sa3 = DenseParams.create([3 + assoc.out_width, *config.sa3.widths], rng)
     fp1 = DenseParams.create([sa3.out_width, *config.fp1_widths], rng)
     fp2 = DenseParams.create([fp1.out_width + sa1.out_width, *config.fp2_widths], rng)
@@ -422,11 +421,8 @@ def _forward_displacements(frame_a: PointCloud, frame_b: PointCloud,
     pts_a2, feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1)
     pts_b1, feats_b1, t_b1 = abstract(config.sa1, model.sa1, pts_b0, feats_b0)
     pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1)
-    if len(pts_b2) < config.k:
-        raise ValueError(f"only {len(pts_b2)} abstracted frame-B points for "
-                         f"k={config.k}; lower k")
 
-    assoc = AssociationSpec(config.k, config.fusion, model.assoc)
+    assoc = AssociationSpec(config.k, model.assoc)
     embedded, t_assoc = association_head(assoc, pts_a2, feats_a2, pts_b2, feats_b2,
                                          capture=capture)
     pts_a3, feats_a3, t_sa3 = abstract(config.sa3, model.sa3, pts_a2, embedded)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disptrack.micronet import (
-    FUSION_METHODS,
     AssociationSpec,
     DenseParams,
     SaLayerSpec,
@@ -472,10 +471,9 @@ def test_interp_transpose_signed_zero_cases(order, n):
 # association head
 # ---------------------------------------------------------------------------
 
-def make_assoc_spec(rng, fusion, feat_width, k=3, widths=(6, 4)):
-    from disptrack.micronet.layers import fusion_width
-    mlp = DenseParams.create([fusion_width(fusion, feat_width) + 3, *widths], rng)
-    return AssociationSpec(k, fusion, mlp)
+def make_assoc_spec(rng, k=3, widths=(6, 4)):
+    # Input rows: the pair's cosine, then the 3-vector displacement.
+    return AssociationSpec(k, DenseParams.create([4, *widths], rng))
 
 
 def recorded_mlp_inputs(monkeypatch) -> list[np.ndarray]:
@@ -492,20 +490,21 @@ def recorded_mlp_inputs(monkeypatch) -> list[np.ndarray]:
 
 def test_assoc_identical_frames_zero_displacement(monkeypatch):
     rng = np.random.default_rng(11)
-    spec = make_assoc_spec(rng, "concat", feat_width=2, k=1)
+    spec = make_assoc_spec(rng, k=1)
     pts = rng.uniform(-3, 3, size=(6, 3))
     feats = rng.normal(size=(6, 2))
     inputs = recorded_mlp_inputs(monkeypatch)
     association_head(spec, pts, feats, pts, feats)
-    # One MLP input row per (point, neighbour): [f_a, f_b, p_b - p_a].
+    # One MLP input row per (point, neighbour): [cos(f_a, f_b), p_b - p_a],
+    # and each point's nearest neighbour is its own copy.
     (rows,) = inputs
-    assert np.array_equal(rows[:, :4], np.hstack([feats, feats]))
-    assert np.array_equal(rows[:, 4:], np.zeros((6, 3)))
+    np.testing.assert_allclose(rows[:, 0], 1.0, rtol=0, atol=1e-9)
+    assert np.array_equal(rows[:, 1:], np.zeros((6, 3)))
 
 
 def test_assoc_cosine_identical_features_is_one(monkeypatch):
     rng = np.random.default_rng(12)
-    spec = make_assoc_spec(rng, "cosine_distance", feat_width=3, k=1)
+    spec = make_assoc_spec(rng, k=1)
     pts = np.array([[0.0, 0.0, 0.0]])
     feats = np.array([[1.0, 2.0, -1.0]])
     inputs = recorded_mlp_inputs(monkeypatch)
@@ -514,20 +513,9 @@ def test_assoc_cosine_identical_features_is_one(monkeypatch):
     assert fused == pytest.approx(1.0, abs=1e-9)
 
 
-def test_assoc_dot_orthogonal_features_is_zero(monkeypatch):
-    rng = np.random.default_rng(13)
-    spec = make_assoc_spec(rng, "dot_product", feat_width=2, k=1)
-    pts = np.array([[0.0, 0.0, 0.0]])
-    fa = np.array([[1.0, 0.0]])
-    fb = np.array([[0.0, 5.0]])
-    inputs = recorded_mlp_inputs(monkeypatch)
-    association_head(spec, pts, fa, pts, fb)
-    assert inputs[0][0, 0] == 0.0
-
-
 def test_assoc_output_is_local_to_knn_neighbourhood():
     rng = np.random.default_rng(14)
-    spec = make_assoc_spec(rng, "concat", feat_width=2, k=2)
+    spec = make_assoc_spec(rng, k=2)
     pts_a = np.array([[0.0, 0.0, 0.0]])
     feats_a = rng.normal(size=(1, 2))
     pts_b = np.array([[0.1, 0, 0], [0.2, 0, 0], [50.0, 0, 0]])
@@ -539,10 +527,9 @@ def test_assoc_output_is_local_to_knn_neighbourhood():
     assert np.array_equal(out1, out2)
 
 
-@pytest.mark.parametrize("fusion", FUSION_METHODS)
-def test_assoc_gradients_match_finite_differences(fusion):
+def test_assoc_gradients_match_finite_differences():
     rng = np.random.default_rng(15)
-    spec = make_assoc_spec(rng, fusion, feat_width=3, k=3)
+    spec = make_assoc_spec(rng, k=3)
     pts_a = rng.uniform(-2, 2, size=(5, 3))
     pts_b = rng.uniform(-2, 2, size=(7, 3))
     feats_a = rng.normal(size=(5, 3))
@@ -555,7 +542,7 @@ def test_assoc_gradients_match_finite_differences(fusion):
 
     def loss_fn(d):
         mlp = DenseParams([d["w0"], d["w1"]], [d["b0"], d["b1"]])
-        s = AssociationSpec(spec.k, fusion, mlp)
+        s = AssociationSpec(spec.k, mlp)
         out, tape = association_head(s, pts_a, feats_a, pts_b, feats_b, capture=True)
         err = out - target
         grads, _, _ = tape.backward(2.0 * err)
@@ -564,10 +551,9 @@ def test_assoc_gradients_match_finite_differences(fusion):
     assert gradient_check(loss_fn, pack(spec.mlp), probe_count=50, epsilon=1e-5) < 1e-4
 
 
-@pytest.mark.parametrize("fusion", FUSION_METHODS)
-def test_assoc_feature_gradients_match_finite_differences(fusion):
+def test_assoc_feature_gradients_match_finite_differences():
     rng = np.random.default_rng(16)
-    spec = make_assoc_spec(rng, fusion, feat_width=2, k=2)
+    spec = make_assoc_spec(rng, k=2)
     pts_a = rng.uniform(-2, 2, size=(4, 3))
     pts_b = rng.uniform(-2, 2, size=(6, 3))
     fa0 = rng.normal(size=(4, 2))
@@ -595,22 +581,18 @@ def test_assoc_feature_gradients_match_finite_differences(fusion):
 
 
 def gathered_association_reference(spec, points_a, feats_a, points_b, feats_b, grad_emb):
-    """The association head on gathered (na, k, c) frame-B features: every
-    fusion formed per neighbour, argmax pooling and the MLP backward on all
+    """The association head on gathered (na, k, c) frame-B features: the
+    cosine formed per neighbour, argmax pooling and the MLP backward on all
     na * k rows.  Returns (embedded, MLP gradients, frame-A and frame-B
     feature gradients for grad_emb)."""
     order, _ = nearest(points_a, points_b, spec.k)
     na, k = order.shape
-    c = feats_a.shape[1]
     fa, fb = feats_a[:, None, :], feats_b[order]
     s = np.einsum("nc,nkc->nk", feats_a, fb)[:, :, None]
     norm_a = np.linalg.norm(feats_a, axis=1)[:, None, None]
     norm_b = np.linalg.norm(fb, axis=2)[:, :, None]
     denom = norm_a * norm_b + 1e-10
-    fused = {"concat": np.concatenate([np.broadcast_to(fa, fb.shape), fb], axis=2),
-             "elementwise_product": fa * fb, "dot_product": s,
-             "cosine_distance": s / denom}[spec.fusion]
-    group_in = np.concatenate([fused, points_b[order] - points_a[:, None, :]], axis=2)
+    group_in = np.concatenate([s / denom, points_b[order] - points_a[:, None, :]], axis=2)
     out, tape = dense_apply(spec.mlp, group_in.reshape(na * k, -1), capture=True)
     out = out.reshape(na, k, -1)
     argmax = out.argmax(axis=1)
@@ -618,18 +600,13 @@ def gathered_association_reference(spec, points_a, feats_a, points_b, feats_b, g
     gy = np.zeros_like(out)
     np.put_along_axis(gy, argmax[:, None, :], grad_emb[:, None, :], axis=1)
     mlp_grads, ginp = tape.backward(gy.reshape(na * k, -1))
-    gfused = ginp.reshape(na, k, -1)[:, :, :fused.shape[2]]
-    if spec.fusion == "concat":
-        grad_fa, gfb = gfused[:, :, :c].sum(axis=1), gfused[:, :, c:]
-    elif spec.fusion in ("elementwise_product", "dot_product"):
-        grad_fa, gfb = (gfused * fb).sum(axis=1), gfused * fa
-    else:
-        # A pair with a zero-norm feature passes no gradient.
-        live = (norm_a > 0.0) & (norm_b > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            da = np.where(live, fb / denom - s * norm_b * fa / (norm_a * denom ** 2), 0.0)
-            db = np.where(live, fa / denom - s * norm_a * fb / (norm_b * denom ** 2), 0.0)
-        grad_fa, gfb = (gfused * da).sum(axis=1), gfused * db
+    gcos = ginp.reshape(na, k, -1)[:, :, :1]
+    # A pair with a zero-norm feature passes no gradient.
+    live = (norm_a > 0.0) & (norm_b > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        da = np.where(live, fb / denom - s * norm_b * fa / (norm_a * denom ** 2), 0.0)
+        db = np.where(live, fa / denom - s * norm_a * fb / (norm_b * denom ** 2), 0.0)
+    grad_fa, gfb = (gcos * da).sum(axis=1), gcos * db
     grad_fb = np.zeros_like(feats_b)
     np.add.at(grad_fb, order, gfb)
     return embedded, mlp_grads, grad_fa, grad_fb
@@ -654,11 +631,10 @@ def assert_assoc_matches_reference(spec, pts_a, feats_a, pts_b, feats_b, grad):
     return grad_fa, grad_fb
 
 
-@pytest.mark.parametrize("fusion, zero_rows", [(f, False) for f in FUSION_METHODS]
-                         + [("cosine_distance", True)])
-def test_assoc_matches_gathered_reference(fusion, zero_rows):
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_assoc_matches_gathered_reference(zero_rows):
     rng = np.random.default_rng(18)
-    spec = make_assoc_spec(rng, fusion, feat_width=5, k=4, widths=(8, 6))
+    spec = make_assoc_spec(rng, k=4, widths=(8, 6))
     pts_a = rng.uniform(-2, 2, size=(9, 3))
     pts_b = rng.uniform(-2, 2, size=(11, 3))
     feats_a = rng.normal(size=(9, 5))
@@ -677,7 +653,7 @@ def test_assoc_cosine_passes_no_gradient_through_a_zero_norm_feature():
     # all-zero features: their pairs read cosine 0 for any other feature, so
     # the gradient is zero there, not f / eps (up to 1e10 times f).
     rng = np.random.default_rng(24)
-    spec = make_assoc_spec(rng, "cosine_distance", feat_width=3, k=2)
+    spec = make_assoc_spec(rng, k=2)
     pts_a, pts_b = rng.uniform(-2, 2, size=(3, 3)), rng.uniform(-2, 2, size=(4, 3))
     feats_a, feats_b = rng.normal(size=(3, 3)), rng.normal(size=(4, 3))
     order, _ = nearest(pts_a, pts_b, 2)
@@ -690,8 +666,7 @@ def test_assoc_cosine_passes_no_gradient_through_a_zero_norm_feature():
     assert grad_fa[1:].any() and np.abs(np.concatenate([grad_fa, grad_fb])).max() < 1e3
 
 
-@pytest.mark.parametrize("fusion", FUSION_METHODS)
-def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion):
+def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     rng = np.random.default_rng(19)
     # Every frame-B point twice, same feature: each neighbourhood holds pairs
     # of equal MLP rows, and the copy with the higher index sorts to the later
@@ -700,7 +675,7 @@ def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion):
     feats_b = np.tile(rng.normal(size=(6, 3)), (2, 1))
     pts_a = rng.uniform(-2, 2, size=(5, 3))
     feats_a = rng.normal(size=(5, 3))
-    spec = make_assoc_spec(rng, fusion, feat_width=3, k=4)
+    spec = make_assoc_spec(rng, k=4)
     _, grad_fb = assert_assoc_matches_reference(spec, pts_a, feats_a, pts_b, feats_b,
                                                 rng.normal(size=(5, 4)))
     assert not grad_fb[6:].any() and grad_fb[:6].any()
@@ -708,7 +683,7 @@ def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion):
     # A NaN column from an inf feature on frame-A point 0's second neighbour
     # (a one-layer MLP passes it on): the max and its gradient go to that
     # lowest NaN slot.
-    spec = make_assoc_spec(rng, fusion, feat_width=3, k=4, widths=(5,))
+    spec = make_assoc_spec(rng, k=4, widths=(5,))
     order, _ = nearest(pts_a, pts_b, 4)
     feats_b = feats_b.copy()
     feats_b[order[0, 1]] = np.inf
@@ -729,13 +704,18 @@ def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(fusion):
 
 def test_assoc_rejects_oversized_k_and_mismatched_widths():
     rng = np.random.default_rng(17)
-    spec = make_assoc_spec(rng, "concat", feat_width=2, k=5)
-    pts = np.zeros((2, 3))
-    feats = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        association_head(spec, pts, feats, pts, feats)
-    with pytest.raises(ValueError):
-        AssociationSpec(2, "butterfly", spec.mlp)
+    spec = make_assoc_spec(rng, k=2)
+    pts_a, pts_b = rng.uniform(-2, 2, size=(3, 3)), rng.uniform(-2, 2, size=(4, 3))
+    feats_a, feats_b = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+    with pytest.raises(ValueError, match="^only 4 frame-B points for k=5$"):
+        association_head(make_assoc_spec(rng, k=5), pts_a, feats_a, pts_b, feats_b)
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        AssociationSpec(0, spec.mlp)
+    wide = AssociationSpec(2, DenseParams.create([5, 6, 4], rng))
+    with pytest.raises(ValueError, match="^MLP expects width 5, the head provides 4$"):
+        association_head(wide, pts_a, feats_a, pts_b, feats_b)
+    with pytest.raises(ValueError, match="^frame feature widths must match$"):
+        association_head(spec, pts_a, feats_a, pts_b, rng.normal(size=(4, 3)))
 
 
 def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_emb):
@@ -746,20 +726,13 @@ def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_
     frame-A and frame-B feature gradients)."""
     order, _ = nearest(points_a, points_b, spec.k)
     na, k = order.shape
-    nb, c = feats_b.shape
-    dots = None
-    if spec.fusion == "concat":
-        fb = feats_b[order]
-        fused = np.concatenate([np.broadcast_to(feats_a[:, None, :], fb.shape), fb], axis=2)
-    elif spec.fusion == "elementwise_product":
-        fused = feats_a[:, None, :] * feats_b[order]
-    else:
-        dots = np.take_along_axis(feats_a @ feats_b.T, order, axis=1)
-        norm_a = np.linalg.norm(feats_a, axis=1)
-        norm_b = np.linalg.norm(feats_b, axis=1)[order]
-        denom = norm_a[:, None] * norm_b + 1e-10
-        fused = (dots / denom if spec.fusion == "cosine_distance" else dots)[:, :, None]
-    x = np.concatenate([fused, points_b[order] - points_a[:, None, :]], axis=2)
+    nb = feats_b.shape[0]
+    dots = np.take_along_axis(feats_a @ feats_b.T, order, axis=1)
+    norm_a = np.linalg.norm(feats_a, axis=1)
+    norm_b = np.linalg.norm(feats_b, axis=1)[order]
+    denom = norm_a[:, None] * norm_b + 1e-10
+    x = np.concatenate([(dots / denom)[:, :, None], points_b[order] - points_a[:, None, :]],
+                       axis=2)
     out, tape = dense_apply(spec.mlp, x.reshape(na * k, -1), capture=True)
     out = out.reshape(na, k, -1)
     argmax = out.argmax(axis=1)
@@ -767,27 +740,17 @@ def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_
     gy = np.zeros_like(out)
     np.put_along_axis(gy, argmax[:, None, :], grad_emb[:, None, :], axis=1)
     mlp_grads, ginp = tape.backward(gy.reshape(na * k, -1))
-    g = ginp.reshape(na, k, -1)[:, :, :fused.shape[2]]
-    if spec.fusion == "concat":
-        return (embedded, argmax, mlp_grads, ginp, g[:, :, :c].sum(axis=1),
-                add_at(order, g[:, :, c:], nb))
-    if spec.fusion == "elementwise_product":
-        return (embedded, argmax, mlp_grads, ginp, (g * feats_b[order]).sum(axis=1),
-                add_at(order, g * feats_a[:, None, :], nb))
-    w = g[:, :, 0]
-    if spec.fusion == "cosine_distance":
-        w = np.where((norm_a[:, None] > 0.0) & (norm_b > 0.0), w / denom, 0.0)
-        t = w * dots / denom
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c_a = np.where(norm_a > 0.0, (t * norm_b).sum(axis=1) / norm_a, 0.0)
-            c_b = add_at(order, np.where(norm_b > 0.0, t * norm_a[:, None] / norm_b,
-                                         0.0)[:, :, None], nb)[:, 0]
+    w = ginp.reshape(na, k, -1)[:, :, 0]
+    w = np.where((norm_a[:, None] > 0.0) & (norm_b > 0.0), w / denom, 0.0)
+    t = w * dots / denom
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_a = np.where(norm_a > 0.0, (t * norm_b).sum(axis=1) / norm_a, 0.0)
+        c_b = add_at(order, np.where(norm_b > 0.0, t * norm_a[:, None] / norm_b,
+                                     0.0)[:, :, None], nb)[:, 0]
     weights = np.zeros((na, nb))
     np.put_along_axis(weights, order, w, axis=1)
-    grad_fa, grad_fb = weights @ feats_b, weights.T @ feats_a
-    if spec.fusion == "cosine_distance":
-        grad_fa -= c_a[:, None] * feats_a
-        grad_fb -= c_b[:, None] * feats_b
+    grad_fa = weights @ feats_b - c_a[:, None] * feats_a
+    grad_fb = weights.T @ feats_a - c_b[:, None] * feats_b
     return embedded, argmax, mlp_grads, ginp, grad_fa, grad_fb
 
 
@@ -797,7 +760,7 @@ def assert_close(got, want):
     assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
 
 
-def blocked_head_case(monkeypatch, fusion, block_rows, duplicates):
+def blocked_head_case(monkeypatch, block_rows, duplicates):
     """A 23-point frame A against 16 frame-B points, k=4, with _BLOCK_ROWS
     set to block_rows; with duplicates frame B is 8 points twice over."""
     monkeypatch.setattr(layers_module, "_BLOCK_ROWS", block_rows)
@@ -808,18 +771,16 @@ def blocked_head_case(monkeypatch, fusion, block_rows, duplicates):
         pts_b[8:], feats_b[8:] = pts_b[:8], feats_b[:8]
     pts_a = rng.uniform(-2, 2, size=(23, 3))
     feats_a = rng.normal(size=(23, 5))
-    spec = make_assoc_spec(rng, fusion, feat_width=5, k=4, widths=(8, 6))
+    spec = make_assoc_spec(rng, k=4, widths=(8, 6))
     return spec, pts_a, feats_a, pts_b, feats_b, rng.normal(size=(23, 6))
 
 
 # 1024 rows: one block; 24: four blocks of 5 or 6 points; 4: one point each.
 @pytest.mark.parametrize("duplicates", [False, True])
 @pytest.mark.parametrize("block_rows", [1024, 24, 4])
-@pytest.mark.parametrize("fusion", FUSION_METHODS)
-def test_assoc_blocked_head_matches_unblocked_reference(monkeypatch, fusion, block_rows,
-                                                        duplicates):
+def test_assoc_blocked_head_matches_unblocked_reference(monkeypatch, block_rows, duplicates):
     spec, pts_a, feats_a, pts_b, feats_b, grad = blocked_head_case(
-        monkeypatch, fusion, block_rows, duplicates)
+        monkeypatch, block_rows, duplicates)
     embedded, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
     plain, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
     assert np.array_equal(plain, embedded)
@@ -841,7 +802,7 @@ def test_assoc_blocked_head_matches_unblocked_reference(monkeypatch, fusion, blo
 def test_assoc_winner_tape_matches_full_backward_with_zero_gradient_elsewhere(
         monkeypatch, block_rows):
     spec, pts_a, feats_a, pts_b, feats_b, grad = blocked_head_case(
-        monkeypatch, "concat", block_rows, duplicates=True)
+        monkeypatch, block_rows, duplicates=True)
     _, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
     _, argmax, want_params, want_input, _, _ = unblocked_association_head(
         spec, pts_a, feats_a, pts_b, feats_b, grad)
@@ -967,7 +928,7 @@ def test_paper_shaped_assoc_forward_never_holds_a_full_activation():
     # na = nb = 512, k = 64, 128 channels: one (na * k, 128) activation is
     # 33.5 MB, and the unblocked head held two of them at once.
     rng = np.random.default_rng(22)
-    spec = AssociationSpec(64, "cosine_distance", DenseParams.create([4, 128, 128], rng))
+    spec = AssociationSpec(64, DenseParams.create([4, 128, 128], rng))
     pts_a, pts_b = rng.uniform(-10, 10, size=(2, 512, 3))
     feats_a, feats_b = rng.normal(size=(2, 512, 128))
     activation = 512 * 64 * 128 * 8

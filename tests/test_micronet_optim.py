@@ -130,10 +130,10 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     params = {"a.w0": rng.normal(size=(4, 3)), "a.b0": rng.normal(size=3),
               "head.w0": rng.normal(size=(3, 3)) * 1e-17}
     path = tmp_path / "model.json"
-    save_checkpoint(path, "displacement", {"k": 16, "fusion": "concat"}, params)
+    save_checkpoint(path, "displacement", {"k": 16, "n_filtered": 512}, params)
     kind, config, loaded = load_checkpoint(path)
     assert kind == "displacement"
-    assert config == {"k": 16, "fusion": "concat"}
+    assert config == {"k": 16, "n_filtered": 512}
     assert set(loaded) == set(params)
     for key in params:
         assert np.array_equal(loaded[key], params[key])

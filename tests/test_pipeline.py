@@ -7,6 +7,7 @@ untrained paper-scale model, whose large layers take other code paths
 output change, with `PYTHONPATH=src python tests/test_pipeline.py`.
 """
 
+import json
 import logging
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from disptrack.ingest import (
     label_targets,
     synthesize_sequence,
 )
-from disptrack.micronet import FUSION_METHODS, gradient_check, save_checkpoint, tracking_loss
+from disptrack.micronet import gradient_check, save_checkpoint, tracking_loss
 from disptrack.pipeline import PipelineConfig, SaConfig
 
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.npz"
@@ -32,9 +33,11 @@ TINY = PipelineConfig(n_input=240, n_filtered=128, k=8,
                       fp1_widths=(8,), fp2_widths=(8,), fp3_widths=(8,), head_widths=(8,))
 # 260 points per frame, so the n_input downsampling runs, and ~120 foreground
 # points, so the filter keeps some background and both loss sides are used.
+# At initialisation its isolated background points carry all-zero features,
+# whose cosine passes no gradient, so no gradient reaches the sa2 stream.
 SCENE = SceneConfig(frames=2, objects=2, points_per_object=60, background_points=140)
 # Also 260 points per frame, but mostly on objects: most sa2 outputs then have
-# non-zero norm, so cosine fusion passes gradient back into sa2.
+# non-zero norm, so the cosine head passes gradient back into sa2.
 OBJECT_SCENE = SceneConfig(frames=2, objects=4, points_per_object=60, background_points=20)
 
 
@@ -54,16 +57,10 @@ def predict(model, config, a, label_a, b, label_b):
     return pipeline.predict_displacements(a, b, det_a, det_b, model, config)
 
 
+#: (key prefix, scene) of each golden case of the TINY config.
 GOLDEN_CASES = (
-    # (key prefix, fusion, scene)
-    # the default, which the benchmark runs
-    ("cosine_distance", "cosine_distance", SCENE),
-    # At initialisation isolated background points carry all-zero features,
-    # so under cosine fusion no gradient reaches the sa2 stream; concat
-    # fusion carries gradient through both streams.
-    ("concat", "concat", SCENE),
-    # the default fusion on a scene where it does reach sa2
-    ("cosine_distance.objects", "cosine_distance", OBJECT_SCENE),
+    ("cosine_distance", SCENE),
+    ("cosine_distance.objects", OBJECT_SCENE),
 )
 
 
@@ -78,18 +75,17 @@ def golden_outputs() -> dict[str, np.ndarray]:
         return original(params, grads, state, lr, **kwargs)
 
     out = {}
-    for name, fusion, scene in GOLDEN_CASES:
+    for name, scene in GOLDEN_CASES:
         seq, a, label_a, b, label_b = scene_pair(scene=scene)
-        config = tiny_config(fusion=fusion)
-        model = pipeline.build_displacement_model(config)
-        field = predict(model, config, a, label_a, b, label_b)
+        model = pipeline.build_displacement_model(TINY)
+        field = predict(model, TINY, a, label_a, b, label_b)
         out[f"{name}/field.indices"] = field.point_indices
         out[f"{name}/field.vectors"] = field.vectors
 
         seen.clear()
         pipeline.adam_step = recording_adam_step
         try:
-            trained, _ = pipeline.train_association(seq, config, epochs=1)
+            trained, _ = pipeline.train_association(seq, TINY, epochs=1)
         finally:
             pipeline.adam_step = original
         assert len(seen) == 1
@@ -102,7 +98,8 @@ def test_golden_field_gradients_and_step():
     expected = np.load(GOLDEN)
     actual = golden_outputs()
     assert sorted(actual) == sorted(expected.files)
-    # The object-scene case exists to pin sa2's backward under cosine fusion.
+    # The object-scene case exists to pin sa2's backward, which SCENE's leaves
+    # at zero.
     for key in ("w0", "b0", "w1", "b1"):
         assert np.any(expected[f"cosine_distance.objects/grad.sa2.{key}"]), key
     for key in expected.files:
@@ -150,12 +147,10 @@ def loss_closure(model, config, a, label_a, b, label_b):
     return loss_fn
 
 
-@pytest.mark.parametrize("fusion", FUSION_METHODS)
-def test_whole_network_gradients_match_finite_differences(fusion):
-    config = tiny_config(fusion=fusion)
+def test_whole_network_gradients_match_finite_differences():
     _, a, label_a, b, label_b = scene_pair()
-    model = pipeline.build_displacement_model(tiny_config(fusion=fusion, seed=1))
-    loss_fn = loss_closure(model, config, a, label_a, b, label_b)
+    model = pipeline.build_displacement_model(tiny_config(seed=1))
+    loss_fn = loss_closure(model, TINY, a, label_a, b, label_b)
     # Biases start at zero and background points enter sa1 as all-zero rows,
     # which puts ReLU pre-activations exactly on the kink; jitter every
     # parameter so the finite differences see a smooth neighbourhood.
@@ -371,13 +366,13 @@ def test_k_above_the_frame_b_point_count_raises_a_clear_error():
     # sa2 leaves 16 frame-B points, fewer than the association head's k.
     config = tiny_config(k=20)
     model = pipeline.build_displacement_model(config)
-    with pytest.raises(ValueError, match="only 16 abstracted frame-B points for k=20"):
+    with pytest.raises(ValueError, match="only 16 frame-B points for k=20"):
         predict(model, config, a, label_a, b, label_b)
 
 
 def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
     seq, a, label_a, b, label_b = scene_pair()
-    config = tiny_config(fusion="concat", seed=4)
+    config = tiny_config(seed=4)
     model, _ = pipeline.train_association(seq, config, epochs=1)
     path = tmp_path / "model.json"
     pipeline.save_displacement_model(path, model, config)
@@ -451,6 +446,19 @@ def test_training_names_the_first_non_finite_gradient_before_any_update(monkeypa
     assert updates == []
 
 
+def test_load_rejects_a_config_with_unknown_keys(tmp_path):
+    # Checkpoints saved while the head had a fusion option carry that key.
+    path = tmp_path / "stale.json"
+    pipeline.save_displacement_model(path, pipeline.build_displacement_model(TINY), TINY)
+    data = json.loads(path.read_text())
+    data["config"]["fusion"] = "cosine_distance"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"^unknown config keys loading \['fusion'\]$"):
+        pipeline.load_displacement_model(path)
+    with pytest.raises(ValueError, match=r"unknown config keys loading \['fusion', 'k2'\]"):
+        PipelineConfig.from_dict({**TINY.to_dict(), "k2": 3, "fusion": "cosine_distance"})
+
+
 def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
     path = tmp_path / "other.json"
     save_checkpoint(path, "other", TINY.to_dict(), {})
@@ -458,23 +466,27 @@ def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
         pipeline.load_displacement_model(path)
 
 
-def print_golden_diffs(path: Path, actual: dict[str, np.ndarray]) -> None:
+def print_golden_diffs(path: Path, actual: dict[str, np.ndarray]) -> bool:
     """Print, per array, whether it is byte-identical to the pinned one (same
     dtype, shape and bytes), and if not the max |actual - pinned| and the max
     relative diff |actual - pinned| / |pinned| (inf where a pinned zero
-    changed).  A zero diff alone would hide a +0.0 -> -0.0 flip."""
+    changed).  A zero diff alone would hide a +0.0 -> -0.0 flip.  Returns
+    whether the pinned file holds exactly these arrays, byte for byte."""
     if not path.exists():
         print(f"{path.name}: no pinned file")
-        return
+        return False
     pinned = np.load(path)
+    same = True
     for key in sorted(set(actual) | set(pinned.files)):
         if key not in actual or key not in pinned.files:
             print(f"{path.name} {key}: only in the {'new' if key in actual else 'pinned'} outputs")
+            same = False
             continue
         new, old = np.asarray(actual[key]), pinned[key]
         if (new.dtype, new.shape) == (old.dtype, old.shape) and new.tobytes() == old.tobytes():
             print(f"{path.name} {key}: byte-identical")
             continue
+        same = False
         if new.shape != old.shape:
             print(f"{path.name} {key}: shape {old.shape} -> {new.shape}")
             continue
@@ -484,11 +496,15 @@ def print_golden_diffs(path: Path, actual: dict[str, np.ndarray]) -> None:
         print(f"{path.name} {key}: {old.dtype} -> {new.dtype}, "
               f"max |diff| {diff.max(initial=0.0):.3g}, "
               f"max rel diff {rel.max(initial=0.0):.3g}")
+    return same
 
 
 if __name__ == "__main__":
+    # A file whose arrays are all byte-identical is left as it is.
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, outputs in ((GOLDEN, golden_outputs()), (PAPER_GOLDEN, paper_field_outputs())):
-        print_golden_diffs(path, outputs)
-        np.savez(path, **outputs)
-    print(f"wrote {GOLDEN} and {PAPER_GOLDEN}")
+        if print_golden_diffs(path, outputs):
+            print(f"kept {path}")
+        else:
+            np.savez(path, **outputs)
+            print(f"wrote {path}")
