@@ -513,23 +513,61 @@ def test_assoc_cosine_identical_features_is_one(monkeypatch):
     assert fused == pytest.approx(1.0, abs=1e-9)
 
 
-def test_assoc_output_is_local_to_knn_neighbourhood():
+def test_assoc_cosine_of_orthogonal_features_is_zero(monkeypatch):
+    rng = np.random.default_rng(13)
+    spec = make_assoc_spec(rng, k=1)
+    pts = np.zeros((1, 3))
+    inputs = recorded_mlp_inputs(monkeypatch)
+    association_head(spec, pts, np.array([[1.0, 0.0, 2.0]]), pts, np.array([[0.0, 3.0, 0.0]]))
+    assert inputs[0][0, 0] == 0.0
+
+
+def test_assoc_cosine_of_negated_features_is_minus_one(monkeypatch):
+    rng = np.random.default_rng(13)
+    spec = make_assoc_spec(rng, k=1)
+    pts = rng.uniform(-3, 3, size=(6, 3))
+    feats = rng.normal(size=(6, 4))
+    inputs = recorded_mlp_inputs(monkeypatch)
+    association_head(spec, pts, feats, pts, -feats)
+    np.testing.assert_allclose(inputs[0][:, 0], -1.0, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [0.25, 4.0, 1e3])
+def test_assoc_output_does_not_change_with_the_feature_scale(scale):
+    # The head reads features only through their cosine, so scaling either
+    # frame's features by a positive factor leaves it unchanged but for the
+    # 1e-10 guard in the cosine's denominator.
+    rng = np.random.default_rng(20)
+    spec = make_assoc_spec(rng, k=3)
+    pts_a, pts_b = rng.uniform(-2, 2, size=(5, 3)), rng.uniform(-2, 2, size=(7, 3))
+    feats_a, feats_b = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
+    base, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
+    scaled_a, _ = association_head(spec, pts_a, scale * feats_a, pts_b, feats_b)
+    scaled_b, _ = association_head(spec, pts_a, feats_a, pts_b, scale * feats_b)
+    np.testing.assert_allclose(scaled_a, base, rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(scaled_b, base, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_assoc_output_is_local_to_knn_neighbourhood(k):
     rng = np.random.default_rng(14)
-    spec = make_assoc_spec(rng, k=2)
+    spec = make_assoc_spec(rng, k=k)
     pts_a = np.array([[0.0, 0.0, 0.0]])
     feats_a = rng.normal(size=(1, 2))
     pts_b = np.array([[0.1, 0, 0], [0.2, 0, 0], [50.0, 0, 0]])
     feats_b = rng.normal(size=(3, 2))
     out1, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
     feats_b2 = feats_b.copy()
-    feats_b2[2] += 100.0  # not among the k=2 nearest
+    feats_b2[2] += 100.0  # not among the k nearest
     out2, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b2)
     assert np.array_equal(out1, out2)
 
 
-def test_assoc_gradients_match_finite_differences():
+# k=7 takes every frame-B point into each neighbourhood.
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_assoc_gradients_match_finite_differences(k):
     rng = np.random.default_rng(15)
-    spec = make_assoc_spec(rng, k=3)
+    spec = make_assoc_spec(rng, k=k)
     pts_a = rng.uniform(-2, 2, size=(5, 3))
     pts_b = rng.uniform(-2, 2, size=(7, 3))
     feats_a = rng.normal(size=(5, 3))
@@ -551,9 +589,10 @@ def test_assoc_gradients_match_finite_differences():
     assert gradient_check(loss_fn, pack(spec.mlp), probe_count=50, epsilon=1e-5) < 1e-4
 
 
-def test_assoc_feature_gradients_match_finite_differences():
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_assoc_feature_gradients_match_finite_differences(k):
     rng = np.random.default_rng(16)
-    spec = make_assoc_spec(rng, k=2)
+    spec = make_assoc_spec(rng, k=k)
     pts_a = rng.uniform(-2, 2, size=(4, 3))
     pts_b = rng.uniform(-2, 2, size=(6, 3))
     fa0 = rng.normal(size=(4, 2))
@@ -631,10 +670,11 @@ def assert_assoc_matches_reference(spec, pts_a, feats_a, pts_b, feats_b, grad):
     return grad_fa, grad_fb
 
 
+@pytest.mark.parametrize("k", [1, 4, 11])
 @pytest.mark.parametrize("zero_rows", [False, True])
-def test_assoc_matches_gathered_reference(zero_rows):
+def test_assoc_matches_gathered_reference(zero_rows, k):
     rng = np.random.default_rng(18)
-    spec = make_assoc_spec(rng, k=4, widths=(8, 6))
+    spec = make_assoc_spec(rng, k=k, widths=(8, 6))
     pts_a = rng.uniform(-2, 2, size=(9, 3))
     pts_b = rng.uniform(-2, 2, size=(11, 3))
     feats_a = rng.normal(size=(9, 5))
@@ -642,7 +682,7 @@ def test_assoc_matches_gathered_reference(zero_rows):
     if zero_rows:
         # Zero-norm features read cosine 0 and pass no gradient.
         feats_a[2] = 0.0
-        feats_b[nearest(pts_a, pts_b, 4)[0][0, 1]] = 0.0
+        feats_b[nearest(pts_a, pts_b, k)[0][0, min(1, k - 1)]] = 0.0
     grad_fa, grad_fb = assert_assoc_matches_reference(
         spec, pts_a, feats_a, pts_b, feats_b, rng.normal(size=(9, 6)))
     assert grad_fa.any() and grad_fb.any()
@@ -666,7 +706,9 @@ def test_assoc_cosine_passes_no_gradient_through_a_zero_norm_feature():
     assert grad_fa[1:].any() and np.abs(np.concatenate([grad_fa, grad_fb])).max() < 1e3
 
 
-def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot():
+# k=12 takes both copies of every frame-B point into each neighbourhood.
+@pytest.mark.parametrize("k", [2, 4, 12])
+def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot(k):
     rng = np.random.default_rng(19)
     # Every frame-B point twice, same feature: each neighbourhood holds pairs
     # of equal MLP rows, and the copy with the higher index sorts to the later
@@ -675,7 +717,7 @@ def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     feats_b = np.tile(rng.normal(size=(6, 3)), (2, 1))
     pts_a = rng.uniform(-2, 2, size=(5, 3))
     feats_a = rng.normal(size=(5, 3))
-    spec = make_assoc_spec(rng, k=4)
+    spec = make_assoc_spec(rng, k=k)
     _, grad_fb = assert_assoc_matches_reference(spec, pts_a, feats_a, pts_b, feats_b,
                                                 rng.normal(size=(5, 4)))
     assert not grad_fb[6:].any() and grad_fb[:6].any()
@@ -683,8 +725,8 @@ def test_assoc_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     # A NaN column from an inf feature on frame-A point 0's second neighbour
     # (a one-layer MLP passes it on): the max and its gradient go to that
     # lowest NaN slot.
-    spec = make_assoc_spec(rng, k=4, widths=(5,))
-    order, _ = nearest(pts_a, pts_b, 4)
+    spec = make_assoc_spec(rng, k=k, widths=(5,))
+    order, _ = nearest(pts_a, pts_b, k)
     feats_b = feats_b.copy()
     feats_b[order[0, 1]] = np.inf
     grad = rng.normal(size=(5, 5))
@@ -760,9 +802,9 @@ def assert_close(got, want):
     assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
 
 
-def blocked_head_case(monkeypatch, block_rows, duplicates):
-    """A 23-point frame A against 16 frame-B points, k=4, with _BLOCK_ROWS
-    set to block_rows; with duplicates frame B is 8 points twice over."""
+def blocked_head_case(monkeypatch, block_rows, duplicates, k=4):
+    """A 23-point frame A against 16 frame-B points with _BLOCK_ROWS set to
+    block_rows; with duplicates frame B is 8 points twice over."""
     monkeypatch.setattr(layers_module, "_BLOCK_ROWS", block_rows)
     rng = np.random.default_rng(21)
     pts_b = rng.uniform(-2, 2, size=(16, 3))
@@ -771,16 +813,18 @@ def blocked_head_case(monkeypatch, block_rows, duplicates):
         pts_b[8:], feats_b[8:] = pts_b[:8], feats_b[:8]
     pts_a = rng.uniform(-2, 2, size=(23, 3))
     feats_a = rng.normal(size=(23, 5))
-    spec = make_assoc_spec(rng, k=4, widths=(8, 6))
+    spec = make_assoc_spec(rng, k=k, widths=(8, 6))
     return spec, pts_a, feats_a, pts_b, feats_b, rng.normal(size=(23, 6))
 
 
-# 1024 rows: one block; 24: four blocks of 5 or 6 points; 4: one point each.
+# At k=4, 1024 rows: one block; 24: four blocks of 5 or 6 points; 4: one
+# point each.  k=16 takes all of frame B, a group over a 4- or 24-row budget.
+@pytest.mark.parametrize("k", [1, 4, 16])
 @pytest.mark.parametrize("duplicates", [False, True])
 @pytest.mark.parametrize("block_rows", [1024, 24, 4])
-def test_assoc_blocked_head_matches_unblocked_reference(monkeypatch, block_rows, duplicates):
+def test_assoc_blocked_head_matches_unblocked_reference(monkeypatch, block_rows, duplicates, k):
     spec, pts_a, feats_a, pts_b, feats_b, grad = blocked_head_case(
-        monkeypatch, block_rows, duplicates)
+        monkeypatch, block_rows, duplicates, k)
     embedded, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
     plain, _ = association_head(spec, pts_a, feats_a, pts_b, feats_b)
     assert np.array_equal(plain, embedded)
@@ -798,11 +842,12 @@ def test_assoc_blocked_head_matches_unblocked_reference(monkeypatch, block_rows,
         assert not grad_fb[8:].any() and grad_fb[:8].any()
 
 
+@pytest.mark.parametrize("k", [4, 16])
 @pytest.mark.parametrize("block_rows", [1024, 24, 4])
 def test_assoc_winner_tape_matches_full_backward_with_zero_gradient_elsewhere(
-        monkeypatch, block_rows):
+        monkeypatch, block_rows, k):
     spec, pts_a, feats_a, pts_b, feats_b, grad = blocked_head_case(
-        monkeypatch, block_rows, duplicates=True)
+        monkeypatch, block_rows, duplicates=True, k=k)
     _, tape = association_head(spec, pts_a, feats_a, pts_b, feats_b, capture=True)
     _, argmax, want_params, want_input, _, _ = unblocked_association_head(
         spec, pts_a, feats_a, pts_b, feats_b, grad)

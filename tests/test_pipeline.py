@@ -147,10 +147,16 @@ def loss_closure(model, config, a, label_a, b, label_b):
     return loss_fn
 
 
-def test_whole_network_gradients_match_finite_differences():
-    _, a, label_a, b, label_b = scene_pair()
-    model = pipeline.build_displacement_model(tiny_config(seed=1))
-    loss_fn = loss_closure(model, TINY, a, label_a, b, label_b)
+# On OBJECT_SCENE most sa2 outputs have non-zero norm, so more of sa2's
+# gradient comes through the cosine; k=2 is the smallest neighbourhood whose
+# max pool picks between frame-B points.
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("scene", [SCENE, OBJECT_SCENE], ids=["scene", "objects"])
+def test_whole_network_gradients_match_finite_differences(scene, k):
+    _, a, label_a, b, label_b = scene_pair(scene=scene)
+    config = tiny_config(seed=1, k=k)
+    model = pipeline.build_displacement_model(config)
+    loss_fn = loss_closure(model, config, a, label_a, b, label_b)
     # Biases start at zero and background points enter sa1 as all-zero rows,
     # which puts ReLU pre-activations exactly on the kink; jitter every
     # parameter so the finite differences see a smooth neighbourhood.
