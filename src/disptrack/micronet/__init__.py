@@ -8,7 +8,6 @@ Submodules:
               max-pool kernel, and feature propagation
   losses      class-balanced weighted-L2 tracking loss
   optim       Adam and the triangular cyclical learning-rate schedule
-  gradcheck   central-difference gradient verification harness
   checkpoint  versioned JSON (de)serialization of parameter dictionaries
 
 All math is float64; every differentiable operation returns a tape whose
@@ -25,7 +24,6 @@ from .layers import (
 )
 from .losses import tracking_loss
 from .optim import OptState, adam_step, clr_schedule
-from .gradcheck import gradient_check
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -34,6 +32,5 @@ __all__ = [
     "association_head", "fp_layer", "sa_layer",
     "tracking_loss",
     "OptState", "adam_step", "clr_schedule",
-    "gradient_check",
     "load_checkpoint", "save_checkpoint",
 ]

@@ -40,14 +40,19 @@ feature passes no gradient.
 
 Feature propagation applies its MLP's first layer to the source features
 before interpolating (interpolation is linear), so that GEMM runs over the
-fewer source rows, and interpolates a block of targets at a time.  Blocking
-changes no interpolated bit: the einsum sums each target's neighbours in the
-same order at any block size.  A GEMM split by rows keeps its bits only
-where BLAS computes a row alike in short and long calls; with OpenBLAS that
-held for 32- to 256-wide layers in blocks of 64 rows or more, not for 1- or
-7-row blocks or 3-wide layers.  So ``_blocks`` leaves no small remainder
-block, and FP's later layers and the dense head run whole.  The backward
-pass sends the first layer's gradient to the sources with
+fewer source rows.  It then runs a chunk of targets at a time through
+interpolation, the skip GEMM and the later layers, and writes only the
+chunk's rows of the output, so a forward pass never holds a whole (t, c)
+pre-activation or hidden array.  Chunking changes no interpolated bit: the
+einsum sums each target's neighbours in the same order at any chunk size.
+A GEMM split by rows keeps its bits only where BLAS computes a row alike in
+short and long calls; with OpenBLAS that held for 32- to 256-wide layers in
+chunks of 64 rows or more, not for 1- or 7-row chunks (a 1-row GEMM goes
+through gemv) or 3-wide outputs.  So the chunks are even, at most
+``_BLOCK_ROWS`` (target, neighbour) pairs each, and never fewer than
+``_GEMM_ROWS`` targets unless the layer has fewer in all.  The dense head
+runs whole: its 3-wide output GEMM changed bits at every row split tried.
+The backward pass sends the first layer's gradient to the sources with
 ``_interp_transpose``, one round per pair rank over the sources that have
 that many pairs, so each source sums its pairs from zero in (target, slot)
 order, bit for bit the np.add.at order, without a (t, 3, c) array.
@@ -71,6 +76,9 @@ _COSINE_EPS = 1e-10
 #: Rows of a neighbour-gathered array, one per (point, neighbour) pair, that
 #: the group kernel and feature propagation build at once.
 _BLOCK_ROWS = 1024
+
+#: Fewest target rows feature propagation runs a chunk's GEMMs on.
+_GEMM_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -311,21 +319,20 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
 
 
 class FpTape:
-    def __init__(self, order, weights, source_feats, skip_feats, w0, hidden, dense_tape):
+    def __init__(self, order, weights, source_feats, skip_feats, w0, dense_tape):
         self.order = order              # (t, kk) source indices
         self.weights = weights          # (t, kk) normalized interpolation weights
         self.source_feats = source_feats
         self.skip_feats = skip_feats    # None when no skip features were given
         self.w0 = w0                    # first layer's weights
-        self.hidden = hidden            # (t, h) first layer's ReLU output, or None
-        self.dense_tape = dense_tape    # later layers over hidden, or None
+        self.dense_tape = dense_tape    # later layers over the first's ReLU output, or None
 
     def backward(self, grad_out: np.ndarray):
         g = np.asarray(grad_out, dtype=float)
         grads_w, grads_b = [], []
         if self.dense_tape is not None:
             later, g = self.dense_tape.backward(g)
-            np.multiply(g, self.hidden > 0.0, out=g)
+            np.multiply(g, self.dense_tape.inputs[0] > 0.0, out=g)
             grads_w, grads_b = later.weights, later.biases
         # g is now the gradient of the first layer's pre-activation.  Its
         # source part was interpolated after the GEMM, so g goes back to the
@@ -353,7 +360,12 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
 
     The first layer's source columns run on the sources, before the
     interpolation (``interp(F) @ W == interp(F @ W)``); its skip columns and
-    the later layers run on the targets.
+    the later layers run on the targets, in even chunks of at most
+    ``_BLOCK_ROWS`` (target, neighbour) pairs and at least ``_GEMM_ROWS``
+    targets (or all of them, when there are fewer), so that every chunk
+    GEMM computes its rows' bits as one whole GEMM would.  With capture the
+    chunks write the input of each later layer into whole arrays for the
+    tape.
 
     Returns (target features (t,c_out), tape or None).
     """
@@ -381,24 +393,30 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
     w = w / w.sum(axis=1, keepdims=True)
     w0 = mlp.weights[0]
     proj = source_feats @ w0[:c_s]
-    z = np.empty((len(target_points), proj.shape[1]))
-    for t in _blocks(np.full(len(z), kk)):
-        np.einsum("tk,tkc->tc", w[t], proj[order[t]], out=z[t])
-    if skip_feats is not None:
-        z += skip_feats @ w0[c_s:]
-    z += mlp.biases[0]
-
-    hidden = dtape = None
-    if len(mlp.weights) == 1:
-        out = z
-    else:
-        hidden = np.fmax(z, 0.0, out=z)     # dense_apply's ReLU
-        out, dtape = dense_apply(DenseParams(mlp.weights[1:], mlp.biases[1:]), hidden,
-                                 capture=capture)
-    tape = None
-    if capture:
-        tape = FpTape(order, w, source_feats, skip_feats, w0, hidden, dtape)
-    return out, tape
+    later = DenseParams(mlp.weights[1:], mlp.biases[1:]) if len(mlp.weights) > 1 else None
+    n_t = len(target_points)
+    out = np.empty((n_t, mlp.out_width))
+    # With capture, the input of each later layer, whole, for the tape.
+    inputs = [np.empty((n_t, x.shape[0])) for x in mlp.weights[1:]] if capture else []
+    count = max(1, min(-(-n_t * kk // _BLOCK_ROWS), n_t // _GEMM_ROWS))
+    cuts = (np.arange(count + 1) * n_t // count).tolist()
+    for t in map(slice, cuts[:-1], cuts[1:]):
+        z = np.einsum("tk,tkc->tc", w[t], proj[order[t]])
+        if skip_feats is not None:
+            z += skip_feats[t] @ w0[c_s:]
+        z += mlp.biases[0]
+        if later is None:
+            out[t] = z
+            continue
+        np.fmax(z, 0.0, out=z)      # dense_apply's ReLU
+        out[t], dtape = dense_apply(later, z, capture=capture)
+        if capture:
+            for whole, part in zip(inputs, dtape.inputs):
+                whole[t] = part
+    if not capture:
+        return out, None
+    dtape = DenseTape(later, inputs) if later else None
+    return out, FpTape(order, w, source_feats, skip_feats, w0, dtape)
 
 
 class AssociationTape:

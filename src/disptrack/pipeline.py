@@ -176,13 +176,15 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config keys loading {unknown}")
         data = dict(data)
-        for key in ("sa1", "sa2", "sa3"):
-            if isinstance(data.get(key), dict):
-                data[key] = SaConfig(**data[key])
+        levels = [key for key in ("sa1", "sa2", "sa3") if isinstance(data.get(key), dict)]
+        level_names = {f.name for f in fields(SaConfig)}
+        unknown = set(data) - {f.name for f in fields(cls)}
+        unknown |= {f"{key}.{name}" for key in levels for name in set(data[key]) - level_names}
+        if unknown:
+            raise ValueError(f"unknown config keys loading {sorted(unknown)}")
+        for key in levels:
+            data[key] = SaConfig(**data[key])
         return cls(**data)
 
 

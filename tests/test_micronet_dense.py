@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from disptrack.micronet import DenseParams, DenseTape, dense_apply, gradient_check
+from disptrack.micronet import DenseParams, DenseTape, dense_apply
+from gradcheck import gradient_check
 
 
 def test_identity_layer_passes_input_through():

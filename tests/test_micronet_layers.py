@@ -12,11 +12,11 @@ from disptrack.micronet import (
     association_head,
     dense_apply,
     fp_layer,
-    gradient_check,
     sa_layer,
 )
 from disptrack.geom import PointCloud, farthest_point_sample, nearest
 from disptrack.micronet import layers as layers_module
+from gradcheck import gradient_check
 
 
 def make_sa_spec(rng, feat_width, sample_count=4, radius=1.5, cap=8, widths=(6, 5)):
@@ -384,7 +384,8 @@ def test_fp_requires_sources_and_matching_widths():
 
 def unblocked_fp_layer(target_points, source_points, source_feats, skip_feats, mlp):
     """fp_layer's forward pass with the whole (t, kk, c) gather interpolated
-    by one einsum.  Returns the target features."""
+    by one einsum and the later layers run whole.  Returns (target features,
+    the input of each later layer)."""
     order, near = nearest(target_points, source_points, min(3, len(source_points)))
     w = 1.0 / (near + 1e-10)
     w = w / w.sum(axis=1, keepdims=True)
@@ -394,28 +395,50 @@ def unblocked_fp_layer(target_points, source_points, source_feats, skip_feats, m
         z += skip_feats @ mlp.weights[0][c_s:]
     z += mlp.biases[0]
     if len(mlp.weights) == 1:
-        return z
-    return dense_apply(DenseParams(mlp.weights[1:], mlp.biases[1:]), np.fmax(z, 0.0))[0]
+        return z, []
+    out, tape = dense_apply(DenseParams(mlp.weights[1:], mlp.biases[1:]), np.fmax(z, 0.0),
+                            capture=True)
+    return out, tape.inputs
 
 
-@pytest.mark.parametrize("block_rows, n_target, n_source, skip_width", [
-    (1024, 700, 40, 2),    # at most 341 targets a block: 233, 233, 234
-    (1024, 700, 2, None),  # two neighbours per target: two blocks of 350
-    (7, 11, 9, 2),         # at most two targets a block: 1, 2, 2, 2, 2, 2
-    (1, 5, 9, None),       # one target a block
+@pytest.mark.parametrize("block_rows, n_target, n_source, skip_width, widths", [
+    # At most 341 targets a chunk: 233, 233, 234.
+    pytest.param(1024, 700, 40, 2, (8, 5), id="1024-700-40-2"),
+    # Two neighbours per target: two chunks of 350.
+    pytest.param(1024, 700, 2, None, (8, 5), id="1024-700-2-None"),
+    # Fewer than 64 targets: one chunk, however small _BLOCK_ROWS is.
+    pytest.param(7, 11, 9, 2, (8, 5), id="7-11-9-2"),
+    pytest.param(1, 5, 9, None, (8, 5), id="1-5-9-None"),
+    # fp2's skip and MLP widths at paper scale, in five chunks of 300 targets.
+    pytest.param(1024, 1500, 400, 64, (128, 256, 256), id="1024-1500-400-64-wide"),
+    # Chunks of 65 to 66 targets: a small _BLOCK_ROWS stops at 64.
+    pytest.param(7, 1500, 400, 64, (128, 256, 256), id="7-1500-400-64-wide"),
 ])
 def test_fp_blocked_interpolation_equals_unblocked_bit_for_bit(
-        monkeypatch, block_rows, n_target, n_source, skip_width):
+        monkeypatch, block_rows, n_target, n_source, skip_width, widths):
     monkeypatch.setattr(layers_module, "_BLOCK_ROWS", block_rows)
+    rows = []
+
+    def counting_dense_apply(params, x, capture=False):
+        rows.append(len(x))
+        return dense_apply(params, x, capture=capture)
+    monkeypatch.setattr(layers_module, "dense_apply", counting_dense_apply)
     rng = np.random.default_rng(20)
     src = rng.uniform(-1, 1, size=(n_source, 3))
     tgt = rng.uniform(-1, 1, size=(n_target, 3))
     src_feats = rng.normal(size=(n_source, 6))
     skip = None if skip_width is None else rng.normal(size=(n_target, skip_width))
-    mlp = DenseParams.create([6 + (skip_width or 0), 8, 5], rng)
-    out, _ = fp_layer(tgt, src, src_feats, skip, mlp, capture=True)
-    want = unblocked_fp_layer(tgt, src, src_feats, skip, mlp)
-    assert out.tobytes() == want.tobytes()
+    mlp = DenseParams.create([6 + (skip_width or 0), *widths], rng)
+    want, want_inputs = unblocked_fp_layer(tgt, src, src_feats, skip, mlp)
+    for capture in (False, True):
+        rows.clear()
+        out, tape = fp_layer(tgt, src, src_feats, skip, mlp, capture=capture)
+        assert out.tobytes() == want.tobytes(), capture
+        assert sum(rows) == n_target and min(rows) >= min(64, n_target), rows
+    # The tape holds each later layer's whole input, as one whole run makes it.
+    assert len(tape.dense_tape.inputs) == len(want_inputs)
+    for got, expected in zip(tape.dense_tape.inputs, want_inputs):
+        assert got.tobytes() == expected.tobytes()
 
 
 def add_at(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -991,6 +1014,20 @@ def test_paper_shaped_fp_forward_never_holds_the_full_gather():
     gather = 5000 * 3 * 256 * 8
     peak = traced_peak(fp_layer, tgt, src, src_feats, None, mlp)
     assert peak < 0.75 * gather, peak / gather
+
+
+def test_paper_shaped_fp_forward_never_holds_a_whole_activation():
+    # fp3 at paper scale: 5000 targets, 2048 sources, 256 -> 256 -> 256.  The
+    # (5000, 256) output is one activation; the projected sources are 0.41
+    # of one.  Run whole, the MLP held its pre-activation beside its output,
+    # and the layer peaked at 2.56 activations; in chunks it peaks at 1.89.
+    rng = np.random.default_rng(25)
+    mlp = DenseParams.create([256, 256, 256], rng)
+    tgt, src = rng.uniform(-10, 10, size=(5000, 3)), rng.uniform(-10, 10, size=(2048, 3))
+    src_feats = rng.normal(size=(2048, 256))
+    activation = 5000 * 256 * 8
+    peak = traced_peak(fp_layer, tgt, src, src_feats, None, mlp)
+    assert peak < 2.2 * activation, peak / activation
 
 
 def test_fp_backward_scatter_never_holds_the_weighted_gradient():

@@ -7,10 +7,10 @@ from disptrack.micronet import (
     adam_step,
     clr_schedule,
     dense_apply,
-    gradient_check,
     load_checkpoint,
     save_checkpoint,
 )
+from gradcheck import gradient_check
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():

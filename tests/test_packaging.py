@@ -41,7 +41,6 @@ UNREACHED_ON_PURPOSE = {
     "box_iou": "the tracker's IoU matching and the quality harness (ROADMAP items 1, 5)",
     "apply_displacement_augmentation": "robustness sweeps of the quality harness "
                                        "and the tracker (ROADMAP items 1, 5)",
-    "gradient_check": "the reference the gradient tests check the tapes against",
     "save_displacement_model": "public persistence of a trained model",
     "load_displacement_model": "public persistence of a trained model",
 }

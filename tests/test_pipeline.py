@@ -22,8 +22,9 @@ from disptrack.ingest import (
     label_targets,
     synthesize_sequence,
 )
-from disptrack.micronet import gradient_check, save_checkpoint, tracking_loss
+from disptrack.micronet import save_checkpoint, tracking_loss
 from disptrack.pipeline import PipelineConfig, SaConfig
+from gradcheck import gradient_check
 
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.npz"
 PAPER_GOLDEN = Path(__file__).parent / "data" / "paper_field_golden.npz"
@@ -463,6 +464,10 @@ def test_load_rejects_a_config_with_unknown_keys(tmp_path):
         pipeline.load_displacement_model(path)
     with pytest.raises(ValueError, match=r"unknown config keys loading \['fusion', 'k2'\]"):
         PipelineConfig.from_dict({**TINY.to_dict(), "k2": 3, "fusion": "cosine_distance"})
+    # An unknown key inside a set-abstraction level is named with its level.
+    sa2 = {**TINY.to_dict()["sa2"], "bogus": 1}
+    with pytest.raises(ValueError, match=r"^unknown config keys loading \['k2', 'sa2\.bogus'\]$"):
+        PipelineConfig.from_dict({**TINY.to_dict(), "k2": 3, "sa2": sa2})
 
 
 def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
