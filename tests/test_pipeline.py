@@ -1,9 +1,10 @@
 """Whole-network checks of the displacement pipeline.
 
 The golden tests pin, on fixed seeds, the predicted field and one training
-step's gradients and parameters of a tiny model, and the field of an
+step's gradients and parameters of a tiny model, the field of an
 untrained paper-scale model, whose large layers take other code paths
-(nearest's grid search).  Regenerate the pinned files only for an intended
+(nearest's grid search), and the turning multi-frame drives of the scene
+generator that feeds them.  Regenerate the pinned files only for an intended
 output change, with `PYTHONPATH=src python tests/test_pipeline.py`.
 """
 
@@ -28,6 +29,7 @@ from gradcheck import gradient_check
 
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.npz"
 PAPER_GOLDEN = Path(__file__).parent / "data" / "paper_field_golden.npz"
+SYNTH_GOLDEN = Path(__file__).parent / "data" / "synthesis_golden.npz"
 TINY = PipelineConfig(n_input=240, n_filtered=128, k=8,
                       sa1=SaConfig(32, 0.5, 8, (8, 8)), sa2=SaConfig(16, 1.0, 8, (8, 8)),
                       assoc_widths=(8,), sa3=SaConfig(4, 4.0, 8, (8,)),
@@ -128,6 +130,47 @@ def test_paper_scale_golden_field():
     assert np.array_equal(actual["field.indices"], expected["field.indices"])
     np.testing.assert_allclose(actual["field.vectors"], expected["field.vectors"],
                                rtol=1e-12, atol=0)
+
+
+#: (key prefix, scene) of each pinned drive scene.  The pipeline goldens' two
+#: frames never turn; these drives redraw every heading several times, one
+#: also at every frame, with no background and no sensor noise.
+SYNTH_CASES = (
+    ("turning", SceneConfig(frames=12, objects=5, points_per_object=20,
+                            background_points=10, direction_change_every=4)),
+    ("turning_each_frame", SceneConfig(frames=6, objects=3, points_per_object=16,
+                                       background_points=0, noise_sigma=0.0,
+                                       direction_change_every=1)),
+)
+SYNTH_SEEDS = (0, 1)
+
+
+def synthesis_outputs() -> dict[str, np.ndarray]:
+    """Per scene and seed: each frame's points, and its boxes' centres,
+    sizes, yaws and track ids, stacked over frames."""
+    out = {}
+    for name, scene in SYNTH_CASES:
+        for seed in SYNTH_SEEDS:
+            frames = synthesize_sequence(scene, seed).frames
+            boxes = [label.boxes for _, label in frames]
+            prefix = f"{name}.{seed}"
+            out[f"{prefix}/points"] = np.stack([cloud.points for cloud, _ in frames])
+            out[f"{prefix}/centres"] = np.array([[b.center for b in bs] for bs in boxes])
+            out[f"{prefix}/sizes"] = np.array([[b.size for b in bs] for bs in boxes])
+            out[f"{prefix}/yaws"] = np.array([[b.yaw for b in bs] for bs in boxes])
+            out[f"{prefix}/track_ids"] = np.array([[b.track_id for b in bs] for bs in boxes])
+    return out
+
+
+def test_synthesized_turning_drives_match_the_golden():
+    expected = np.load(SYNTH_GOLDEN)
+    actual = synthesis_outputs()
+    assert sorted(actual) == sorted(expected.files)
+    for key in expected.files:
+        if key.endswith("track_ids"):
+            assert np.array_equal(actual[key], expected[key]), key
+        np.testing.assert_allclose(actual[key], expected[key], rtol=1e-12, atol=0,
+                                   err_msg=key)
 
 
 def loss_closure(model, config, a, label_a, b, label_b):
@@ -513,7 +556,8 @@ def print_golden_diffs(path: Path, actual: dict[str, np.ndarray]) -> bool:
 if __name__ == "__main__":
     # A file whose arrays are all byte-identical is left as it is.
     GOLDEN.parent.mkdir(exist_ok=True)
-    for path, outputs in ((GOLDEN, golden_outputs()), (PAPER_GOLDEN, paper_field_outputs())):
+    for path, outputs in ((GOLDEN, golden_outputs()), (PAPER_GOLDEN, paper_field_outputs()),
+                          (SYNTH_GOLDEN, synthesis_outputs())):
         if print_golden_diffs(path, outputs):
             print(f"kept {path}")
         else:
