@@ -138,87 +138,57 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
     """Deterministic synthetic drive: rigid box-surface clusters moving with
     (piecewise-)constant velocities over static background clutter.
 
-    Cluster points are sampled once per object and moved rigidly with the box;
-    per-frame sensor noise is Gaussian, clipped at 3 sigma per world axis.
-    Along a box's yawed axes that noise reaches 3 sigma * sqrt(2), so points
-    sit that far plus 1 cm inside their box and always stay in it.
+    Each object keeps one speed; its heading, a (frames, objects) array, is
+    redrawn for every object at each ``direction_change_every``-th frame.
+    The box centres are the spawn positions plus the running sum of the
+    per-frame steps.  Cluster points are sampled once per object and moved
+    rigidly with the box; per-frame sensor noise is Gaussian, clipped at 3
+    sigma per world axis.  Along a box's yawed axes that noise reaches 3
+    sigma * sqrt(2), so points sit that far plus 1 cm inside their box and
+    always stay in it.
     """
     rng = np.random.default_rng(seed)
-
-    sizes, clusters, yaws = [], [], []
-    inset = 3.0 * np.sqrt(2.0) * config.noise_sigma + 0.01
-    for _ in range(config.objects):
-        size = np.array([rng.uniform(*config.length_range),
-                         rng.uniform(*config.width_range),
-                         rng.uniform(*config.height_range)])
-        sizes.append(size)
-        clusters.append(_box_surface_points(rng, size, config.points_per_object, inset))
+    n, sigma = config.objects, config.noise_sigma
+    inset = 3.0 * np.sqrt(2.0) * sigma + 0.01
+    sizes, clusters = [], []
+    for _ in range(n):
+        sizes.append(np.array([rng.uniform(*config.length_range),
+                               rng.uniform(*config.width_range),
+                               rng.uniform(*config.height_range)]))
+        clusters.append(_box_surface_points(rng, sizes[-1], config.points_per_object, inset))
+    sizes = np.array(sizes)
 
     # spawn on a jittered grid so objects start well separated
-    grid = int(np.ceil(np.sqrt(config.objects)))
-    spawn_idx = rng.permutation(grid * grid)[:config.objects]
-    centers0 = []
-    for obj, cell in enumerate(spawn_idx):
-        gx, gy = divmod(int(cell), grid)
-        base = (np.array([gx, gy]) - (grid - 1) / 2.0) * config.spawn_spacing
-        jitter = rng.uniform(-0.15, 0.15, size=2) * config.spawn_spacing
-        centers0.append(np.array([base[0] + jitter[0], base[1] + jitter[1],
-                                  sizes[obj][2] / 2.0]))
+    grid = int(np.ceil(np.sqrt(n)))
+    cell = np.column_stack(np.divmod(rng.permutation(grid * grid)[:n], grid))
+    jitter = rng.uniform(-0.15, 0.15, size=(n, 2))
+    spawn = np.column_stack([(cell - (grid - 1) / 2.0) * config.spawn_spacing
+                             + jitter * config.spawn_spacing, sizes[:, 2] / 2.0])
 
-    speeds = rng.uniform(config.velocity_min, config.velocity_max, size=config.objects)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=config.objects)
-    velocities = np.column_stack([speeds * np.cos(angles), speeds * np.sin(angles),
-                                  np.zeros(config.objects)])
-    yaws = list(angles)
+    speeds = rng.uniform(config.velocity_min, config.velocity_max, size=n)
+    turns = np.arange(config.frames) % (config.direction_change_every or config.frames) == 0
+    heading = rng.uniform(0.0, 2.0 * np.pi, size=(turns.sum(), n))[np.cumsum(turns) - 1]
+    steps = np.stack([speeds * np.cos(heading), speeds * np.sin(heading),
+                      np.zeros_like(heading)], axis=-1)
+    centres = np.cumsum(np.concatenate([spawn[None], steps[1:]]), axis=0)
 
-    # pre-draw piecewise direction changes so frame generation stays in order
-    segment = config.direction_change_every
-    centers = np.zeros((config.frames, config.objects, 3))
-    obj_yaws = np.zeros((config.frames, config.objects))
-    cur = np.array(centers0)
-    vel = velocities.copy()
-    yaw_now = np.array(yaws)
-    for f in range(config.frames):
-        if segment and f > 0 and f % segment == 0:
-            new_angles = rng.uniform(0.0, 2.0 * np.pi, size=config.objects)
-            vel = np.column_stack([speeds * np.cos(new_angles),
-                                   speeds * np.sin(new_angles),
-                                   np.zeros(config.objects)])
-            yaw_now = new_angles
-        if f > 0:
-            cur = cur + vel
-        centers[f] = cur
-        obj_yaws[f] = yaw_now
-
-    bg_xy = rng.uniform(-config.arena_half_extent, config.arena_half_extent,
-                        size=(config.background_points, 2))
-    bg_z = rng.uniform(0.2, 2.5, size=config.background_points)
-    background = np.column_stack([bg_xy, bg_z])
+    half = config.arena_half_extent
+    background = np.column_stack([rng.uniform(-half, half, size=(config.background_points, 2)),
+                                  rng.uniform(0.2, 2.5, size=config.background_points)])
 
     frames = []
     for f in range(config.frames):
-        pts_parts, boxes = [], []
-        for obj in range(config.objects):
-            yaw = float(obj_yaws[f, obj])
-            c, s = np.cos(yaw), np.sin(yaw)
+        parts = []
+        for obj in range(n):
+            c, s = np.cos(heading[f, obj]), np.sin(heading[f, obj])
             rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-            world = clusters[obj] @ rot.T + centers[f, obj]
-            noise = rng.normal(scale=config.noise_sigma,
-                               size=world.shape) if config.noise_sigma else 0.0
-            if config.noise_sigma:
-                noise = np.clip(noise, -3.0 * config.noise_sigma,
-                                3.0 * config.noise_sigma)
-            pts_parts.append(world + noise)
-            boxes.append(Box3D(centers[f, obj].copy(), sizes[obj].copy(), yaw,
-                               track_id=obj))
-        bg_noise = rng.normal(scale=config.noise_sigma,
-                              size=background.shape) if config.noise_sigma else 0.0
-        if config.noise_sigma:
-            bg_noise = np.clip(bg_noise, -3.0 * config.noise_sigma,
-                               3.0 * config.noise_sigma)
-        pts_parts.append(background + bg_noise)
-        cloud = PointCloud(np.concatenate(pts_parts, axis=0))
-        frames.append((cloud, FrameLabel(f, boxes)))
+            parts.append(clusters[obj] @ rot.T + centres[f, obj])
+        world = np.concatenate(parts + [background])
+        noise = np.clip(rng.normal(scale=sigma, size=world.shape),
+                        -3.0 * sigma, 3.0 * sigma) if sigma else 0.0
+        boxes = [Box3D(centres[f, obj].copy(), sizes[obj].copy(), heading[f, obj],
+                       track_id=obj) for obj in range(n)]
+        frames.append((PointCloud(world + noise), FrameLabel(f, boxes)))
     return Sequence(frames, name=f"{config.name}-{seed}",
                     frame_period=config.frame_period)
 
