@@ -129,6 +129,16 @@ def farthest_point_sample(cloud: PointCloud, m: int, start_index: int) -> np.nda
     return chosen
 
 
+def _finite_coordinates(query, points) -> tuple[np.ndarray, np.ndarray]:
+    """query and points as float (q, 3) and (n, 3) arrays; raises ValueError
+    if any coordinate is NaN or infinite."""
+    query = np.asarray(query, dtype=float).reshape(-1, 3)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not (np.isfinite(query).all() and np.isfinite(points).all()):
+        raise ValueError("query and point coordinates must be finite")
+    return query, points
+
+
 #: Largest input, in query-point pairs (q * n), for which ``nearest`` scores
 #: every pair; larger ones search a grid.  Measured on the paper-scale layer
 #: inputs, the grid is faster from about 2**18 pairs for k = 3 (2**20 pairs:
@@ -156,13 +166,10 @@ def nearest(query, points, k: int) -> tuple[np.ndarray, np.ndarray]:
       distance lies within the radius, and ``ball_query`` ranks in-radius
       points by (distance, index) from the same distance arithmetic.
     """
-    query = np.asarray(query, dtype=float).reshape(-1, 3)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    query, points = _finite_coordinates(query, points)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if not (np.isfinite(query).all() and np.isfinite(points).all()):
-        raise ValueError("query and point coordinates must be finite")
     if query.shape[0] * n <= _DENSE_MAX_PAIRS:
         return _nearest_dense(query, points, k)
     return _nearest_grid(query, points, k)
@@ -300,8 +307,7 @@ def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.n
     finite coordinates near 2**20 cell edges), the run continues from the
     start of the order.  In-radius candidates are ranked by ``_rank_pairs``.
     """
-    query = np.asarray(query, dtype=float).reshape(-1, 3)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    query, points = _finite_coordinates(query, points)
     n, q = points.shape[0], query.shape[0]
     if not 1 <= cap <= n:
         raise ValueError(f"cap must lie in [1, {n}], got {cap}")

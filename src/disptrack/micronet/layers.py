@@ -111,20 +111,20 @@ class AssociationSpec:
             raise ValueError("k must be at least 1")
 
 
-def _max_pool(slot, depth: int, capture: bool):
+def _max_pool(out: np.ndarray, start: np.ndarray, capture: bool):
     """Element-wise max over the slots of groups, and with capture the slot
     holding it.
 
-    slot(s), for s < depth, returns slot s of the first len(slot(s)) groups
-    as a (len, c) array, and no slot is longer than the one before it.
-    Slots fold into the pooled array in order with a running np.maximum, as
-    np.maximum.reduceat folds rows.  The winner is np.argmax's: the lowest
-    slot holding the max, or for a NaN max the lowest NaN slot.  Returns
-    (pooled (g, c), winning slot (g, c) or None).
+    out holds the rows slot-major: out[start[s]:start[s + 1]] is slot s of
+    the first start[s + 1] - start[s] groups, and no slot is longer than the
+    one before it.  Slots fold into the pooled array in order with a running
+    np.maximum, as np.maximum.reduceat folds rows.  The winner is
+    np.argmax's: the lowest slot holding the max, or for a NaN max the
+    lowest NaN slot.  Returns (pooled (g, c), winning slot (g, c) or None).
     """
-    pooled = slot(0).copy()
-    for s in range(1, depth):
-        x = slot(s)
+    pooled = out[:start[1]].copy()
+    for s in range(1, len(start) - 1):
+        x = out[start[s]:start[s + 1]]
         head = pooled[:len(x)]
         np.maximum(head, x, out=head)
     if not capture:
@@ -133,8 +133,8 @@ def _max_pool(slot, depth: int, capture: bool):
     # max equals no slot; only a group whose max is NaN has NaN slots.
     has_nan = np.isnan(pooled).any()
     winner = np.empty(pooled.shape, dtype=np.intp)
-    for s in range(depth - 1, -1, -1):
-        x = slot(s)
+    for s in range(len(start) - 2, -1, -1):
+        x = out[start[s]:start[s + 1]]
         hit = x == pooled[:len(x)]
         if has_nan:
             hit |= np.isnan(x)
@@ -258,8 +258,7 @@ def _group_pool(mlp: DenseParams, order: np.ndarray, valid: np.ndarray, rows_of,
         cand = order[members, :size[0]].T[held]
         start = np.concatenate(([0], np.cumsum(held.sum(axis=1))))
         out, dtape = dense_apply(mlp, rows_of(group, cand), capture=capture)
-        pooled[members], win = _max_pool(lambda s: out[start[s]:start[s + 1]],
-                                         len(start) - 1, capture)
+        pooled[members], win = _max_pool(out, start, capture)
         if capture:
             # Keep the layer inputs of the rows that win some channel, the
             # only rows the backward pass reads.

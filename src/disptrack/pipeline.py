@@ -477,9 +477,11 @@ def train_association(dataset, config: PipelineConfig,
     """Train the displacement network on adjacent frame pairs.
 
     Supervision comes from box-motion targets; the probability filter runs on
-    oracle mask probabilities.  Deterministic given config.seed.  Raises on a
-    non-finite loss, on a non-finite gradient (naming the first such array,
-    before any update) and on an update that goes non-finite.
+    oracle mask probabilities.  Deterministic for a given config.seed and
+    BLAS thread count: long GEMM reductions may round differently across
+    thread counts.  Raises on a non-finite loss, on a non-finite gradient
+    (naming the first such array, before any update) and on an update that
+    goes non-finite.
     """
     pairs = _pair_list(dataset)
     if not pairs:

@@ -303,12 +303,15 @@ def test_nearest_grid_rounds_stay_few_on_flat_clouds(cloud, monkeypatch):
 
 
 def test_nearest_rejects_non_finite_coordinates():
+    # ball_query shares the check: a NaN cell coordinate would leave its row
+    # with no valid slot, which the pooling kernels assume never happens.
     points = np.zeros((4, 3))
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            nearest([(bad, 0.0, 0.0)], points, 2)
-        with pytest.raises(ValueError, match="finite"):
-            nearest([(0.0, 0.0, 0.0)], np.vstack([points, [[0.0, bad, 0.0]]]), 2)
+    for select in (lambda q, p: nearest(q, p, 2), lambda q, p: ball_query(q, p, 1.0, 2)):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                select([(bad, 0.0, 0.0), (0.0, 0.0, 0.0)], points)
+            with pytest.raises(ValueError, match="finite"):
+                select([(0.0, 0.0, 0.0)], np.vstack([points, [[0.0, bad, 0.0]]]))
 
 
 # ---------------------------------------------------------------------------
