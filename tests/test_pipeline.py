@@ -1,8 +1,9 @@
 """Whole-network checks of the displacement pipeline.
 
 The golden tests pin, on fixed seeds, the predicted field and one training
-step's gradients and parameters of a tiny model, the field of an
-untrained paper-scale model, whose large layers take other code paths
+step's gradients and parameters of a tiny model, two epochs of that model
+trained over the pairs of two drives of different frame sizes, the field
+of an untrained paper-scale model, whose large layers take other code paths
 (nearest's grid search), and the turning multi-frame drives of the scene
 generator that feeds them.  Regenerate the pinned files only for an intended
 output change, with `PYTHONPATH=src python tests/test_pipeline.py`.
@@ -30,6 +31,7 @@ from gradcheck import gradient_check
 GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.npz"
 PAPER_GOLDEN = Path(__file__).parent / "data" / "paper_field_golden.npz"
 SYNTH_GOLDEN = Path(__file__).parent / "data" / "synthesis_golden.npz"
+TRAINING_GOLDEN = Path(__file__).parent / "data" / "training_golden.npz"
 TINY = PipelineConfig(n_input=240, n_filtered=128, k=8,
                       sa1=SaConfig(32, 0.5, 8, (8, 8)), sa2=SaConfig(16, 1.0, 8, (8, 8)),
                       assoc_widths=(8,), sa3=SaConfig(4, 4.0, 8, (8,)),
@@ -110,6 +112,40 @@ def test_golden_field_gradients_and_step():
             assert np.array_equal(actual[key], expected[key]), key
         np.testing.assert_allclose(actual[key], expected[key], rtol=1e-12, atol=0,
                                    err_msg=key)
+
+
+#: Two drives of three frames each, so four training pairs.  The first has
+#: 30 points per frame, fewer than TINY's n_filtered and its sa1 sample
+#: count, so the filter keeps every point and sa1 samples each one; the
+#: second has 260, more than n_input, so the input subsample draws.
+TRAINING_DRIVES = (
+    (SceneConfig(frames=3, objects=2, points_per_object=12, background_points=6), 5),
+    (SceneConfig(frames=3, objects=2, points_per_object=60, background_points=140), 6),
+)
+TRAINING_EPOCHS = 2
+
+
+def training_outputs() -> dict[str, np.ndarray]:
+    """The parameters and per-epoch losses of TINY trained for
+    TRAINING_EPOCHS over the pairs of both TRAINING_DRIVES."""
+    drives = [synthesize_sequence(scene, seed) for scene, seed in TRAINING_DRIVES]
+    model, history = pipeline.train_association(drives, TINY, epochs=TRAINING_EPOCHS)
+    out = {f"param.{k}": v for k, v in model.param_dict().items()}
+    out["epoch_losses"] = np.array(history.epoch_losses)
+    return out
+
+
+def assert_bytes_equal(actual: dict[str, np.ndarray], path: Path) -> None:
+    expected = np.load(path)
+    assert sorted(actual) == sorted(expected.files)
+    for key in expected.files:
+        new, old = np.asarray(actual[key]), expected[key]
+        assert (new.dtype, new.shape) == (old.dtype, old.shape), key
+        assert new.tobytes() == old.tobytes(), key
+
+
+def test_multi_pair_training_matches_the_golden():
+    assert_bytes_equal(training_outputs(), TRAINING_GOLDEN)
 
 
 def paper_field_outputs() -> dict[str, np.ndarray]:
@@ -557,7 +593,8 @@ if __name__ == "__main__":
     # A file whose arrays are all byte-identical is left as it is.
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, outputs in ((GOLDEN, golden_outputs()), (PAPER_GOLDEN, paper_field_outputs()),
-                          (SYNTH_GOLDEN, synthesis_outputs())):
+                          (SYNTH_GOLDEN, synthesis_outputs()),
+                          (TRAINING_GOLDEN, training_outputs())):
         if print_golden_diffs(path, outputs):
             print(f"kept {path}")
         else:
