@@ -6,6 +6,10 @@ else.  Boxes are oriented in the horizontal plane (yaw about +z) and sized
 as (length, width, height), length along the box x axis; centre, size and
 yaw must be finite.  Argmax and nearest-neighbour ties break to the lowest index.
 
+``farthest_point_sample`` samples many clouds in lock-step, one pick of
+every cloud per step; a shorter cloud is padded with points that never
+win, so each cloud's picks are those of sampling it alone.
+
 A point belongs to the first box of a list that contains it, the boundary
 counting as inside: ``box_owner``.  Detection masks, input features,
 training targets and the displacement augmentation all read this one rule.
@@ -97,36 +101,69 @@ class Box3D:
         return float(self.size[0] * self.size[1] * self.size[2])
 
 
-def farthest_point_sample(cloud: PointCloud, m: int, start_index: int) -> np.ndarray:
-    """Iteratively pick m indices maximizing the min distance to chosen points.
+def farthest_point_sample(clouds, m, starts) -> list[np.ndarray]:
+    """Farthest-point sampling of several clouds in lock-step.
 
-    Squared distances are compared, so no square root is taken; ties resolve
-    to the lowest index.
+    clouds is a sequence of PointClouds, m one pick count for all of them or
+    one per cloud, and starts one start index per cloud.  Cloud i yields
+    m[i] indices: its start, then repeatedly the point with the largest
+    squared distance to the points chosen so far, ties to the lowest index.
+    Each result equals that of sampling its cloud alone, bit for bit.
+
+    Each pick runs for every cloud at once: one (3, clouds, n) subtract,
+    square and sum, one ``np.minimum`` into the (clouds, n) array of best
+    distances and one row-wise argmax.  Shorter clouds are padded to the
+    longest with points whose best distance starts at -1, as a chosen
+    point's is set to -1.  A squared distance is never negative, so the
+    minimum keeps them at -1 and they win no pick while their cloud has an
+    unchosen point.  A cloud with fewer picks than another runs on with the
+    rest, its extra picks dropped; once all its points are chosen, each pick
+    is its lowest -1 point.
     """
-    pts = cloud.points
-    n = pts.shape[0]
-    if n == 0:
-        raise ValueError("cannot sample from an empty cloud")
-    if not 1 <= m <= n:
-        raise ValueError(f"sample count must lie in [1, {n}], got {m}")
-    if not 0 <= start_index < n:
-        raise ValueError(f"start index {start_index} out of range for {n} points")
-    coords = np.ascontiguousarray(pts.T)   # (3, n): one contiguous row per axis
+    counts, starts = np.asarray(m), np.asarray(starts)
+    if counts.ndim == 0:
+        counts = np.full(len(clouds), counts)
+    if not counts.shape == starts.shape == (len(clouds),):
+        raise ValueError(f"{len(clouds)} clouds need as many sample counts and start "
+                         f"indices, got {counts.size} and {starts.size}")
+    if not len(clouds):
+        return []
+    if not (counts.dtype.kind in "iu" and starts.dtype.kind in "iu"):
+        raise ValueError("sample counts and start indices must be integers")
+    sizes = np.array([len(cloud) for cloud in clouds], dtype=np.intp)
+    for n, count, start in zip(sizes, counts, starts):
+        if n == 0:
+            raise ValueError("cannot sample from an empty cloud")
+        if not 1 <= count <= n:
+            raise ValueError(f"sample count must lie in [1, {n}], got {count}")
+        if not 0 <= start < n:
+            raise ValueError(f"start index {start} out of range for {n} points")
+
+    c, n = len(clouds), sizes.max()
+    coords = np.zeros((3, c, n))            # one contiguous (c, n) block per axis
+    best = np.full((c, n), -1.0)            # squared distance to the chosen set
+    for i, cloud in enumerate(clouds):
+        coords[:, i, :sizes[i]] = cloud.points.T
+        best[i, :sizes[i]] = np.inf
+    flat = coords.reshape(3, c * n)
+    row_start = np.arange(c) * n
+    at = np.empty(c, dtype=np.intp)         # flat positions of the last picks
+    last = np.empty((3, c, 1))
     diff = np.empty_like(coords)
-    step = np.empty(n)
-    best = np.full(n, np.inf)              # squared distance to the chosen set
-    chosen = np.empty(m, dtype=int)
-    chosen[0] = start_index
-    last = start_index
-    for i in range(1, m):
-        np.subtract(coords, coords[:, last, None], out=diff)
+    step = np.empty((c, n))
+    chosen = np.empty((counts.max(), c), dtype=np.intp)
+    chosen[0] = starts
+    for i in range(1, chosen.shape[0]):
+        np.add(row_start, chosen[i - 1], out=at)
+        np.take(flat, at, axis=1, out=last[:, :, 0])
+        np.subtract(coords, last, out=diff)
         np.multiply(diff, diff, out=diff)
         np.add(diff[0], diff[1], out=step)
         step += diff[2]
         np.minimum(best, step, out=best)
-        best[last] = -1.0
-        last = chosen[i] = best.argmax()
-    return chosen
+        best.put(at, -1.0)
+        best.argmax(axis=1, out=chosen[i])
+    return [chosen[:count, i].copy() for i, count in enumerate(counts)]
 
 
 def _finite_coordinates(query, points) -> tuple[np.ndarray, np.ndarray]:

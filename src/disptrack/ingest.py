@@ -119,6 +119,11 @@ class SceneConfig:
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.velocity_max < self.velocity_min:
             raise ValueError("velocity range must satisfy 0 <= min <= max")
+        for name in ("frames", "objects", "points_per_object", "background_points",
+                     "direction_change_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _box_surface_points(rng: np.random.Generator, size: np.ndarray, count: int,

@@ -5,7 +5,8 @@ Submodules:
               backward tape
   layers      point-set layers: set abstraction and the cross-frame
               cosine association head, both on one group -> MLP ->
-              max-pool kernel, and feature propagation
+              max-pool kernel, feature propagation, and the lock-step
+              sampling of set-abstraction centroids
   losses      class-balanced weighted-L2 tracking loss
   optim       Adam and the triangular cyclical learning-rate schedule
   checkpoint  versioned JSON (de)serialization of parameter dictionaries
@@ -21,6 +22,7 @@ from .layers import (
     association_head,
     fp_layer,
     sa_layer,
+    sample_centroids,
 )
 from .losses import tracking_loss
 from .optim import OptState, adam_step, clr_schedule
@@ -29,7 +31,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 __all__ = [
     "DenseGrads", "DenseParams", "DenseTape", "dense_apply",
     "AssociationSpec", "SaLayerSpec",
-    "association_head", "fp_layer", "sa_layer",
+    "association_head", "fp_layer", "sa_layer", "sample_centroids",
     "tracking_loss",
     "OptState", "adam_step", "clr_schedule",
     "load_checkpoint", "save_checkpoint",

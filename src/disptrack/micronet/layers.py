@@ -2,8 +2,8 @@
 
 Three layers cover the whole displacement network:
 
-* ``sa_layer``          -- downsample: farthest-point-sampled centroids group
-                           their in-radius neighbours, a shared MLP runs per
+* ``sa_layer``          -- downsample: given centroids group their
+                           in-radius neighbours, a shared MLP runs per
                            neighbour, and element-wise max pools each group.
 * ``fp_layer``          -- upsample: inverse-distance interpolation of the 3
                            nearest source features, optional skip concat, MLP.
@@ -13,7 +13,10 @@ Three layers cover the whole displacement network:
                            displacement run through the MLP, and
                            element-wise max pools over k.
 
-Set abstraction selects neighbours with ``geom.ball_query``; feature
+Set abstraction takes its centroids from outside: ``sample_centroids``
+picks them by farthest-point sampling for every cloud of one level at once,
+before any layer runs, as they depend on coordinates and start indices
+alone.  The layer selects neighbours with ``geom.ball_query``; feature
 propagation and the association head take the k nearest with
 ``geom.nearest``.  All rank by ascending distance, equal distances to the
 lower index, so a selection is a pure function of the coordinates.
@@ -282,18 +285,40 @@ class SaTape:
         return mlp_grads, _scatter_add(cand, ginp[:, 3:], self.n_points)
 
 
+def sample_centroids(clouds, counts, starts) -> list[np.ndarray]:
+    """Set-abstraction centroid indices of several clouds of one level.
+
+    clouds are (n_i, 3) point arrays; cloud i gets counts[i] farthest-point
+    samples from starts[i].  All clouds with the same count are sampled in
+    lock-step by one ``farthest_point_sample`` call, so each result is that
+    of sampling its cloud alone.
+    """
+    clouds = [PointCloud(points) for points in clouds]
+    counts = [int(count) for count in counts]
+    out: list = [None] * len(clouds)
+    for m in dict.fromkeys(counts):
+        which = [i for i, count in enumerate(counts) if count == m]
+        picks = farthest_point_sample([clouds[i] for i in which], m,
+                                      [starts[i] for i in which])
+        for i, idx in zip(which, picks):
+            out[i] = idx
+    return out
+
+
 def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
-             start_index: int, capture: bool = False):
-    """Downsample points to spec.sample_count centroids with pooled features.
+             centroid_index, capture: bool = False):
+    """Group and pool points around spec.sample_count given centroids.
 
-    Each centroid groups its spec.neighbor_cap nearest points within
-    spec.radius (``geom.ball_query``).  Per grouped neighbour the MLP input
-    row is the (neighbour - centroid) coordinates concatenated with the
-    neighbour feature; the MLP runs on these in-radius rows only, and pooling
-    is their element-wise max.  A centroid with no other in-radius point
-    keeps itself as sole neighbour (it is always within its own radius).
+    centroid_index holds the distinct indices of the centroids among the
+    points, as ``sample_centroids`` picks them.  Each centroid groups its
+    spec.neighbor_cap nearest points within spec.radius
+    (``geom.ball_query``).  Per grouped neighbour the MLP input row is the
+    (neighbour - centroid) coordinates concatenated with the neighbour
+    feature; the MLP runs on these in-radius rows only, and pooling is their
+    element-wise max.  A centroid with no other in-radius point keeps itself
+    as sole neighbour (it is always within its own radius).
 
-    Returns (sampled points (m,3), pooled features (m,c_out), tape or None).
+    Returns (centroid points (m,3), pooled features (m,c_out), tape or None).
     """
     points = np.asarray(points, dtype=float)
     feats = np.asarray(feats, dtype=float)
@@ -305,8 +330,17 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     if spec.mlp.in_width != 3 + feats.shape[1]:
         raise ValueError(f"MLP expects width {spec.mlp.in_width}, "
                          f"inputs provide {3 + feats.shape[1]}")
+    idx = np.asarray(centroid_index)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"centroid indices must be integers, got dtype {idx.dtype}")
+    if idx.shape != (spec.sample_count,):
+        raise ValueError(f"expected {spec.sample_count} centroid indices, got shape "
+                         f"{idx.shape}")
+    if not np.all((idx >= 0) & (idx < n)):
+        raise ValueError(f"centroid indices must lie in [0, {n})")
+    if np.unique(idx).size != idx.size:
+        raise ValueError("centroid indices must be distinct")
 
-    idx = farthest_point_sample(PointCloud(points), spec.sample_count, start_index)
     centroids = points[idx]
     order, valid = ball_query(centroids, points, spec.radius, min(spec.neighbor_cap, n))
 

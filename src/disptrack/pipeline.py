@@ -35,6 +35,7 @@ from .micronet import (
     fp_layer,
     load_checkpoint,
     sa_layer,
+    sample_centroids,
     save_checkpoint,
     tracking_loss,
 )
@@ -51,6 +52,14 @@ log = logging.getLogger(__name__)
 
 #: Width of the per-point input features that point_features emits.
 POINT_FEATURE_WIDTH = 4
+
+#: Filtered points, counted as config.n_filtered per frame, of the frame
+#: pairs that training and evaluation plan at a time (at least one pair):
+#: their set-abstraction centroids are sampled in lock-step.  16 desk pairs.
+#: Planning a desk epoch's 294 pairs (2-core Xeon VM, 1 BLAS thread, 3 runs)
+#: took 0.9-1.2 s in chunks of 16 pairs, 1.0-1.6 s of 8, 1.1-1.4 s of 32,
+#: 1.3-1.5 s of 64 and 2.2-2.9 s pair by pair.
+_PLAN_POINTS = 16 * 2 * 512
 
 
 @dataclass(eq=False)
@@ -401,42 +410,108 @@ def _network_input(name: str, frame: PointCloud, detections: Detections,
         PointCloud(points), Detections(detections.boxes, detections.point_mask_probs[kept]))
 
 
-def _forward_displacements(frame_a: PointCloud, frame_b: PointCloud,
-                           detections_a: Detections, detections_b: Detections,
-                           model: DisplacementModel, config: PipelineConfig,
-                           capture: bool = False):
-    rng = np.random.default_rng(config.seed)
-    kept_a, pts_a0, feats_a0 = _network_input("A", frame_a, detections_a, config, rng)
-    _, pts_b0, feats_b0 = _network_input("B", frame_b, detections_b, config, rng)
-    if len(pts_b0) < config.k:
-        raise ValueError(f"only {len(pts_b0)} filtered frame-B points for "
-                         f"k={config.k}; lower k or raise n_filtered")
+@dataclass(eq=False)
+class _PairPlan:
+    """The coordinate work of one frame pair: each frame's network input
+    (filtered points and their features) and each set-abstraction level's
+    centroid indices, into that level's input points."""
 
+    kept_a: np.ndarray
+    points_a: np.ndarray
+    feats_a: np.ndarray
+    points_b: np.ndarray
+    feats_b: np.ndarray
+    centroids_a: list[np.ndarray]   # sa1, sa2, sa3
+    centroids_b: list[np.ndarray]   # sa1, sa2
+
+
+def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
+    """Plans of (frame_a, frame_b, detections_a, detections_b) pairs.
+
+    Each pair draws from its own ``default_rng(config.seed)``, in this order:
+    frame A's input subsample, frame B's, then the farthest-point start
+    indices of sa1-A, sa2-A, sa1-B, sa2-B and sa3.  A start depends only on
+    its level's input size, so every start is drawn before any centroid is
+    sampled.  Then one ``sample_centroids`` call per level samples every
+    cloud of that level: sa1 and sa2 over both frames of every pair, sa3
+    over the A frames.
+    """
+    plans, starts = [], []
+    for frame_a, frame_b, detections_a, detections_b in pairs:
+        rng = np.random.default_rng(config.seed)
+        kept_a, points_a, feats_a = _network_input("A", frame_a, detections_a, config, rng)
+        _, points_b, feats_b = _network_input("B", frame_b, detections_b, config, rng)
+        if len(points_b) < config.k:
+            raise ValueError(f"only {len(points_b)} filtered frame-B points for "
+                             f"k={config.k}; lower k or raise n_filtered")
+        # At most one centroid per point: sa1 gets the filtered points,
+        # sa2 sa1's centroids, sa3 sa2's.
+        n_a1 = min(config.sa1.sample, len(points_a))
+        n_b1 = min(config.sa1.sample, len(points_b))
+        n_a2 = min(config.sa2.sample, n_a1)
+        starts.append([int(rng.integers(n)) for n in
+                       (len(points_a), n_a1, len(points_b), n_b1, n_a2)])
+        plans.append(_PairPlan(kept_a, points_a, feats_a, points_b, feats_b, [], []))
+
+    def sample(level: SaConfig, clouds, level_starts):
+        return sample_centroids(clouds, [min(level.sample, len(c)) for c in clouds],
+                                level_starts)
+
+    # Per level, the A and B clouds of each pair in turn.
+    clouds = [c for p in plans for c in (p.points_a, p.points_b)]
+    for level, (start_a, start_b) in ((config.sa1, (0, 2)), (config.sa2, (1, 3))):
+        picks = sample(level, clouds, [s[i] for s in starts for i in (start_a, start_b)])
+        for p, idx_a, idx_b in zip(plans, picks[::2], picks[1::2]):
+            p.centroids_a.append(idx_a)
+            p.centroids_b.append(idx_b)
+        clouds = [cloud[idx] for cloud, idx in zip(clouds, picks)]
+    for p, idx in zip(plans, sample(config.sa3, clouds[::2], [s[4] for s in starts])):
+        p.centroids_a.append(idx)
+    return plans
+
+
+def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
+                           config: PipelineConfig, capture: bool = False):
     def abstract(level: SaConfig, mlp: DenseParams, points: np.ndarray,
-                 feats: np.ndarray):
-        # At most one centroid per point; FPS starts at the next draw of rng.
-        spec = SaLayerSpec(min(level.sample, len(points)), level.radius, level.cap, mlp)
-        return sa_layer(spec, points, feats, int(rng.integers(len(points))),
-                        capture=capture)
+                 feats: np.ndarray, centroids: np.ndarray):
+        spec = SaLayerSpec(len(centroids), level.radius, level.cap, mlp)
+        return sa_layer(spec, points, feats, centroids, capture=capture)
 
-    pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, feats_a0)
-    pts_a2, feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1)
-    pts_b1, feats_b1, t_b1 = abstract(config.sa1, model.sa1, pts_b0, feats_b0)
-    pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1)
+    sa1_a, sa2_a, sa3_a = plan.centroids_a
+    sa1_b, sa2_b = plan.centroids_b
+    pts_a0 = plan.points_a
+    pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, plan.feats_a, sa1_a)
+    pts_a2, feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1, sa2_a)
+    pts_b1, feats_b1, t_b1 = abstract(config.sa1, model.sa1, plan.points_b, plan.feats_b,
+                                      sa1_b)
+    pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1, sa2_b)
 
     assoc = AssociationSpec(config.k, model.assoc)
     embedded, t_assoc = association_head(assoc, pts_a2, feats_a2, pts_b2, feats_b2,
                                          capture=capture)
-    pts_a3, feats_a3, t_sa3 = abstract(config.sa3, model.sa3, pts_a2, embedded)
+    pts_a3, feats_a3, t_sa3 = abstract(config.sa3, model.sa3, pts_a2, embedded, sa3_a)
     up2, t_fp1 = fp_layer(pts_a2, pts_a3, feats_a3, None, model.fp1, capture=capture)
     up1, t_fp2 = fp_layer(pts_a1, pts_a2, up2, feats_a1, model.fp2, capture=capture)
     up0, t_fp3 = fp_layer(pts_a0, pts_a1, up1, None, model.fp3, capture=capture)
     vectors, t_head = dense_apply(model.head, up0, capture=capture)
 
-    field = DisplacementField(kept_a, vectors)
+    field = DisplacementField(plan.kept_a, vectors)
     tape = PipelineTape(t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3, t_fp1, t_fp2,
                         t_fp3, t_head) if capture else None
     return field, tape
+
+
+def _planned_pairs(pairs: list, config: PipelineConfig):
+    """Each (cloud_a, label_a, cloud_b, label_b) pair with its plan, on
+    oracle detections.  Pairs are planned a chunk of _PLAN_POINTS filtered
+    points at a time, just before they are used."""
+    size = max(1, _PLAN_POINTS // (2 * config.n_filtered))
+    for first in range(0, len(pairs), size):
+        chunk = pairs[first:first + size]
+        yield from zip(chunk, _plan_pairs(
+            [(cloud_a, cloud_b, oracle_detector(cloud_a, label_a),
+              oracle_detector(cloud_b, label_b))
+             for cloud_a, label_a, cloud_b, label_b in chunk], config))
 
 
 def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
@@ -446,10 +521,11 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
     """Predict per-point motion vectors for the filtered frame-A points.
 
     Stateless: consumes exactly the two frames given, nothing else; repeated
-    calls on the same inputs return identical fields.
+    calls on the same inputs return identical fields.  The pair is planned
+    alone, its A and B frames sampled in lock-step.
     """
-    field, _ = _forward_displacements(frame_a, frame_b, detections_a, detections_b,
-                                      model, config, capture=False)
+    [plan] = _plan_pairs([(frame_a, frame_b, detections_a, detections_b)], config)
+    field, _ = _forward_displacements(plan, model, config, capture=False)
     return field
 
 
@@ -482,6 +558,13 @@ def train_association(dataset, config: PipelineConfig,
     thread counts.  Raises on a non-finite loss, on a non-finite gradient
     (naming the first such array, before any update) and on an update that
     goes non-finite.
+
+    Each epoch plans its pairs a chunk at a time (network inputs and every
+    set-abstraction level's centroids, sampled in lock-step), then steps
+    through the chunk.  The results do not depend on the chunking.  A pair
+    whose inputs are degenerate (no point left after the filter, fewer
+    filtered frame-B points than k) raises while its chunk is planned, so
+    before the earlier pairs of that chunk train.
     """
     pairs = _pair_list(dataset)
     if not pairs:
@@ -495,11 +578,8 @@ def train_association(dataset, config: PipelineConfig,
     step = 0
     for _ in range(epochs):
         epoch_loss = 0.0
-        for cloud_a, label_a, cloud_b, label_b in pairs:
-            det_a = oracle_detector(cloud_a, label_a)
-            det_b = oracle_detector(cloud_b, label_b)
-            field, tape = _forward_displacements(cloud_a, cloud_b, det_a, det_b,
-                                                 model, config, capture=True)
+        for (cloud_a, label_a, _, label_b), plan in _planned_pairs(pairs, config):
+            field, tape = _forward_displacements(plan, model, config, capture=True)
             targets = label_targets(cloud_a, label_a, label_b)
             sel = field.point_indices
             loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
@@ -527,12 +607,15 @@ def train_association(dataset, config: PipelineConfig,
 
 def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
                             pairs) -> float:
-    """Mean Euclidean error over foreground (non-excluded) predicted points."""
+    """Mean Euclidean error over foreground (non-excluded) predicted points.
+
+    Pairs are planned a chunk at a time, as in train_association, so a
+    degenerate pair raises before the earlier pairs of its chunk are
+    predicted, with the message predict_displacements gives.
+    """
     errors = []
-    for cloud_a, label_a, cloud_b, label_b in pairs:
-        det_a = oracle_detector(cloud_a, label_a)
-        det_b = oracle_detector(cloud_b, label_b)
-        field = predict_displacements(cloud_a, cloud_b, det_a, det_b, model, config)
+    for (cloud_a, label_a, _, label_b), plan in _planned_pairs(list(pairs), config):
+        field, _ = _forward_displacements(plan, model, config)
         targets = label_targets(cloud_a, label_a, label_b)
         sel = field.point_indices
         keep = targets.foreground_mask[sel] & ~targets.excluded[sel]

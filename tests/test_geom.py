@@ -52,19 +52,25 @@ def fps_oracle(points, m, start):
     return chosen
 
 
+def sample_alone(cloud, m, start):
+    """farthest_point_sample over one cloud."""
+    [idx] = farthest_point_sample([cloud], m, [start])
+    return idx
+
+
 def test_fps_single_point():
-    assert farthest_point_sample(cloud_of((0, 0, 0)), 1, 0).tolist() == [0]
+    assert sample_alone(cloud_of((0, 0, 0)), 1, 0).tolist() == [0]
 
 
 def test_fps_picks_farthest_then_next():
     c = cloud_of((0, 0, 0), (1, 0, 0), (10, 0, 0))
-    assert farthest_point_sample(c, 2, 0).tolist() == fps_oracle(c.points, 2, 0) == [0, 2]
+    assert sample_alone(c, 2, 0).tolist() == fps_oracle(c.points, 2, 0) == [0, 2]
 
 
 def test_fps_full_sample_is_permutation():
     rng = np.random.default_rng(0)
     c = PointCloud(rng.normal(size=(40, 3)))
-    idx = farthest_point_sample(c, 40, 7)
+    idx = sample_alone(c, 40, 7)
     assert sorted(idx.tolist()) == list(range(40))
 
 
@@ -75,25 +81,70 @@ def test_fps_matches_oracle_on_random_clouds():
         c = PointCloud(pts)
         m = int(rng.integers(1, 13))
         start = int(rng.integers(0, 12))
-        assert farthest_point_sample(c, m, start).tolist() == fps_oracle(pts, m, start)
+        assert sample_alone(c, m, start).tolist() == fps_oracle(pts, m, start)
 
 
 def test_fps_handles_duplicate_points():
     c = cloud_of((0, 0, 0), (0, 0, 0), (1, 0, 0))
-    idx = farthest_point_sample(c, 3, 0)
+    idx = sample_alone(c, 3, 0)
     assert sorted(idx.tolist()) == [0, 1, 2]
 
 
 def test_fps_invalid_arguments():
     c = cloud_of((0, 0, 0))
     with pytest.raises(ValueError):
-        farthest_point_sample(c, 2, 0)
+        sample_alone(c, 2, 0)
     with pytest.raises(ValueError):
-        farthest_point_sample(c, 0, 0)
+        sample_alone(c, 0, 0)
     with pytest.raises(ValueError):
-        farthest_point_sample(c, 1, 5)
+        sample_alone(c, 1, 5)
     with pytest.raises(ValueError):
-        farthest_point_sample(PointCloud(np.empty((0, 3))), 1, 0)
+        sample_alone(PointCloud(np.empty((0, 3))), 1, 0)
+    two = [c, cloud_of((0, 0, 0), (1, 0, 0))]
+    with pytest.raises(ValueError, match="2 clouds need as many"):
+        farthest_point_sample(two, 1, [0])
+    with pytest.raises(ValueError, match="2 clouds need as many"):
+        farthest_point_sample(two, [1, 1, 1], [0, 0])
+    with pytest.raises(ValueError, match="must be integers"):
+        farthest_point_sample(two, 1.0, [0, 0])
+    with pytest.raises(ValueError, match="must be integers"):
+        farthest_point_sample(two, 1, [0.0, 0.0])
+    with pytest.raises(ValueError, match=r"sample count must lie in \[1, 1\], got 2"):
+        farthest_point_sample(two, [2, 2], [0, 0])
+    assert farthest_point_sample([], 3, []) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 16), min_size=1, max_size=6), st.data())
+def test_fps_lock_step_matches_oracle_and_each_cloud_alone(sizes, data):
+    # Integer coordinates in [-2, 2]: duplicates and equal distances in every
+    # cloud, and clouds of several sizes, so the shorter ones are padded.
+    clouds, counts, starts = [], [], []
+    for n in sizes:
+        coords = data.draw(st.lists(st.integers(-2, 2), min_size=3 * n, max_size=3 * n))
+        clouds.append(PointCloud(np.array(coords, dtype=float).reshape(n, 3)))
+        counts.append(data.draw(st.integers(1, n)))
+        starts.append(data.draw(st.integers(0, n - 1)))
+    picks = farthest_point_sample(clouds, counts, starts)
+    assert len(picks) == len(clouds)
+    for cloud, m, start, idx in zip(clouds, counts, starts, picks):
+        assert idx.tolist() == fps_oracle(cloud.points, m, start)
+        alone = sample_alone(cloud, m, start)
+        assert idx.dtype == alone.dtype and idx.tobytes() == alone.tobytes()
+
+
+def test_fps_lock_step_equals_each_float_cloud_alone():
+    rng = np.random.default_rng(3)
+    clouds = [PointCloud(rng.normal(scale=5.0, size=(n, 3))) for n in (200, 37, 512, 1)]
+    counts = [64, 37, 256, 1]
+    starts = [int(rng.integers(len(c))) for c in clouds]
+    picks = farthest_point_sample(clouds, counts, starts)
+    for cloud, m, start, idx in zip(clouds, counts, starts, picks):
+        alone = sample_alone(cloud, m, start)
+        assert idx.dtype == alone.dtype and idx.tobytes() == alone.tobytes()
+    # One count for all clouds gives each cloud the prefix of its longer run.
+    same = farthest_point_sample(clouds[:3], 30, starts[:3])
+    assert all(a.tobytes() == b[:30].tobytes() for a, b in zip(same, picks))
 
 
 def min_pairwise(points, idx):
@@ -114,7 +165,7 @@ def test_fps_spreads_better_than_random_subsets():
         pts = np.concatenate([c + rng.normal(scale=0.5, size=(25, 3)) for c in centers])
         cloud = PointCloud(pts)
         m = 10
-        fps_idx = farthest_point_sample(cloud, m, int(rng.integers(0, len(pts))))
+        fps_idx = sample_alone(cloud, m, int(rng.integers(0, len(pts))))
         rand_idx = rng.choice(len(pts), size=m, replace=False)
         if min_pairwise(pts, fps_idx) >= min_pairwise(pts, rand_idx):
             wins += 1
@@ -129,8 +180,7 @@ def test_fps_matches_oracle_on_integer_grid_ties():
         pts = rng.integers(-2, 3, size=(16, 3)).astype(float)
         m = int(rng.integers(1, 17))
         start = int(rng.integers(0, 16))
-        assert farthest_point_sample(PointCloud(pts), m, start).tolist() \
-            == fps_oracle(pts, m, start)
+        assert sample_alone(PointCloud(pts), m, start).tolist() == fps_oracle(pts, m, start)
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,17 @@ def test_synthesize_rejects_a_non_finite_or_negative_scalar(field, value):
         synthesize_sequence(SceneConfig(**{field: value}), seed=0)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+@pytest.mark.parametrize("field", ["frames", "objects", "points_per_object",
+                                   "background_points", "direction_change_every"])
+def test_scene_config_rejects_a_non_integer_count(field, value):
+    # A float count used to pass and fail inside synthesis with a bare
+    # TypeError; direction_change_every=True ran as a change every frame.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        SceneConfig(**{field: value})
+    SceneConfig(**{field: np.int64(3)})
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from disptrack.micronet import (
     dense_apply,
     fp_layer,
     sa_layer,
+    sample_centroids,
 )
-from disptrack.geom import PointCloud, farthest_point_sample, nearest
+from disptrack.geom import nearest
 from disptrack.micronet import layers as layers_module
 from gradcheck import gradient_check
 
@@ -22,6 +23,12 @@ from gradcheck import gradient_check
 def make_sa_spec(rng, feat_width, sample_count=4, radius=1.5, cap=8, widths=(6, 5)):
     mlp = DenseParams.create([3 + feat_width, *widths], rng)
     return SaLayerSpec(sample_count, radius, cap, mlp)
+
+
+def fps(spec, points, start):
+    """spec.sample_count farthest-point centroids of points from start."""
+    [idx] = sample_centroids([points], [spec.sample_count], [start])
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +77,7 @@ def test_sa_single_point_uses_itself():
     spec = make_sa_spec(rng, feat_width=2, sample_count=1)
     pts = np.array([[1.0, 2.0, 3.0]])
     feats = np.array([[0.5, -0.25]])
-    sampled, pooled, _ = sa_layer(spec, pts, feats, start_index=0)
+    sampled, pooled, _ = sa_layer(spec, pts, feats, fps(spec, pts, 0))
     assert np.array_equal(sampled, pts)
     expect, _ = dense_apply(spec.mlp, np.array([[0.0, 0.0, 0.0, 0.5, -0.25]]))
     assert np.allclose(pooled, expect)
@@ -81,7 +88,7 @@ def test_sa_identical_points_get_identical_features():
     spec = make_sa_spec(rng, feat_width=1, sample_count=2)
     pts = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     feats = np.array([[0.3], [0.3]])
-    _, pooled, _ = sa_layer(spec, pts, feats, start_index=0)
+    _, pooled, _ = sa_layer(spec, pts, feats, fps(spec, pts, 0))
     assert np.array_equal(pooled[0], pooled[1])
 
 
@@ -90,7 +97,7 @@ def test_sa_isolated_centroid_falls_back_to_itself():
     spec = make_sa_spec(rng, feat_width=1, sample_count=2, radius=0.5)
     pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
     feats = np.array([[1.0], [2.0]])
-    sampled, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
+    sampled, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 0), capture=True)
     # each centroid's only in-radius neighbour is itself
     assert np.count_nonzero(tape.valid[0]) == 1
     expect0, _ = dense_apply(spec.mlp, np.array([[0.0, 0.0, 0.0, 1.0]]))
@@ -102,10 +109,10 @@ def test_sa_neighbor_order_permutation_invariant():
     spec = make_sa_spec(rng, feat_width=2, sample_count=1, radius=10.0)
     pts = rng.normal(size=(12, 3))
     feats = rng.normal(size=(12, 2))
-    _, pooled_a, _ = sa_layer(spec, pts, feats, start_index=0)
+    _, pooled_a, _ = sa_layer(spec, pts, feats, fps(spec, pts, 0))
     perm = rng.permutation(12)
     inv_start = int(np.where(perm == 0)[0][0])
-    _, pooled_b, _ = sa_layer(spec, pts[perm], feats[perm], start_index=inv_start)
+    _, pooled_b, _ = sa_layer(spec, pts[perm], feats[perm], fps(spec, pts[perm], inv_start))
     assert np.max(np.abs(pooled_a - pooled_b)) < 1e-12
 
 
@@ -123,7 +130,7 @@ def test_sa_gradients_match_finite_differences():
     def loss_fn(d):
         mlp = DenseParams([d["w0"], d["w1"]], [d["b0"], d["b1"]])
         s = SaLayerSpec(spec.sample_count, spec.radius, spec.neighbor_cap, mlp)
-        _, pooled, tape = sa_layer(s, pts, feats, start_index=1, capture=True)
+        _, pooled, tape = sa_layer(s, pts, feats, fps(s, pts, 1), capture=True)
         err = pooled - target
         grads, _ = tape.backward(2.0 * err)
         return float((err ** 2).sum()), pack(grads)
@@ -138,11 +145,11 @@ def test_sa_input_feature_gradient_matches_finite_differences():
     feats0 = rng.normal(size=(8, 2))
 
     def loss_of(feats):
-        _, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
+        _, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 0), capture=True)
         return float((pooled ** 2).sum()), tape
 
     _, tape = loss_of(feats0)
-    _, pooled, _ = sa_layer(spec, pts, feats0, start_index=0)
+    _, pooled, _ = sa_layer(spec, pts, feats0, fps(spec, pts, 0))
     _, grad_feats = tape.backward(2.0 * pooled)
     eps = 1e-6
     for idx in [(0, 0), (3, 1), (7, 0)]:
@@ -157,8 +164,7 @@ def padded_sa_reference(spec, points, feats, start_index, grad_pooled):
     """The all-slot set abstraction: the cap nearest points, the MLP on every
     slot, a max over the in-radius ones.  Returns (centroids, pooled,
     feature gradient for grad_pooled, the candidate holding each max)."""
-    centroids = points[farthest_point_sample(PointCloud(points), spec.sample_count,
-                                             start_index)]
+    centroids = points[fps(spec, points, start_index)]
     order, dist = nearest(centroids, points, min(spec.neighbor_cap, len(points)))
     valid = dist <= spec.radius
     group_in = np.concatenate([points[order] - centroids[:, None, :], feats[order]], axis=2)
@@ -183,7 +189,7 @@ def test_sa_matches_padded_nearest_reference(radius):
     feats = rng.normal(size=(60, 2))
     spec = make_sa_spec(rng, feat_width=2, sample_count=12, radius=radius, cap=8)
     grad = rng.normal(size=(12, 5))
-    centroids, pooled, tape = sa_layer(spec, pts, feats, start_index=3, capture=True)
+    centroids, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 3), capture=True)
     _, grad_feats = tape.backward(grad)
     ref_centroids, ref_pooled, ref_grad, _ = padded_sa_reference(spec, pts, feats, 3, grad)
     assert np.array_equal(centroids, ref_centroids)
@@ -208,7 +214,7 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     feats = np.tile(rng.normal(size=(20, 2)), (2, 1))
     spec = make_sa_spec(rng, feat_width=2, sample_count=6, radius=1.0, cap=8)
     grad = rng.normal(size=(6, 5))
-    _, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
+    _, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 0), capture=True)
     _, grad_feats = tape.backward(grad)
     _, ref_pooled, ref_grad, ref_won = padded_sa_reference(spec, pts, feats, 0, grad)
     assert np.array_equal(pooled, ref_pooled)
@@ -223,8 +229,8 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     feats = feats.copy()
     feats[33] = [np.inf, np.inf]
     with np.errstate(invalid="ignore"):
-        centroids, pooled, tape = sa_layer(spec, pts, feats, start_index=0, capture=True)
-        _, plain, _ = sa_layer(spec, pts, feats, start_index=0)
+        centroids, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 0), capture=True)
+        _, plain, _ = sa_layer(spec, pts, feats, fps(spec, pts, 0))
         _, ref_pooled, _, ref_won = padded_sa_reference(spec, pts, feats, 0, grad)
         tape.backward(grad)
     assert np.array_equal(plain, pooled, equal_nan=True)
@@ -241,7 +247,48 @@ def test_sa_rejects_oversampling():
     rng = np.random.default_rng(6)
     spec = make_sa_spec(rng, feat_width=0, sample_count=5)
     with pytest.raises(ValueError):
-        sa_layer(spec, np.zeros((3, 3)), np.zeros((3, 0)), start_index=0)
+        sa_layer(spec, np.zeros((3, 3)), np.zeros((3, 0)), np.arange(5))
+
+
+@pytest.mark.parametrize("centroids, message", [
+    (np.array([0, 3]), r"expected 3 centroid indices, got shape \(2,\)"),
+    (np.array([0, 3, 5, 7]), r"expected 3 centroid indices, got shape \(4,\)"),
+    (np.array([[0, 3, 5]]), r"expected 3 centroid indices, got shape \(1, 3\)"),
+    (np.array([0, 3, 8]), r"centroid indices must lie in \[0, 8\)"),
+    (np.array([-1, 3, 5]), r"centroid indices must lie in \[0, 8\)"),
+    (np.array([0, 3, 3]), "centroid indices must be distinct"),
+    (np.array([0.0, 3.0, 5.0]), "centroid indices must be integers"),
+    (np.array([True, False, True]), "centroid indices must be integers"),
+])
+def test_sa_rejects_bad_centroid_indices(centroids, message):
+    # The layer takes its centroids from outside; a wrong set must not pool
+    # a silently different (or repeated) group.
+    rng = np.random.default_rng(10)
+    spec = make_sa_spec(rng, feat_width=1, sample_count=3)
+    pts, feats = rng.normal(size=(8, 3)), rng.normal(size=(8, 1))
+    with pytest.raises(ValueError, match=message):
+        sa_layer(spec, pts, feats, centroids)
+    sa_layer(spec, pts, feats, np.array([0, 3, 5]))
+
+
+def test_sample_centroids_runs_one_lock_step_call_per_distinct_count(monkeypatch):
+    rng = np.random.default_rng(11)
+    clouds = [rng.normal(size=(n, 3)) for n in (40, 9, 40, 25, 9)]
+    counts, starts = [16, 9, 16, 16, 4], [3, 0, 39, 24, 8]
+    alone = [sample_centroids([c], [m], [s])[0] for c, m, s in zip(clouds, counts, starts)]
+    calls = []
+    real = layers_module.farthest_point_sample
+
+    def recording(cloud_list, m, start_list):
+        calls.append((len(cloud_list), m))
+        return real(cloud_list, m, start_list)
+    monkeypatch.setattr(layers_module, "farthest_point_sample", recording)
+    picks = sample_centroids(clouds, counts, starts)
+    # Counts stay Python ints: a tracer multiplies them by the cloud count.
+    assert calls == [(3, 16), (1, 9), (1, 4)]
+    assert all(type(m) is int for _, m in calls)
+    for idx, ref in zip(picks, alone):
+        assert idx.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,23 @@ def assert_bytes_equal(actual: dict[str, np.ndarray], path: Path) -> None:
         assert new.tobytes() == old.tobytes(), key
 
 
-def test_multi_pair_training_matches_the_golden():
+@pytest.mark.parametrize("pairs_per_chunk, chunks", [
+    (1, [1, 1, 1, 1]),
+    (3, [3, 1]),          # the first chunk mixes both drives' frame sizes
+    (None, [4]),          # the default: every pair in one chunk
+])
+def test_multi_pair_training_matches_the_golden(monkeypatch, pairs_per_chunk, chunks):
+    if pairs_per_chunk is not None:
+        monkeypatch.setattr(pipeline, "_PLAN_POINTS", pairs_per_chunk * 2 * TINY.n_filtered)
+    planned = []
+    real = pipeline._plan_pairs
+
+    def recording(pairs, config):
+        planned.append(len(pairs))
+        return real(pairs, config)
+    monkeypatch.setattr(pipeline, "_plan_pairs", recording)
     assert_bytes_equal(training_outputs(), TRAINING_GOLDEN)
+    assert planned == chunks * TRAINING_EPOCHS
 
 
 def paper_field_outputs() -> dict[str, np.ndarray]:
@@ -213,11 +228,11 @@ def loss_closure(model, config, a, label_a, b, label_b):
     det_a = pipeline.oracle_detector(a, label_a)
     det_b = pipeline.oracle_detector(b, label_b)
     targets = label_targets(a, label_a, label_b)
+    [plan] = pipeline._plan_pairs([(a, b, det_a, det_b)], config)
 
     def loss_fn(params):
         model.load_param_dict(params)
-        field, tape = pipeline._forward_displacements(a, b, det_a, det_b, model, config,
-                                                      capture=True)
+        field, tape = pipeline._forward_displacements(plan, model, config, capture=True)
         sel = field.point_indices
         loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
                                    targets.foreground_mask[sel],
