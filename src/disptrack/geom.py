@@ -148,15 +148,13 @@ def farthest_point_sample(clouds, m, starts) -> list[np.ndarray]:
     flat = coords.reshape(3, c * n)
     row_start = np.arange(c) * n
     at = np.empty(c, dtype=np.intp)         # flat positions of the last picks
-    last = np.empty((3, c, 1))
     diff = np.empty_like(coords)
     step = np.empty((c, n))
     chosen = np.empty((counts.max(), c), dtype=np.intp)
     chosen[0] = starts
     for i in range(1, chosen.shape[0]):
         np.add(row_start, chosen[i - 1], out=at)
-        np.take(flat, at, axis=1, out=last[:, :, 0])
-        np.subtract(coords, last, out=diff)
+        np.subtract(coords, flat.take(at, axis=1)[:, :, None], out=diff)
         np.multiply(diff, diff, out=diff)
         np.add(diff[0], diff[1], out=step)
         step += diff[2]

@@ -436,7 +436,7 @@ def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
     cloud of that level: sa1 and sa2 over both frames of every pair, sa3
     over the A frames.
     """
-    plans, starts = [], []
+    inputs, starts = [], []
     for frame_a, frame_b, detections_a, detections_b in pairs:
         rng = np.random.default_rng(config.seed)
         kept_a, points_a, feats_a = _network_input("A", frame_a, detections_a, config, rng)
@@ -451,23 +451,23 @@ def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
         n_a2 = min(config.sa2.sample, n_a1)
         starts.append([int(rng.integers(n)) for n in
                        (len(points_a), n_a1, len(points_b), n_b1, n_a2)])
-        plans.append(_PairPlan(kept_a, points_a, feats_a, points_b, feats_b, [], []))
+        inputs.append((kept_a, points_a, feats_a, points_b, feats_b))
 
     def sample(level: SaConfig, clouds, level_starts):
         return sample_centroids(clouds, [min(level.sample, len(c)) for c in clouds],
                                 level_starts)
 
-    # Per level, the A and B clouds of each pair in turn.
-    clouds = [c for p in plans for c in (p.points_a, p.points_b)]
-    for level, (start_a, start_b) in ((config.sa1, (0, 2)), (config.sa2, (1, 3))):
-        picks = sample(level, clouds, [s[i] for s in starts for i in (start_a, start_b)])
-        for p, idx_a, idx_b in zip(plans, picks[::2], picks[1::2]):
-            p.centroids_a.append(idx_a)
-            p.centroids_b.append(idx_b)
-        clouds = [cloud[idx] for cloud, idx in zip(clouds, picks)]
-    for p, idx in zip(plans, sample(config.sa3, clouds[::2], [s[4] for s in starts])):
-        p.centroids_a.append(idx)
-    return plans
+    start_a1, start_a2, start_b1, start_b2, start_a3 = zip(*starts)
+    # sa1 and sa2 sample frame A then frame B of each pair; sa3 frame A.
+    clouds = [points for _, points_a, _, points_b, _ in inputs
+              for points in (points_a, points_b)]
+    sa1 = sample(config.sa1, clouds, [s for ab in zip(start_a1, start_b1) for s in ab])
+    clouds = [points[idx] for points, idx in zip(clouds, sa1)]
+    sa2 = sample(config.sa2, clouds, [s for ab in zip(start_a2, start_b2) for s in ab])
+    sa3 = sample(config.sa3, [points[idx] for points, idx in zip(clouds[::2], sa2[::2])],
+                 start_a3)
+    return [_PairPlan(*frames, [a1, a2, a3], [b1, b2]) for frames, a1, b1, a2, b2, a3
+            in zip(inputs, sa1[::2], sa1[1::2], sa2[::2], sa2[1::2], sa3)]
 
 
 def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
