@@ -5,8 +5,9 @@ Submodules:
               backward tape
   layers      point-set layers: set abstraction and the cross-frame
               cosine association head, both on one group -> MLP ->
-              max-pool kernel, feature propagation, and the lock-step
-              sampling of set-abstraction centroids
+              max-pool kernel, feature propagation, and the planning
+              of set-abstraction groups (lock-step centroid sampling,
+              then in-radius neighbour selection)
   losses      class-balanced weighted-L2 tracking loss
   optim       Adam and the triangular cyclical learning-rate schedule
   checkpoint  versioned JSON (de)serialization of parameter dictionaries
@@ -19,10 +20,12 @@ from .dense import DenseGrads, DenseParams, DenseTape, dense_apply
 from .layers import (
     AssociationSpec,
     SaLayerSpec,
+    SaSelection,
     association_head,
     fp_layer,
     sa_layer,
     sample_centroids,
+    select_groups,
 )
 from .losses import tracking_loss
 from .optim import OptState, adam_step, clr_schedule
@@ -30,8 +33,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "DenseGrads", "DenseParams", "DenseTape", "dense_apply",
-    "AssociationSpec", "SaLayerSpec",
-    "association_head", "fp_layer", "sa_layer", "sample_centroids",
+    "AssociationSpec", "SaLayerSpec", "SaSelection",
+    "association_head", "fp_layer", "sa_layer", "sample_centroids", "select_groups",
     "tracking_loss",
     "OptState", "adam_step", "clr_schedule",
     "load_checkpoint", "save_checkpoint",

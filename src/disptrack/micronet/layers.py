@@ -13,13 +13,16 @@ Three layers cover the whole displacement network:
                            displacement run through the MLP, and
                            element-wise max pools over k.
 
-Set abstraction takes its centroids from outside: ``sample_centroids``
-picks them by farthest-point sampling for every cloud of one level at once,
-before any layer runs, as they depend on coordinates and start indices
-alone.  The layer selects neighbours with ``geom.ball_query``; feature
-propagation and the association head take the k nearest with
-``geom.nearest``.  All rank by ascending distance, equal distances to the
-lower index, so a selection is a pure function of the coordinates.
+Set abstraction takes its groups from outside, planned before any layer
+runs, as they depend on coordinates and start indices alone:
+``sample_centroids`` picks the centroids by farthest-point sampling for
+every cloud of one level at once, and ``select_groups`` gives each centroid
+its in-radius neighbours (``geom.ball_query``), as an ``SaSelection``.  A
+caller may run the layer on some rows of a selection only
+(``SaSelection.rows``).  Feature propagation and the association head take
+the k nearest with ``geom.nearest`` inside the layer.  All rank by ascending
+distance, equal distances to the lower index, so a selection is a pure
+function of the coordinates.
 
 Set abstraction and the association head are one kernel, ``_group_pool``,
 on different (group, candidate) pairs: a centroid and its in-radius points,
@@ -68,6 +71,7 @@ computation graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,18 +309,83 @@ def sample_centroids(clouds, counts, starts) -> list[np.ndarray]:
     return out
 
 
-def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
-             centroid_index, capture: bool = False):
-    """Group and pool points around spec.sample_count given centroids.
+class SaSelection(NamedTuple):
+    """The groups of one set-abstraction level: centroid indices (m,) into
+    the level's input points, and each centroid's candidates as
+    ``geom.ball_query`` returns them, (m, cap) point indices and the mask of
+    the slots that hold one."""
 
-    centroid_index holds the distinct indices of the centroids among the
-    points, as ``sample_centroids`` picks them.  Each centroid groups its
-    spec.neighbor_cap nearest points within spec.radius
-    (``geom.ball_query``).  Per grouped neighbour the MLP input row is the
-    (neighbour - centroid) coordinates concatenated with the neighbour
-    feature; the MLP runs on these in-radius rows only, and pooling is their
-    element-wise max.  A centroid with no other in-radius point keeps itself
-    as sole neighbour (it is always within its own radius).
+    centroids: np.ndarray
+    order: np.ndarray
+    valid: np.ndarray
+
+    def rows(self, which) -> "SaSelection":
+        """The groups of the centroids that which indexes, in its order."""
+        return SaSelection(self.centroids[which], self.order[which], self.valid[which])
+
+    def read(self, n: int) -> np.ndarray:
+        """Ascending indices of the input points that some group holds: the
+        only rows of an (n, c) input whose values reach the layer's output."""
+        held = np.zeros(n, dtype=bool)
+        held[self.order[self.valid]] = True
+        return np.flatnonzero(held)
+
+
+def select_groups(points, centroid_index, radius: float, cap: int) -> SaSelection:
+    """Each centroid's min(cap, n) nearest points within radius, nearest
+    first and equal distances to the lower index (``geom.ball_query``).  A
+    centroid is within its own radius, so its slot 0 always holds a point."""
+    points = np.asarray(points, dtype=float)
+    idx = np.asarray(centroid_index)
+    order, valid = ball_query(points[idx], points, radius, min(cap, len(points)))
+    return SaSelection(idx, order, valid)
+
+
+def _check_selection(spec: SaLayerSpec, selection, n: int) -> SaSelection:
+    """selection as an SaSelection of spec.sample_count distinct centroids
+    over n points, in the layout ``_group_pool`` reads; raises ValueError
+    otherwise."""
+    if not isinstance(selection, SaSelection):
+        raise ValueError(f"expected an SaSelection, got {type(selection).__name__}")
+    idx, order, valid = (np.asarray(x) for x in selection)
+    m = spec.sample_count
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"centroid indices must be integers, got dtype {idx.dtype}")
+    if idx.shape != (m,):
+        raise ValueError(f"expected {m} centroid indices, got shape {idx.shape}")
+    if not np.all((idx >= 0) & (idx < n)):
+        raise ValueError(f"centroid indices must lie in [0, {n})")
+    if np.unique(idx).size != idx.size:
+        raise ValueError("centroid indices must be distinct")
+    cap = min(spec.neighbor_cap, n)
+    if order.shape != (m, cap) or valid.shape != (m, cap):
+        raise ValueError(f"expected ({m}, {cap}) candidate order and mask, got "
+                         f"{order.shape} and {valid.shape}")
+    if order.dtype.kind not in "iu":
+        raise ValueError(f"candidate indices must be integers, got dtype {order.dtype}")
+    if not np.all((order >= 0) & (order < n)):
+        raise ValueError(f"candidate indices must lie in [0, {n})")
+    if valid.dtype != bool:
+        raise ValueError(f"the candidate mask must be boolean, got dtype {valid.dtype}")
+    if not valid[:, 0].all():
+        raise ValueError("every group must hold a candidate in slot 0")
+    if (valid[:, 1:] & ~valid[:, :-1]).any():
+        raise ValueError("each group's valid slots must come first")
+    return SaSelection(idx, order, valid)
+
+
+def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
+             selection, capture: bool = False):
+    """Group and pool points around spec.sample_count planned centroids.
+
+    selection is the ``SaSelection`` of the centroids' groups, as
+    ``select_groups`` plans it with spec.radius and spec.neighbor_cap, or
+    some of its rows: distinct centroid indices among the points, and each
+    centroid's (min(spec.neighbor_cap, n),) candidates and mask, valid
+    slots first and slot 0 valid.  The layer selects no neighbours itself.
+    Per grouped neighbour the MLP input row is the (neighbour - centroid)
+    coordinates concatenated with the neighbour feature; the MLP runs on
+    the valid rows only, and pooling is their element-wise max.
 
     Returns (centroid points (m,3), pooled features (m,c_out), tape or None).
     """
@@ -330,19 +399,9 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     if spec.mlp.in_width != 3 + feats.shape[1]:
         raise ValueError(f"MLP expects width {spec.mlp.in_width}, "
                          f"inputs provide {3 + feats.shape[1]}")
-    idx = np.asarray(centroid_index)
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"centroid indices must be integers, got dtype {idx.dtype}")
-    if idx.shape != (spec.sample_count,):
-        raise ValueError(f"expected {spec.sample_count} centroid indices, got shape "
-                         f"{idx.shape}")
-    if not np.all((idx >= 0) & (idx < n)):
-        raise ValueError(f"centroid indices must lie in [0, {n})")
-    if np.unique(idx).size != idx.size:
-        raise ValueError("centroid indices must be distinct")
+    idx, order, valid = _check_selection(spec, selection, n)
 
     centroids = points[idx]
-    order, valid = ball_query(centroids, points, spec.radius, min(spec.neighbor_cap, n))
 
     def rows_of(group: np.ndarray, cand: np.ndarray) -> np.ndarray:
         return np.concatenate([points[cand] - centroids[group], feats[cand]], axis=1)

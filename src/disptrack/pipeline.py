@@ -11,6 +11,15 @@ frame-A point.
 
 Detection is decoupled behind the Detections interface; the oracle detector
 perturbs ground truth, enabling ground-truth-box experiments.
+
+Coordinate work is planned before the network runs: each pair's network
+inputs, every set-abstraction level's centroids (sampled in lock-step) and
+their in-radius groups.  From the plan, prediction computes only the rows
+that reach the field.  sa3 groups few of the frame-A sa2 points and frame-B
+sa2 few of the frame-B sa1 points, so the other frame-A sa2 groups, their
+association rows and the other frame-B sa1 groups are skipped; at paper
+scale about 88 of 512 frame-A rows and 850 of 2048 frame-B rows are live.
+Training runs every row.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from .micronet import (
     DenseParams,
     OptState,
     SaLayerSpec,
+    SaSelection,
     adam_step,
     association_head,
     clr_schedule,
@@ -37,6 +47,7 @@ from .micronet import (
     sa_layer,
     sample_centroids,
     save_checkpoint,
+    select_groups,
     tracking_loss,
 )
 
@@ -109,6 +120,22 @@ class DetectorNoise:
             raise ValueError("dropout and false-positive rates must lie in [0, 1]")
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer (numpy integers pass) raises
+    ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _widths(name: str, widths) -> tuple[int, ...]:
+    """widths as a tuple of ints, each an integer of at least 1."""
+    out = tuple(_integer(name, w) for w in widths)
+    if any(w < 1 for w in out):
+        raise ValueError(f"{name} must be at least 1, got {tuple(widths)!r}")
+    return out
+
+
 @dataclass
 class SaConfig:
     """Hyperparameters of one set-abstraction level."""
@@ -119,11 +146,13 @@ class SaConfig:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Every comparison with NaN is false, so NaN fails these checks too.
+        self.sample = _integer("sample", self.sample)
+        self.cap = _integer("cap", self.cap)
+        # Every comparison with NaN is false, so NaN fails this check too.
         if not (self.sample >= 1 and self.radius > 0.0 and self.cap >= 1):
             raise ValueError(f"set abstraction needs sample >= 1, radius > 0 and "
                              f"cap >= 1, got {self.sample}, {self.radius}, {self.cap}")
-        self.widths = tuple(int(w) for w in self.widths)
+        self.widths = _widths("widths", self.widths)
 
 
 @dataclass
@@ -153,22 +182,20 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_input", "n_filtered"):
+        for name in ("n_input", "n_filtered", "k", "clr_cycle_epochs", "seed"):
+            setattr(self, name, _integer(name, getattr(self, name)))
+        for name in ("n_input", "n_filtered", "k", "clr_cycle_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.n_filtered > self.n_input:
             raise ValueError("n_filtered must not exceed n_input")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
         # Every comparison with NaN is false, so NaN fails these checks too.
         for name in ("lr_low", "lr_high", "alpha", "beta"):
             if not (0.0 <= getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be finite and non-negative")
-        if not (1 <= self.clr_cycle_epochs < np.inf):
-            raise ValueError("clr_cycle_epochs must be finite and at least 1")
         for name in ("assoc_widths", "fp1_widths", "fp2_widths", "fp3_widths",
                      "head_widths"):
-            setattr(self, name, tuple(int(w) for w in getattr(self, name)))
+            setattr(self, name, _widths(name, getattr(self, name)))
 
     @classmethod
     def paper_scale(cls) -> "PipelineConfig":
@@ -414,15 +441,15 @@ def _network_input(name: str, frame: PointCloud, detections: Detections,
 class _PairPlan:
     """The coordinate work of one frame pair: each frame's network input
     (filtered points and their features) and each set-abstraction level's
-    centroid indices, into that level's input points."""
+    groups, over that level's input points."""
 
     kept_a: np.ndarray
     points_a: np.ndarray
     feats_a: np.ndarray
     points_b: np.ndarray
     feats_b: np.ndarray
-    centroids_a: list[np.ndarray]   # sa1, sa2, sa3
-    centroids_b: list[np.ndarray]   # sa1, sa2
+    select_a: list[SaSelection]     # sa1, sa2, sa3
+    select_b: list[SaSelection]     # sa1, sa2
 
 
 def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
@@ -434,7 +461,8 @@ def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
     its level's input size, so every start is drawn before any centroid is
     sampled.  Then one ``sample_centroids`` call per level samples every
     cloud of that level: sa1 and sa2 over both frames of every pair, sa3
-    over the A frames.
+    over the A frames.  Each cloud's centroids then select their groups
+    (``select_groups``), once per level and frame.
     """
     inputs, starts = [], []
     for frame_a, frame_b, detections_a, detections_b in pairs:
@@ -453,43 +481,72 @@ def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
                        (len(points_a), n_a1, len(points_b), n_b1, n_a2)])
         inputs.append((kept_a, points_a, feats_a, points_b, feats_b))
 
-    def sample(level: SaConfig, clouds, level_starts):
-        return sample_centroids(clouds, [min(level.sample, len(c)) for c in clouds],
-                                level_starts)
+    def select(level: SaConfig, clouds, level_starts):
+        """Each cloud's groups at level, and the cloud of its centroids."""
+        picks = sample_centroids(clouds, [min(level.sample, len(c)) for c in clouds],
+                                 level_starts)
+        return ([select_groups(c, idx, level.radius, level.cap)
+                 for c, idx in zip(clouds, picks)],
+                [c[idx] for c, idx in zip(clouds, picks)])
 
     start_a1, start_a2, start_b1, start_b2, start_a3 = zip(*starts)
-    # sa1 and sa2 sample frame A then frame B of each pair; sa3 frame A.
+    # sa1 and sa2 select over frame A then frame B of each pair; sa3 frame A.
     clouds = [points for _, points_a, _, points_b, _ in inputs
               for points in (points_a, points_b)]
-    sa1 = sample(config.sa1, clouds, [s for ab in zip(start_a1, start_b1) for s in ab])
-    clouds = [points[idx] for points, idx in zip(clouds, sa1)]
-    sa2 = sample(config.sa2, clouds, [s for ab in zip(start_a2, start_b2) for s in ab])
-    sa3 = sample(config.sa3, [points[idx] for points, idx in zip(clouds[::2], sa2[::2])],
-                 start_a3)
+    sa1, clouds = select(config.sa1, clouds, [s for ab in zip(start_a1, start_b1) for s in ab])
+    sa2, clouds = select(config.sa2, clouds, [s for ab in zip(start_a2, start_b2) for s in ab])
+    sa3, _ = select(config.sa3, clouds[::2], start_a3)
     return [_PairPlan(*frames, [a1, a2, a3], [b1, b2]) for frames, a1, b1, a2, b2, a3
             in zip(inputs, sa1[::2], sa1[1::2], sa2[::2], sa2[1::2], sa3)]
 
 
 def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
                            config: PipelineConfig, capture: bool = False):
-    def abstract(level: SaConfig, mlp: DenseParams, points: np.ndarray,
-                 feats: np.ndarray, centroids: np.ndarray):
-        spec = SaLayerSpec(len(centroids), level.radius, level.cap, mlp)
-        return sa_layer(spec, points, feats, centroids, capture=capture)
+    """The field of a planned pair, and with capture the tape of every layer.
 
-    sa1_a, sa2_a, sa3_a = plan.centroids_a
-    sa1_b, sa2_b = plan.centroids_b
+    Without capture only the rows that reach the field are computed: the
+    frame-A sa2 groups that sa3's selection reads, the association head on
+    those frame-A points, and the frame-B sa1 groups that frame-B sa2's
+    selection reads.  The other rows of those outputs are NaN, and no layer
+    reads them.  With capture every row runs (see train_association).
+    """
+    def abstract(level: SaConfig, mlp: DenseParams, points: np.ndarray,
+                 feats: np.ndarray, selection: SaSelection):
+        spec = SaLayerSpec(len(selection.centroids), level.radius, level.cap, mlp)
+        return sa_layer(spec, points, feats, selection, capture=capture)
+
+    def live(selection: SaSelection, n: int):
+        """The rows of an n-row output that selection reads; all with capture."""
+        return slice(None) if capture else selection.read(n)
+
+    def spread(rows, values: np.ndarray, n: int) -> np.ndarray:
+        """values as the given rows of n, the others NaN."""
+        if capture:
+            return values
+        full = np.full((n, values.shape[1]), np.nan)
+        full[rows] = values
+        return full
+
+    sel_a1, sel_a2, sel_a3 = plan.select_a
+    sel_b1, sel_b2 = plan.select_b
     pts_a0 = plan.points_a
-    pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, plan.feats_a, sa1_a)
-    pts_a2, feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1, sa2_a)
-    pts_b1, feats_b1, t_b1 = abstract(config.sa1, model.sa1, plan.points_b, plan.feats_b,
-                                      sa1_b)
-    pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1, sa2_b)
+    pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, plan.feats_a, sel_a1)
+    pts_a2 = pts_a1[sel_a2.centroids]
+    live_a2 = live(sel_a3, len(pts_a2))
+    live_pts_a2, live_feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1,
+                                                sel_a2.rows(live_a2))
+    pts_b1 = plan.points_b[sel_b1.centroids]
+    live_b1 = live(sel_b2, len(pts_b1))
+    _, feats_b1, t_b1 = abstract(config.sa1, model.sa1, plan.points_b, plan.feats_b,
+                                 sel_b1.rows(live_b1))
+    feats_b1 = spread(live_b1, feats_b1, len(pts_b1))
+    pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1, sel_b2)
 
     assoc = AssociationSpec(config.k, model.assoc)
-    embedded, t_assoc = association_head(assoc, pts_a2, feats_a2, pts_b2, feats_b2,
-                                         capture=capture)
-    pts_a3, feats_a3, t_sa3 = abstract(config.sa3, model.sa3, pts_a2, embedded, sa3_a)
+    embedded, t_assoc = association_head(assoc, live_pts_a2, live_feats_a2, pts_b2,
+                                         feats_b2, capture=capture)
+    embedded = spread(live_a2, embedded, len(pts_a2))
+    pts_a3, feats_a3, t_sa3 = abstract(config.sa3, model.sa3, pts_a2, embedded, sel_a3)
     up2, t_fp1 = fp_layer(pts_a2, pts_a3, feats_a3, None, model.fp1, capture=capture)
     up1, t_fp2 = fp_layer(pts_a1, pts_a2, up2, feats_a1, model.fp2, capture=capture)
     up0, t_fp3 = fp_layer(pts_a0, pts_a1, up1, None, model.fp3, capture=capture)
@@ -522,7 +579,10 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
 
     Stateless: consumes exactly the two frames given, nothing else; repeated
     calls on the same inputs return identical fields.  The pair is planned
-    alone, its A and B frames sampled in lock-step.
+    alone, its A and B frames sampled in lock-step.  Only the rows that
+    reach the field are computed (see the module docstring); the field is
+    bit for bit the one that the training forward pass, which runs every
+    row, computes.
     """
     [plan] = _plan_pairs([(frame_a, frame_b, detections_a, detections_b)], config)
     field, _ = _forward_displacements(plan, model, config, capture=False)
@@ -559,12 +619,20 @@ def train_association(dataset, config: PipelineConfig,
     (naming the first such array, before any update) and on an update that
     goes non-finite.
 
-    Each epoch plans its pairs a chunk at a time (network inputs and every
-    set-abstraction level's centroids, sampled in lock-step), then steps
-    through the chunk.  The results do not depend on the chunking.  A pair
-    whose inputs are degenerate (no point left after the filter, fewer
-    filtered frame-B points than k) raises while its chunk is planned, so
-    before the earlier pairs of that chunk train.
+    Each epoch plans its pairs a chunk at a time (network inputs, every
+    set-abstraction level's centroids, sampled in lock-step, and their
+    groups), then steps through the chunk.  The results do not depend on
+    the chunking.  A pair whose inputs are degenerate (no point left after
+    the filter, fewer filtered frame-B points than k) raises while its chunk
+    is planned, so before the earlier pairs of that chunk train.
+
+    Every row of every layer runs, including the rows that predict skips
+    because no later layer reads them (their gradient is zero).  Skipping
+    them here too keeps every field and the tiny golden steps bit for bit,
+    but it regroups the blocks in which the group kernel sums the weight
+    gradients: on two paper-scale pairs 16 of the model's 38 gradient
+    arrays, all of sa1, sa2 and the association head, then changed in
+    their last bits, by at most 4.4e-16 of each array's largest entry.
     """
     pairs = _pair_list(dataset)
     if not pairs:
@@ -611,7 +679,8 @@ def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
 
     Pairs are planned a chunk at a time, as in train_association, so a
     degenerate pair raises before the earlier pairs of its chunk are
-    predicted, with the message predict_displacements gives.
+    predicted, with the message predict_displacements gives.  As in
+    predict_displacements, only the rows that reach each field are computed.
     """
     errors = []
     for (cloud_a, label_a, _, label_b), plan in _planned_pairs(list(pairs), config):

@@ -9,11 +9,13 @@ from disptrack.micronet import (
     AssociationSpec,
     DenseParams,
     SaLayerSpec,
+    SaSelection,
     association_head,
     dense_apply,
     fp_layer,
     sa_layer,
     sample_centroids,
+    select_groups,
 )
 from disptrack.geom import nearest
 from disptrack.micronet import layers as layers_module
@@ -25,10 +27,11 @@ def make_sa_spec(rng, feat_width, sample_count=4, radius=1.5, cap=8, widths=(6, 
     return SaLayerSpec(sample_count, radius, cap, mlp)
 
 
-def fps(spec, points, start):
-    """spec.sample_count farthest-point centroids of points from start."""
+def planned(spec, points, start):
+    """The groups of spec.sample_count farthest-point centroids of points
+    from start, selected with spec's radius and cap, as a plan makes them."""
     [idx] = sample_centroids([points], [spec.sample_count], [start])
-    return idx
+    return select_groups(points, idx, spec.radius, spec.neighbor_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +80,7 @@ def test_sa_single_point_uses_itself():
     spec = make_sa_spec(rng, feat_width=2, sample_count=1)
     pts = np.array([[1.0, 2.0, 3.0]])
     feats = np.array([[0.5, -0.25]])
-    sampled, pooled, _ = sa_layer(spec, pts, feats, fps(spec, pts, 0))
+    sampled, pooled, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0))
     assert np.array_equal(sampled, pts)
     expect, _ = dense_apply(spec.mlp, np.array([[0.0, 0.0, 0.0, 0.5, -0.25]]))
     assert np.allclose(pooled, expect)
@@ -88,7 +91,7 @@ def test_sa_identical_points_get_identical_features():
     spec = make_sa_spec(rng, feat_width=1, sample_count=2)
     pts = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     feats = np.array([[0.3], [0.3]])
-    _, pooled, _ = sa_layer(spec, pts, feats, fps(spec, pts, 0))
+    _, pooled, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0))
     assert np.array_equal(pooled[0], pooled[1])
 
 
@@ -97,7 +100,7 @@ def test_sa_isolated_centroid_falls_back_to_itself():
     spec = make_sa_spec(rng, feat_width=1, sample_count=2, radius=0.5)
     pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
     feats = np.array([[1.0], [2.0]])
-    sampled, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 0), capture=True)
+    sampled, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0), capture=True)
     # each centroid's only in-radius neighbour is itself
     assert np.count_nonzero(tape.valid[0]) == 1
     expect0, _ = dense_apply(spec.mlp, np.array([[0.0, 0.0, 0.0, 1.0]]))
@@ -109,10 +112,11 @@ def test_sa_neighbor_order_permutation_invariant():
     spec = make_sa_spec(rng, feat_width=2, sample_count=1, radius=10.0)
     pts = rng.normal(size=(12, 3))
     feats = rng.normal(size=(12, 2))
-    _, pooled_a, _ = sa_layer(spec, pts, feats, fps(spec, pts, 0))
+    _, pooled_a, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0))
     perm = rng.permutation(12)
     inv_start = int(np.where(perm == 0)[0][0])
-    _, pooled_b, _ = sa_layer(spec, pts[perm], feats[perm], fps(spec, pts[perm], inv_start))
+    _, pooled_b, _ = sa_layer(spec, pts[perm], feats[perm],
+                              planned(spec, pts[perm], inv_start))
     assert np.max(np.abs(pooled_a - pooled_b)) < 1e-12
 
 
@@ -130,7 +134,7 @@ def test_sa_gradients_match_finite_differences():
     def loss_fn(d):
         mlp = DenseParams([d["w0"], d["w1"]], [d["b0"], d["b1"]])
         s = SaLayerSpec(spec.sample_count, spec.radius, spec.neighbor_cap, mlp)
-        _, pooled, tape = sa_layer(s, pts, feats, fps(s, pts, 1), capture=True)
+        _, pooled, tape = sa_layer(s, pts, feats, planned(s, pts, 1), capture=True)
         err = pooled - target
         grads, _ = tape.backward(2.0 * err)
         return float((err ** 2).sum()), pack(grads)
@@ -145,11 +149,11 @@ def test_sa_input_feature_gradient_matches_finite_differences():
     feats0 = rng.normal(size=(8, 2))
 
     def loss_of(feats):
-        _, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 0), capture=True)
+        _, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0), capture=True)
         return float((pooled ** 2).sum()), tape
 
     _, tape = loss_of(feats0)
-    _, pooled, _ = sa_layer(spec, pts, feats0, fps(spec, pts, 0))
+    _, pooled, _ = sa_layer(spec, pts, feats0, planned(spec, pts, 0))
     _, grad_feats = tape.backward(2.0 * pooled)
     eps = 1e-6
     for idx in [(0, 0), (3, 1), (7, 0)]:
@@ -164,7 +168,7 @@ def padded_sa_reference(spec, points, feats, start_index, grad_pooled):
     """The all-slot set abstraction: the cap nearest points, the MLP on every
     slot, a max over the in-radius ones.  Returns (centroids, pooled,
     feature gradient for grad_pooled, the candidate holding each max)."""
-    centroids = points[fps(spec, points, start_index)]
+    centroids = points[planned(spec, points, start_index).centroids]
     order, dist = nearest(centroids, points, min(spec.neighbor_cap, len(points)))
     valid = dist <= spec.radius
     group_in = np.concatenate([points[order] - centroids[:, None, :], feats[order]], axis=2)
@@ -189,7 +193,7 @@ def test_sa_matches_padded_nearest_reference(radius):
     feats = rng.normal(size=(60, 2))
     spec = make_sa_spec(rng, feat_width=2, sample_count=12, radius=radius, cap=8)
     grad = rng.normal(size=(12, 5))
-    centroids, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 3), capture=True)
+    centroids, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 3), capture=True)
     _, grad_feats = tape.backward(grad)
     ref_centroids, ref_pooled, ref_grad, _ = padded_sa_reference(spec, pts, feats, 3, grad)
     assert np.array_equal(centroids, ref_centroids)
@@ -214,7 +218,7 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     feats = np.tile(rng.normal(size=(20, 2)), (2, 1))
     spec = make_sa_spec(rng, feat_width=2, sample_count=6, radius=1.0, cap=8)
     grad = rng.normal(size=(6, 5))
-    _, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 0), capture=True)
+    _, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0), capture=True)
     _, grad_feats = tape.backward(grad)
     _, ref_pooled, ref_grad, ref_won = padded_sa_reference(spec, pts, feats, 0, grad)
     assert np.array_equal(pooled, ref_pooled)
@@ -229,8 +233,8 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     feats = feats.copy()
     feats[33] = [np.inf, np.inf]
     with np.errstate(invalid="ignore"):
-        centroids, pooled, tape = sa_layer(spec, pts, feats, fps(spec, pts, 0), capture=True)
-        _, plain, _ = sa_layer(spec, pts, feats, fps(spec, pts, 0))
+        centroids, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0), capture=True)
+        _, plain, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0))
         _, ref_pooled, _, ref_won = padded_sa_reference(spec, pts, feats, 0, grad)
         tape.backward(grad)
     assert np.array_equal(plain, pooled, equal_nan=True)
@@ -246,8 +250,18 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
 def test_sa_rejects_oversampling():
     rng = np.random.default_rng(6)
     spec = make_sa_spec(rng, feat_width=0, sample_count=5)
-    with pytest.raises(ValueError):
-        sa_layer(spec, np.zeros((3, 3)), np.zeros((3, 0)), np.arange(5))
+    selection = SaSelection(np.arange(5), np.zeros((5, 3), dtype=int),
+                            np.ones((5, 3), dtype=bool))
+    with pytest.raises(ValueError, match="sample_count 5 exceeds point count 3"):
+        sa_layer(spec, np.zeros((3, 3)), np.zeros((3, 0)), selection)
+
+
+def bad_selection_case(seed: int = 10):
+    """(spec, points, feats, the planned selection of centroids 0, 3 and 5)."""
+    rng = np.random.default_rng(seed)
+    spec = make_sa_spec(rng, feat_width=1, sample_count=3, radius=1.5, cap=4)
+    pts, feats = rng.normal(size=(8, 3)), rng.normal(size=(8, 1))
+    return spec, pts, feats, select_groups(pts, np.array([0, 3, 5]), 1.5, 4)
 
 
 @pytest.mark.parametrize("centroids, message", [
@@ -263,12 +277,77 @@ def test_sa_rejects_oversampling():
 def test_sa_rejects_bad_centroid_indices(centroids, message):
     # The layer takes its centroids from outside; a wrong set must not pool
     # a silently different (or repeated) group.
-    rng = np.random.default_rng(10)
-    spec = make_sa_spec(rng, feat_width=1, sample_count=3)
-    pts, feats = rng.normal(size=(8, 3)), rng.normal(size=(8, 1))
+    spec, pts, feats, good = bad_selection_case()
     with pytest.raises(ValueError, match=message):
-        sa_layer(spec, pts, feats, centroids)
-    sa_layer(spec, pts, feats, np.array([0, 3, 5]))
+        sa_layer(spec, pts, feats, good._replace(centroids=centroids))
+    sa_layer(spec, pts, feats, good)
+
+
+def edited(array, index, value):
+    """A copy of array with array[index] = value."""
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize("change, message", [
+    # The rows of a selection must be the spec's sample count.
+    (lambda s: s.rows([0, 1]), r"expected 3 centroid indices, got shape \(2,\)"),
+    (lambda s: s._replace(order=s.order[:2], valid=s.valid[:2]),
+     r"expected \(3, 4\) candidate order and mask, got \(2, 4\) and \(2, 4\)"),
+    (lambda s: s._replace(order=s.order[:, :3], valid=s.valid[:, :3]),
+     r"expected \(3, 4\) candidate order and mask, got \(3, 3\) and \(3, 3\)"),
+    (lambda s: s._replace(valid=s.valid[:, :, None]),
+     r"expected \(3, 4\) candidate order and mask, got \(3, 4\) and \(3, 4, 1\)"),
+    # Candidates must be integer indices of the points.
+    (lambda s: s._replace(order=s.order.astype(float)), "candidate indices must be integers"),
+    (lambda s: s._replace(order=s.order.astype(bool)), "candidate indices must be integers"),
+    (lambda s: s._replace(order=edited(s.order, (0, 0), 8)),
+     r"candidate indices must lie in \[0, 8\)"),
+    (lambda s: s._replace(order=s.order - 1), r"candidate indices must lie in \[0, 8\)"),
+    # The mask must be boolean, slot 0 valid, valid slots first.
+    (lambda s: s._replace(valid=s.valid.astype(int)), "candidate mask must be boolean"),
+    (lambda s: s._replace(valid=edited(s.valid, (2, 0), False)),
+     "every group must hold a candidate in slot 0"),
+    (lambda s: s._replace(valid=edited(np.ones_like(s.valid), (1, 1), False)),
+     "valid slots must come first"),
+    # Centroids must be distinct.
+    (lambda s: s.rows([0, 1, 1]), "centroid indices must be distinct"),
+    # Bare centroid indices are no selection.
+    (lambda s: s.centroids, "expected an SaSelection, got ndarray"),
+    (lambda s: tuple(s), "expected an SaSelection, got tuple"),
+], ids=["rows", "order rows", "order width", "mask shape", "float order", "bool order",
+        "order above", "order below", "int mask", "empty slot 0", "hole", "duplicate",
+        "bare indices", "plain tuple"])
+def test_sa_rejects_a_bad_selection(change, message):
+    # Every group's rows come from the plan; a malformed selection must raise
+    # rather than pool a silently different group.
+    spec, pts, feats, good = bad_selection_case()
+    with pytest.raises(ValueError, match=message):
+        sa_layer(spec, pts, feats, change(good))
+
+
+def test_sa_runs_any_rows_of_a_selection_as_the_whole():
+    # A forward pass that needs only some groups runs just their rows of the
+    # planned selection; each such group pools what the whole layer pools.
+    rng = np.random.default_rng(12)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=10, radius=0.75, cap=6)
+    pts = rng.integers(-3, 4, size=(50, 3)) * 0.25
+    feats = rng.normal(size=(50, 2))
+    whole = planned(spec, pts, 0)
+    centroids, pooled, _ = sa_layer(spec, pts, feats, whole)
+    for rows in ([3], [7, 0, 4], np.arange(10)[::-1]):
+        part = whole.rows(rows)
+        sub = SaLayerSpec(len(rows), spec.radius, spec.neighbor_cap, spec.mlp)
+        got_centroids, got, _ = sa_layer(sub, pts, feats, part)
+        assert got_centroids.tobytes() == centroids[rows].tobytes()
+        assert got.tobytes() == pooled[rows].tobytes()
+    # The input rows the groups read, and only those, reach the output.
+    read = whole.read(len(pts))
+    assert read.tolist() == np.unique(whole.order[whole.valid]).tolist()
+    poisoned = np.full_like(feats, np.nan)
+    poisoned[read] = feats[read]
+    assert sa_layer(spec, pts, poisoned, whole)[1].tobytes() == pooled.tobytes()
 
 
 def test_sample_centroids_runs_one_lock_step_call_per_distinct_count(monkeypatch):

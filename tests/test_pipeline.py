@@ -24,6 +24,7 @@ from disptrack.ingest import (
     label_targets,
     synthesize_sequence,
 )
+from disptrack.micronet import layers as layers_module
 from disptrack.micronet import save_checkpoint, tracking_loss
 from disptrack.pipeline import PipelineConfig, SaConfig
 from gradcheck import gradient_check
@@ -163,11 +164,14 @@ def test_multi_pair_training_matches_the_golden(monkeypatch, pairs_per_chunk, ch
     assert planned == chunks * TRAINING_EPOCHS
 
 
+#: The paper benchmark workloads' scene: 15 000 points per frame.
+PAPER_SCENE = SceneConfig(frames=2, objects=8, points_per_object=500, background_points=11000)
+
+
 def paper_field_outputs() -> dict[str, np.ndarray]:
     """The field of an untrained paper-scale model on one 15 000-point pair,
     the scene of the paper benchmark workloads."""
-    scene = SceneConfig(frames=2, objects=8, points_per_object=500, background_points=11000)
-    a, label_a, b, label_b = next(synthesize_sequence(scene, 601).adjacent_pairs())
+    a, label_a, b, label_b = next(synthesize_sequence(PAPER_SCENE, 601).adjacent_pairs())
     config = PipelineConfig.paper_scale()
     model = pipeline.build_displacement_model(config)
     field = predict(model, config, a, label_a, b, label_b)
@@ -181,6 +185,79 @@ def test_paper_scale_golden_field():
     assert np.array_equal(actual["field.indices"], expected["field.indices"])
     np.testing.assert_allclose(actual["field.vectors"], expected["field.vectors"],
                                rtol=1e-12, atol=0)
+
+
+#: (config, scene, seeds) of each pair kind the pruned forward pass is
+#: checked on: both TINY golden scenes, the desk defaults and one paper pair.
+PRUNING_CASES = {
+    "tiny-scene": (TINY, SCENE, (3, 8, 13)),
+    "tiny-objects": (TINY, OBJECT_SCENE, (3, 8, 13)),
+    "desk": (PipelineConfig(), SceneConfig(frames=2), (0, 1, 2)),
+    "paper": (PipelineConfig.paper_scale(), PAPER_SCENE, (601,)),
+}
+
+
+@pytest.mark.parametrize("case, seed", [(case, seed) for case, (_, _, seeds)
+                                        in PRUNING_CASES.items() for seed in seeds])
+def test_uncaptured_forward_computes_the_captured_field(case, seed):
+    # Predict runs only the rows that reach the field (its dead rows are NaN);
+    # training runs every row.  Both must give the same field, bit for bit,
+    # before and after a training step.
+    base, scene, _ = PRUNING_CASES[case]
+    config = PipelineConfig.from_dict({**base.to_dict(), "seed": seed})
+    seq = synthesize_sequence(scene, seed)
+    a, label_a, b, label_b = next(seq.adjacent_pairs())
+    det_a, det_b = pipeline.oracle_detector(a, label_a), pipeline.oracle_detector(b, label_b)
+    [plan] = pipeline._plan_pairs([(a, b, det_a, det_b)], config)
+    untrained = pipeline.build_displacement_model(config)
+    stepped, _ = pipeline.train_association(seq, config, epochs=1)
+    for model in (untrained, stepped):
+        captured, _ = pipeline._forward_displacements(plan, model, config, capture=True)
+        field = pipeline.predict_displacements(a, b, det_a, det_b, model, config)
+        assert np.isfinite(field.vectors).all()
+        assert field.point_indices.tobytes() == captured.point_indices.tobytes()
+        assert field.vectors.tobytes() == captured.vectors.tobytes()
+
+
+def test_predict_runs_the_association_head_on_live_rows_only(monkeypatch):
+    # On the TINY golden pair sa3 groups only 4 of the 16 frame-A sa2 points,
+    # so predict embeds those 4 and training all 16.
+    seq, a, label_a, b, label_b = scene_pair()
+    rows = []
+    real = pipeline.association_head
+
+    def spy(spec, points_a, feats_a, points_b, feats_b, capture=False):
+        rows.append((len(points_a), len(feats_a), len(points_b), capture))
+        return real(spec, points_a, feats_a, points_b, feats_b, capture=capture)
+    monkeypatch.setattr(pipeline, "association_head", spy)
+    model = pipeline.build_displacement_model(TINY)
+    predict(model, TINY, a, label_a, b, label_b)
+    pipeline.train_association(seq, TINY, epochs=1)
+    assert rows == [(4, 4, 16, False), (16, 16, 16, True)]
+
+
+def test_each_set_abstraction_level_selects_its_groups_once_per_frame(monkeypatch):
+    # The plan runs the ball queries (sa1 and sa2 of both frames, sa3 of
+    # frame A); the layers select no neighbours of their own.
+    seq, a, label_a, b, label_b = scene_pair()
+    calls = []
+    real = layers_module.ball_query
+
+    def counted(query, points, radius, cap):
+        calls.append((len(query), radius))
+        return real(query, points, radius, cap)
+    monkeypatch.setattr(layers_module, "ball_query", counted)
+    model = pipeline.build_displacement_model(TINY)
+    [plan] = pipeline._plan_pairs([(a, b, pipeline.oracle_detector(a, label_a),
+                                    pipeline.oracle_detector(b, label_b))], TINY)
+    assert calls == [(32, 0.5), (32, 0.5), (16, 1.0), (16, 1.0), (4, 4.0)]
+    calls.clear()
+    pipeline._forward_displacements(plan, model, TINY)
+    pipeline._forward_displacements(plan, model, TINY, capture=True)
+    assert calls == []
+    predict(model, TINY, a, label_a, b, label_b)
+    pipeline.train_association(seq, TINY, epochs=1)
+    assert len(calls) == 10
 
 
 #: (key prefix, scene) of each pinned drive scene.  The pipeline goldens' two
@@ -373,6 +450,53 @@ def test_config_rejects_point_counts_below_one(counts, message):
         PipelineConfig(**counts)
     with pytest.raises(ValueError, match=message):
         PipelineConfig.from_dict({**TINY.to_dict(), **counts})
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"k": 2.5}, "^k must be an integer, got 2.5"),
+    ({"k": True}, "^k must be an integer, got True"),
+    ({"n_input": 240.0}, "^n_input must be an integer, got 240.0"),
+    ({"n_filtered": 128.0}, "^n_filtered must be an integer, got 128.0"),
+    ({"clr_cycle_epochs": 2.5}, "^clr_cycle_epochs must be an integer, got 2.5"),
+    ({"seed": 1.5}, "^seed must be an integer, got 1.5"),
+    ({"seed": False}, "^seed must be an integer, got False"),
+    ({"head_widths": (0,)}, r"^head_widths must be at least 1, got \(0,\)"),
+    ({"fp2_widths": (8, -4)}, r"^fp2_widths must be at least 1, got \(8, -4\)"),
+    ({"assoc_widths": (8.5,)}, "^assoc_widths must be an integer, got 8.5"),
+    ({"fp1_widths": (True,)}, "^fp1_widths must be an integer, got True"),
+    ({"sa1": {"sample": 32.5, "radius": 0.5, "cap": 8, "widths": [8, 8]}},
+     "^sample must be an integer, got 32.5"),
+    ({"sa2": {"sample": 16, "radius": 1.0, "cap": 8.5, "widths": [8, 8]}},
+     "^cap must be an integer, got 8.5"),
+    ({"sa2": {"sample": 16, "radius": 1.0, "cap": True, "widths": [8, 8]}},
+     "^cap must be an integer, got True"),
+    ({"sa3": {"sample": 4, "radius": 4.0, "cap": 8, "widths": [0]}},
+     r"^widths must be at least 1, got \(0,\)"),
+    ({"sa3": {"sample": 4, "radius": 4.0, "cap": 8, "widths": [7.9]}},
+     "^widths must be an integer, got 7.9"),
+])
+def test_config_rejects_non_integer_counts_and_widths(changes, message):
+    # Before the check, a float sample count or a zero width trained
+    # silently, a float width was truncated, and k=2.5, cap=8.5 or seed=1.5
+    # failed deep inside numpy.
+    with pytest.raises(ValueError, match=message):
+        PipelineConfig.from_dict({**TINY.to_dict(), **changes})
+    [value] = changes.values()
+    with pytest.raises(ValueError, match=message):
+        SaConfig(**value) if isinstance(value, dict) else PipelineConfig(**changes)
+
+
+def test_config_takes_numpy_integers_as_ints(tmp_path):
+    config = PipelineConfig(n_input=np.int64(240), n_filtered=np.int32(128), k=np.int64(8),
+                            sa1=SaConfig(np.int64(32), 0.5, np.uint8(8), (np.int64(8), 8)),
+                            head_widths=np.array([16]), seed=np.int64(3))
+    assert type(config.n_input) is int and type(config.sa1.cap) is int
+    assert config.head_widths == (16,) and type(config.head_widths[0]) is int
+    # The config stays JSON-serializable, so its model checkpoints load.
+    model = pipeline.build_displacement_model(config)
+    pipeline.save_displacement_model(tmp_path / "model.json", model, config)
+    _, loaded = pipeline.load_displacement_model(tmp_path / "model.json")
+    assert loaded == config
 
 
 def test_probability_filter_rejects_a_negative_count():
