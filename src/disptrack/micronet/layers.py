@@ -93,15 +93,12 @@ class SaLayerSpec:
     """Set-abstraction hyperparameters plus the group MLP parameters."""
 
     sample_count: int
-    radius: float
     neighbor_cap: int
     mlp: DenseParams
 
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if not self.radius > 0.0:  # also rejects NaN
-            raise ValueError("radius must be positive")
         if self.neighbor_cap < 1:
             raise ValueError("neighbor_cap must be at least 1")
 
@@ -379,10 +376,10 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     """Group and pool points around spec.sample_count planned centroids.
 
     selection is the ``SaSelection`` of the centroids' groups, as
-    ``select_groups`` plans it with spec.radius and spec.neighbor_cap, or
-    some of its rows: distinct centroid indices among the points, and each
-    centroid's (min(spec.neighbor_cap, n),) candidates and mask, valid
-    slots first and slot 0 valid.  The layer selects no neighbours itself.
+    ``select_groups`` plans it with spec.neighbor_cap, or some of its rows:
+    distinct centroid indices among the points, and each centroid's
+    (min(spec.neighbor_cap, n),) candidates and mask, valid slots first and
+    slot 0 valid.  The layer selects no neighbours itself.
     Per grouped neighbour the MLP input row is the (neighbour - centroid)
     coordinates concatenated with the neighbour feature; the MLP runs on
     the valid rows only, and pooling is their element-wise max.

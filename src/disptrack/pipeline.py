@@ -14,12 +14,12 @@ perturbs ground truth, enabling ground-truth-box experiments.
 
 Coordinate work is planned before the network runs: each pair's network
 inputs, every set-abstraction level's centroids (sampled in lock-step) and
-their in-radius groups.  From the plan, prediction computes only the rows
-that reach the field.  sa3 groups few of the frame-A sa2 points and frame-B
-sa2 few of the frame-B sa1 points, so the other frame-A sa2 groups, their
-association rows and the other frame-B sa1 groups are skipped; at paper
-scale about 88 of 512 frame-A rows and 850 of 2048 frame-B rows are live.
-Training runs every row.
+their in-radius groups.  From the plan, the forward pass computes only the
+rows that reach the field, for prediction and training alike.  sa3 groups
+few of the frame-A sa2 points and frame-B sa2 few of the frame-B sa1 points,
+so the other frame-A sa2 groups, their association rows and the other
+frame-B sa1 groups are skipped; at paper scale about 88 of 512 frame-A rows
+and 850 of 2048 frame-B rows are live.
 """
 
 from __future__ import annotations
@@ -384,10 +384,13 @@ def load_displacement_model(path) -> tuple[DisplacementModel, PipelineConfig]:
 
 
 class PipelineTape:
-    """Captured forward state of the displacement network."""
+    """Captured forward state of the displacement network.  t_a2 and t_assoc
+    cover the live_a2 rows of the frame-A sa2 output, t_b1 the live_b1 rows
+    of the frame-B sa1 output."""
 
-    def __init__(self, t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3, t_fp1, t_fp2,
-                 t_fp3, t_head):
+    def __init__(self, live_a2, live_b1, t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3,
+                 t_fp1, t_fp2, t_fp3, t_head):
+        self.live_a2, self.live_b1 = live_a2, live_b1
         self.t_a1, self.t_a2 = t_a1, t_a2
         self.t_b1, self.t_b2 = t_b1, t_b2
         self.t_assoc, self.t_sa3 = t_assoc, t_sa3
@@ -400,11 +403,11 @@ class PipelineTape:
         fp2_g, dg2, dskip = self.t_fp2.backward(dg1)
         fp1_g, df3, _ = self.t_fp1.backward(dg2)
         sa3_g, dfe = self.t_sa3.backward(df3)
-        assoc_g, dfa2, dfb2 = self.t_assoc.backward(dfe)
+        assoc_g, dfa2, dfb2 = self.t_assoc.backward(dfe[self.live_a2])
         sa2a_g, dfa1 = self.t_a2.backward(dfa2)
         sa1a_g, _ = self.t_a1.backward(dfa1 + dskip)
         sa2b_g, dfb1 = self.t_b2.backward(dfb2)
-        sa1b_g, _ = self.t_b1.backward(dfb1)
+        sa1b_g, _ = self.t_b1.backward(dfb1[self.live_b1])
         groups = {"sa1": sa1a_g.add_(sa1b_g), "sa2": sa2a_g.add_(sa2b_g),
                   "assoc": assoc_g, "sa3": sa3_g, "fp1": fp1_g, "fp2": fp2_g,
                   "fp3": fp3_g, "head": head_g}
@@ -440,8 +443,10 @@ def _network_input(name: str, frame: PointCloud, detections: Detections,
 @dataclass(eq=False)
 class _PairPlan:
     """The coordinate work of one frame pair: each frame's network input
-    (filtered points and their features) and each set-abstraction level's
-    groups, over that level's input points."""
+    (filtered points and their features), each set-abstraction level's
+    groups, over that level's input points, and the rows of two layer
+    outputs that a later layer reads: of the frame-A sa2 output, those that
+    sa3 groups, and of the frame-B sa1 output, those that sa2 groups."""
 
     kept_a: np.ndarray
     points_a: np.ndarray
@@ -450,6 +455,8 @@ class _PairPlan:
     feats_b: np.ndarray
     select_a: list[SaSelection]     # sa1, sa2, sa3
     select_b: list[SaSelection]     # sa1, sa2
+    live_a2: np.ndarray
+    live_b1: np.ndarray
 
 
 def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
@@ -462,21 +469,23 @@ def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
     sampled.  Then one ``sample_centroids`` call per level samples every
     cloud of that level: sa1 and sa2 over both frames of every pair, sa3
     over the A frames.  Each cloud's centroids then select their groups
-    (``select_groups``), once per level and frame.
+    (``select_groups``), once per level and frame.  A pair with fewer
+    frame-B sa2 points than config.k raises here, before any layer runs.
     """
     inputs, starts = [], []
     for frame_a, frame_b, detections_a, detections_b in pairs:
         rng = np.random.default_rng(config.seed)
         kept_a, points_a, feats_a = _network_input("A", frame_a, detections_a, config, rng)
         _, points_b, feats_b = _network_input("B", frame_b, detections_b, config, rng)
-        if len(points_b) < config.k:
-            raise ValueError(f"only {len(points_b)} filtered frame-B points for "
-                             f"k={config.k}; lower k or raise n_filtered")
         # At most one centroid per point: sa1 gets the filtered points,
         # sa2 sa1's centroids, sa3 sa2's.
         n_a1 = min(config.sa1.sample, len(points_a))
         n_b1 = min(config.sa1.sample, len(points_b))
         n_a2 = min(config.sa2.sample, n_a1)
+        n_b2 = min(config.sa2.sample, n_b1)
+        if n_b2 < config.k:
+            raise ValueError(f"only {n_b2} frame-B sa2 points for k={config.k}; "
+                             f"lower k or raise n_filtered or the sa1/sa2 samples")
         starts.append([int(rng.integers(n)) for n in
                        (len(points_a), n_a1, len(points_b), n_b1, n_a2)])
         inputs.append((kept_a, points_a, feats_a, points_b, feats_b))
@@ -496,7 +505,9 @@ def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
     sa1, clouds = select(config.sa1, clouds, [s for ab in zip(start_a1, start_b1) for s in ab])
     sa2, clouds = select(config.sa2, clouds, [s for ab in zip(start_a2, start_b2) for s in ab])
     sa3, _ = select(config.sa3, clouds[::2], start_a3)
-    return [_PairPlan(*frames, [a1, a2, a3], [b1, b2]) for frames, a1, b1, a2, b2, a3
+    return [_PairPlan(*frames, [a1, a2, a3], [b1, b2], a3.read(len(a2.centroids)),
+                      b2.read(len(b1.centroids)))
+            for frames, a1, b1, a2, b2, a3
             in zip(inputs, sa1[::2], sa1[1::2], sa2[::2], sa2[1::2], sa3)]
 
 
@@ -504,25 +515,20 @@ def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
                            config: PipelineConfig, capture: bool = False):
     """The field of a planned pair, and with capture the tape of every layer.
 
-    Without capture only the rows that reach the field are computed: the
-    frame-A sa2 groups that sa3's selection reads, the association head on
-    those frame-A points, and the frame-B sa1 groups that frame-B sa2's
-    selection reads.  The other rows of those outputs are NaN, and no layer
-    reads them.  With capture every row runs (see train_association).
+    Prediction, evaluation and training all compute the one row set of the
+    plan, the rows that reach the field: the frame-A sa2 groups that sa3's
+    selection reads (plan.live_a2), the association head on those frame-A
+    points, and the frame-B sa1 groups that frame-B sa2's selection reads
+    (plan.live_b1).  The other rows of those outputs are NaN, and no layer
+    reads them.  Capture decides only whether the tapes are kept.
     """
     def abstract(level: SaConfig, mlp: DenseParams, points: np.ndarray,
                  feats: np.ndarray, selection: SaSelection):
-        spec = SaLayerSpec(len(selection.centroids), level.radius, level.cap, mlp)
+        spec = SaLayerSpec(len(selection.centroids), level.cap, mlp)
         return sa_layer(spec, points, feats, selection, capture=capture)
 
-    def live(selection: SaSelection, n: int):
-        """The rows of an n-row output that selection reads; all with capture."""
-        return slice(None) if capture else selection.read(n)
-
-    def spread(rows, values: np.ndarray, n: int) -> np.ndarray:
+    def spread(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         """values as the given rows of n, the others NaN."""
-        if capture:
-            return values
         full = np.full((n, values.shape[1]), np.nan)
         full[rows] = values
         return full
@@ -532,20 +538,18 @@ def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
     pts_a0 = plan.points_a
     pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, plan.feats_a, sel_a1)
     pts_a2 = pts_a1[sel_a2.centroids]
-    live_a2 = live(sel_a3, len(pts_a2))
     live_pts_a2, live_feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1,
-                                                sel_a2.rows(live_a2))
+                                                sel_a2.rows(plan.live_a2))
     pts_b1 = plan.points_b[sel_b1.centroids]
-    live_b1 = live(sel_b2, len(pts_b1))
     _, feats_b1, t_b1 = abstract(config.sa1, model.sa1, plan.points_b, plan.feats_b,
-                                 sel_b1.rows(live_b1))
-    feats_b1 = spread(live_b1, feats_b1, len(pts_b1))
+                                 sel_b1.rows(plan.live_b1))
+    feats_b1 = spread(plan.live_b1, feats_b1, len(pts_b1))
     pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1, sel_b2)
 
     assoc = AssociationSpec(config.k, model.assoc)
     embedded, t_assoc = association_head(assoc, live_pts_a2, live_feats_a2, pts_b2,
                                          feats_b2, capture=capture)
-    embedded = spread(live_a2, embedded, len(pts_a2))
+    embedded = spread(plan.live_a2, embedded, len(pts_a2))
     pts_a3, feats_a3, t_sa3 = abstract(config.sa3, model.sa3, pts_a2, embedded, sel_a3)
     up2, t_fp1 = fp_layer(pts_a2, pts_a3, feats_a3, None, model.fp1, capture=capture)
     up1, t_fp2 = fp_layer(pts_a1, pts_a2, up2, feats_a1, model.fp2, capture=capture)
@@ -553,8 +557,8 @@ def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
     vectors, t_head = dense_apply(model.head, up0, capture=capture)
 
     field = DisplacementField(plan.kept_a, vectors)
-    tape = PipelineTape(t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3, t_fp1, t_fp2,
-                        t_fp3, t_head) if capture else None
+    tape = PipelineTape(plan.live_a2, plan.live_b1, t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3,
+                        t_fp1, t_fp2, t_fp3, t_head) if capture else None
     return field, tape
 
 
@@ -580,9 +584,9 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
     Stateless: consumes exactly the two frames given, nothing else; repeated
     calls on the same inputs return identical fields.  The pair is planned
     alone, its A and B frames sampled in lock-step.  Only the rows that
-    reach the field are computed (see the module docstring); the field is
-    bit for bit the one that the training forward pass, which runs every
-    row, computes.
+    reach the field are computed, the same rows that training computes (see
+    the module docstring), so the field is bit for bit the one that the
+    training forward pass computes.
     """
     [plan] = _plan_pairs([(frame_a, frame_b, detections_a, detections_b)], config)
     field, _ = _forward_displacements(plan, model, config, capture=False)
@@ -623,16 +627,10 @@ def train_association(dataset, config: PipelineConfig,
     set-abstraction level's centroids, sampled in lock-step, and their
     groups), then steps through the chunk.  The results do not depend on
     the chunking.  A pair whose inputs are degenerate (no point left after
-    the filter, fewer filtered frame-B points than k) raises while its chunk
-    is planned, so before the earlier pairs of that chunk train.
-
-    Every row of every layer runs, including the rows that predict skips
-    because no later layer reads them (their gradient is zero).  Skipping
-    them here too keeps every field and the tiny golden steps bit for bit,
-    but it regroups the blocks in which the group kernel sums the weight
-    gradients: on two paper-scale pairs 16 of the model's 38 gradient
-    arrays, all of sa1, sa2 and the association head, then changed in
-    their last bits, by at most 4.4e-16 of each array's largest entry.
+    the filter, fewer frame-B sa2 points than k) raises while its chunk is
+    planned, so before the earlier pairs of that chunk train.  Each step
+    computes only the rows that reach the field, as predict_displacements
+    does.
     """
     pairs = _pair_list(dataset)
     if not pairs:
@@ -679,8 +677,9 @@ def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
 
     Pairs are planned a chunk at a time, as in train_association, so a
     degenerate pair raises before the earlier pairs of its chunk are
-    predicted, with the message predict_displacements gives.  As in
-    predict_displacements, only the rows that reach each field are computed.
+    predicted, with the message predict_displacements gives.  Each field is
+    computed on the rows of its plan that reach it, the one row set that
+    training and predict_displacements compute too.
     """
     errors = []
     for (cloud_a, label_a, _, label_b), plan in _planned_pairs(list(pairs), config):

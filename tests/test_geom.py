@@ -17,7 +17,6 @@ from disptrack.geom import (
     nearest,
     points_in_box,
 )
-from disptrack.micronet import DenseParams, SaLayerSpec
 
 
 def cloud_of(*pts):
@@ -391,9 +390,9 @@ def test_nearest_in_radius_cap_keeps_nearest():
 def test_nearest_in_radius_boundary_inclusive_and_validated():
     c = cloud_of((1.0, 0, 0))
     assert in_radius((0, 0, 0), 1.0, c.points, 4).tolist() == [0]
-    mlp = DenseParams.create([3, 2], np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        SaLayerSpec(1, 0.0, 4, mlp)
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            in_radius((0, 0, 0), radius, c.points, 4)
 
 
 def test_ball_query_keeps_a_point_at_the_radius_across_a_cell_boundary():

@@ -22,16 +22,16 @@ from disptrack.micronet import layers as layers_module
 from gradcheck import gradient_check
 
 
-def make_sa_spec(rng, feat_width, sample_count=4, radius=1.5, cap=8, widths=(6, 5)):
+def make_sa_spec(rng, feat_width, sample_count=4, cap=8, widths=(6, 5)):
     mlp = DenseParams.create([3 + feat_width, *widths], rng)
-    return SaLayerSpec(sample_count, radius, cap, mlp)
+    return SaLayerSpec(sample_count, cap, mlp)
 
 
-def planned(spec, points, start):
+def planned(spec, points, start, radius):
     """The groups of spec.sample_count farthest-point centroids of points
-    from start, selected with spec's radius and cap, as a plan makes them."""
+    from start, selected within radius and spec's cap, as a plan makes them."""
     [idx] = sample_centroids([points], [spec.sample_count], [start])
-    return select_groups(points, idx, spec.radius, spec.neighbor_cap)
+    return select_groups(points, idx, radius, spec.neighbor_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -62,17 +62,14 @@ def test_nearest_matches_lexsort_reference_on_tied_grid():
 # set abstraction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("sample_count, radius, cap, message", [
-    (0, 1.0, 4, "sample_count"),
-    (1, 0.0, 4, "radius"),
-    (1, -1.0, 4, "radius"),
-    (1, float("nan"), 4, "radius"),
-    (1, 1.0, 0, "neighbor_cap"),
+@pytest.mark.parametrize("sample_count, cap, message", [
+    (0, 4, "sample_count"),
+    (1, 0, "neighbor_cap"),
 ])
-def test_sa_spec_rejects_bad_hyperparameters(sample_count, radius, cap, message):
+def test_sa_spec_rejects_bad_hyperparameters(sample_count, cap, message):
     mlp = DenseParams.create([3, 2], np.random.default_rng(0))
     with pytest.raises(ValueError, match=message):
-        SaLayerSpec(sample_count, radius, cap, mlp)
+        SaLayerSpec(sample_count, cap, mlp)
 
 
 def test_sa_single_point_uses_itself():
@@ -80,7 +77,7 @@ def test_sa_single_point_uses_itself():
     spec = make_sa_spec(rng, feat_width=2, sample_count=1)
     pts = np.array([[1.0, 2.0, 3.0]])
     feats = np.array([[0.5, -0.25]])
-    sampled, pooled, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0))
+    sampled, pooled, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0, 1.5))
     assert np.array_equal(sampled, pts)
     expect, _ = dense_apply(spec.mlp, np.array([[0.0, 0.0, 0.0, 0.5, -0.25]]))
     assert np.allclose(pooled, expect)
@@ -91,16 +88,17 @@ def test_sa_identical_points_get_identical_features():
     spec = make_sa_spec(rng, feat_width=1, sample_count=2)
     pts = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     feats = np.array([[0.3], [0.3]])
-    _, pooled, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0))
+    _, pooled, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0, 1.5))
     assert np.array_equal(pooled[0], pooled[1])
 
 
 def test_sa_isolated_centroid_falls_back_to_itself():
     rng = np.random.default_rng(2)
-    spec = make_sa_spec(rng, feat_width=1, sample_count=2, radius=0.5)
+    spec = make_sa_spec(rng, feat_width=1, sample_count=2)
     pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
     feats = np.array([[1.0], [2.0]])
-    sampled, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0), capture=True)
+    sampled, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0, 0.5),
+                                     capture=True)
     # each centroid's only in-radius neighbour is itself
     assert np.count_nonzero(tape.valid[0]) == 1
     expect0, _ = dense_apply(spec.mlp, np.array([[0.0, 0.0, 0.0, 1.0]]))
@@ -109,20 +107,20 @@ def test_sa_isolated_centroid_falls_back_to_itself():
 
 def test_sa_neighbor_order_permutation_invariant():
     rng = np.random.default_rng(3)
-    spec = make_sa_spec(rng, feat_width=2, sample_count=1, radius=10.0)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=1)
     pts = rng.normal(size=(12, 3))
     feats = rng.normal(size=(12, 2))
-    _, pooled_a, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0))
+    _, pooled_a, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0, 10.0))
     perm = rng.permutation(12)
     inv_start = int(np.where(perm == 0)[0][0])
     _, pooled_b, _ = sa_layer(spec, pts[perm], feats[perm],
-                              planned(spec, pts[perm], inv_start))
+                              planned(spec, pts[perm], inv_start, 10.0))
     assert np.max(np.abs(pooled_a - pooled_b)) < 1e-12
 
 
 def test_sa_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    spec = make_sa_spec(rng, feat_width=2, sample_count=4, radius=2.0)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=4)
     pts = rng.uniform(-1.5, 1.5, size=(10, 3))
     feats = rng.normal(size=(10, 2))
     target = rng.normal(size=(4, 5))
@@ -133,8 +131,8 @@ def test_sa_gradients_match_finite_differences():
 
     def loss_fn(d):
         mlp = DenseParams([d["w0"], d["w1"]], [d["b0"], d["b1"]])
-        s = SaLayerSpec(spec.sample_count, spec.radius, spec.neighbor_cap, mlp)
-        _, pooled, tape = sa_layer(s, pts, feats, planned(s, pts, 1), capture=True)
+        s = SaLayerSpec(spec.sample_count, spec.neighbor_cap, mlp)
+        _, pooled, tape = sa_layer(s, pts, feats, planned(s, pts, 1, 2.0), capture=True)
         err = pooled - target
         grads, _ = tape.backward(2.0 * err)
         return float((err ** 2).sum()), pack(grads)
@@ -144,16 +142,17 @@ def test_sa_gradients_match_finite_differences():
 
 def test_sa_input_feature_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
-    spec = make_sa_spec(rng, feat_width=2, sample_count=3, radius=2.5)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=3)
     pts = rng.uniform(-1, 1, size=(8, 3))
     feats0 = rng.normal(size=(8, 2))
+    selection = planned(spec, pts, 0, 2.5)
 
     def loss_of(feats):
-        _, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0), capture=True)
+        _, pooled, tape = sa_layer(spec, pts, feats, selection, capture=True)
         return float((pooled ** 2).sum()), tape
 
     _, tape = loss_of(feats0)
-    _, pooled, _ = sa_layer(spec, pts, feats0, planned(spec, pts, 0))
+    _, pooled, _ = sa_layer(spec, pts, feats0, selection)
     _, grad_feats = tape.backward(2.0 * pooled)
     eps = 1e-6
     for idx in [(0, 0), (3, 1), (7, 0)]:
@@ -164,13 +163,13 @@ def test_sa_input_feature_gradient_matches_finite_differences():
         assert abs(grad_feats[idx] - numeric) < 1e-5 * max(1.0, abs(numeric))
 
 
-def padded_sa_reference(spec, points, feats, start_index, grad_pooled):
+def padded_sa_reference(spec, radius, points, feats, start_index, grad_pooled):
     """The all-slot set abstraction: the cap nearest points, the MLP on every
-    slot, a max over the in-radius ones.  Returns (centroids, pooled,
+    slot, a max over the ones within radius.  Returns (centroids, pooled,
     feature gradient for grad_pooled, the candidate holding each max)."""
-    centroids = points[planned(spec, points, start_index).centroids]
+    centroids = points[planned(spec, points, start_index, radius).centroids]
     order, dist = nearest(centroids, points, min(spec.neighbor_cap, len(points)))
-    valid = dist <= spec.radius
+    valid = dist <= radius
     group_in = np.concatenate([points[order] - centroids[:, None, :], feats[order]], axis=2)
     out, tape = dense_apply(spec.mlp, group_in.reshape(-1, group_in.shape[2]), capture=True)
     masked = np.where(valid[:, :, None], out.reshape(*valid.shape, -1), -np.inf)
@@ -191,11 +190,13 @@ def test_sa_matches_padded_nearest_reference(radius):
     # at the radius; at radius 5 every point is in range and the cap decides.
     pts = rng.integers(-3, 4, size=(60, 3)) * 0.25
     feats = rng.normal(size=(60, 2))
-    spec = make_sa_spec(rng, feat_width=2, sample_count=12, radius=radius, cap=8)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=12, cap=8)
     grad = rng.normal(size=(12, 5))
-    centroids, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 3), capture=True)
+    centroids, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 3, radius),
+                                       capture=True)
     _, grad_feats = tape.backward(grad)
-    ref_centroids, ref_pooled, ref_grad, _ = padded_sa_reference(spec, pts, feats, 3, grad)
+    ref_centroids, ref_pooled, ref_grad, _ = padded_sa_reference(spec, radius, pts, feats,
+                                                                 3, grad)
     assert np.array_equal(centroids, ref_centroids)
     np.testing.assert_allclose(pooled, ref_pooled, rtol=1e-12, atol=0)
     np.testing.assert_allclose(grad_feats, ref_grad, rtol=1e-12, atol=0)
@@ -216,11 +217,11 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     # rows, and the copy with the higher index sorts to the later slot.
     pts = np.tile(rng.integers(-2, 3, size=(20, 3)) * 0.5, (2, 1))
     feats = np.tile(rng.normal(size=(20, 2)), (2, 1))
-    spec = make_sa_spec(rng, feat_width=2, sample_count=6, radius=1.0, cap=8)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=6, cap=8)
     grad = rng.normal(size=(6, 5))
-    _, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0), capture=True)
+    _, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0, 1.0), capture=True)
     _, grad_feats = tape.backward(grad)
-    _, ref_pooled, ref_grad, ref_won = padded_sa_reference(spec, pts, feats, 0, grad)
+    _, ref_pooled, ref_grad, ref_won = padded_sa_reference(spec, 1.0, pts, feats, 0, grad)
     assert np.array_equal(pooled, ref_pooled)
     assert np.array_equal(grad_feats, ref_grad)
     assert np.array_equal(kernel_winners(tape.group_tape, 6, 5), ref_won)
@@ -229,13 +230,14 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     # A NaN column from an inf feature (a one-layer MLP passes inf - inf on),
     # which reaches some group at a later slot than its first: the max and
     # its gradient go to the lowest NaN slot.
-    spec = make_sa_spec(rng, feat_width=2, sample_count=6, radius=1.0, cap=8, widths=(5,))
+    spec = make_sa_spec(rng, feat_width=2, sample_count=6, cap=8, widths=(5,))
     feats = feats.copy()
     feats[33] = [np.inf, np.inf]
+    selection = planned(spec, pts, 0, 1.0)
     with np.errstate(invalid="ignore"):
-        centroids, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0), capture=True)
-        _, plain, _ = sa_layer(spec, pts, feats, planned(spec, pts, 0))
-        _, ref_pooled, _, ref_won = padded_sa_reference(spec, pts, feats, 0, grad)
+        centroids, pooled, tape = sa_layer(spec, pts, feats, selection, capture=True)
+        _, plain, _ = sa_layer(spec, pts, feats, selection)
+        _, ref_pooled, _, ref_won = padded_sa_reference(spec, 1.0, pts, feats, 0, grad)
         tape.backward(grad)
     assert np.array_equal(plain, pooled, equal_nan=True)
     np.testing.assert_allclose(pooled, ref_pooled, rtol=1e-12, atol=0)
@@ -259,7 +261,7 @@ def test_sa_rejects_oversampling():
 def bad_selection_case(seed: int = 10):
     """(spec, points, feats, the planned selection of centroids 0, 3 and 5)."""
     rng = np.random.default_rng(seed)
-    spec = make_sa_spec(rng, feat_width=1, sample_count=3, radius=1.5, cap=4)
+    spec = make_sa_spec(rng, feat_width=1, sample_count=3, cap=4)
     pts, feats = rng.normal(size=(8, 3)), rng.normal(size=(8, 1))
     return spec, pts, feats, select_groups(pts, np.array([0, 3, 5]), 1.5, 4)
 
@@ -331,14 +333,14 @@ def test_sa_runs_any_rows_of_a_selection_as_the_whole():
     # A forward pass that needs only some groups runs just their rows of the
     # planned selection; each such group pools what the whole layer pools.
     rng = np.random.default_rng(12)
-    spec = make_sa_spec(rng, feat_width=2, sample_count=10, radius=0.75, cap=6)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=10, cap=6)
     pts = rng.integers(-3, 4, size=(50, 3)) * 0.25
     feats = rng.normal(size=(50, 2))
-    whole = planned(spec, pts, 0)
+    whole = planned(spec, pts, 0, 0.75)
     centroids, pooled, _ = sa_layer(spec, pts, feats, whole)
     for rows in ([3], [7, 0, 4], np.arange(10)[::-1]):
         part = whole.rows(rows)
-        sub = SaLayerSpec(len(rows), spec.radius, spec.neighbor_cap, spec.mlp)
+        sub = SaLayerSpec(len(rows), spec.neighbor_cap, spec.mlp)
         got_centroids, got, _ = sa_layer(sub, pts, feats, part)
         assert got_centroids.tobytes() == centroids[rows].tobytes()
         assert got.tobytes() == pooled[rows].tobytes()

@@ -9,6 +9,7 @@ generator that feeds them.  Regenerate the pinned files only for an intended
 output change, with `PYTHONPATH=src python tests/test_pipeline.py`.
 """
 
+import dataclasses
 import json
 import logging
 from pathlib import Path
@@ -195,20 +196,39 @@ PRUNING_CASES = {
     "desk": (PipelineConfig(), SceneConfig(frames=2), (0, 1, 2)),
     "paper": (PipelineConfig.paper_scale(), PAPER_SCENE, (601,)),
 }
+PRUNING_PAIRS = [(case, seed) for case, (_, _, seeds) in PRUNING_CASES.items()
+                 for seed in seeds]
 
 
-@pytest.mark.parametrize("case, seed", [(case, seed) for case, (_, _, seeds)
-                                        in PRUNING_CASES.items() for seed in seeds])
-def test_uncaptured_forward_computes_the_captured_field(case, seed):
-    # Predict runs only the rows that reach the field (its dead rows are NaN);
-    # training runs every row.  Both must give the same field, bit for bit,
-    # before and after a training step.
+def train_step(plan, model, config, targets):
+    """(field, loss, gradients) of one training step of model on a planned
+    pair, as train_association computes them."""
+    field, tape = pipeline._forward_displacements(plan, model, config, capture=True)
+    sel = field.point_indices
+    loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
+                               targets.foreground_mask[sel],
+                               alpha=config.alpha, beta=config.beta,
+                               excluded=targets.excluded[sel])
+    return field, loss, tape.backward(grad)
+
+
+def pruning_pair(case: str, seed: int):
+    """(config, drive, its first pair with detections, and that pair's plan)
+    of a PRUNING_CASES case, the config seeded with seed."""
     base, scene, _ = PRUNING_CASES[case]
     config = PipelineConfig.from_dict({**base.to_dict(), "seed": seed})
     seq = synthesize_sequence(scene, seed)
     a, label_a, b, label_b = next(seq.adjacent_pairs())
     det_a, det_b = pipeline.oracle_detector(a, label_a), pipeline.oracle_detector(b, label_b)
     [plan] = pipeline._plan_pairs([(a, b, det_a, det_b)], config)
+    return config, seq, (a, label_a, b, label_b, det_a, det_b), plan
+
+
+@pytest.mark.parametrize("case, seed", PRUNING_PAIRS)
+def test_uncaptured_forward_computes_the_captured_field(case, seed):
+    # Prediction and training run the same rows; capturing the tapes must
+    # change no bit of the field, before and after a training step.
+    config, seq, (a, label_a, b, label_b, det_a, det_b), plan = pruning_pair(case, seed)
     untrained = pipeline.build_displacement_model(config)
     stepped, _ = pipeline.train_association(seq, config, epochs=1)
     for model in (untrained, stepped):
@@ -219,21 +239,55 @@ def test_uncaptured_forward_computes_the_captured_field(case, seed):
         assert field.vectors.tobytes() == captured.vectors.tobytes()
 
 
-def test_predict_runs_the_association_head_on_live_rows_only(monkeypatch):
-    # On the TINY golden pair sa3 groups only 4 of the 16 frame-A sa2 points,
-    # so predict embeds those 4 and training all 16.
-    seq, a, label_a, b, label_b = scene_pair()
-    rows = []
-    real = pipeline.association_head
+@pytest.mark.parametrize("case, seed", PRUNING_PAIRS)
+def test_every_row_plan_keeps_the_field_and_the_gradients(case, seed):
+    # A plan that marks every row live runs the rows no later layer reads.
+    # Their gradient is zero, so the field keeps every bit; the weight
+    # gradients of sa1, sa2 and the association head may move in their last
+    # bits only, because the group kernel sums them in other blocks: by at
+    # most 1e-12 of each array's largest entry (an entry near zero may move
+    # by more than 1e-12 of itself).
+    config, _, (a, label_a, b, label_b, *_), plan = pruning_pair(case, seed)
+    every = dataclasses.replace(plan, live_a2=np.arange(len(plan.select_a[1].centroids)),
+                                live_b1=np.arange(len(plan.select_b[0].centroids)))
+    model = pipeline.build_displacement_model(config)
+    targets = label_targets(a, label_a, label_b)
+    field, _, grads = train_step(plan, model, config, targets)
+    every_field, _, every_grads = train_step(every, model, config, targets)
+    assert every_field.point_indices.tobytes() == field.point_indices.tobytes()
+    assert every_field.vectors.tobytes() == field.vectors.tobytes()
+    assert sorted(every_grads) == sorted(grads)
+    for key, grad in grads.items():
+        if case.startswith("tiny"):
+            assert every_grads[key].tobytes() == grad.tobytes(), key
+        np.testing.assert_allclose(every_grads[key], grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(grad).max(), err_msg=key)
 
-    def spy(spec, points_a, feats_a, points_b, feats_b, capture=False):
+
+def test_predict_runs_the_association_head_on_live_rows_only(monkeypatch):
+    # On the TINY golden pair sa3 groups only 4 of the 16 frame-A sa2 points
+    # and frame-B sa2 only 16 of the 32 frame-B sa1 points, so predict and
+    # training both embed those 4 and run sa1-B on those 16 groups.
+    seq, a, label_a, b, label_b = scene_pair()
+    rows, sa1_groups = [], []
+    real_head, real_sa = pipeline.association_head, pipeline.sa_layer
+
+    def head_spy(spec, points_a, feats_a, points_b, feats_b, capture=False):
         rows.append((len(points_a), len(feats_a), len(points_b), capture))
-        return real(spec, points_a, feats_a, points_b, feats_b, capture=capture)
-    monkeypatch.setattr(pipeline, "association_head", spy)
+        return real_head(spec, points_a, feats_a, points_b, feats_b, capture=capture)
+
+    def sa_spy(spec, points, feats, selection, capture=False):
+        if feats.shape[1] == pipeline.POINT_FEATURE_WIDTH:     # sa1 reads the input
+            sa1_groups.append((len(selection.centroids), capture))
+        return real_sa(spec, points, feats, selection, capture=capture)
+    monkeypatch.setattr(pipeline, "association_head", head_spy)
+    monkeypatch.setattr(pipeline, "sa_layer", sa_spy)
     model = pipeline.build_displacement_model(TINY)
     predict(model, TINY, a, label_a, b, label_b)
     pipeline.train_association(seq, TINY, epochs=1)
-    assert rows == [(4, 4, 16, False), (16, 16, 16, True)]
+    assert rows == [(4, 4, 16, False), (4, 4, 16, True)]
+    # sa1-A runs all 32 groups: fp2 reads every one of them.
+    assert sa1_groups == [(32, False), (16, False), (32, True), (16, True)]
 
 
 def test_each_set_abstraction_level_selects_its_groups_once_per_frame(monkeypatch):
@@ -309,13 +363,8 @@ def loss_closure(model, config, a, label_a, b, label_b):
 
     def loss_fn(params):
         model.load_param_dict(params)
-        field, tape = pipeline._forward_displacements(plan, model, config, capture=True)
-        sel = field.point_indices
-        loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
-                                   targets.foreground_mask[sel],
-                                   alpha=config.alpha, beta=config.beta,
-                                   excluded=targets.excluded[sel])
-        return loss, tape.backward(grad)
+        _, loss, grads = train_step(plan, model, config, targets)
+        return loss, grads
     return loss_fn
 
 
@@ -582,17 +631,21 @@ def test_empty_frame_raises_a_clear_error():
 
 
 def test_k_above_the_frame_b_point_count_raises_a_clear_error():
-    _, a, label_a, b, label_b = scene_pair()
+    seq, a, label_a, b, label_b = scene_pair()
     model = pipeline.build_displacement_model(TINY)
     few_b = PointCloud(b.points[:5])
-    with pytest.raises(ValueError, match="only 5 filtered frame-B points for k=8"):
+    with pytest.raises(ValueError, match="only 5 frame-B sa2 points for k=8"):
         pipeline.predict_displacements(a, few_b, pipeline.oracle_detector(a, label_a),
                                        pipeline.Detections([], np.ones(5)), model, TINY)
-    # sa2 leaves 16 frame-B points, fewer than the association head's k.
+    # 128 filtered frame-B points, but sa2 leaves 16, fewer than the
+    # association head's k: the plan raises, before the head runs, in
+    # predict and in training alike.
     config = tiny_config(k=20)
     model = pipeline.build_displacement_model(config)
-    with pytest.raises(ValueError, match="only 16 frame-B points for k=20"):
+    with pytest.raises(ValueError, match="only 16 frame-B sa2 points for k=20"):
         predict(model, config, a, label_a, b, label_b)
+    with pytest.raises(ValueError, match="only 16 frame-B sa2 points for k=20"):
+        pipeline.train_association(seq, config, epochs=1)
 
 
 def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
