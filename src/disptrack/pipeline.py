@@ -462,9 +462,9 @@ class _PairPlan:
 def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
     """Plans of (frame_a, frame_b, detections_a, detections_b) pairs.
 
-    Each pair draws from its own ``default_rng(config.seed)``, in this order:
-    frame A's input subsample, frame B's, then the farthest-point start
-    indices of sa1-A, sa2-A, sa1-B, sa2-B and sa3.  A start depends only on
+    Each frame draws from its own ``default_rng(config.seed)``, in this
+    order: its input subsample, then the farthest-point start indices of its
+    sa1, sa2 and (frame A) sa3 levels.  A start depends only on
     its level's input size, so every start is drawn before any centroid is
     sampled.  Then one ``sample_centroids`` call per level samples every
     cloud of that level: sa1 and sa2 over both frames of every pair, sa3
@@ -474,9 +474,10 @@ def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
     """
     inputs, starts = [], []
     for frame_a, frame_b, detections_a, detections_b in pairs:
-        rng = np.random.default_rng(config.seed)
-        kept_a, points_a, feats_a = _network_input("A", frame_a, detections_a, config, rng)
-        _, points_b, feats_b = _network_input("B", frame_b, detections_b, config, rng)
+        rng_a = np.random.default_rng(config.seed)
+        rng_b = np.random.default_rng(config.seed)
+        kept_a, points_a, feats_a = _network_input("A", frame_a, detections_a, config, rng_a)
+        _, points_b, feats_b = _network_input("B", frame_b, detections_b, config, rng_b)
         # At most one centroid per point: sa1 gets the filtered points,
         # sa2 sa1's centroids, sa3 sa2's.
         n_a1 = min(config.sa1.sample, len(points_a))
@@ -486,8 +487,9 @@ def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
         if n_b2 < config.k:
             raise ValueError(f"only {n_b2} frame-B sa2 points for k={config.k}; "
                              f"lower k or raise n_filtered or the sa1/sa2 samples")
-        starts.append([int(rng.integers(n)) for n in
-                       (len(points_a), n_a1, len(points_b), n_b1, n_a2)])
+        start_a = [int(rng_a.integers(n)) for n in (len(points_a), n_a1, n_a2)]
+        start_b = [int(rng_b.integers(n)) for n in (len(points_b), n_b1)]
+        starts.append([start_a[0], start_a[1], start_b[0], start_b[1], start_a[2]])
         inputs.append((kept_a, points_a, feats_a, points_b, feats_b))
 
     def select(level: SaConfig, clouds, level_starts):
