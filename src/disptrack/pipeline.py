@@ -414,12 +414,36 @@ class PipelineTape:
         return _flatten_groups(groups)
 
 
-def _network_input(name: str, frame: PointCloud, detections: Detections,
-                   config: PipelineConfig, rng: np.random.Generator):
+@dataclass(eq=False)
+class _FramePlan:
+    """The coordinate work of one frame, which depends only on the frame,
+    its detections and the config: its network input (indices of the kept
+    points into the frame, their coordinates and input features), the
+    farthest-point start of each set-abstraction level, and each level's
+    groups over that level's input points: sa1 and sa2, and sa3 when some
+    pair reads the frame as its frame A.  Pairs share it, so nothing may
+    write into its arrays."""
+
+    kept: np.ndarray
+    points: np.ndarray
+    feats: np.ndarray
+    starts: tuple[int, int, int]    # sa1, sa2, sa3
+    select: list[SaSelection] = field(default_factory=list)    # sa1, sa2[, sa3]
+
+
+def _network_input(role: str, frame: PointCloud, detections: Detections,
+                   config: PipelineConfig) -> _FramePlan:
     """One frame's points as the network sees them: a random config.n_input
     of them (all, if there are no more), then the config.n_filtered most
-    probable of those.  Returns their indices into the frame, coordinates
-    and input features."""
+    probable of those.  Returns the frame's plan with their indices into the
+    frame, coordinates and input features, and its farthest-point starts.
+
+    The frame draws from its own ``default_rng(config.seed)``: the subsample
+    (only when the frame has more than config.n_input points), then the
+    start index of each of its sa1, sa2 and sa3 levels, so its plan is the
+    same whichever pair plans it.  role ("A" or "B") names the frame in the
+    no-detection warning only."""
+    rng = np.random.default_rng(config.seed)
     probs = detections.point_mask_probs
     n = len(frame)
     if probs.shape[0] != n:
@@ -430,31 +454,32 @@ def _network_input(name: str, frame: PointCloud, detections: Detections,
     if not np.any(probs):
         log.warning("frame %s has no detected points (all %d mask probabilities "
                     "are zero); the filter keeps its %d lowest-index points",
-                    name, len(probs), min(config.n_filtered, len(probs)))
+                    role, len(probs), min(config.n_filtered, len(probs)))
     kept = sampled[probability_filter(PointCloud(frame.points[sampled]), probs,
                                       config.n_filtered)]
     if len(kept) == 0:
         raise ValueError("no points remain after the probability filter")
     points = frame.points[kept]
-    return kept, points, point_features(
-        PointCloud(points), Detections(detections.boxes, detections.point_mask_probs[kept]))
+    feats = point_features(PointCloud(points),
+                           Detections(detections.boxes, detections.point_mask_probs[kept]))
+    # At most one centroid per point: sa1 gets the filtered points, sa2
+    # sa1's centroids, sa3 sa2's.  A start depends only on its level's
+    # input size, so every start is drawn before any centroid is sampled.
+    n_1 = min(config.sa1.sample, len(points))
+    n_2 = min(config.sa2.sample, n_1)
+    starts = tuple(int(rng.integers(m)) for m in (len(points), n_1, n_2))
+    return _FramePlan(kept, points, feats, starts)
 
 
 @dataclass(eq=False)
 class _PairPlan:
-    """The coordinate work of one frame pair: each frame's network input
-    (filtered points and their features), each set-abstraction level's
-    groups, over that level's input points, and the rows of two layer
-    outputs that a later layer reads: of the frame-A sa2 output, those that
-    sa3 groups, and of the frame-B sa1 output, those that sa2 groups."""
+    """The coordinate work of one frame pair: the plans of its two frames
+    and the rows of two layer outputs that a later layer reads: of the
+    frame-A sa2 output, those that sa3 groups, and of the frame-B sa1
+    output, those that sa2 groups."""
 
-    kept_a: np.ndarray
-    points_a: np.ndarray
-    feats_a: np.ndarray
-    points_b: np.ndarray
-    feats_b: np.ndarray
-    select_a: list[SaSelection]     # sa1, sa2, sa3
-    select_b: list[SaSelection]     # sa1, sa2
+    a: _FramePlan
+    b: _FramePlan
     live_a2: np.ndarray
     live_b1: np.ndarray
 
@@ -462,55 +487,52 @@ class _PairPlan:
 def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
     """Plans of (frame_a, frame_b, detections_a, detections_b) pairs.
 
-    Each frame draws from its own ``default_rng(config.seed)``, in this
-    order: its input subsample, then the farthest-point start indices of its
-    sa1, sa2 and (frame A) sa3 levels.  A start depends only on
-    its level's input size, so every start is drawn before any centroid is
-    sampled.  Then one ``sample_centroids`` call per level samples every
-    cloud of that level: sa1 and sa2 over both frames of every pair, sa3
-    over the A frames.  Each cloud's centroids then select their groups
+    Each distinct (frame, detections) of the pairs, told apart by object
+    identity, is planned once and its plan shared by every pair that holds
+    it: in a drive, frame t is frame B of (t-1, t) and frame A of (t, t+1).
+    A frame's plan depends on the frame alone (see ``_network_input``), so
+    sharing changes no bit of any pair's plan.  One ``sample_centroids``
+    call per level samples every distinct frame's cloud of that level: sa1
+    and sa2 over every frame, sa3 over the frames that some pair reads as
+    frame A.  Each cloud's centroids then select their groups
     (``select_groups``), once per level and frame.  A pair with fewer
     frame-B sa2 points than config.k raises here, before any layer runs.
     """
-    inputs, starts = [], []
+    frames: dict[tuple[int, int], _FramePlan] = {}
+    keys = []
     for frame_a, frame_b, detections_a, detections_b in pairs:
-        rng_a = np.random.default_rng(config.seed)
-        rng_b = np.random.default_rng(config.seed)
-        kept_a, points_a, feats_a = _network_input("A", frame_a, detections_a, config, rng_a)
-        _, points_b, feats_b = _network_input("B", frame_b, detections_b, config, rng_b)
-        # At most one centroid per point: sa1 gets the filtered points,
-        # sa2 sa1's centroids, sa3 sa2's.
-        n_a1 = min(config.sa1.sample, len(points_a))
-        n_b1 = min(config.sa1.sample, len(points_b))
-        n_a2 = min(config.sa2.sample, n_a1)
-        n_b2 = min(config.sa2.sample, n_b1)
+        key_a, key_b = (id(frame_a), id(detections_a)), (id(frame_b), id(detections_b))
+        for role, key, frame, detections in (("A", key_a, frame_a, detections_a),
+                                             ("B", key_b, frame_b, detections_b)):
+            if key not in frames:
+                frames[key] = _network_input(role, frame, detections, config)
+        n_b2 = min(config.sa2.sample, config.sa1.sample, len(frames[key_b].points))
         if n_b2 < config.k:
             raise ValueError(f"only {n_b2} frame-B sa2 points for k={config.k}; "
                              f"lower k or raise n_filtered or the sa1/sa2 samples")
-        start_a = [int(rng_a.integers(n)) for n in (len(points_a), n_a1, n_a2)]
-        start_b = [int(rng_b.integers(n)) for n in (len(points_b), n_b1)]
-        starts.append([start_a[0], start_a[1], start_b[0], start_b[1], start_a[2]])
-        inputs.append((kept_a, points_a, feats_a, points_b, feats_b))
+        keys.append((key_a, key_b))
 
-    def select(level: SaConfig, clouds, level_starts):
-        """Each cloud's groups at level, and the cloud of its centroids."""
-        picks = sample_centroids(clouds, [min(level.sample, len(c)) for c in clouds],
-                                 level_starts)
-        return ([select_groups(c, idx, level.radius, level.cap)
-                 for c, idx in zip(clouds, picks)],
-                [c[idx] for c, idx in zip(clouds, picks)])
+    def select(level: int, plans, clouds):
+        """Add each frame's groups at level (0, 1, 2 for sa1, sa2, sa3) over
+        its cloud; return the clouds of their centroids."""
+        sa = (config.sa1, config.sa2, config.sa3)[level]
+        picks = sample_centroids(clouds, [min(sa.sample, len(c)) for c in clouds],
+                                 [plan.starts[level] for plan in plans])
+        for plan, cloud, idx in zip(plans, clouds, picks):
+            plan.select.append(select_groups(cloud, idx, sa.radius, sa.cap))
+        return [c[idx] for c, idx in zip(clouds, picks)]
 
-    start_a1, start_a2, start_b1, start_b2, start_a3 = zip(*starts)
-    # sa1 and sa2 select over frame A then frame B of each pair; sa3 frame A.
-    clouds = [points for _, points_a, _, points_b, _ in inputs
-              for points in (points_a, points_b)]
-    sa1, clouds = select(config.sa1, clouds, [s for ab in zip(start_a1, start_b1) for s in ab])
-    sa2, clouds = select(config.sa2, clouds, [s for ab in zip(start_a2, start_b2) for s in ab])
-    sa3, _ = select(config.sa3, clouds[::2], start_a3)
-    return [_PairPlan(*frames, [a1, a2, a3], [b1, b2], a3.read(len(a2.centroids)),
-                      b2.read(len(b1.centroids)))
-            for frames, a1, b1, a2, b2, a3
-            in zip(inputs, sa1[::2], sa1[1::2], sa2[::2], sa2[1::2], sa3)]
+    plans = list(frames.values())
+    clouds = select(1, plans, select(0, plans, [plan.points for plan in plans]))
+    read_as_a = {key_a for key_a, _ in keys}
+    sa3 = [i for i, key in enumerate(frames) if key in read_as_a]
+    select(2, [plans[i] for i in sa3], [clouds[i] for i in sa3])
+    out = []
+    for key_a, key_b in keys:
+        a, b = frames[key_a], frames[key_b]
+        out.append(_PairPlan(a, b, a.select[2].read(len(a.select[1].centroids)),
+                             b.select[1].read(len(b.select[0].centroids))))
+    return out
 
 
 def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
@@ -535,15 +557,15 @@ def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
         full[rows] = values
         return full
 
-    sel_a1, sel_a2, sel_a3 = plan.select_a
-    sel_b1, sel_b2 = plan.select_b
-    pts_a0 = plan.points_a
-    pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, plan.feats_a, sel_a1)
+    sel_a1, sel_a2, sel_a3 = plan.a.select
+    sel_b1, sel_b2 = plan.b.select[:2]
+    pts_a0 = plan.a.points
+    pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, plan.a.feats, sel_a1)
     pts_a2 = pts_a1[sel_a2.centroids]
     live_pts_a2, live_feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1,
                                                 sel_a2.rows(plan.live_a2))
-    pts_b1 = plan.points_b[sel_b1.centroids]
-    _, feats_b1, t_b1 = abstract(config.sa1, model.sa1, plan.points_b, plan.feats_b,
+    pts_b1 = plan.b.points[sel_b1.centroids]
+    _, feats_b1, t_b1 = abstract(config.sa1, model.sa1, plan.b.points, plan.b.feats,
                                  sel_b1.rows(plan.live_b1))
     feats_b1 = spread(plan.live_b1, feats_b1, len(pts_b1))
     pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1, sel_b2)
@@ -558,7 +580,7 @@ def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
     up0, t_fp3 = fp_layer(pts_a0, pts_a1, up1, None, model.fp3, capture=capture)
     vectors, t_head = dense_apply(model.head, up0, capture=capture)
 
-    field = DisplacementField(plan.kept_a, vectors)
+    field = DisplacementField(plan.a.kept, vectors)
     tape = PipelineTape(plan.live_a2, plan.live_b1, t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3,
                         t_fp1, t_fp2, t_fp3, t_head) if capture else None
     return field, tape

@@ -248,8 +248,8 @@ def test_every_row_plan_keeps_the_field_and_the_gradients(case, seed):
     # most 1e-12 of each array's largest entry (an entry near zero may move
     # by more than 1e-12 of itself).
     config, _, (a, label_a, b, label_b, *_), plan = pruning_pair(case, seed)
-    every = dataclasses.replace(plan, live_a2=np.arange(len(plan.select_a[1].centroids)),
-                                live_b1=np.arange(len(plan.select_b[0].centroids)))
+    every = dataclasses.replace(plan, live_a2=np.arange(len(plan.a.select[1].centroids)),
+                                live_b1=np.arange(len(plan.b.select[0].centroids)))
     model = pipeline.build_displacement_model(config)
     targets = label_targets(a, label_a, label_b)
     field, _, grads = train_step(plan, model, config, targets)
@@ -312,6 +312,60 @@ def test_each_set_abstraction_level_selects_its_groups_once_per_frame(monkeypatc
     predict(model, TINY, a, label_a, b, label_b)
     pipeline.train_association(seq, TINY, epochs=1)
     assert len(calls) == 10
+
+
+#: A drive of three TINY frames of 260 points, so the input subsample draws.
+DRIVE_SCENE = dataclasses.replace(OBJECT_SCENE, frames=3)
+
+
+def drive_pairs(scene: SceneConfig = DRIVE_SCENE, seed: int = 3):
+    """The adjacent pairs of a drive, each with its frames' oracle detections;
+    a frame shared by two pairs is the same object, as are its detections."""
+    frames = synthesize_sequence(scene, seed).frames
+    detections = [pipeline.oracle_detector(cloud, label) for cloud, label in frames]
+    return [(frames[t][0], frames[t + 1][0], detections[t], detections[t + 1])
+            for t in range(len(frames) - 1)]
+
+
+def frame_plan_bytes(plan, levels: int) -> list[bytes]:
+    """The bytes of a frame plan's network input and of its first levels'
+    centroids and groups."""
+    return [x.tobytes() for x in (plan.kept, plan.points, plan.feats,
+                                  *(x for sel in plan.select[:levels] for x in sel))]
+
+
+def test_a_frame_plans_the_same_as_frame_b_and_as_frame_a():
+    # Frame 1 is frame B of (0, 1) and frame A of (1, 2).  Planned apart, its
+    # two plans agree byte for byte; planned together, the pairs share one.
+    first, second = drive_pairs()
+    [as_b] = pipeline._plan_pairs([first], TINY)
+    [as_a] = pipeline._plan_pairs([second], TINY)
+    assert len(as_b.b.select) == 2 and len(as_a.a.select) == 3
+    assert frame_plan_bytes(as_b.b, 2) == frame_plan_bytes(as_a.a, 2)
+    assert as_b.b.starts == as_a.a.starts
+    shared_first, shared_second = pipeline._plan_pairs([first, second], TINY)
+    assert shared_first.b is shared_second.a
+    assert frame_plan_bytes(shared_second.a, 3) == frame_plan_bytes(as_a.a, 3)
+    for alone, shared in ((as_b, shared_first), (as_a, shared_second)):
+        assert frame_plan_bytes(shared.a, 3) == frame_plan_bytes(alone.a, 3)
+        assert frame_plan_bytes(shared.b, 2) == frame_plan_bytes(alone.b, 2)
+        assert shared.live_a2.tobytes() == alone.live_a2.tobytes()
+        assert shared.live_b1.tobytes() == alone.live_b1.tobytes()
+
+
+def test_a_training_step_leaves_the_shared_frame_plan_unchanged():
+    # The captured forward and backward of (0, 1) read frame 1's shared plan;
+    # an in-place write there would leak into pair (1, 2).
+    pairs = drive_pairs()
+    first, second = pipeline._plan_pairs(pairs, TINY)
+    [fresh] = pipeline._plan_pairs(pairs[1:], TINY)
+    frames = synthesize_sequence(DRIVE_SCENE, 3).frames
+    targets = label_targets(frames[0][0], frames[0][1], frames[1][1])
+    model = pipeline.build_displacement_model(TINY)
+    _, _, grads = train_step(first, model, TINY, targets)
+    assert any(np.any(g) for key, g in grads.items() if key.startswith("sa1."))
+    assert first.b is second.a
+    assert frame_plan_bytes(second.a, 3) == frame_plan_bytes(fresh.a, 3)
 
 
 #: (key prefix, scene) of each pinned drive scene.  The pipeline goldens' two
@@ -455,6 +509,22 @@ def test_frame_without_detections_logs_a_warning(caplog):
         "the filter keeps its 128 lowest-index points")
     assert len(field.point_indices) == TINY.n_filtered
     assert np.all(np.isfinite(field.vectors))
+
+    # An empty frame B is named as such, in predict and in a drive, where
+    # frame 1 is first planned as frame B of (0, 1), then shared as frame A
+    # of (1, 2) without a second warning.
+    caplog.clear()
+    empty_b = pipeline.Detections([], np.zeros(len(b)))
+    first, second = drive_pairs()
+    empty_1 = pipeline.Detections([], np.zeros(len(first[1])))
+    with caplog.at_level(logging.WARNING, logger="disptrack.pipeline"):
+        pipeline.predict_displacements(a, b, pipeline.oracle_detector(a, label_a), empty_b,
+                                       model, TINY)
+        pipeline._plan_pairs([(*first[:3], empty_1), (second[0], second[1], empty_1,
+                                                      second[3])], TINY)
+    assert [record.getMessage() for record in caplog.records] == [
+        "frame B has no detected points (all 240 mask probabilities are zero); "
+        "the filter keeps its 128 lowest-index points"] * 2
 
 
 @pytest.mark.parametrize("probs", [[np.nan, 0.5], [-0.1, 0.5], [0.5, 1.5]])
