@@ -589,13 +589,21 @@ def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
 def _planned_pairs(pairs: list, config: PipelineConfig):
     """Each (cloud_a, label_a, cloud_b, label_b) pair with its plan, on
     oracle detections.  Pairs are planned a chunk of _PLAN_POINTS filtered
-    points at a time, just before they are used."""
+    points at a time, just before they are used.  Each distinct (cloud,
+    label) of a chunk is detected once, so a frame that two pairs of the
+    chunk hold is planned once (see _plan_pairs)."""
     size = max(1, _PLAN_POINTS // (2 * config.n_filtered))
     for first in range(0, len(pairs), size):
         chunk = pairs[first:first + size]
+        found: dict[tuple[int, int], Detections] = {}
+
+        def detect(cloud: PointCloud, label: FrameLabel) -> Detections:
+            key = (id(cloud), id(label))
+            if key not in found:
+                found[key] = oracle_detector(cloud, label)
+            return found[key]
         yield from zip(chunk, _plan_pairs(
-            [(cloud_a, cloud_b, oracle_detector(cloud_a, label_a),
-              oracle_detector(cloud_b, label_b))
+            [(cloud_a, cloud_b, detect(cloud_a, label_a), detect(cloud_b, label_b))
              for cloud_a, label_a, cloud_b, label_b in chunk], config))
 
 

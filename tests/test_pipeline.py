@@ -353,6 +353,33 @@ def test_a_frame_plans_the_same_as_frame_b_and_as_frame_a():
         assert shared.live_b1.tobytes() == alone.live_b1.tobytes()
 
 
+def test_one_chunk_of_a_drive_detects_and_plans_each_frame_once(monkeypatch):
+    # Four frames, three pairs, one chunk: each frame is detected, filtered
+    # and grouped at sa1 and sa2 once; sa3 groups the three A frames.
+    seq = synthesize_sequence(dataclasses.replace(SCENE, frames=4), 3)
+    calls = {"detect": 0, "features": 0, "ball_query": []}
+    real_detect, real_features = pipeline.oracle_detector, pipeline.point_features
+    real_query = layers_module.ball_query
+
+    def detect(frame, labels, *args, **kwargs):
+        calls["detect"] += 1
+        return real_detect(frame, labels, *args, **kwargs)
+
+    def features(frame, detections):
+        calls["features"] += 1
+        return real_features(frame, detections)
+
+    def query(query_points, points, radius, cap):
+        calls["ball_query"].append(radius)
+        return real_query(query_points, points, radius, cap)
+    monkeypatch.setattr(pipeline, "oracle_detector", detect)
+    monkeypatch.setattr(pipeline, "point_features", features)
+    monkeypatch.setattr(layers_module, "ball_query", query)
+    pipeline.train_association(seq, TINY, epochs=1)
+    assert calls["detect"] == 4 and calls["features"] == 4
+    assert calls["ball_query"] == [0.5] * 4 + [1.0] * 4 + [4.0] * 3
+
+
 def test_a_training_step_leaves_the_shared_frame_plan_unchanged():
     # The captured forward and backward of (0, 1) read frame 1's shared plan;
     # an in-place write there would leak into pair (1, 2).
