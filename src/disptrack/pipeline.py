@@ -12,14 +12,20 @@ frame-A point.
 Detection is decoupled behind the Detections interface; the oracle detector
 perturbs ground truth, enabling ground-truth-box experiments.
 
-Coordinate work is planned before the network runs: each pair's network
-inputs, every set-abstraction level's centroids (sampled in lock-step) and
-their in-radius groups.  From the plan, the forward pass computes only the
-rows that reach the field, for prediction and training alike.  sa3 groups
-few of the frame-A sa2 points and frame-B sa2 few of the frame-B sa1 points,
-so the other frame-A sa2 groups, their association rows and the other
-frame-B sa1 groups are skipped; at paper scale about 88 of 512 frame-A rows
-and 850 of 2048 frame-B rows are live.
+Coordinate work is planned before the network runs, one frame at a time:
+each frame's network input, every set-abstraction level's centroids
+(sampled in lock-step over the frames planned together) and their
+in-radius groups.  Each frame draws its input subsample and farthest-point
+starts from its own stream, ``default_rng(config.seed)``, so its plan
+depends on the frame, its detections and the config alone.  A frame that
+two pairs planned together hold, frame t of pairs (t-1, t) and (t, t+1) in
+a drive, is then detected and planned once and shared, with no bit of
+either pair's plan changed.  From the plan, the forward pass computes only
+the rows that reach the field, for prediction and training alike.  sa3
+groups few of the frame-A sa2 points and frame-B sa2 few of the frame-B sa1
+points, so the other frame-A sa2 groups, their association rows and the
+other frame-B sa1 groups are skipped; at paper scale about 88 of 512
+frame-A rows and 850 of 2048 frame-B rows are live.
 """
 
 from __future__ import annotations
@@ -66,10 +72,13 @@ POINT_FEATURE_WIDTH = 4
 
 #: Filtered points, counted as config.n_filtered per frame, of the frame
 #: pairs that training and evaluation plan at a time (at least one pair):
-#: their set-abstraction centroids are sampled in lock-step.  16 desk pairs.
-#: Planning a desk epoch's 294 pairs (2-core Xeon VM, 1 BLAS thread, 3 runs)
-#: took 0.9-1.2 s in chunks of 16 pairs, 1.0-1.6 s of 8, 1.1-1.4 s of 32,
-#: 1.3-1.5 s of 64 and 2.2-2.9 s pair by pair.
+#: each of their distinct frames is detected and planned once, and their
+#: set-abstraction centroids are sampled in lock-step.  16 desk pairs.
+#: Planning a desk epoch's 294 pairs, detection included (2-core Xeon VM,
+#: 1 BLAS thread, 3 runs), took 1.08-1.27 s in chunks of 16 pairs,
+#: 0.98-1.43 s of 8, 1.05-1.17 s of 32, 1.11-1.15 s of 64 and 2.72-3.50 s
+#: pair by pair.  Whole epochs (4 interleaved runs) took 6.79-7.99 s in
+#: chunks of 16, 6.83-8.65 s of 8 and 6.62-7.78 s of 32: no size won.
 _PLAN_POINTS = 16 * 2 * 512
 
 
@@ -615,7 +624,10 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
 
     Stateless: consumes exactly the two frames given, nothing else; repeated
     calls on the same inputs return identical fields.  The pair is planned
-    alone, its A and B frames sampled in lock-step.  Only the rows that
+    alone, its A and B frames sampled in lock-step, each frame from its own
+    ``default_rng(config.seed)`` stream.  A frame's plan depends on the
+    frame alone, so it is the one that training and evaluation plan and
+    share between the two pairs that hold the frame.  Only the rows that
     reach the field are computed, the same rows that training computes (see
     the module docstring), so the field is bit for bit the one that the
     training forward pass computes.
@@ -657,12 +669,16 @@ def train_association(dataset, config: PipelineConfig,
 
     Each epoch plans its pairs a chunk at a time (network inputs, every
     set-abstraction level's centroids, sampled in lock-step, and their
-    groups), then steps through the chunk.  The results do not depend on
-    the chunking.  A pair whose inputs are degenerate (no point left after
-    the filter, fewer frame-B sa2 points than k) raises while its chunk is
-    planned, so before the earlier pairs of that chunk train.  Each step
-    computes only the rows that reach the field, as predict_displacements
-    does.
+    groups), then steps through the chunk.  Each distinct frame of a chunk
+    is detected and planned once, from its own ``default_rng(config.seed)``
+    stream, and its plan is shared by the pairs that hold it: frame t of a
+    drive is frame B of (t-1, t) and frame A of (t, t+1).  A frame's plan
+    depends on the frame alone, so the results do not depend on the
+    chunking or the sharing.  A pair whose inputs are degenerate (no point
+    left after the filter, fewer frame-B sa2 points than k) raises while its
+    chunk is planned, so before the earlier pairs of that chunk train.  Each
+    step computes only the rows that reach the field, as
+    predict_displacements does.
     """
     pairs = _pair_list(dataset)
     if not pairs:
@@ -707,8 +723,10 @@ def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
                             pairs) -> float:
     """Mean Euclidean error over foreground (non-excluded) predicted points.
 
-    Pairs are planned a chunk at a time, as in train_association, so a
-    degenerate pair raises before the earlier pairs of its chunk are
+    Pairs are planned a chunk at a time, as in train_association: each
+    distinct frame of a chunk is detected and planned once, from its own
+    ``default_rng(config.seed)`` stream, and shared by the pairs that hold
+    it.  A degenerate pair raises before the earlier pairs of its chunk are
     predicted, with the message predict_displacements gives.  Each field is
     computed on the rows of its plan that reach it, the one row set that
     training and predict_displacements compute too.
