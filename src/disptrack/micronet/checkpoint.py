@@ -40,12 +40,22 @@ def save_checkpoint(path, kind: str, config: dict, params: dict[str, np.ndarray]
 
 
 def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, config, params) of a checkpoint file; a file that is not a
+    version-1 checkpoint raises ValueError."""
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise ValueError(f"a checkpoint must be a JSON object, got {type(payload).__name__}")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
-    params = {
-        name: np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    }
+    missing = [key for key in ("kind", "config", "params") if key not in payload]
+    if missing:
+        raise ValueError(f"checkpoint lacks {missing}")
+    if not (isinstance(payload["config"], dict) and isinstance(payload["params"], dict)):
+        raise ValueError("checkpoint config and params must be JSON objects")
+    params = {}
+    for name, entry in payload["params"].items():
+        if not (isinstance(entry, dict) and "shape" in entry and "values" in entry):
+            raise ValueError(f"checkpoint param {name!r} needs a shape and values")
+        params[name] = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
     return payload["kind"], payload["config"], params

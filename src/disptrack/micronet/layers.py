@@ -102,17 +102,15 @@ _SCATTER_ENTRIES = 1 << 16
 
 @dataclass(eq=False)
 class SaLayerSpec:
-    """Set-abstraction hyperparameters plus the group MLP parameters."""
+    """Set-abstraction sample count plus the group MLP parameters.  The
+    neighbour cap is the width of the planned selection."""
 
     sample_count: int
-    neighbor_cap: int
     mlp: DenseParams
 
     def __post_init__(self) -> None:
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.neighbor_cap < 1:
-            raise ValueError("neighbor_cap must be at least 1")
 
 
 @dataclass(eq=False)
@@ -367,9 +365,9 @@ def _check_selection(spec: SaLayerSpec, selection, n: int) -> SaSelection:
         raise ValueError(f"centroid indices must lie in [0, {n})")
     if np.unique(idx).size != idx.size:
         raise ValueError("centroid indices must be distinct")
-    cap = min(spec.neighbor_cap, n)
-    if order.shape != (m, cap) or valid.shape != (m, cap):
-        raise ValueError(f"expected ({m}, {cap}) candidate order and mask, got "
+    width = order.shape[-1] if order.ndim == 2 else 0
+    if width < 1 or order.shape != (m, width) or valid.shape != (m, width):
+        raise ValueError(f"expected ({m}, w) candidate order and mask with w >= 1, got "
                          f"{order.shape} and {valid.shape}")
     if order.dtype.kind not in "iu":
         raise ValueError(f"candidate indices must be integers, got dtype {order.dtype}")
@@ -389,10 +387,10 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
     """Group and pool points around spec.sample_count planned centroids.
 
     selection is the ``SaSelection`` of the centroids' groups, as
-    ``select_groups`` plans it with spec.neighbor_cap, or some of its rows:
-    distinct centroid indices among the points, and each centroid's
-    (min(spec.neighbor_cap, n),) candidates and mask, valid slots first and
-    slot 0 valid.  The layer selects no neighbours itself.
+    ``select_groups`` plans it, or some of its rows: distinct centroid
+    indices among the points, and each centroid's candidates and mask, of
+    one width of at least 1 (the neighbour cap), valid slots first and slot
+    0 valid.  The layer selects no neighbours itself.
     Per grouped neighbour the MLP input row is the (neighbour - centroid)
     coordinates concatenated with the neighbour feature; the MLP runs on
     the valid rows only, and pooling is their element-wise max.

@@ -12,20 +12,23 @@ frame-A point.
 Detection is decoupled behind the Detections interface; the oracle detector
 perturbs ground truth, enabling ground-truth-box experiments.
 
-Coordinate work is planned before the network runs, one frame at a time:
-each frame's network input, every set-abstraction level's centroids
-(sampled in lock-step over the frames planned together) and their
-in-radius groups.  Each frame draws its input subsample and farthest-point
-starts from its own stream, ``default_rng(config.seed)``, so its plan
-depends on the frame, its detections and the config alone.  A frame that
-two pairs planned together hold, frame t of pairs (t-1, t) and (t, t+1) in
-a drive, is then detected and planned once and shared, with no bit of
-either pair's plan changed.  From the plan, the forward pass computes only
-the rows that reach the field, for prediction and training alike.  sa3
-groups few of the frame-A sa2 points and frame-B sa2 few of the frame-B sa1
-points, so the other frame-A sa2 groups, their association rows and the
-other frame-B sa1 groups are skipped; at paper scale about 88 of 512
-frame-A rows and 850 of 2048 frame-B rows are live.
+Coordinate work is planned before the network runs, frame by frame, by one
+planner: each frame's network input, the centroids of all three
+set-abstraction levels (sampled in lock-step over the frames planned
+together), their in-radius groups, and the frame's live rows (the sa1 rows
+its sa2 groups and the sa2 rows its sa3 groups).  Each frame draws its
+input subsample and farthest-point starts from its own stream,
+``default_rng(config.seed)``, so its plan depends on the frame, its
+detections and the config alone, and a pair is just two frame plans.
+Training and evaluation keep one plan per distinct frame while a pair still
+needs it, so frame t of a drive, frame B of (t-1, t) and frame A of
+(t, t+1), is detected and planned once, on a chunk edge too.  From the two
+plans, the forward pass computes only the rows that reach the field, for
+prediction and training alike.  sa3 groups few of the frame-A sa2 points
+and frame-B sa2 few of the frame-B sa1 points, so the other frame-A sa2
+groups, their association rows and the other frame-B sa1 groups are
+skipped; at paper scale about 88 of 512 frame-A rows and 850 of 2048
+frame-B rows are live.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ POINT_FEATURE_WIDTH = 4
 
 #: Filtered points, counted as config.n_filtered per frame, of the frame
 #: pairs that training and evaluation plan at a time (at least one pair):
-#: each of their distinct frames is detected and planned once, and their
-#: set-abstraction centroids are sampled in lock-step.  16 desk pairs.
+#: the frames of those pairs that are not planned yet are detected and
+#: planned together, their set-abstraction centroids sampled in lock-step.
+#: 16 desk pairs.
 #: Planning a desk epoch's 294 pairs, detection included (2-core Xeon VM,
 #: 1 BLAS thread, 3 runs), took 1.08-1.27 s in chunks of 16 pairs,
 #: 0.98-1.43 s of 8, 1.05-1.17 s of 32, 1.11-1.15 s of 64 and 2.72-3.50 s
@@ -427,31 +431,35 @@ class PipelineTape:
 class _FramePlan:
     """The coordinate work of one frame, which depends only on the frame,
     its detections and the config: its network input (indices of the kept
-    points into the frame, their coordinates and input features), the
-    farthest-point start of each set-abstraction level, and each level's
-    groups over that level's input points: sa1 and sa2, and sa3 when some
-    pair reads the frame as its frame A.  Pairs share it, so nothing may
-    write into its arrays."""
+    points into the frame, their coordinates and input features), each
+    set-abstraction level's groups over that level's input points (sa1,
+    sa2, sa3), and the rows of two of its layer outputs that a later layer
+    reads: of its sa1 output those that its sa2 groups (live1), of its sa2
+    output those that its sa3 groups (live2).  A pair reads frame A's live2
+    and frame B's live1.  The two pairs that hold a frame share its plan, so
+    nothing may write into its arrays."""
 
     kept: np.ndarray
     points: np.ndarray
     feats: np.ndarray
-    starts: tuple[int, int, int]    # sa1, sa2, sa3
-    select: list[SaSelection] = field(default_factory=list)    # sa1, sa2[, sa3]
+    select: tuple[SaSelection, SaSelection, SaSelection]
+    live1: np.ndarray
+    live2: np.ndarray
 
 
 def _network_input(role: str, frame: PointCloud, detections: Detections,
-                   config: PipelineConfig) -> _FramePlan:
+                   config: PipelineConfig):
     """One frame's points as the network sees them: a random config.n_input
     of them (all, if there are no more), then the config.n_filtered most
-    probable of those.  Returns the frame's plan with their indices into the
-    frame, coordinates and input features, and its farthest-point starts.
+    probable of those.  Returns their indices into the frame, coordinates
+    and input features, and the frame's farthest-point starts.
 
     The frame draws from its own ``default_rng(config.seed)``: the subsample
     (only when the frame has more than config.n_input points), then the
-    start index of each of its sa1, sa2 and sa3 levels, so its plan is the
-    same whichever pair plans it.  role ("A" or "B") names the frame in the
-    no-detection warning only."""
+    start index of each of its sa1, sa2 and sa3 levels.  role is "B" for a
+    frame that some pair reads as its frame B, which must keep the config.k
+    sa2 points that the association head needs, and "A" otherwise; it also
+    names the frame in the no-detection warning."""
     rng = np.random.default_rng(config.seed)
     probs = detections.point_mask_probs
     n = len(frame)
@@ -476,88 +484,53 @@ def _network_input(role: str, frame: PointCloud, detections: Detections,
     # input size, so every start is drawn before any centroid is sampled.
     n_1 = min(config.sa1.sample, len(points))
     n_2 = min(config.sa2.sample, n_1)
+    if role == "B" and n_2 < config.k:
+        raise ValueError(f"only {n_2} frame-B sa2 points for k={config.k}; "
+                         f"lower k or raise n_filtered or the sa1/sa2 samples")
     starts = tuple(int(rng.integers(m)) for m in (len(points), n_1, n_2))
-    return _FramePlan(kept, points, feats, starts)
+    return kept, points, feats, starts
 
 
-@dataclass(eq=False)
-class _PairPlan:
-    """The coordinate work of one frame pair: the plans of its two frames
-    and the rows of two layer outputs that a later layer reads: of the
-    frame-A sa2 output, those that sa3 groups, and of the frame-B sa1
-    output, those that sa2 groups."""
+def _plan_frames(frames, config: PipelineConfig) -> list[_FramePlan]:
+    """Plans of (frame, detections, role) frames.
 
-    a: _FramePlan
-    b: _FramePlan
-    live_a2: np.ndarray
-    live_b1: np.ndarray
-
-
-def _plan_pairs(pairs, config: PipelineConfig) -> list[_PairPlan]:
-    """Plans of (frame_a, frame_b, detections_a, detections_b) pairs.
-
-    Each distinct (frame, detections) of the pairs, told apart by object
-    identity, is planned once and its plan shared by every pair that holds
-    it: in a drive, frame t is frame B of (t-1, t) and frame A of (t, t+1).
     A frame's plan depends on the frame alone (see ``_network_input``), so
-    sharing changes no bit of any pair's plan.  One ``sample_centroids``
-    call per level samples every distinct frame's cloud of that level: sa1
-    and sa2 over every frame, sa3 over the frames that some pair reads as
-    frame A.  Each cloud's centroids then select their groups
-    (``select_groups``), once per level and frame.  A pair with fewer
-    frame-B sa2 points than config.k raises here, before any layer runs.
+    it is the same whichever frames it is planned with and whichever pair
+    reads it.  One ``sample_centroids`` call per level samples every
+    frame's cloud of that level in lock-step; each cloud's centroids then
+    select their groups (``select_groups``), once per level and frame.
     """
-    frames: dict[tuple[int, int], _FramePlan] = {}
-    keys = []
-    for frame_a, frame_b, detections_a, detections_b in pairs:
-        key_a, key_b = (id(frame_a), id(detections_a)), (id(frame_b), id(detections_b))
-        for role, key, frame, detections in (("A", key_a, frame_a, detections_a),
-                                             ("B", key_b, frame_b, detections_b)):
-            if key not in frames:
-                frames[key] = _network_input(role, frame, detections, config)
-        n_b2 = min(config.sa2.sample, config.sa1.sample, len(frames[key_b].points))
-        if n_b2 < config.k:
-            raise ValueError(f"only {n_b2} frame-B sa2 points for k={config.k}; "
-                             f"lower k or raise n_filtered or the sa1/sa2 samples")
-        keys.append((key_a, key_b))
-
-    def select(level: int, plans, clouds):
-        """Add each frame's groups at level (0, 1, 2 for sa1, sa2, sa3) over
-        its cloud; return the clouds of their centroids."""
-        sa = (config.sa1, config.sa2, config.sa3)[level]
+    inputs = [_network_input(role, frame, detections, config)
+              for frame, detections, role in frames]
+    clouds = [points for _, points, _, _ in inputs]
+    levels = []
+    for level, sa in enumerate((config.sa1, config.sa2, config.sa3)):
         picks = sample_centroids(clouds, [min(sa.sample, len(c)) for c in clouds],
-                                 [plan.starts[level] for plan in plans])
-        for plan, cloud, idx in zip(plans, clouds, picks):
-            plan.select.append(select_groups(cloud, idx, sa.radius, sa.cap))
-        return [c[idx] for c, idx in zip(clouds, picks)]
-
-    plans = list(frames.values())
-    clouds = select(1, plans, select(0, plans, [plan.points for plan in plans]))
-    read_as_a = {key_a for key_a, _ in keys}
-    sa3 = [i for i, key in enumerate(frames) if key in read_as_a]
-    select(2, [plans[i] for i in sa3], [clouds[i] for i in sa3])
-    out = []
-    for key_a, key_b in keys:
-        a, b = frames[key_a], frames[key_b]
-        out.append(_PairPlan(a, b, a.select[2].read(len(a.select[1].centroids)),
-                             b.select[1].read(len(b.select[0].centroids))))
-    return out
+                                 [starts[level] for *_, starts in inputs])
+        levels.append([select_groups(c, idx, sa.radius, sa.cap)
+                       for c, idx in zip(clouds, picks)])
+        clouds = [c[idx] for c, idx in zip(clouds, picks)]
+    return [_FramePlan(kept, points, feats, select,
+                       select[1].read(len(select[0].centroids)),
+                       select[2].read(len(select[1].centroids)))
+            for (kept, points, feats, _), select in zip(inputs, zip(*levels))]
 
 
-def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
+def _forward_displacements(a: _FramePlan, b: _FramePlan, model: DisplacementModel,
                            config: PipelineConfig, capture: bool = False):
-    """The field of a planned pair, and with capture the tape of every layer.
+    """The field of the pair of planned frames a and b, and with capture the
+    tape of every layer.
 
     Prediction, evaluation and training all compute the one row set of the
-    plan, the rows that reach the field: the frame-A sa2 groups that sa3's
-    selection reads (plan.live_a2), the association head on those frame-A
+    plans, the rows that reach the field: the frame-A sa2 groups that sa3's
+    selection reads (a.live2), the association head on those frame-A
     points, and the frame-B sa1 groups that frame-B sa2's selection reads
-    (plan.live_b1).  The other rows of those outputs are NaN, and no layer
-    reads them.  Capture decides only whether the tapes are kept.
+    (b.live1).  The other rows of those outputs are NaN, and no layer reads
+    them.  Capture decides only whether the tapes are kept.
     """
-    def abstract(level: SaConfig, mlp: DenseParams, points: np.ndarray,
-                 feats: np.ndarray, selection: SaSelection):
-        spec = SaLayerSpec(len(selection.centroids), level.cap, mlp)
+    def abstract(mlp: DenseParams, points: np.ndarray, feats: np.ndarray,
+                 selection: SaSelection):
+        spec = SaLayerSpec(len(selection.centroids), mlp)
         return sa_layer(spec, points, feats, selection, capture=capture)
 
     def spread(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -566,54 +539,63 @@ def _forward_displacements(plan: _PairPlan, model: DisplacementModel,
         full[rows] = values
         return full
 
-    sel_a1, sel_a2, sel_a3 = plan.a.select
-    sel_b1, sel_b2 = plan.b.select[:2]
-    pts_a0 = plan.a.points
-    pts_a1, feats_a1, t_a1 = abstract(config.sa1, model.sa1, pts_a0, plan.a.feats, sel_a1)
+    sel_a1, sel_a2, sel_a3 = a.select
+    sel_b1, sel_b2, _ = b.select
+    pts_a0 = a.points
+    pts_a1, feats_a1, t_a1 = abstract(model.sa1, pts_a0, a.feats, sel_a1)
     pts_a2 = pts_a1[sel_a2.centroids]
-    live_pts_a2, live_feats_a2, t_a2 = abstract(config.sa2, model.sa2, pts_a1, feats_a1,
-                                                sel_a2.rows(plan.live_a2))
-    pts_b1 = plan.b.points[sel_b1.centroids]
-    _, feats_b1, t_b1 = abstract(config.sa1, model.sa1, plan.b.points, plan.b.feats,
-                                 sel_b1.rows(plan.live_b1))
-    feats_b1 = spread(plan.live_b1, feats_b1, len(pts_b1))
-    pts_b2, feats_b2, t_b2 = abstract(config.sa2, model.sa2, pts_b1, feats_b1, sel_b2)
+    live_pts_a2, live_feats_a2, t_a2 = abstract(model.sa2, pts_a1, feats_a1,
+                                                sel_a2.rows(a.live2))
+    pts_b1 = b.points[sel_b1.centroids]
+    _, feats_b1, t_b1 = abstract(model.sa1, b.points, b.feats, sel_b1.rows(b.live1))
+    feats_b1 = spread(b.live1, feats_b1, len(pts_b1))
+    pts_b2, feats_b2, t_b2 = abstract(model.sa2, pts_b1, feats_b1, sel_b2)
 
     assoc = AssociationSpec(config.k, model.assoc)
     embedded, t_assoc = association_head(assoc, live_pts_a2, live_feats_a2, pts_b2,
                                          feats_b2, capture=capture)
-    embedded = spread(plan.live_a2, embedded, len(pts_a2))
-    pts_a3, feats_a3, t_sa3 = abstract(config.sa3, model.sa3, pts_a2, embedded, sel_a3)
+    embedded = spread(a.live2, embedded, len(pts_a2))
+    pts_a3, feats_a3, t_sa3 = abstract(model.sa3, pts_a2, embedded, sel_a3)
     up2, t_fp1 = fp_layer(pts_a2, pts_a3, feats_a3, None, model.fp1, capture=capture)
     up1, t_fp2 = fp_layer(pts_a1, pts_a2, up2, feats_a1, model.fp2, capture=capture)
     up0, t_fp3 = fp_layer(pts_a0, pts_a1, up1, None, model.fp3, capture=capture)
     vectors, t_head = dense_apply(model.head, up0, capture=capture)
 
-    field = DisplacementField(plan.a.kept, vectors)
-    tape = PipelineTape(plan.live_a2, plan.live_b1, t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3,
+    field = DisplacementField(a.kept, vectors)
+    tape = PipelineTape(a.live2, b.live1, t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3,
                         t_fp1, t_fp2, t_fp3, t_head) if capture else None
     return field, tape
 
 
 def _planned_pairs(pairs: list, config: PipelineConfig):
-    """Each (cloud_a, label_a, cloud_b, label_b) pair with its plan, on
-    oracle detections.  Pairs are planned a chunk of _PLAN_POINTS filtered
-    points at a time, just before they are used.  Each distinct (cloud,
-    label) of a chunk is detected once, so a frame that two pairs of the
-    chunk hold is planned once (see _plan_pairs)."""
+    """Each (cloud_a, label_a, cloud_b, label_b) pair with the plans of its
+    two frames, on oracle detections.
+
+    Pairs are planned a chunk of _PLAN_POINTS filtered points at a time,
+    just before they are used.  One dict, keyed by the object identity of
+    (cloud, label), holds the frame plans: a frame missing from it is
+    detected and planned, with the chunk's other new frames, and every pair
+    that holds the frame reads that one plan.  Each chunk keeps the entries
+    it still needs, so a frame on a chunk edge, frame t of pairs (t-1, t)
+    and (t, t+1) in a drive, is detected and planned once.  A pair with
+    fewer frame-B sa2 points than config.k raises while its chunk is
+    planned, before any of the chunk's pairs is used."""
+    def key(cloud: PointCloud, label: FrameLabel) -> tuple[int, int]:
+        return id(cloud), id(label)
+
     size = max(1, _PLAN_POINTS // (2 * config.n_filtered))
+    read_as_b = {key(cloud, label) for _, _, cloud, label in pairs}
+    plans: dict[tuple[int, int], _FramePlan] = {}
     for first in range(0, len(pairs), size):
         chunk = pairs[first:first + size]
-        found: dict[tuple[int, int], Detections] = {}
-
-        def detect(cloud: PointCloud, label: FrameLabel) -> Detections:
-            key = (id(cloud), id(label))
-            if key not in found:
-                found[key] = oracle_detector(cloud, label)
-            return found[key]
-        yield from zip(chunk, _plan_pairs(
-            [(cloud_a, cloud_b, detect(cloud_a, label_a), detect(cloud_b, label_b))
-             for cloud_a, label_a, cloud_b, label_b in chunk], config))
+        frames = {key(*frame): frame for pair in chunk for frame in (pair[:2], pair[2:])}
+        plans = {k: plans[k] for k in frames if k in plans}
+        new = [k for k in frames if k not in plans]
+        plans.update(zip(new, _plan_frames(
+            [(frames[k][0], oracle_detector(*frames[k]), "B" if k in read_as_b else "A")
+             for k in new], config)))
+        for pair in chunk:
+            yield pair, (plans[key(*pair[:2])], plans[key(*pair[2:])])
 
 
 def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
@@ -623,17 +605,17 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
     """Predict per-point motion vectors for the filtered frame-A points.
 
     Stateless: consumes exactly the two frames given, nothing else; repeated
-    calls on the same inputs return identical fields.  The pair is planned
-    alone, its A and B frames sampled in lock-step, each frame from its own
-    ``default_rng(config.seed)`` stream.  A frame's plan depends on the
-    frame alone, so it is the one that training and evaluation plan and
-    share between the two pairs that hold the frame.  Only the rows that
-    reach the field are computed, the same rows that training computes (see
-    the module docstring), so the field is bit for bit the one that the
-    training forward pass computes.
+    calls on the same inputs return identical fields.  Its two frames are
+    planned together by the one frame planner that training and evaluation
+    use, each frame from its own ``default_rng(config.seed)`` stream, so
+    each frame's plan is the one they build for it, whichever pair holds
+    the frame there.  Only the rows that reach the field are computed, the
+    same rows that training computes (see the module docstring), so the
+    field is bit for bit the one that the training forward pass computes.
     """
-    [plan] = _plan_pairs([(frame_a, frame_b, detections_a, detections_b)], config)
-    field, _ = _forward_displacements(plan, model, config, capture=False)
+    a, b = _plan_frames([(frame_a, detections_a, "A"), (frame_b, detections_b, "B")],
+                        config)
+    field, _ = _forward_displacements(a, b, model, config)
     return field
 
 
@@ -667,19 +649,24 @@ def train_association(dataset, config: PipelineConfig,
     (naming the first such array, before any update) and on an update that
     goes non-finite.
 
-    Each epoch plans its pairs a chunk at a time (network inputs, every
-    set-abstraction level's centroids, sampled in lock-step, and their
-    groups), then steps through the chunk.  Each distinct frame of a chunk
-    is detected and planned once, from its own ``default_rng(config.seed)``
-    stream, and its plan is shared by the pairs that hold it: frame t of a
-    drive is frame B of (t-1, t) and frame A of (t, t+1).  A frame's plan
-    depends on the frame alone, so the results do not depend on the
-    chunking or the sharing.  A pair whose inputs are degenerate (no point
-    left after the filter, fewer frame-B sa2 points than k) raises while its
-    chunk is planned, so before the earlier pairs of that chunk train.  Each
-    step computes only the rows that reach the field, as
-    predict_displacements does.
+    epochs must be an integer of at least 1.  Each epoch plans its pairs'
+    frames a chunk of pairs at a time (network inputs, every
+    set-abstraction level's centroids, sampled in lock-step, their groups
+    and live rows), then steps through the chunk.  Each distinct frame is
+    detected and planned once per epoch, from its own
+    ``default_rng(config.seed)`` stream, and both pairs that hold it read
+    that plan: frame t of a drive is frame B of (t-1, t) and frame A of
+    (t, t+1), in one chunk or on the edge of two.  A frame's plan depends
+    on the frame alone, so the results do not depend on the chunking or
+    the sharing.  A pair whose inputs are degenerate (no point left after
+    the filter, fewer frame-B sa2 points than k) raises while its chunk is
+    planned, so before the earlier pairs of that chunk train.  Each step
+    computes only the rows that reach the field, as predict_displacements
+    does.
     """
+    epochs = _integer("epochs", epochs)
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     pairs = _pair_list(dataset)
     if not pairs:
         raise ValueError("dataset must contain at least one adjacent frame pair")
@@ -692,8 +679,8 @@ def train_association(dataset, config: PipelineConfig,
     step = 0
     for _ in range(epochs):
         epoch_loss = 0.0
-        for (cloud_a, label_a, _, label_b), plan in _planned_pairs(pairs, config):
-            field, tape = _forward_displacements(plan, model, config, capture=True)
+        for (cloud_a, label_a, _, label_b), (a, b) in _planned_pairs(pairs, config):
+            field, tape = _forward_displacements(a, b, model, config, capture=True)
             targets = label_targets(cloud_a, label_a, label_b)
             sel = field.point_indices
             loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
@@ -723,17 +710,17 @@ def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
                             pairs) -> float:
     """Mean Euclidean error over foreground (non-excluded) predicted points.
 
-    Pairs are planned a chunk at a time, as in train_association: each
-    distinct frame of a chunk is detected and planned once, from its own
-    ``default_rng(config.seed)`` stream, and shared by the pairs that hold
-    it.  A degenerate pair raises before the earlier pairs of its chunk are
-    predicted, with the message predict_displacements gives.  Each field is
-    computed on the rows of its plan that reach it, the one row set that
-    training and predict_displacements compute too.
+    The pairs' frames are planned a chunk of pairs at a time, as in
+    train_association: each distinct frame is detected and planned once,
+    from its own ``default_rng(config.seed)`` stream, and read by every pair
+    that holds it.  A degenerate pair raises before the earlier pairs of its
+    chunk are predicted, with the message predict_displacements gives.  Each
+    field is computed on the rows of its frames' plans that reach it, the
+    one row set that training and predict_displacements compute too.
     """
     errors = []
-    for (cloud_a, label_a, _, label_b), plan in _planned_pairs(list(pairs), config):
-        field, _ = _forward_displacements(plan, model, config)
+    for (cloud_a, label_a, _, label_b), (a, b) in _planned_pairs(list(pairs), config):
+        field, _ = _forward_displacements(a, b, model, config)
         targets = label_targets(cloud_a, label_a, label_b)
         sel = field.point_indices
         keep = targets.foreground_mask[sel] & ~targets.excluded[sel]

@@ -22,16 +22,20 @@ from disptrack.micronet import layers as layers_module
 from gradcheck import gradient_check
 
 
-def make_sa_spec(rng, feat_width, sample_count=4, cap=8, widths=(6, 5)):
+#: The neighbour cap of the layer tests' selections.
+CAP = 8
+
+
+def make_sa_spec(rng, feat_width, sample_count=4, widths=(6, 5)):
     mlp = DenseParams.create([3 + feat_width, *widths], rng)
-    return SaLayerSpec(sample_count, cap, mlp)
+    return SaLayerSpec(sample_count, mlp)
 
 
-def planned(spec, points, start, radius):
+def planned(spec, points, start, radius, cap=CAP):
     """The groups of spec.sample_count farthest-point centroids of points
-    from start, selected within radius and spec's cap, as a plan makes them."""
+    from start, selected within radius and cap, as a plan makes them."""
     [idx] = sample_centroids([points], [spec.sample_count], [start])
-    return select_groups(points, idx, radius, spec.neighbor_cap)
+    return select_groups(points, idx, radius, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +66,10 @@ def test_nearest_matches_lexsort_reference_on_tied_grid():
 # set abstraction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("sample_count, cap, message", [
-    (0, 4, "sample_count"),
-    (1, 0, "neighbor_cap"),
-])
-def test_sa_spec_rejects_bad_hyperparameters(sample_count, cap, message):
+def test_sa_spec_rejects_bad_hyperparameters():
     mlp = DenseParams.create([3, 2], np.random.default_rng(0))
-    with pytest.raises(ValueError, match=message):
-        SaLayerSpec(sample_count, cap, mlp)
+    with pytest.raises(ValueError, match="sample_count must be at least 1"):
+        SaLayerSpec(0, mlp)
 
 
 def test_sa_single_point_uses_itself():
@@ -131,7 +131,7 @@ def test_sa_gradients_match_finite_differences():
 
     def loss_fn(d):
         mlp = DenseParams([d["w0"], d["w1"]], [d["b0"], d["b1"]])
-        s = SaLayerSpec(spec.sample_count, spec.neighbor_cap, mlp)
+        s = SaLayerSpec(spec.sample_count, mlp)
         _, pooled, tape = sa_layer(s, pts, feats, planned(s, pts, 1, 2.0), capture=True)
         err = pooled - target
         grads, _ = tape.backward(2.0 * err)
@@ -168,7 +168,7 @@ def padded_sa_reference(spec, radius, points, feats, start_index, grad_pooled):
     slot, a max over the ones within radius.  Returns (centroids, pooled,
     feature gradient for grad_pooled, the candidate holding each max)."""
     centroids = points[planned(spec, points, start_index, radius).centroids]
-    order, dist = nearest(centroids, points, min(spec.neighbor_cap, len(points)))
+    order, dist = nearest(centroids, points, min(CAP, len(points)))
     valid = dist <= radius
     group_in = np.concatenate([points[order] - centroids[:, None, :], feats[order]], axis=2)
     out, tape = dense_apply(spec.mlp, group_in.reshape(-1, group_in.shape[2]), capture=True)
@@ -190,7 +190,7 @@ def test_sa_matches_padded_nearest_reference(radius):
     # at the radius; at radius 5 every point is in range and the cap decides.
     pts = rng.integers(-3, 4, size=(60, 3)) * 0.25
     feats = rng.normal(size=(60, 2))
-    spec = make_sa_spec(rng, feat_width=2, sample_count=12, cap=8)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=12)
     grad = rng.normal(size=(12, 5))
     centroids, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 3, radius),
                                        capture=True)
@@ -217,7 +217,7 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     # rows, and the copy with the higher index sorts to the later slot.
     pts = np.tile(rng.integers(-2, 3, size=(20, 3)) * 0.5, (2, 1))
     feats = np.tile(rng.normal(size=(20, 2)), (2, 1))
-    spec = make_sa_spec(rng, feat_width=2, sample_count=6, cap=8)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=6)
     grad = rng.normal(size=(6, 5))
     _, pooled, tape = sa_layer(spec, pts, feats, planned(spec, pts, 0, 1.0), capture=True)
     _, grad_feats = tape.backward(grad)
@@ -230,7 +230,7 @@ def test_sa_max_pool_ties_send_the_gradient_to_the_lowest_slot():
     # A NaN column from an inf feature (a one-layer MLP passes inf - inf on),
     # which reaches some group at a later slot than its first: the max and
     # its gradient go to the lowest NaN slot.
-    spec = make_sa_spec(rng, feat_width=2, sample_count=6, cap=8, widths=(5,))
+    spec = make_sa_spec(rng, feat_width=2, sample_count=6, widths=(5,))
     feats = feats.copy()
     feats[33] = [np.inf, np.inf]
     selection = planned(spec, pts, 0, 1.0)
@@ -261,7 +261,7 @@ def test_sa_rejects_oversampling():
 def bad_selection_case(seed: int = 10):
     """(spec, points, feats, the planned selection of centroids 0, 3 and 5)."""
     rng = np.random.default_rng(seed)
-    spec = make_sa_spec(rng, feat_width=1, sample_count=3, cap=4)
+    spec = make_sa_spec(rng, feat_width=1, sample_count=3)
     pts, feats = rng.normal(size=(8, 3)), rng.normal(size=(8, 1))
     return spec, pts, feats, select_groups(pts, np.array([0, 3, 5]), 1.5, 4)
 
@@ -296,11 +296,13 @@ def edited(array, index, value):
     # The rows of a selection must be the spec's sample count.
     (lambda s: s.rows([0, 1]), r"expected 3 centroid indices, got shape \(2,\)"),
     (lambda s: s._replace(order=s.order[:2], valid=s.valid[:2]),
-     r"expected \(3, 4\) candidate order and mask, got \(2, 4\) and \(2, 4\)"),
-    (lambda s: s._replace(order=s.order[:, :3], valid=s.valid[:, :3]),
-     r"expected \(3, 4\) candidate order and mask, got \(3, 3\) and \(3, 3\)"),
+     r"expected \(3, w\) candidate order and mask with w >= 1, got \(2, 4\) and \(2, 4\)"),
+    (lambda s: s._replace(order=s.order[:, :0], valid=s.valid[:, :0]),
+     r"expected \(3, w\) candidate order and mask with w >= 1, got \(3, 0\) and \(3, 0\)"),
+    (lambda s: s._replace(valid=s.valid[:, :3]),
+     r"expected \(3, w\) candidate order and mask with w >= 1, got \(3, 4\) and \(3, 3\)"),
     (lambda s: s._replace(valid=s.valid[:, :, None]),
-     r"expected \(3, 4\) candidate order and mask, got \(3, 4\) and \(3, 4, 1\)"),
+     r"expected \(3, w\) candidate order and mask with w >= 1, got \(3, 4\) and \(3, 4, 1\)"),
     # Candidates must be integer indices of the points.
     (lambda s: s._replace(order=s.order.astype(float)), "candidate indices must be integers"),
     (lambda s: s._replace(order=s.order.astype(bool)), "candidate indices must be integers"),
@@ -318,7 +320,7 @@ def edited(array, index, value):
     # Bare centroid indices are no selection.
     (lambda s: s.centroids, "expected an SaSelection, got ndarray"),
     (lambda s: tuple(s), "expected an SaSelection, got tuple"),
-], ids=["rows", "order rows", "order width", "mask shape", "float order", "bool order",
+], ids=["rows", "order rows", "order width", "mask width", "mask shape", "float order", "bool order",
         "order above", "order below", "int mask", "empty slot 0", "hole", "duplicate",
         "bare indices", "plain tuple"])
 def test_sa_rejects_a_bad_selection(change, message):
@@ -333,14 +335,14 @@ def test_sa_runs_any_rows_of_a_selection_as_the_whole():
     # A forward pass that needs only some groups runs just their rows of the
     # planned selection; each such group pools what the whole layer pools.
     rng = np.random.default_rng(12)
-    spec = make_sa_spec(rng, feat_width=2, sample_count=10, cap=6)
+    spec = make_sa_spec(rng, feat_width=2, sample_count=10)
     pts = rng.integers(-3, 4, size=(50, 3)) * 0.25
     feats = rng.normal(size=(50, 2))
-    whole = planned(spec, pts, 0, 0.75)
+    whole = planned(spec, pts, 0, 0.75, cap=6)
     centroids, pooled, _ = sa_layer(spec, pts, feats, whole)
     for rows in ([3], [7, 0, 4], np.arange(10)[::-1]):
         part = whole.rows(rows)
-        sub = SaLayerSpec(len(rows), spec.neighbor_cap, spec.mlp)
+        sub = SaLayerSpec(len(rows), spec.mlp)
         got_centroids, got, _ = sa_layer(sub, pts, feats, part)
         assert got_centroids.tobytes() == centroids[rows].tobytes()
         assert got.tobytes() == pooled[rows].tobytes()

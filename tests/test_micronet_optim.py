@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -146,4 +148,29 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     text = path.read_text().replace('"format_version": 1', '"format_version": 99')
     path.write_text(text)
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "must be a JSON object, got list"),
+    ("model", "must be a JSON object, got str"),
+    ({"format_version": 1, "config": {}, "params": {}}, r"lacks \['kind'\]"),
+    ({"format_version": 1, "kind": "mask", "params": {}}, r"lacks \['config'\]"),
+    ({"format_version": 1, "kind": "mask", "config": {}}, r"lacks \['params'\]"),
+    ({"format_version": 1, "kind": "mask", "config": {}, "params": [1.0]},
+     "config and params must be JSON objects"),
+    ({"format_version": 1, "kind": "mask", "config": {}, "params": {"w": {"values": [1.0]}}},
+     "param 'w' needs a shape and values"),
+    ({"format_version": 1, "kind": "mask", "config": {}, "params": {"w": {"shape": [1]}}},
+     "param 'w' needs a shape and values"),
+    ({"format_version": 1, "kind": "mask", "config": {}, "params": {"w": [1.0]}},
+     "param 'w' needs a shape and values"),
+    ({"format_version": 1, "kind": "mask", "config": {},
+      "params": {"w": {"shape": [3], "values": [1.0, 2.0]}}}, "cannot reshape"),
+])
+def test_checkpoint_rejects_a_malformed_payload(tmp_path, payload, message):
+    # These used to raise KeyError, AttributeError or TypeError.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
         load_checkpoint(path)

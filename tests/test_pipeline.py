@@ -146,21 +146,23 @@ def assert_bytes_equal(actual: dict[str, np.ndarray], path: Path) -> None:
         assert new.tobytes() == old.tobytes(), key
 
 
+# Frames planned per chunk: a chunk plans the frames that no earlier chunk
+# of the epoch planned, so a frame on a chunk edge is planned once.
 @pytest.mark.parametrize("pairs_per_chunk, chunks", [
-    (1, [1, 1, 1, 1]),
-    (3, [3, 1]),          # the first chunk mixes both drives' frame sizes
-    (None, [4]),          # the default: every pair in one chunk
+    (1, [2, 1, 2, 1]),
+    (3, [5, 1]),          # the first chunk mixes both drives' frame sizes
+    (None, [6]),          # the default: every pair in one chunk
 ])
 def test_multi_pair_training_matches_the_golden(monkeypatch, pairs_per_chunk, chunks):
     if pairs_per_chunk is not None:
         monkeypatch.setattr(pipeline, "_PLAN_POINTS", pairs_per_chunk * 2 * TINY.n_filtered)
     planned = []
-    real = pipeline._plan_pairs
+    real = pipeline._plan_frames
 
-    def recording(pairs, config):
-        planned.append(len(pairs))
-        return real(pairs, config)
-    monkeypatch.setattr(pipeline, "_plan_pairs", recording)
+    def recording(frames, config):
+        planned.append(len(frames))
+        return real(frames, config)
+    monkeypatch.setattr(pipeline, "_plan_frames", recording)
     assert_bytes_equal(training_outputs(), TRAINING_GOLDEN)
     assert planned == chunks * TRAINING_EPOCHS
 
@@ -200,10 +202,10 @@ PRUNING_PAIRS = [(case, seed) for case, (_, _, seeds) in PRUNING_CASES.items()
                  for seed in seeds]
 
 
-def train_step(plan, model, config, targets):
-    """(field, loss, gradients) of one training step of model on a planned
-    pair, as train_association computes them."""
-    field, tape = pipeline._forward_displacements(plan, model, config, capture=True)
+def train_step(plans, model, config, targets):
+    """(field, loss, gradients) of one training step of model on the pair
+    of planned frames plans, as train_association computes them."""
+    field, tape = pipeline._forward_displacements(*plans, model, config, capture=True)
     sel = field.point_indices
     loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
                                targets.foreground_mask[sel],
@@ -213,26 +215,27 @@ def train_step(plan, model, config, targets):
 
 
 def pruning_pair(case: str, seed: int):
-    """(config, drive, its first pair with detections, and that pair's plan)
-    of a PRUNING_CASES case, the config seeded with seed."""
+    """(config, drive, its first pair with detections, and the plans of
+    that pair's frames) of a PRUNING_CASES case, the config seeded with
+    seed."""
     base, scene, _ = PRUNING_CASES[case]
     config = PipelineConfig.from_dict({**base.to_dict(), "seed": seed})
     seq = synthesize_sequence(scene, seed)
     a, label_a, b, label_b = next(seq.adjacent_pairs())
     det_a, det_b = pipeline.oracle_detector(a, label_a), pipeline.oracle_detector(b, label_b)
-    [plan] = pipeline._plan_pairs([(a, b, det_a, det_b)], config)
-    return config, seq, (a, label_a, b, label_b, det_a, det_b), plan
+    plans = pipeline._plan_frames([(a, det_a, "A"), (b, det_b, "B")], config)
+    return config, seq, (a, label_a, b, label_b, det_a, det_b), plans
 
 
 @pytest.mark.parametrize("case, seed", PRUNING_PAIRS)
 def test_uncaptured_forward_computes_the_captured_field(case, seed):
     # Prediction and training run the same rows; capturing the tapes must
     # change no bit of the field, before and after a training step.
-    config, seq, (a, label_a, b, label_b, det_a, det_b), plan = pruning_pair(case, seed)
+    config, seq, (a, label_a, b, label_b, det_a, det_b), plans = pruning_pair(case, seed)
     untrained = pipeline.build_displacement_model(config)
     stepped, _ = pipeline.train_association(seq, config, epochs=1)
     for model in (untrained, stepped):
-        captured, _ = pipeline._forward_displacements(plan, model, config, capture=True)
+        captured, _ = pipeline._forward_displacements(*plans, model, config, capture=True)
         field = pipeline.predict_displacements(a, b, det_a, det_b, model, config)
         assert np.isfinite(field.vectors).all()
         assert field.point_indices.tobytes() == captured.point_indices.tobytes()
@@ -247,12 +250,13 @@ def test_every_row_plan_keeps_the_field_and_the_gradients(case, seed):
     # bits only, because the group kernel sums them in other blocks: by at
     # most 1e-12 of each array's largest entry (an entry near zero may move
     # by more than 1e-12 of itself).
-    config, _, (a, label_a, b, label_b, *_), plan = pruning_pair(case, seed)
-    every = dataclasses.replace(plan, live_a2=np.arange(len(plan.a.select[1].centroids)),
-                                live_b1=np.arange(len(plan.b.select[0].centroids)))
+    config, _, (a, label_a, b, label_b, *_), plans = pruning_pair(case, seed)
+    plan_a, plan_b = plans
+    every = (dataclasses.replace(plan_a, live2=np.arange(len(plan_a.select[1].centroids))),
+             dataclasses.replace(plan_b, live1=np.arange(len(plan_b.select[0].centroids))))
     model = pipeline.build_displacement_model(config)
     targets = label_targets(a, label_a, label_b)
-    field, _, grads = train_step(plan, model, config, targets)
+    field, _, grads = train_step(plans, model, config, targets)
     every_field, _, every_grads = train_step(every, model, config, targets)
     assert every_field.point_indices.tobytes() == field.point_indices.tobytes()
     assert every_field.vectors.tobytes() == field.vectors.tobytes()
@@ -291,8 +295,8 @@ def test_predict_runs_the_association_head_on_live_rows_only(monkeypatch):
 
 
 def test_each_set_abstraction_level_selects_its_groups_once_per_frame(monkeypatch):
-    # The plan runs the ball queries (sa1 and sa2 of both frames, sa3 of
-    # frame A); the layers select no neighbours of their own.
+    # The plan runs the ball queries (every level of both frames); the layers
+    # select no neighbours of their own.
     seq, a, label_a, b, label_b = scene_pair()
     calls = []
     real = layers_module.ball_query
@@ -302,59 +306,60 @@ def test_each_set_abstraction_level_selects_its_groups_once_per_frame(monkeypatc
         return real(query, points, radius, cap)
     monkeypatch.setattr(layers_module, "ball_query", counted)
     model = pipeline.build_displacement_model(TINY)
-    [plan] = pipeline._plan_pairs([(a, b, pipeline.oracle_detector(a, label_a),
-                                    pipeline.oracle_detector(b, label_b))], TINY)
-    assert calls == [(32, 0.5), (32, 0.5), (16, 1.0), (16, 1.0), (4, 4.0)]
+    plans = pipeline._plan_frames([(a, pipeline.oracle_detector(a, label_a), "A"),
+                                   (b, pipeline.oracle_detector(b, label_b), "B")], TINY)
+    assert calls == [(32, 0.5), (32, 0.5), (16, 1.0), (16, 1.0), (4, 4.0), (4, 4.0)]
     calls.clear()
-    pipeline._forward_displacements(plan, model, TINY)
-    pipeline._forward_displacements(plan, model, TINY, capture=True)
+    pipeline._forward_displacements(*plans, model, TINY)
+    pipeline._forward_displacements(*plans, model, TINY, capture=True)
     assert calls == []
     predict(model, TINY, a, label_a, b, label_b)
     pipeline.train_association(seq, TINY, epochs=1)
-    assert len(calls) == 10
+    assert len(calls) == 12
 
 
 #: A drive of three TINY frames of 260 points, so the input subsample draws.
 DRIVE_SCENE = dataclasses.replace(OBJECT_SCENE, frames=3)
 
 
-def drive_pairs(scene: SceneConfig = DRIVE_SCENE, seed: int = 3):
-    """The adjacent pairs of a drive, each with its frames' oracle detections;
-    a frame shared by two pairs is the same object, as are its detections."""
-    frames = synthesize_sequence(scene, seed).frames
-    detections = [pipeline.oracle_detector(cloud, label) for cloud, label in frames]
-    return [(frames[t][0], frames[t + 1][0], detections[t], detections[t + 1])
-            for t in range(len(frames) - 1)]
+def drive_frames(scene: SceneConfig = DRIVE_SCENE, seed: int = 3):
+    """The (cloud, oracle detections) of each frame of a drive."""
+    return [(cloud, pipeline.oracle_detector(cloud, label))
+            for cloud, label in synthesize_sequence(scene, seed).frames]
 
 
-def frame_plan_bytes(plan, levels: int) -> list[bytes]:
-    """The bytes of a frame plan's network input and of its first levels'
-    centroids and groups."""
+def frame_plan_bytes(plan) -> list[bytes]:
+    """The bytes of a frame plan: its network input, every level's
+    centroids and groups, and its live rows."""
     return [x.tobytes() for x in (plan.kept, plan.points, plan.feats,
-                                  *(x for sel in plan.select[:levels] for x in sel))]
+                                  *(x for sel in plan.select for x in sel),
+                                  plan.live1, plan.live2)]
 
 
 def test_a_frame_plans_the_same_as_frame_b_and_as_frame_a():
-    # Frame 1 is frame B of (0, 1) and frame A of (1, 2).  Planned apart, its
-    # two plans agree byte for byte; planned together, the pairs share one.
-    first, second = drive_pairs()
-    [as_b] = pipeline._plan_pairs([first], TINY)
-    [as_a] = pipeline._plan_pairs([second], TINY)
-    assert len(as_b.b.select) == 2 and len(as_a.a.select) == 3
-    assert frame_plan_bytes(as_b.b, 2) == frame_plan_bytes(as_a.a, 2)
-    assert as_b.b.starts == as_a.a.starts
-    shared_first, shared_second = pipeline._plan_pairs([first, second], TINY)
-    assert shared_first.b is shared_second.a
-    for alone, shared in ((as_b, shared_first), (as_a, shared_second)):
-        assert frame_plan_bytes(shared.a, 3) == frame_plan_bytes(alone.a, 3)
-        assert frame_plan_bytes(shared.b, 2) == frame_plan_bytes(alone.b, 2)
-        assert shared.live_a2.tobytes() == alone.live_a2.tobytes()
-        assert shared.live_b1.tobytes() == alone.live_b1.tobytes()
+    # Frame 1 is frame B of (0, 1) and frame A of (1, 2).  Planned with
+    # either neighbour or with both, its plan agrees byte for byte, and the
+    # two pairs of a drive read one plan of it.
+    (f0, d0), (f1, d1), (f2, d2) = drive_frames()
+    _, as_b = pipeline._plan_frames([(f0, d0, "A"), (f1, d1, "B")], TINY)
+    as_a, _ = pipeline._plan_frames([(f1, d1, "A"), (f2, d2, "B")], TINY)
+    _, together, _ = pipeline._plan_frames([(f0, d0, "A"), (f1, d1, "B"), (f2, d2, "B")],
+                                           TINY)
+    assert frame_plan_bytes(as_b) == frame_plan_bytes(as_a) == frame_plan_bytes(together)
+    pairs = list(synthesize_sequence(DRIVE_SCENE, 3).adjacent_pairs())
+    (_, (_, shared_b)), (_, (shared_a, _)) = pipeline._planned_pairs(pairs, TINY)
+    assert shared_b is shared_a
+    assert frame_plan_bytes(shared_a) == frame_plan_bytes(as_a)
 
 
-def test_one_chunk_of_a_drive_detects_and_plans_each_frame_once(monkeypatch):
-    # Four frames, three pairs, one chunk: each frame is detected, filtered
-    # and grouped at sa1 and sa2 once; sa3 groups the three A frames.
+@pytest.mark.parametrize("pairs_per_chunk", [None, 1, 2])
+def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, pairs_per_chunk):
+    # Four frames, three pairs, in one chunk (the default) or in chunks of
+    # one or two pairs: each frame is detected, filtered and grouped at every
+    # level once, also on a chunk edge, and frame 1, whose detections are
+    # empty, is warned about once, as the frame B it is first planned as.
+    if pairs_per_chunk is not None:
+        monkeypatch.setattr(pipeline, "_PLAN_POINTS", pairs_per_chunk * 2 * TINY.n_filtered)
     seq = synthesize_sequence(dataclasses.replace(SCENE, frames=4), 3)
     calls = {"detect": 0, "features": 0, "ball_query": []}
     real_detect, real_features = pipeline.oracle_detector, pipeline.point_features
@@ -362,7 +367,10 @@ def test_one_chunk_of_a_drive_detects_and_plans_each_frame_once(monkeypatch):
 
     def detect(frame, labels, *args, **kwargs):
         calls["detect"] += 1
-        return real_detect(frame, labels, *args, **kwargs)
+        found = real_detect(frame, labels, *args, **kwargs)
+        if labels.frame_index == 1:
+            return pipeline.Detections([], np.zeros(len(frame)))
+        return found
 
     def features(frame, detections):
         calls["features"] += 1
@@ -374,24 +382,27 @@ def test_one_chunk_of_a_drive_detects_and_plans_each_frame_once(monkeypatch):
     monkeypatch.setattr(pipeline, "oracle_detector", detect)
     monkeypatch.setattr(pipeline, "point_features", features)
     monkeypatch.setattr(layers_module, "ball_query", query)
-    pipeline.train_association(seq, TINY, epochs=1)
+    with caplog.at_level(logging.WARNING, logger="disptrack.pipeline"):
+        pipeline.train_association(seq, TINY, epochs=1)
     assert calls["detect"] == 4 and calls["features"] == 4
-    assert calls["ball_query"] == [0.5] * 4 + [1.0] * 4 + [4.0] * 3
+    assert sorted(calls["ball_query"]) == [0.5] * 4 + [1.0] * 4 + [4.0] * 4
+    assert [record.getMessage() for record in caplog.records] == [
+        "frame B has no detected points (all 240 mask probabilities are zero); "
+        "the filter keeps its 128 lowest-index points"]
 
 
 def test_a_training_step_leaves_the_shared_frame_plan_unchanged():
     # The captured forward and backward of (0, 1) read frame 1's shared plan;
     # an in-place write there would leak into pair (1, 2).
-    pairs = drive_pairs()
-    first, second = pipeline._plan_pairs(pairs, TINY)
-    [fresh] = pipeline._plan_pairs(pairs[1:], TINY)
-    frames = synthesize_sequence(DRIVE_SCENE, 3).frames
-    targets = label_targets(frames[0][0], frames[0][1], frames[1][1])
+    frames = drive_frames()
+    plans = pipeline._plan_frames([(*frame, "A") for frame in frames], TINY)
+    [fresh] = pipeline._plan_frames([(*frames[1], "A")], TINY)
+    labels = [label for _, label in synthesize_sequence(DRIVE_SCENE, 3).frames]
+    targets = label_targets(frames[0][0], labels[0], labels[1])
     model = pipeline.build_displacement_model(TINY)
-    _, _, grads = train_step(first, model, TINY, targets)
+    _, _, grads = train_step(plans[:2], model, TINY, targets)
     assert any(np.any(g) for key, g in grads.items() if key.startswith("sa1."))
-    assert first.b is second.a
-    assert frame_plan_bytes(second.a, 3) == frame_plan_bytes(fresh.a, 3)
+    assert frame_plan_bytes(plans[1]) == frame_plan_bytes(fresh)
 
 
 #: (key prefix, scene) of each pinned drive scene.  The pipeline goldens' two
@@ -439,11 +450,11 @@ def loss_closure(model, config, a, label_a, b, label_b):
     det_a = pipeline.oracle_detector(a, label_a)
     det_b = pipeline.oracle_detector(b, label_b)
     targets = label_targets(a, label_a, label_b)
-    [plan] = pipeline._plan_pairs([(a, b, det_a, det_b)], config)
+    plans = pipeline._plan_frames([(a, det_a, "A"), (b, det_b, "B")], config)
 
     def loss_fn(params):
         model.load_param_dict(params)
-        _, loss, grads = train_step(plan, model, config, targets)
+        _, loss, grads = train_step(plans, model, config, targets)
         return loss, grads
     return loss_fn
 
@@ -536,21 +547,16 @@ def test_frame_without_detections_logs_a_warning(caplog):
     assert len(field.point_indices) == TINY.n_filtered
     assert np.all(np.isfinite(field.vectors))
 
-    # An empty frame B is named as such, in predict and in a drive, where
-    # frame 1 is first planned as frame B of (0, 1), then shared as frame A
-    # of (1, 2) without a second warning.
+    # An empty frame B is named as such (for a drive's frames see
+    # test_a_drive_detects_and_plans_each_frame_once).
     caplog.clear()
     empty_b = pipeline.Detections([], np.zeros(len(b)))
-    first, second = drive_pairs()
-    empty_1 = pipeline.Detections([], np.zeros(len(first[1])))
     with caplog.at_level(logging.WARNING, logger="disptrack.pipeline"):
         pipeline.predict_displacements(a, b, pipeline.oracle_detector(a, label_a), empty_b,
                                        model, TINY)
-        pipeline._plan_pairs([(*first[:3], empty_1), (second[0], second[1], empty_1,
-                                                      second[3])], TINY)
     assert [record.getMessage() for record in caplog.records] == [
         "frame B has no detected points (all 240 mask probabilities are zero); "
-        "the filter keeps its 128 lowest-index points"] * 2
+        "the filter keeps its 128 lowest-index points"]
 
 
 @pytest.mark.parametrize("probs", [[np.nan, 0.5], [-0.1, 0.5], [0.5, 1.5]])
@@ -742,6 +748,20 @@ def test_k_above_the_frame_b_point_count_raises_a_clear_error():
         predict(model, config, a, label_a, b, label_b)
     with pytest.raises(ValueError, match="only 16 frame-B sa2 points for k=20"):
         pipeline.train_association(seq, config, epochs=1)
+
+
+@pytest.mark.parametrize("epochs, message", [
+    (0, "^epochs must be at least 1, got 0"),
+    (-1, "^epochs must be at least 1, got -1"),
+    (2.5, "^epochs must be an integer, got 2.5"),
+    (True, "^epochs must be an integer, got True"),
+])
+def test_training_rejects_a_bad_epoch_count(epochs, message):
+    # 0 and -1 used to return an untrained model with an empty history, and
+    # 2.5 failed with a TypeError from range.
+    seq, *_ = scene_pair()
+    with pytest.raises(ValueError, match=message):
+        pipeline.train_association(seq, TINY, epochs=epochs)
 
 
 def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
