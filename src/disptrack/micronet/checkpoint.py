@@ -57,5 +57,8 @@ def load_checkpoint(path) -> tuple[str, dict, dict[str, np.ndarray]]:
     for name, entry in payload["params"].items():
         if not (isinstance(entry, dict) and "shape" in entry and "values" in entry):
             raise ValueError(f"checkpoint param {name!r} needs a shape and values")
-        params[name] = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
+        try:
+            params[name] = np.asarray(entry["values"], dtype=float).reshape(entry["shape"])
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"checkpoint param {name!r}: {err}") from None
     return payload["kind"], payload["config"], params

@@ -166,7 +166,11 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     ({"format_version": 1, "kind": "mask", "config": {}, "params": {"w": [1.0]}},
      "param 'w' needs a shape and values"),
     ({"format_version": 1, "kind": "mask", "config": {},
-      "params": {"w": {"shape": [3], "values": [1.0, 2.0]}}}, "cannot reshape"),
+      "params": {"w": {"shape": [3], "values": [1.0, 2.0]}}}, "param 'w': cannot reshape"),
+    ({"format_version": 1, "kind": "mask", "config": {},
+      "params": {"w": {"shape": "x", "values": [1.0]}}}, "param 'w': 'str' object"),
+    ({"format_version": 1, "kind": "mask", "config": {},
+      "params": {"w": {"shape": [1], "values": {"a": 1.0}}}}, "param 'w': float"),
 ])
 def test_checkpoint_rejects_a_malformed_payload(tmp_path, payload, message):
     # These used to raise KeyError, AttributeError or TypeError.
