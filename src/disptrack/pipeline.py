@@ -16,15 +16,21 @@ Coordinate work is planned before the network runs, frame by frame, by one
 planner: each frame's network input, the centroids of all three
 set-abstraction levels (sampled in lock-step over the frames planned
 together), their in-radius groups, and the frame's live rows (the sa1 rows
-its sa2 groups and the sa2 rows its sa3 groups).  Each frame draws its
-input subsample and farthest-point starts from its own stream,
-``default_rng(config.seed)``, so its plan depends on the frame, its
-detections and the config alone, and a pair is just two frame plans.
-Training and evaluation keep one plan per distinct frame while a pair still
-needs it, so frame t of a drive, frame B of (t-1, t) and frame A of
-(t, t+1), is detected and planned once, on a chunk edge too.  From the two
-plans, the forward pass computes only the rows that reach the field, for
-prediction and training alike.  sa3 groups few of the frame-A sa2 points
+its sa2 groups and the sa2 rows its sa3 groups).  Each frame draws from its
+own stream, ``default_rng(config.seed)``, in one order: its input
+subsample, then the farthest-point start of sa1, sa2 and sa3, each just
+before that level is sampled.  So a frame's plan depends on the frame, its
+detections and the config alone (not on k, nor on the frames planned with
+it), and a pair is just two frame plans.  Training and evaluation keep one
+plan per distinct frame while a pair still needs it, so frame t of a drive,
+frame B of (t-1, t) and frame A of (t, t+1), is detected and planned once,
+on a chunk edge too.
+
+A pair is checked where its two plans meet, in the forward pass that
+prediction, training and evaluation share: a frame B with fewer sa2 points
+than the association head's k raises there, before any layer runs.  From
+the two plans, the forward pass computes only the rows that reach the field,
+for prediction and training alike.  sa3 groups few of the frame-A sa2 points
 and frame-B sa2 few of the frame-B sa1 points, so the other frame-A sa2
 groups, their association rows and the other frame-B sa1 groups are
 skipped; at paper scale about 88 of 512 frame-A rows and 850 of 2048
@@ -209,6 +215,10 @@ class PipelineConfig:
         for name in ("assoc_widths", "fp1_widths", "fp2_widths", "fp3_widths",
                      "head_widths"):
             setattr(self, name, _widths(name, getattr(self, name)))
+        for name in ("sa1", "sa2", "sa3"):
+            level = getattr(self, name)
+            if not isinstance(level, SaConfig):
+                raise ValueError(f"{name} must be an SaConfig, got {level!r}")
 
     @classmethod
     def paper_scale(cls) -> "PipelineConfig":
@@ -429,9 +439,8 @@ class PipelineTape:
 
 @dataclass(eq=False)
 class _FramePlan:
-    """The coordinate work of one frame, which depends only on the frame,
-    its detections and the config: its network input (indices of the kept
-    points into the frame, their coordinates and input features), each
+    """The coordinate work of one frame: its network input (indices of the
+    kept points into the frame, their coordinates and input features), each
     set-abstraction level's groups over that level's input points (sa1,
     sa2, sa3), and the rows of two of its layer outputs that a later layer
     reads: of its sa1 output those that its sa2 groups (live1), of its sa2
@@ -447,19 +456,12 @@ class _FramePlan:
     live2: np.ndarray
 
 
-def _network_input(role: str, frame: PointCloud, detections: Detections,
-                   config: PipelineConfig):
+def _network_input(frame: PointCloud, detections: Detections, config: PipelineConfig):
     """One frame's points as the network sees them: a random config.n_input
     of them (all, if there are no more), then the config.n_filtered most
     probable of those.  Returns their indices into the frame, coordinates
-    and input features, and the frame's farthest-point starts.
-
-    The frame draws from its own ``default_rng(config.seed)``: the subsample
-    (only when the frame has more than config.n_input points), then the
-    start index of each of its sa1, sa2 and sa3 levels.  role is "B" for a
-    frame that some pair reads as its frame B, which must keep the config.k
-    sa2 points that the association head needs, and "A" otherwise; it also
-    names the frame in the no-detection warning."""
+    and input features, and the frame's stream, to draw its farthest-point
+    starts from."""
     rng = np.random.default_rng(config.seed)
     probs = detections.point_mask_probs
     n = len(frame)
@@ -469,9 +471,9 @@ def _network_input(role: str, frame: PointCloud, detections: Detections,
         else np.sort(rng.choice(n, size=config.n_input, replace=False))
     probs = probs[sampled]
     if not np.any(probs):
-        log.warning("frame %s has no detected points (all %d mask probabilities "
+        log.warning("a frame has no detected points (all %d mask probabilities "
                     "are zero); the filter keeps its %d lowest-index points",
-                    role, len(probs), min(config.n_filtered, len(probs)))
+                    len(probs), min(config.n_filtered, len(probs)))
     kept = sampled[probability_filter(PointCloud(frame.points[sampled]), probs,
                                       config.n_filtered)]
     if len(kept) == 0:
@@ -479,34 +481,23 @@ def _network_input(role: str, frame: PointCloud, detections: Detections,
     points = frame.points[kept]
     feats = point_features(PointCloud(points),
                            Detections(detections.boxes, detections.point_mask_probs[kept]))
-    # At most one centroid per point: sa1 gets the filtered points, sa2
-    # sa1's centroids, sa3 sa2's.  A start depends only on its level's
-    # input size, so every start is drawn before any centroid is sampled.
-    n_1 = min(config.sa1.sample, len(points))
-    n_2 = min(config.sa2.sample, n_1)
-    if role == "B" and n_2 < config.k:
-        raise ValueError(f"only {n_2} frame-B sa2 points for k={config.k}; "
-                         f"lower k or raise n_filtered or the sa1/sa2 samples")
-    starts = tuple(int(rng.integers(m)) for m in (len(points), n_1, n_2))
-    return kept, points, feats, starts
+    return kept, points, feats, rng
 
 
 def _plan_frames(frames, config: PipelineConfig) -> list[_FramePlan]:
-    """Plans of (frame, detections, role) frames.
+    """Plans of (frame, detections) frames.
 
-    A frame's plan depends on the frame alone (see ``_network_input``), so
-    it is the same whichever frames it is planned with and whichever pair
-    reads it.  One ``sample_centroids`` call per level samples every
-    frame's cloud of that level in lock-step; each cloud's centroids then
-    select their groups (``select_groups``), once per level and frame.
+    One ``sample_centroids`` call per level samples every frame's cloud of
+    that level in lock-step; each cloud's centroids then select their groups
+    (``select_groups``), once per level and frame.
     """
-    inputs = [_network_input(role, frame, detections, config)
-              for frame, detections, role in frames]
+    inputs = [_network_input(frame, detections, config) for frame, detections in frames]
     clouds = [points for _, points, _, _ in inputs]
     levels = []
-    for level, sa in enumerate((config.sa1, config.sa2, config.sa3)):
+    for sa in (config.sa1, config.sa2, config.sa3):
         picks = sample_centroids(clouds, [min(sa.sample, len(c)) for c in clouds],
-                                 [starts[level] for *_, starts in inputs])
+                                 [int(rng.integers(len(c)))
+                                  for c, (*_, rng) in zip(clouds, inputs)])
         levels.append([select_groups(c, idx, sa.radius, sa.cap)
                        for c, idx in zip(clouds, picks)])
         clouds = [c[idx] for c, idx in zip(clouds, picks)]
@@ -541,6 +532,10 @@ def _forward_displacements(a: _FramePlan, b: _FramePlan, model: DisplacementMode
 
     sel_a1, sel_a2, sel_a3 = a.select
     sel_b1, sel_b2, _ = b.select
+    n_2 = len(sel_b2.centroids)
+    if n_2 < config.k:
+        raise ValueError(f"only {n_2} frame-B sa2 points for k={config.k}; "
+                         f"lower k or raise n_filtered or the sa1/sa2 samples")
     pts_a0 = a.points
     pts_a1, feats_a1, t_a1 = abstract(model.sa1, pts_a0, a.feats, sel_a1)
     pts_a2 = pts_a1[sel_a2.centroids]
@@ -574,17 +569,12 @@ def _planned_pairs(pairs: list, config: PipelineConfig):
     Pairs are planned a chunk of _PLAN_POINTS filtered points at a time,
     just before they are used.  One dict, keyed by the object identity of
     (cloud, label), holds the frame plans: a frame missing from it is
-    detected and planned, with the chunk's other new frames, and every pair
-    that holds the frame reads that one plan.  Each chunk keeps the entries
-    it still needs, so a frame on a chunk edge, frame t of pairs (t-1, t)
-    and (t, t+1) in a drive, is detected and planned once.  A pair with
-    fewer frame-B sa2 points than config.k raises while its chunk is
-    planned, before any of the chunk's pairs is used."""
+    detected and planned with the chunk's other new frames, and each chunk
+    keeps the entries it still needs."""
     def key(cloud: PointCloud, label: FrameLabel) -> tuple[int, int]:
         return id(cloud), id(label)
 
     size = max(1, _PLAN_POINTS // (2 * config.n_filtered))
-    read_as_b = {key(cloud, label) for _, _, cloud, label in pairs}
     plans: dict[tuple[int, int], _FramePlan] = {}
     for first in range(0, len(pairs), size):
         chunk = pairs[first:first + size]
@@ -592,8 +582,7 @@ def _planned_pairs(pairs: list, config: PipelineConfig):
         plans = {k: plans[k] for k in frames if k in plans}
         new = [k for k in frames if k not in plans]
         plans.update(zip(new, _plan_frames(
-            [(frames[k][0], oracle_detector(*frames[k]), "B" if k in read_as_b else "A")
-             for k in new], config)))
+            [(frames[k][0], oracle_detector(*frames[k])) for k in new], config)))
         for pair in chunk:
             yield pair, (plans[key(*pair[:2])], plans[key(*pair[2:])])
 
@@ -605,16 +594,10 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
     """Predict per-point motion vectors for the filtered frame-A points.
 
     Stateless: consumes exactly the two frames given, nothing else; repeated
-    calls on the same inputs return identical fields.  Its two frames are
-    planned together by the one frame planner that training and evaluation
-    use, each frame from its own ``default_rng(config.seed)`` stream, so
-    each frame's plan is the one they build for it, whichever pair holds
-    the frame there.  Only the rows that reach the field are computed, the
-    same rows that training computes (see the module docstring), so the
-    field is bit for bit the one that the training forward pass computes.
+    calls on the same inputs return identical fields, bit for bit the ones
+    that the training forward pass computes (see the module docstring).
     """
-    a, b = _plan_frames([(frame_a, detections_a, "A"), (frame_b, detections_b, "B")],
-                        config)
+    a, b = _plan_frames([(frame_a, detections_a), (frame_b, detections_b)], config)
     field, _ = _forward_displacements(a, b, model, config)
     return field
 
@@ -650,19 +633,11 @@ def train_association(dataset, config: PipelineConfig,
     goes non-finite.
 
     epochs must be an integer of at least 1.  Each epoch plans its pairs'
-    frames a chunk of pairs at a time (network inputs, every
-    set-abstraction level's centroids, sampled in lock-step, their groups
-    and live rows), then steps through the chunk.  Each distinct frame is
-    detected and planned once per epoch, from its own
-    ``default_rng(config.seed)`` stream, and both pairs that hold it read
-    that plan: frame t of a drive is frame B of (t-1, t) and frame A of
-    (t, t+1), in one chunk or on the edge of two.  A frame's plan depends
-    on the frame alone, so the results do not depend on the chunking or
-    the sharing.  A pair whose inputs are degenerate (no point left after
-    the filter, fewer frame-B sa2 points than k) raises while its chunk is
-    planned, so before the earlier pairs of that chunk train.  Each step
-    computes only the rows that reach the field, as predict_displacements
-    does.
+    frames a chunk of pairs at a time, each distinct frame once (see the
+    module docstring), then steps through the chunk; the results do not
+    depend on the chunking.  A pair whose inputs are degenerate (no point
+    left after the filter, fewer frame-B sa2 points than k) raises with the
+    message that predict_displacements gives.
     """
     epochs = _integer("epochs", epochs)
     if epochs < 1:
@@ -710,16 +685,15 @@ def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
                             pairs) -> float:
     """Mean Euclidean error over foreground (non-excluded) predicted points.
 
-    The pairs' frames are planned a chunk of pairs at a time, as in
-    train_association: each distinct frame is detected and planned once,
-    from its own ``default_rng(config.seed)`` stream, and read by every pair
-    that holds it.  A degenerate pair raises before the earlier pairs of its
-    chunk are predicted, with the message predict_displacements gives.  Each
-    field is computed on the rows of its frames' plans that reach it, the
-    one row set that training and predict_displacements compute too.
+    The pairs are planned as in train_association, and a degenerate pair
+    raises with the message that predict_displacements gives.  pairs must
+    hold at least one pair.
     """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("pairs must contain at least one frame pair")
     errors = []
-    for (cloud_a, label_a, _, label_b), (a, b) in _planned_pairs(list(pairs), config):
+    for (cloud_a, label_a, _, label_b), (a, b) in _planned_pairs(pairs, config):
         field, _ = _forward_displacements(a, b, model, config)
         targets = label_targets(cloud_a, label_a, label_b)
         sel = field.point_indices

@@ -223,7 +223,7 @@ def pruning_pair(case: str, seed: int):
     seq = synthesize_sequence(scene, seed)
     a, label_a, b, label_b = next(seq.adjacent_pairs())
     det_a, det_b = pipeline.oracle_detector(a, label_a), pipeline.oracle_detector(b, label_b)
-    plans = pipeline._plan_frames([(a, det_a, "A"), (b, det_b, "B")], config)
+    plans = pipeline._plan_frames([(a, det_a), (b, det_b)], config)
     return config, seq, (a, label_a, b, label_b, det_a, det_b), plans
 
 
@@ -306,8 +306,8 @@ def test_each_set_abstraction_level_selects_its_groups_once_per_frame(monkeypatc
         return real(query, points, radius, cap)
     monkeypatch.setattr(layers_module, "ball_query", counted)
     model = pipeline.build_displacement_model(TINY)
-    plans = pipeline._plan_frames([(a, pipeline.oracle_detector(a, label_a), "A"),
-                                   (b, pipeline.oracle_detector(b, label_b), "B")], TINY)
+    plans = pipeline._plan_frames([(a, pipeline.oracle_detector(a, label_a)),
+                                   (b, pipeline.oracle_detector(b, label_b))], TINY)
     assert calls == [(32, 0.5), (32, 0.5), (16, 1.0), (16, 1.0), (4, 4.0), (4, 4.0)]
     calls.clear()
     pipeline._forward_displacements(*plans, model, TINY)
@@ -338,14 +338,16 @@ def frame_plan_bytes(plan) -> list[bytes]:
 
 def test_a_frame_plans_the_same_as_frame_b_and_as_frame_a():
     # Frame 1 is frame B of (0, 1) and frame A of (1, 2).  Planned with
-    # either neighbour or with both, its plan agrees byte for byte, and the
-    # two pairs of a drive read one plan of it.
+    # either neighbour, with both or alone, and under a k above its 16 sa2
+    # points, its plan agrees byte for byte, and the two pairs of a drive
+    # read one plan of it.
     (f0, d0), (f1, d1), (f2, d2) = drive_frames()
-    _, as_b = pipeline._plan_frames([(f0, d0, "A"), (f1, d1, "B")], TINY)
-    as_a, _ = pipeline._plan_frames([(f1, d1, "A"), (f2, d2, "B")], TINY)
-    _, together, _ = pipeline._plan_frames([(f0, d0, "A"), (f1, d1, "B"), (f2, d2, "B")],
-                                           TINY)
+    _, as_b = pipeline._plan_frames([(f0, d0), (f1, d1)], TINY)
+    as_a, _ = pipeline._plan_frames([(f1, d1), (f2, d2)], TINY)
+    _, together, _ = pipeline._plan_frames([(f0, d0), (f1, d1), (f2, d2)], TINY)
+    [other_k] = pipeline._plan_frames([(f1, d1)], tiny_config(k=20))
     assert frame_plan_bytes(as_b) == frame_plan_bytes(as_a) == frame_plan_bytes(together)
+    assert frame_plan_bytes(other_k) == frame_plan_bytes(as_a)
     pairs = list(synthesize_sequence(DRIVE_SCENE, 3).adjacent_pairs())
     (_, (_, shared_b)), (_, (shared_a, _)) = pipeline._planned_pairs(pairs, TINY)
     assert shared_b is shared_a
@@ -357,7 +359,7 @@ def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, pairs_pe
     # Four frames, three pairs, in one chunk (the default) or in chunks of
     # one or two pairs: each frame is detected, filtered and grouped at every
     # level once, also on a chunk edge, and frame 1, whose detections are
-    # empty, is warned about once, as the frame B it is first planned as.
+    # empty, is warned about once, though two pairs read it.
     if pairs_per_chunk is not None:
         monkeypatch.setattr(pipeline, "_PLAN_POINTS", pairs_per_chunk * 2 * TINY.n_filtered)
     seq = synthesize_sequence(dataclasses.replace(SCENE, frames=4), 3)
@@ -387,7 +389,7 @@ def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, pairs_pe
     assert calls["detect"] == 4 and calls["features"] == 4
     assert sorted(calls["ball_query"]) == [0.5] * 4 + [1.0] * 4 + [4.0] * 4
     assert [record.getMessage() for record in caplog.records] == [
-        "frame B has no detected points (all 240 mask probabilities are zero); "
+        "a frame has no detected points (all 240 mask probabilities are zero); "
         "the filter keeps its 128 lowest-index points"]
 
 
@@ -395,8 +397,8 @@ def test_a_training_step_leaves_the_shared_frame_plan_unchanged():
     # The captured forward and backward of (0, 1) read frame 1's shared plan;
     # an in-place write there would leak into pair (1, 2).
     frames = drive_frames()
-    plans = pipeline._plan_frames([(*frame, "A") for frame in frames], TINY)
-    [fresh] = pipeline._plan_frames([(*frames[1], "A")], TINY)
+    plans = pipeline._plan_frames(frames, TINY)
+    [fresh] = pipeline._plan_frames([frames[1]], TINY)
     labels = [label for _, label in synthesize_sequence(DRIVE_SCENE, 3).frames]
     targets = label_targets(frames[0][0], labels[0], labels[1])
     model = pipeline.build_displacement_model(TINY)
@@ -450,7 +452,7 @@ def loss_closure(model, config, a, label_a, b, label_b):
     det_a = pipeline.oracle_detector(a, label_a)
     det_b = pipeline.oracle_detector(b, label_b)
     targets = label_targets(a, label_a, label_b)
-    plans = pipeline._plan_frames([(a, det_a, "A"), (b, det_b, "B")], config)
+    plans = pipeline._plan_frames([(a, det_a), (b, det_b)], config)
 
     def loss_fn(params):
         model.load_param_dict(params)
@@ -542,12 +544,12 @@ def test_frame_without_detections_logs_a_warning(caplog):
     [record] = caplog.records
     assert record.levelno == logging.WARNING
     assert record.getMessage() == (
-        "frame A has no detected points (all 240 mask probabilities are zero); "
+        "a frame has no detected points (all 240 mask probabilities are zero); "
         "the filter keeps its 128 lowest-index points")
     assert len(field.point_indices) == TINY.n_filtered
     assert np.all(np.isfinite(field.vectors))
 
-    # An empty frame B is named as such (for a drive's frames see
+    # An empty frame B warns the same, once (for a drive's frames see
     # test_a_drive_detects_and_plans_each_frame_once).
     caplog.clear()
     empty_b = pipeline.Detections([], np.zeros(len(b)))
@@ -555,7 +557,7 @@ def test_frame_without_detections_logs_a_warning(caplog):
         pipeline.predict_displacements(a, b, pipeline.oracle_detector(a, label_a), empty_b,
                                        model, TINY)
     assert [record.getMessage() for record in caplog.records] == [
-        "frame B has no detected points (all 240 mask probabilities are zero); "
+        "a frame has no detected points (all 240 mask probabilities are zero); "
         "the filter keeps its 128 lowest-index points"]
 
 
@@ -587,6 +589,19 @@ def test_config_rejects_a_bad_set_abstraction_level(sample, radius, cap):
     level = {"sample": sample, "radius": radius, "cap": cap, "widths": (8, 8)}
     with pytest.raises(ValueError, match="set abstraction needs"):
         PipelineConfig.from_dict({**TINY.to_dict(), "sa2": level})
+
+
+@pytest.mark.parametrize("name", ["sa1", "sa2", "sa3"])
+def test_config_rejects_a_level_that_is_not_an_sa_config(name):
+    # A dict used to be accepted here, and build_displacement_model then
+    # failed with "'dict' object has no attribute 'widths'".
+    level = dataclasses.asdict(getattr(TINY, name))
+    with pytest.raises(ValueError, match=f"^{name} must be an SaConfig, got {{'sample'"):
+        PipelineConfig(**{name: level})
+    # from_dict still converts a dict, and only a dict.
+    assert getattr(tiny_config(**{name: level}), name) == getattr(TINY, name)
+    with pytest.raises(ValueError, match=f"^{name} must be an SaConfig, got None"):
+        tiny_config(**{name: None})
 
 
 @pytest.mark.parametrize("counts, message", [
@@ -740,8 +755,8 @@ def test_k_above_the_frame_b_point_count_raises_a_clear_error():
         pipeline.predict_displacements(a, few_b, pipeline.oracle_detector(a, label_a),
                                        pipeline.Detections([], np.ones(5)), model, TINY)
     # 128 filtered frame-B points, but sa2 leaves 16, fewer than the
-    # association head's k: the plan raises, before the head runs, in
-    # predict and in training alike.
+    # association head's k: the pair's forward pass raises, before the head
+    # runs, in predict and in training alike.
     config = tiny_config(k=20)
     model = pipeline.build_displacement_model(config)
     with pytest.raises(ValueError, match="only 16 frame-B sa2 points for k=20"):
@@ -762,6 +777,14 @@ def test_training_rejects_a_bad_epoch_count(epochs, message):
     seq, *_ = scene_pair()
     with pytest.raises(ValueError, match=message):
         pipeline.train_association(seq, TINY, epochs=epochs)
+
+
+def test_evaluation_rejects_an_empty_pair_list():
+    # It used to raise "no foreground points to evaluate".
+    model = pipeline.build_displacement_model(TINY)
+    for pairs in ([], iter(())):
+        with pytest.raises(ValueError, match="^pairs must contain at least one frame pair"):
+            pipeline.mean_displacement_error(model, TINY, pairs)
 
 
 def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
