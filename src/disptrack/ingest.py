@@ -17,6 +17,14 @@ import numpy as np
 from .geom import Box3D, PointCloud, box_owner
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer (numpy integers pass) raises
+    ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(eq=False)
 class FrameLabel:
     """Ground-truth (or hypothesis) boxes for one frame."""
@@ -25,6 +33,7 @@ class FrameLabel:
     boxes: list[Box3D] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.frame_index = _integer("frame_index", self.frame_index)
         if self.frame_index < 0:
             raise ValueError("frame index must be non-negative")
         ids = [b.track_id for b in self.boxes if b.track_id is not None]
@@ -114,16 +123,14 @@ class SceneConfig:
             raise ValueError("point counts must be positive")
         # Every comparison with NaN is false, so NaN fails this check too.
         for name in ("noise_sigma", "velocity_min", "velocity_max", "spawn_spacing",
-                     "direction_change_every"):
+                     "arena_half_extent", "direction_change_every", "frame_period"):
             if not (0.0 <= getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be finite and non-negative")
         if self.velocity_max < self.velocity_min:
             raise ValueError("velocity range must satisfy 0 <= min <= max")
         for name in ("frames", "objects", "points_per_object", "background_points",
                      "direction_change_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, _integer(name, getattr(self, name)))
 
 
 def _box_surface_points(rng: np.random.Generator, size: np.ndarray, count: int,

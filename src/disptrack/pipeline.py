@@ -24,7 +24,8 @@ detections and the config alone (not on k, nor on the frames planned with
 it), and a pair is just two frame plans.  Training and evaluation keep one
 plan per distinct frame while a pair still needs it, so frame t of a drive,
 frame B of (t-1, t) and frame A of (t, t+1), is detected and planned once,
-on a chunk edge too.
+on a chunk edge too.  With a pair's two plans, planning yields its targets
+(``label_targets``), on frame A's kept points only: one row per field row.
 
 A pair is checked where its two plans meet, in the forward pass that
 prediction, training and evaluation share: a frame B with fewer sa2 points
@@ -45,7 +46,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .geom import Box3D, PointCloud, box_owner
-from .ingest import FrameLabel, Sequence, label_targets
+from .ingest import FrameLabel, Sequence, _integer, label_targets
 from .micronet import (
     AssociationSpec,
     DenseGrads,
@@ -139,14 +140,6 @@ class DetectorNoise:
             raise ValueError("dropout and false-positive rates must lie in [0, 1]")
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a bool or a non-integer (numpy integers pass) raises
-    ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _widths(name: str, widths) -> tuple[int, ...]:
     """widths as a tuple of ints, each an integer of at least 1."""
     out = tuple(_integer(name, w) for w in widths)
@@ -219,6 +212,10 @@ class PipelineConfig:
             level = getattr(self, name)
             if not isinstance(level, SaConfig):
                 raise ValueError(f"{name} must be an SaConfig, got {level!r}")
+        most = min(self.n_filtered, self.sa1.sample, self.sa2.sample)
+        if self.k > most:
+            raise ValueError(f"k={self.k} exceeds the {most} sa2 points a frame can "
+                             f"hold (the least of n_filtered, sa1.sample and sa2.sample)")
 
     @classmethod
     def paper_scale(cls) -> "PipelineConfig":
@@ -509,8 +506,8 @@ def _plan_frames(frames, config: PipelineConfig) -> list[_FramePlan]:
 
 def _forward_displacements(a: _FramePlan, b: _FramePlan, model: DisplacementModel,
                            config: PipelineConfig, capture: bool = False):
-    """The field of the pair of planned frames a and b, and with capture the
-    tape of every layer.
+    """The (len(a.kept), 3) displacement vectors of the pair of planned
+    frames a and b, and with capture the tape of every layer.
 
     Prediction, evaluation and training all compute the one row set of the
     plans, the rows that reach the field: the frame-A sa2 groups that sa3's
@@ -556,15 +553,14 @@ def _forward_displacements(a: _FramePlan, b: _FramePlan, model: DisplacementMode
     up0, t_fp3 = fp_layer(pts_a0, pts_a1, up1, None, model.fp3, capture=capture)
     vectors, t_head = dense_apply(model.head, up0, capture=capture)
 
-    field = DisplacementField(a.kept, vectors)
     tape = PipelineTape(a.live2, b.live1, t_a1, t_a2, t_b1, t_b2, t_assoc, t_sa3,
                         t_fp1, t_fp2, t_fp3, t_head) if capture else None
-    return field, tape
+    return vectors, tape
 
 
 def _planned_pairs(pairs: list, config: PipelineConfig):
-    """Each (cloud_a, label_a, cloud_b, label_b) pair with the plans of its
-    two frames, on oracle detections.
+    """(a, b, targets) of each (cloud_a, label_a, cloud_b, label_b) pair:
+    the plans of its two frames, on oracle detections, and its targets.
 
     Pairs are planned a chunk of _PLAN_POINTS filtered points at a time,
     just before they are used.  One dict, keyed by the object identity of
@@ -583,8 +579,10 @@ def _planned_pairs(pairs: list, config: PipelineConfig):
         new = [k for k in frames if k not in plans]
         plans.update(zip(new, _plan_frames(
             [(frames[k][0], oracle_detector(*frames[k])) for k in new], config)))
-        for pair in chunk:
-            yield pair, (plans[key(*pair[:2])], plans[key(*pair[2:])])
+        for cloud_a, label_a, cloud_b, label_b in chunk:
+            a = plans[key(cloud_a, label_a)]
+            yield (a, plans[key(cloud_b, label_b)],
+                   label_targets(PointCloud(a.points), label_a, label_b))
 
 
 def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
@@ -598,8 +596,8 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
     that the training forward pass computes (see the module docstring).
     """
     a, b = _plan_frames([(frame_a, detections_a), (frame_b, detections_b)], config)
-    field, _ = _forward_displacements(a, b, model, config)
-    return field
+    vectors, _ = _forward_displacements(a, b, model, config)
+    return DisplacementField(a.kept, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -623,21 +621,18 @@ def _pair_list(dataset) -> list[tuple[PointCloud, FrameLabel, PointCloud, FrameL
 
 def train_association(dataset, config: PipelineConfig,
                       epochs: int) -> tuple[DisplacementModel, TrainHistory]:
-    """Train the displacement network on adjacent frame pairs.
+    """Train the displacement network on adjacent frame pairs, planned
+    (see the module docstring) on oracle detections.
 
-    Supervision comes from box-motion targets; the probability filter runs on
-    oracle mask probabilities.  Deterministic for a given config.seed and
-    BLAS thread count: long GEMM reductions may round differently across
-    thread counts.  Raises on a non-finite loss, on a non-finite gradient
-    (naming the first such array, before any update) and on an update that
-    goes non-finite.
+    Deterministic for a given config.seed and BLAS thread count: long GEMM
+    reductions may round differently across thread counts; the results do
+    not depend on the planning chunks.  Raises on a non-finite loss, on a
+    non-finite gradient (naming the first such array, before any update) and
+    on an update that goes non-finite.
 
-    epochs must be an integer of at least 1.  Each epoch plans its pairs'
-    frames a chunk of pairs at a time, each distinct frame once (see the
-    module docstring), then steps through the chunk; the results do not
-    depend on the chunking.  A pair whose inputs are degenerate (no point
-    left after the filter, fewer frame-B sa2 points than k) raises with the
-    message that predict_displacements gives.
+    epochs must be an integer of at least 1.  A pair whose inputs are
+    degenerate (no point left after the filter, fewer frame-B sa2 points
+    than k) raises with the message that predict_displacements gives.
     """
     epochs = _integer("epochs", epochs)
     if epochs < 1:
@@ -654,14 +649,12 @@ def train_association(dataset, config: PipelineConfig,
     step = 0
     for _ in range(epochs):
         epoch_loss = 0.0
-        for (cloud_a, label_a, _, label_b), (a, b) in _planned_pairs(pairs, config):
-            field, tape = _forward_displacements(a, b, model, config, capture=True)
-            targets = label_targets(cloud_a, label_a, label_b)
-            sel = field.point_indices
-            loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
-                                       targets.foreground_mask[sel],
+        for a, b, targets in _planned_pairs(pairs, config):
+            vectors, tape = _forward_displacements(a, b, model, config, capture=True)
+            loss, grad = tracking_loss(vectors, targets.displacement,
+                                       targets.foreground_mask,
                                        alpha=config.alpha, beta=config.beta,
-                                       excluded=targets.excluded[sel])
+                                       excluded=targets.excluded)
             if not np.isfinite(loss):
                 raise ValueError("training loss became non-finite")
             grads = tape.backward(grad)
@@ -685,21 +678,18 @@ def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
                             pairs) -> float:
     """Mean Euclidean error over foreground (non-excluded) predicted points.
 
-    The pairs are planned as in train_association, and a degenerate pair
-    raises with the message that predict_displacements gives.  pairs must
-    hold at least one pair.
+    A degenerate pair raises with the message that predict_displacements
+    gives.  pairs must hold at least one pair.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("pairs must contain at least one frame pair")
     errors = []
-    for (cloud_a, label_a, _, label_b), (a, b) in _planned_pairs(pairs, config):
-        field, _ = _forward_displacements(a, b, model, config)
-        targets = label_targets(cloud_a, label_a, label_b)
-        sel = field.point_indices
-        keep = targets.foreground_mask[sel] & ~targets.excluded[sel]
+    for a, b, targets in _planned_pairs(pairs, config):
+        vectors, _ = _forward_displacements(a, b, model, config)
+        keep = targets.foreground_mask & ~targets.excluded
         if np.any(keep):
-            err = field.vectors[keep] - targets.displacement[sel][keep]
+            err = vectors[keep] - targets.displacement[keep]
             errors.append(np.linalg.norm(err, axis=1))
     if not errors:
         raise ValueError("no foreground points to evaluate")

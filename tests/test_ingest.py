@@ -68,6 +68,11 @@ def test_synthesize_invalid_config():
         synthesize_sequence(SceneConfig(frames=0), seed=0)
     with pytest.raises(ValueError):
         synthesize_sequence(SceneConfig(objects=0), seed=0)
+    # A negative or NaN arena extent used to fail inside numpy's uniform.
+    for name in ("arena_half_extent", "frame_period"):
+        for value in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
+                synthesize_sequence(SceneConfig(**{name: value}), seed=0)
 
 
 @pytest.mark.parametrize("field", ["noise_sigma", "velocity_min", "velocity_max",
@@ -280,3 +285,12 @@ def test_sequence_rejects_nonincreasing_frames():
     cloud = PointCloud(np.zeros((1, 3)))
     with pytest.raises(ValueError):
         Sequence([(cloud, FrameLabel(1)), (cloud, FrameLabel(1))])
+
+
+@pytest.mark.parametrize("index", [float("nan"), 1.5, True])
+def test_frame_label_rejects_a_non_integer_index(index):
+    # A NaN index used to build, and a Sequence with frame indices 3, NaN, 1
+    # passed the strictly-increasing check, because NaN compares false.
+    with pytest.raises(ValueError, match=f"^frame_index must be an integer, got {index!r}$"):
+        FrameLabel(index)
+    assert type(FrameLabel(np.int64(2)).frame_index) is int

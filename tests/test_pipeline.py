@@ -202,16 +202,19 @@ PRUNING_PAIRS = [(case, seed) for case, (_, _, seeds) in PRUNING_CASES.items()
                  for seed in seeds]
 
 
+def kept_targets(plan, label_a, label_b):
+    """The targets of a pair whose frame A has plan, on its kept points."""
+    return label_targets(PointCloud(plan.points), label_a, label_b)
+
+
 def train_step(plans, model, config, targets):
-    """(field, loss, gradients) of one training step of model on the pair
+    """(vectors, loss, gradients) of one training step of model on the pair
     of planned frames plans, as train_association computes them."""
-    field, tape = pipeline._forward_displacements(*plans, model, config, capture=True)
-    sel = field.point_indices
-    loss, grad = tracking_loss(field.vectors, targets.displacement[sel],
-                               targets.foreground_mask[sel],
+    vectors, tape = pipeline._forward_displacements(*plans, model, config, capture=True)
+    loss, grad = tracking_loss(vectors, targets.displacement, targets.foreground_mask,
                                alpha=config.alpha, beta=config.beta,
-                               excluded=targets.excluded[sel])
-    return field, loss, tape.backward(grad)
+                               excluded=targets.excluded)
+    return vectors, loss, tape.backward(grad)
 
 
 def pruning_pair(case: str, seed: int):
@@ -238,8 +241,8 @@ def test_uncaptured_forward_computes_the_captured_field(case, seed):
         captured, _ = pipeline._forward_displacements(*plans, model, config, capture=True)
         field = pipeline.predict_displacements(a, b, det_a, det_b, model, config)
         assert np.isfinite(field.vectors).all()
-        assert field.point_indices.tobytes() == captured.point_indices.tobytes()
-        assert field.vectors.tobytes() == captured.vectors.tobytes()
+        assert field.point_indices.tobytes() == plans[0].kept.tobytes()
+        assert field.vectors.tobytes() == captured.tobytes()
 
 
 @pytest.mark.parametrize("case, seed", PRUNING_PAIRS)
@@ -255,11 +258,10 @@ def test_every_row_plan_keeps_the_field_and_the_gradients(case, seed):
     every = (dataclasses.replace(plan_a, live2=np.arange(len(plan_a.select[1].centroids))),
              dataclasses.replace(plan_b, live1=np.arange(len(plan_b.select[0].centroids))))
     model = pipeline.build_displacement_model(config)
-    targets = label_targets(a, label_a, label_b)
-    field, _, grads = train_step(plans, model, config, targets)
-    every_field, _, every_grads = train_step(every, model, config, targets)
-    assert every_field.point_indices.tobytes() == field.point_indices.tobytes()
-    assert every_field.vectors.tobytes() == field.vectors.tobytes()
+    targets = kept_targets(plan_a, label_a, label_b)
+    vectors, _, grads = train_step(plans, model, config, targets)
+    every_vectors, _, every_grads = train_step(every, model, config, targets)
+    assert every_vectors.tobytes() == vectors.tobytes()
     assert sorted(every_grads) == sorted(grads)
     for key, grad in grads.items():
         if case.startswith("tiny"):
@@ -338,18 +340,17 @@ def frame_plan_bytes(plan) -> list[bytes]:
 
 def test_a_frame_plans_the_same_as_frame_b_and_as_frame_a():
     # Frame 1 is frame B of (0, 1) and frame A of (1, 2).  Planned with
-    # either neighbour, with both or alone, and under a k above its 16 sa2
-    # points, its plan agrees byte for byte, and the two pairs of a drive
-    # read one plan of it.
+    # either neighbour, with both or alone, and under another k, its plan
+    # agrees byte for byte, and the two pairs of a drive read one plan of it.
     (f0, d0), (f1, d1), (f2, d2) = drive_frames()
     _, as_b = pipeline._plan_frames([(f0, d0), (f1, d1)], TINY)
     as_a, _ = pipeline._plan_frames([(f1, d1), (f2, d2)], TINY)
     _, together, _ = pipeline._plan_frames([(f0, d0), (f1, d1), (f2, d2)], TINY)
-    [other_k] = pipeline._plan_frames([(f1, d1)], tiny_config(k=20))
+    [other_k] = pipeline._plan_frames([(f1, d1)], tiny_config(k=4))
     assert frame_plan_bytes(as_b) == frame_plan_bytes(as_a) == frame_plan_bytes(together)
     assert frame_plan_bytes(other_k) == frame_plan_bytes(as_a)
     pairs = list(synthesize_sequence(DRIVE_SCENE, 3).adjacent_pairs())
-    (_, (_, shared_b)), (_, (shared_a, _)) = pipeline._planned_pairs(pairs, TINY)
+    (_, shared_b, _), (shared_a, _, _) = pipeline._planned_pairs(pairs, TINY)
     assert shared_b is shared_a
     assert frame_plan_bytes(shared_a) == frame_plan_bytes(as_a)
 
@@ -359,13 +360,16 @@ def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, pairs_pe
     # Four frames, three pairs, in one chunk (the default) or in chunks of
     # one or two pairs: each frame is detected, filtered and grouped at every
     # level once, also on a chunk edge, and frame 1, whose detections are
-    # empty, is warned about once, though two pairs read it.
+    # empty, is warned about once, though two pairs read it.  Each pair's
+    # targets are labelled once, on frame A's kept points.
     if pairs_per_chunk is not None:
         monkeypatch.setattr(pipeline, "_PLAN_POINTS", pairs_per_chunk * 2 * TINY.n_filtered)
     seq = synthesize_sequence(dataclasses.replace(SCENE, frames=4), 3)
-    calls = {"detect": 0, "features": 0, "ball_query": []}
+    calls = {"detect": 0, "features": 0, "ball_query": [], "targets": []}
+    kept = {}
     real_detect, real_features = pipeline.oracle_detector, pipeline.point_features
-    real_query = layers_module.ball_query
+    real_query, real_plan = layers_module.ball_query, pipeline._plan_frames
+    real_targets = pipeline.label_targets
 
     def detect(frame, labels, *args, **kwargs):
         calls["detect"] += 1
@@ -381,13 +385,29 @@ def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, pairs_pe
     def query(query_points, points, radius, cap):
         calls["ball_query"].append(radius)
         return real_query(query_points, points, radius, cap)
+
+    def plan(frames, config):
+        plans = real_plan(frames, config)
+        kept.update((id(frame), p.points) for (frame, _), p in zip(frames, plans))
+        return plans
+
+    def targets(cloud, labels_prev, labels_curr, *args, **kwargs):
+        calls["targets"].append((cloud.points, labels_prev.frame_index,
+                                 labels_curr.frame_index))
+        return real_targets(cloud, labels_prev, labels_curr, *args, **kwargs)
     monkeypatch.setattr(pipeline, "oracle_detector", detect)
     monkeypatch.setattr(pipeline, "point_features", features)
     monkeypatch.setattr(layers_module, "ball_query", query)
+    monkeypatch.setattr(pipeline, "_plan_frames", plan)
+    monkeypatch.setattr(pipeline, "label_targets", targets)
     with caplog.at_level(logging.WARNING, logger="disptrack.pipeline"):
         pipeline.train_association(seq, TINY, epochs=1)
     assert calls["detect"] == 4 and calls["features"] == 4
     assert sorted(calls["ball_query"]) == [0.5] * 4 + [1.0] * 4 + [4.0] * 4
+    assert [pair for _, *pair in calls["targets"]] == [[0, 1], [1, 2], [2, 3]]
+    for points, index, _ in calls["targets"]:
+        assert len(points) == TINY.n_filtered
+        assert points.tobytes() == kept[id(seq.frames[index][0])].tobytes()
     assert [record.getMessage() for record in caplog.records] == [
         "a frame has no detected points (all 240 mask probabilities are zero); "
         "the filter keeps its 128 lowest-index points"]
@@ -400,7 +420,7 @@ def test_a_training_step_leaves_the_shared_frame_plan_unchanged():
     plans = pipeline._plan_frames(frames, TINY)
     [fresh] = pipeline._plan_frames([frames[1]], TINY)
     labels = [label for _, label in synthesize_sequence(DRIVE_SCENE, 3).frames]
-    targets = label_targets(frames[0][0], labels[0], labels[1])
+    targets = kept_targets(plans[0], labels[0], labels[1])
     model = pipeline.build_displacement_model(TINY)
     _, _, grads = train_step(plans[:2], model, TINY, targets)
     assert any(np.any(g) for key, g in grads.items() if key.startswith("sa1."))
@@ -451,8 +471,8 @@ def test_synthesized_turning_drives_match_the_golden():
 def loss_closure(model, config, a, label_a, b, label_b):
     det_a = pipeline.oracle_detector(a, label_a)
     det_b = pipeline.oracle_detector(b, label_b)
-    targets = label_targets(a, label_a, label_b)
     plans = pipeline._plan_frames([(a, det_a), (b, det_b)], config)
+    targets = kept_targets(plans[0], label_a, label_b)
 
     def loss_fn(params):
         model.load_param_dict(params)
@@ -621,6 +641,7 @@ def test_config_rejects_point_counts_below_one(counts, message):
 @pytest.mark.parametrize("changes, message", [
     ({"k": 2.5}, "^k must be an integer, got 2.5"),
     ({"k": True}, "^k must be an integer, got True"),
+    ({"k": 65}, "^k=65 exceeds the (16|64) sa2 points"),     # TINY's or the default's
     ({"n_input": 240.0}, "^n_input must be an integer, got 240.0"),
     ({"n_filtered": 128.0}, "^n_filtered must be an integer, got 128.0"),
     ({"clr_cycle_epochs": 2.5}, "^clr_cycle_epochs must be an integer, got 2.5"),
@@ -650,6 +671,20 @@ def test_config_rejects_non_integer_counts_and_widths(changes, message):
     [value] = changes.values()
     with pytest.raises(ValueError, match=message):
         SaConfig(**value) if isinstance(value, dict) else PipelineConfig(**changes)
+
+
+@pytest.mark.parametrize("changes, most", [
+    ({}, 16),                                                # TINY's sa2.sample
+    ({"sa1": {"sample": 12, "radius": 0.5, "cap": 8, "widths": [8, 8]}}, 12),
+    ({"n_filtered": 10}, 10),
+])
+def test_config_rejects_a_k_above_the_sa2_points_of_a_frame(changes, most):
+    # sa2 keeps at most min(n_filtered, sa1.sample, sa2.sample) points of a
+    # frame.  A k above that, such as PipelineConfig(k=65), used to build,
+    # and training then raised at its first step.
+    with pytest.raises(ValueError, match=f"^k={most + 1} exceeds the {most} sa2 points"):
+        tiny_config(k=most + 1, **changes)
+    assert tiny_config(k=most, **changes).k == most
 
 
 def test_config_takes_numpy_integers_as_ints(tmp_path):
@@ -748,21 +783,16 @@ def test_empty_frame_raises_a_clear_error():
 
 
 def test_k_above_the_frame_b_point_count_raises_a_clear_error():
-    seq, a, label_a, b, label_b = scene_pair()
+    _, a, label_a, b, label_b = scene_pair()
     model = pipeline.build_displacement_model(TINY)
     few_b = PointCloud(b.points[:5])
     with pytest.raises(ValueError, match="only 5 frame-B sa2 points for k=8"):
         pipeline.predict_displacements(a, few_b, pipeline.oracle_detector(a, label_a),
                                        pipeline.Detections([], np.ones(5)), model, TINY)
-    # 128 filtered frame-B points, but sa2 leaves 16, fewer than the
-    # association head's k: the pair's forward pass raises, before the head
-    # runs, in predict and in training alike.
-    config = tiny_config(k=20)
-    model = pipeline.build_displacement_model(config)
-    with pytest.raises(ValueError, match="only 16 frame-B sa2 points for k=20"):
-        predict(model, config, a, label_a, b, label_b)
-    with pytest.raises(ValueError, match="only 16 frame-B sa2 points for k=20"):
-        pipeline.train_association(seq, config, epochs=1)
+    # sa2 keeps at most 16 points of any frame, fewer than k=20: the config
+    # raises when it is built.
+    with pytest.raises(ValueError, match="^k=20 exceeds the 16 sa2 points"):
+        tiny_config(k=20)
 
 
 @pytest.mark.parametrize("epochs, message", [
