@@ -641,7 +641,6 @@ def test_config_rejects_point_counts_below_one(counts, message):
 @pytest.mark.parametrize("changes, message", [
     ({"k": 2.5}, "^k must be an integer, got 2.5"),
     ({"k": True}, "^k must be an integer, got True"),
-    ({"k": 65}, "^k=65 exceeds the (16|64) sa2 points"),     # TINY's or the default's
     ({"n_input": 240.0}, "^n_input must be an integer, got 240.0"),
     ({"n_filtered": 128.0}, "^n_filtered must be an integer, got 128.0"),
     ({"clr_cycle_epochs": 2.5}, "^clr_cycle_epochs must be an integer, got 2.5"),
@@ -661,6 +660,7 @@ def test_config_rejects_point_counts_below_one(counts, message):
      r"^widths must be at least 1, got \(0,\)"),
     ({"sa3": {"sample": 4, "radius": 4.0, "cap": 8, "widths": [7.9]}},
      "^widths must be an integer, got 7.9"),
+    ({"k": 65}, "^k=65 exceeds the (16|64) sa2 points"),     # TINY's or the default's
 ])
 def test_config_rejects_non_integer_counts_and_widths(changes, message):
     # Before the check, a float sample count or a zero width trained
