@@ -7,8 +7,9 @@ as (length, width, height), length along the box x axis; centre, size and
 yaw must be finite.  Argmax and nearest-neighbour ties break to the lowest index.
 
 ``farthest_point_sample`` samples many clouds in lock-step, one pick of
-every cloud per step; a shorter cloud is padded with points that never
-win, so each cloud's picks are those of sampling it alone.
+every cloud per step and one pick count for them all; a shorter cloud is
+padded with points that never win, so each cloud's picks are those of
+sampling it alone.
 
 A point belongs to the first box of a list that contains it, the boundary
 counting as inside: ``box_owner``.  Detection masks, input features,
@@ -21,8 +22,7 @@ with one routine, ``_rank_pairs``, over one of two candidate sources: every
 pair at or below each row's k-th distance in a dense distance matrix (small
 ``nearest`` inputs), or the in-radius points of a grid search
 (``ball_query``, which large ``nearest`` inputs run at a growing radius).
-The paths agree bit for bit: every one sums squared coordinate differences
-in one order, that of ``_pair_distances``.
+Every path measures with ``_pair_distances``, so they agree bit for bit.
 
 ``ball_query`` finds a query's 27 neighbouring cells as 9 runs of the
 points sorted by int64 cell key (one per column of three z-adjacent cells,
@@ -101,41 +101,39 @@ class Box3D:
         return float(self.size[0] * self.size[1] * self.size[2])
 
 
-def farthest_point_sample(clouds, m, starts) -> list[np.ndarray]:
+def farthest_point_sample(clouds, m: int, starts) -> list[np.ndarray]:
     """Farthest-point sampling of several clouds in lock-step.
 
-    clouds is a sequence of PointClouds, m one pick count for all of them or
-    one per cloud, and starts one start index per cloud.  Cloud i yields
-    m[i] indices: its start, then repeatedly the point with the largest
-    squared distance to the points chosen so far, ties to the lowest index.
-    Each result equals that of sampling its cloud alone, bit for bit.
+    clouds is a sequence of PointClouds, m the one pick count of them all
+    and starts one start index per cloud.  Each cloud yields m indices: its
+    start, then repeatedly the point with the largest squared distance to
+    the points chosen so far, ties to the lowest index.  Each result equals
+    that of sampling its cloud alone, bit for bit.
 
     Each pick runs for every cloud at once: one (3, clouds, n) subtract,
     square and sum, one ``np.minimum`` into the (clouds, n) array of best
     distances and one row-wise argmax.  Shorter clouds are padded to the
     longest with points whose best distance starts at -1, as a chosen
     point's is set to -1.  A squared distance is never negative, so the
-    minimum keeps them at -1 and they win no pick while their cloud has an
-    unchosen point.  A cloud with fewer picks than another runs on with the
-    rest, its extra picks dropped; once all its points are chosen, each pick
-    is its lowest -1 point.
+    minimum keeps them at -1, and as no cloud has fewer than m points, they
+    win no pick.
     """
-    counts, starts = np.asarray(m), np.asarray(starts)
-    if counts.ndim == 0:
-        counts = np.full(len(clouds), counts)
-    if not counts.shape == starts.shape == (len(clouds),):
-        raise ValueError(f"{len(clouds)} clouds need as many sample counts and start "
-                         f"indices, got {counts.size} and {starts.size}")
+    starts = np.asarray(starts)
+    if starts.shape != (len(clouds),):
+        raise ValueError(f"{len(clouds)} clouds need as many start indices, "
+                         f"got {starts.size}")
     if not len(clouds):
         return []
-    if not (counts.dtype.kind in "iu" and starts.dtype.kind in "iu"):
-        raise ValueError("sample counts and start indices must be integers")
+    if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
+            or starts.dtype.kind not in "iu"):
+        raise ValueError(f"the sample count and start indices must be integers, "
+                         f"got {m!r} and {starts.dtype}")
     sizes = np.array([len(cloud) for cloud in clouds], dtype=np.intp)
-    for n, count, start in zip(sizes, counts, starts):
+    for n, start in zip(sizes, starts):
         if n == 0:
             raise ValueError("cannot sample from an empty cloud")
-        if not 1 <= count <= n:
-            raise ValueError(f"sample count must lie in [1, {n}], got {count}")
+        if not 1 <= m <= n:
+            raise ValueError(f"sample count must lie in [1, {n}], got {m}")
         if not 0 <= start < n:
             raise ValueError(f"start index {start} out of range for {n} points")
 
@@ -150,9 +148,9 @@ def farthest_point_sample(clouds, m, starts) -> list[np.ndarray]:
     at = np.empty(c, dtype=np.intp)         # flat positions of the last picks
     diff = np.empty_like(coords)
     step = np.empty((c, n))
-    chosen = np.empty((counts.max(), c), dtype=np.intp)
+    chosen = np.empty((m, c), dtype=np.intp)
     chosen[0] = starts
-    for i in range(1, chosen.shape[0]):
+    for i in range(1, m):
         np.add(row_start, chosen[i - 1], out=at)
         np.subtract(coords, flat.take(at, axis=1)[:, :, None], out=diff)
         np.multiply(diff, diff, out=diff)
@@ -161,7 +159,7 @@ def farthest_point_sample(clouds, m, starts) -> list[np.ndarray]:
         np.minimum(best, step, out=best)
         best.put(at, -1.0)
         best.argmax(axis=1, out=chosen[i])
-    return [chosen[:count, i].copy() for i, count in enumerate(counts)]
+    return [picks.copy() for picks in chosen.T]
 
 
 def _finite_coordinates(query, points) -> tuple[np.ndarray, np.ndarray]:
@@ -211,25 +209,14 @@ def nearest(query, points, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_dense(query: np.ndarray, points: np.ndarray, k: int):
-    q, p = query.T, points.T
-    # _pair_distances' arithmetic, done in place on the (q, n) matrix.
-    dist = np.subtract.outer(q[0], p[0])
-    dist *= dist
-    sq = np.subtract.outer(q[2], p[2])
-    sq *= sq
-    dist += sq
-    np.subtract.outer(q[1], p[1], out=sq)
-    sq *= sq
-    dist += sq
-    del sq
-    np.sqrt(dist, out=dist)
+    q, n = query.shape[0], points.shape[0]
+    dist = _pair_distances(query, np.arange(q)[:, None], points, np.arange(n))
 
     # Every point at or below a row's k-th distance, ties included, in row
     # order; ranking keeps the first k of each row.
-    n = points.shape[0]
     pair = np.flatnonzero(dist <= np.partition(dist, k - 1, axis=1)[:, k - 1:k])
     row, cand = np.divmod(pair, n)
-    order, _ = _rank_pairs(row, dist.ravel()[pair], cand, query.shape[0], n, k)
+    order, _ = _rank_pairs(row, dist.ravel()[pair], cand, q, n, k)
     return order, np.take_along_axis(dist, order, axis=1)
 
 
@@ -269,10 +256,19 @@ def _pair_distances(query: np.ndarray, rows, points: np.ndarray, cand) -> np.nda
 
     Squares are summed as (dx^2 + dz^2) + dy^2: the order numpy's einsum took
     when tests/data/pipeline_golden.npz was pinned.  Every selection path
-    sums them so, and equal point pairs get bit-equal distances on each.
+    calls this, so equal point pairs get bit-equal distances on each.  One
+    axis is squared at a time, in place, so a dense (q, n) call holds two
+    (q, n) arrays at most.
     """
-    dx, dy, dz = (query[:, a][rows] - points[:, a][cand] for a in range(3))
-    return np.sqrt((dx * dx + dz * dz) + dy * dy)
+    q, p = query.T, points.T
+    dist = q[0][rows] - p[0][cand]
+    dist *= dist
+    sq = np.empty_like(dist)
+    for axis in (2, 1):
+        np.subtract(q[axis][rows], p[axis][cand], out=sq)
+        sq *= sq
+        dist += sq
+    return np.sqrt(dist, out=dist)
 
 
 #: Grid key stride per axis: keys of cells whose coordinates stay below 2**20

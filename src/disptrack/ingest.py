@@ -10,6 +10,7 @@ target is that box's motion.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,14 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _finite_non_negative(name: str, value) -> None:
+    """Raise ValueError naming the field unless value is a real number in
+    [0, inf); numpy scalars pass, and NaN, a string or None fail."""
+    # Every comparison with NaN is false, so NaN fails this check too.
+    if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -117,20 +126,26 @@ class SceneConfig:
     name: str = "synthetic"
 
     def __post_init__(self) -> None:
+        for name in ("frames", "objects", "points_per_object", "background_points"):
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.frames < 1 or self.objects < 1:
             raise ValueError("frame and object counts must be positive")
         if self.points_per_object < 1 or self.background_points < 0:
             raise ValueError("point counts must be positive")
-        # Every comparison with NaN is false, so NaN fails this check too.
         for name in ("noise_sigma", "velocity_min", "velocity_max", "spawn_spacing",
                      "arena_half_extent", "direction_change_every", "frame_period"):
-            if not (0.0 <= getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be finite and non-negative")
+            _finite_non_negative(name, getattr(self, name))
+        self.direction_change_every = _integer("direction_change_every",
+                                               self.direction_change_every)
         if self.velocity_max < self.velocity_min:
             raise ValueError("velocity range must satisfy 0 <= min <= max")
-        for name in ("frames", "objects", "points_per_object", "background_points",
-                     "direction_change_every"):
-            setattr(self, name, _integer(name, getattr(self, name)))
+        for name in ("length_range", "width_range", "height_range"):
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                    and all(isinstance(b, numbers.Real) for b in bounds)
+                    and 0.0 < bounds[0] <= bounds[1] < np.inf):
+                raise ValueError(f"{name} must be two finite numbers with "
+                                 f"0 < low <= high, got {bounds!r}")
 
 
 def _box_surface_points(rng: np.random.Generator, size: np.ndarray, count: int,
@@ -222,8 +237,7 @@ def apply_displacement_augmentation(seq: Sequence, magnitude: float,
     With per_object=False all objects share one shift per transition.
     Background points and frame 0 are untouched.
     """
-    if not (0.0 <= magnitude < np.inf):
-        raise ValueError("magnitude must be finite and non-negative")
+    _finite_non_negative("magnitude", magnitude)
     if mode not in ("fixed", "uniform_random"):
         raise ValueError(f"mode must be 'fixed' or 'uniform_random', got {mode!r}")
     rng = np.random.default_rng(seed)

@@ -301,9 +301,9 @@ def sample_centroids(clouds, counts, starts) -> list[np.ndarray]:
     """Set-abstraction centroid indices of several clouds of one level.
 
     clouds are (n_i, 3) point arrays; cloud i gets counts[i] farthest-point
-    samples from starts[i].  All clouds with the same count are sampled in
-    lock-step by one ``farthest_point_sample`` call, so each result is that
-    of sampling its cloud alone.
+    samples from starts[i].  ``farthest_point_sample`` takes one count per
+    call, so the clouds of each distinct count are sampled in lock-step by
+    one call, and each result is that of sampling its cloud alone.
     """
     clouds = [PointCloud(points) for points in clouds]
     counts = [int(count) for count in counts]

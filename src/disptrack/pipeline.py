@@ -41,12 +41,13 @@ frame-B rows are live.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .geom import Box3D, PointCloud, box_owner
-from .ingest import FrameLabel, Sequence, _integer, label_targets
+from .ingest import FrameLabel, Sequence, _finite_non_negative, _integer, label_targets
 from .micronet import (
     AssociationSpec,
     DenseGrads,
@@ -133,10 +134,11 @@ class DetectorNoise:
     fp_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        # Every comparison with NaN is false, so NaN fails these checks too.
-        if not (0.0 <= self.center_sigma < np.inf and 0.0 <= self.yaw_sigma < np.inf):
-            raise ValueError("noise sigmas must be finite and non-negative")
-        if not (0.0 <= self.dropout <= 1.0 and 0.0 <= self.fp_rate <= 1.0):
+        for sigma in (self.center_sigma, self.yaw_sigma):
+            _finite_non_negative("noise sigmas", sigma)
+        for rate in (self.dropout, self.fp_rate):
+            _finite_non_negative("dropout and false-positive rates", rate)
+        if not (self.dropout <= 1.0 and self.fp_rate <= 1.0):
             raise ValueError("dropout and false-positive rates must lie in [0, 1]")
 
 
@@ -161,7 +163,8 @@ class SaConfig:
         self.sample = _integer("sample", self.sample)
         self.cap = _integer("cap", self.cap)
         # Every comparison with NaN is false, so NaN fails this check too.
-        if not (self.sample >= 1 and self.radius > 0.0 and self.cap >= 1):
+        if not (self.sample >= 1 and isinstance(self.radius, numbers.Real)
+                and self.radius > 0.0 and self.cap >= 1):
             raise ValueError(f"set abstraction needs sample >= 1, radius > 0 and "
                              f"cap >= 1, got {self.sample}, {self.radius}, {self.cap}")
         self.widths = _widths("widths", self.widths)
@@ -201,10 +204,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.n_filtered > self.n_input:
             raise ValueError("n_filtered must not exceed n_input")
-        # Every comparison with NaN is false, so NaN fails these checks too.
         for name in ("lr_low", "lr_high", "alpha", "beta"):
-            if not (0.0 <= getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be finite and non-negative")
+            _finite_non_negative(name, getattr(self, name))
         for name in ("assoc_widths", "fp1_widths", "fp2_widths", "fp3_widths",
                      "head_widths"):
             setattr(self, name, _widths(name, getattr(self, name)))

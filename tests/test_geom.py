@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -103,13 +104,15 @@ def test_fps_invalid_arguments():
     with pytest.raises(ValueError, match="2 clouds need as many"):
         farthest_point_sample(two, 1, [0])
     with pytest.raises(ValueError, match="2 clouds need as many"):
-        farthest_point_sample(two, [1, 1, 1], [0, 0])
-    with pytest.raises(ValueError, match="must be integers"):
-        farthest_point_sample(two, 1.0, [0, 0])
+        farthest_point_sample(two, 1, [0, 0, 0])
+    # One count per call: a count per cloud is rejected, not sampled.
+    for count in ([1, 1], np.array([1, 1]), 1.0, True):
+        with pytest.raises(ValueError, match="must be integers"):
+            farthest_point_sample(two, count, [0, 0])
     with pytest.raises(ValueError, match="must be integers"):
         farthest_point_sample(two, 1, [0.0, 0.0])
     with pytest.raises(ValueError, match=r"sample count must lie in \[1, 1\], got 2"):
-        farthest_point_sample(two, [2, 2], [0, 0])
+        farthest_point_sample(two, 2, [0, 0])
     assert farthest_point_sample([], 3, []) == []
 
 
@@ -118,15 +121,15 @@ def test_fps_invalid_arguments():
 def test_fps_lock_step_matches_oracle_and_each_cloud_alone(sizes, data):
     # Integer coordinates in [-2, 2]: duplicates and equal distances in every
     # cloud, and clouds of several sizes, so the shorter ones are padded.
-    clouds, counts, starts = [], [], []
+    clouds, starts = [], []
     for n in sizes:
         coords = data.draw(st.lists(st.integers(-2, 2), min_size=3 * n, max_size=3 * n))
         clouds.append(PointCloud(np.array(coords, dtype=float).reshape(n, 3)))
-        counts.append(data.draw(st.integers(1, n)))
         starts.append(data.draw(st.integers(0, n - 1)))
-    picks = farthest_point_sample(clouds, counts, starts)
+    m = data.draw(st.integers(1, min(sizes)))
+    picks = farthest_point_sample(clouds, m, starts)
     assert len(picks) == len(clouds)
-    for cloud, m, start, idx in zip(clouds, counts, starts, picks):
+    for cloud, start, idx in zip(clouds, starts, picks):
         assert idx.tolist() == fps_oracle(cloud.points, m, start)
         alone = sample_alone(cloud, m, start)
         assert idx.dtype == alone.dtype and idx.tobytes() == alone.tobytes()
@@ -134,14 +137,22 @@ def test_fps_lock_step_matches_oracle_and_each_cloud_alone(sizes, data):
 
 def test_fps_lock_step_equals_each_float_cloud_alone():
     rng = np.random.default_rng(3)
-    clouds = [PointCloud(rng.normal(scale=5.0, size=(n, 3))) for n in (200, 37, 512, 1)]
-    counts = [64, 37, 256, 1]
+    clouds = [PointCloud(rng.normal(scale=5.0, size=(n, 3)))
+              for n in (200, 37, 512, 1, 300)]
+    counts = [37, 37, 256, 1, 256]
     starts = [int(rng.integers(len(c))) for c in clouds]
-    picks = farthest_point_sample(clouds, counts, starts)
+    # One lock-step call per distinct count, as layers.sample_centroids makes.
+    picks = [None] * len(clouds)
+    for m in dict.fromkeys(counts):
+        which = [i for i, count in enumerate(counts) if count == m]
+        group = farthest_point_sample([clouds[i] for i in which], m,
+                                      [starts[i] for i in which])
+        for i, idx in zip(which, group):
+            picks[i] = idx
     for cloud, m, start, idx in zip(clouds, counts, starts, picks):
         alone = sample_alone(cloud, m, start)
         assert idx.dtype == alone.dtype and idx.tobytes() == alone.tobytes()
-    # One count for all clouds gives each cloud the prefix of its longer run.
+    # A smaller count gives each cloud the prefix of its longer run.
     same = farthest_point_sample(clouds[:3], 30, starts[:3])
     assert all(a.tobytes() == b[:30].tobytes() for a, b in zip(same, picks))
 
@@ -361,6 +372,48 @@ def test_nearest_rejects_non_finite_coordinates():
                 select([(bad, 0.0, 0.0), (0.0, 0.0, 0.0)], points)
             with pytest.raises(ValueError, match="finite"):
                 select([(0.0, 0.0, 0.0)], np.vstack([points, [[0.0, bad, 0.0]]]))
+
+
+def test_every_selection_path_measures_with_pair_distances(monkeypatch):
+    # One distance routine keeps the paths bit-equal; the dense path used to
+    # keep its own in-place copy of the arithmetic.
+    rng = np.random.default_rng(8)
+    query, points = rng.normal(size=(30, 3)), rng.normal(size=(60, 3))
+    real, shapes = geom._pair_distances, []
+
+    def recording(*args):
+        dist = real(*args)
+        shapes.append(dist.shape)
+        return dist
+    monkeypatch.setattr(geom, "_pair_distances", recording)
+    nearest(query, points, 5)
+    assert shapes == [(30, 60)]
+    shapes.clear()
+    ball_query(query, points, 1.0, 5)
+    assert len(shapes) == 1 and len(shapes[0]) == 1     # the candidate pairs
+    shapes.clear()
+    monkeypatch.setattr(geom, "_DENSE_MAX_PAIRS", 0)
+    nearest(query, points, 5)
+    # The first radius's dense estimate, one ball_query per radius, and the
+    # distances of the result.
+    assert shapes[0] == (30, 60) and shapes[-1] == (30, 5) and len(shapes) >= 3
+
+
+def test_dense_nearest_at_the_paper_head_shape_holds_no_extra_matrix():
+    # The association head's training shape: 512 x 512 points, k = 64.  The
+    # bound is the traced peak, for these inputs, of the dense path when it
+    # computed its distances inline with np.subtract.outer; one more
+    # (512, 512) float array would add 2 MB.
+    rng = np.random.default_rng(64)
+    query, points = rng.uniform(-10.0, 10.0, size=(2, 512, 3))
+    nearest(query, points, 64)
+    tracemalloc.start()
+    try:
+        nearest(query, points, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_548_134, peak
 
 
 # ---------------------------------------------------------------------------

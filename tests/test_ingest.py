@@ -73,14 +73,19 @@ def test_synthesize_invalid_config():
         for value in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
                 synthesize_sequence(SceneConfig(**{name: value}), seed=0)
+    # A count of the wrong type used to raise a bare TypeError in its range check.
+    for name in ("frames", "objects", "points_per_object", "background_points"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got None$"):
+            SceneConfig(**{name: None})
 
 
 @pytest.mark.parametrize("field", ["noise_sigma", "velocity_min", "velocity_max",
                                    "spawn_spacing", "direction_change_every"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, None, "0.1"])
 def test_synthesize_rejects_a_non_finite_or_negative_scalar(field, value):
     # SceneConfig raises on construction.  A negative direction_change_every
-    # used to run as constant velocity.
+    # used to run as constant velocity, and None or a string raised a bare
+    # TypeError.
     with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
         synthesize_sequence(SceneConfig(**{field: value}), seed=0)
 
@@ -94,6 +99,19 @@ def test_scene_config_rejects_a_non_integer_count(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
         SceneConfig(**{field: value})
     SceneConfig(**{field: np.int64(3)})
+
+
+@pytest.mark.parametrize("field", ["length_range", "width_range", "height_range"])
+@pytest.mark.parametrize("bounds", [(2.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")),
+                                    (0.0, 0.0), (-1.0, 1.0), (1.0,), (1.0, 2.0, 3.0),
+                                    (None, 1.0), 1.0])
+def test_scene_config_rejects_a_bad_size_range(field, bounds):
+    # Synthesis used to die in numpy on a reversed or NaN range, a zero size
+    # failed later in Box3D, and a 1-tuple made every box that size.
+    with pytest.raises(ValueError, match=f"^{field} must be two finite numbers with "
+                                         f"0 < low <= high, got "):
+        SceneConfig(**{field: bounds})
+    assert getattr(SceneConfig(**{field: (1.5, 1.5)}), field) == (1.5, 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +215,7 @@ def test_augmentation_validates_arguments():
         apply_displacement_augmentation(seq, -1.0, "fixed")
     with pytest.raises(ValueError):
         apply_displacement_augmentation(seq, 1.0, "sideways")
-    for magnitude in (float("nan"), float("inf")):
+    for magnitude in (float("nan"), float("inf"), None, "1.0"):
         with pytest.raises(ValueError, match="magnitude must be finite and non-negative"):
             apply_displacement_augmentation(seq, magnitude, "fixed")
 

@@ -587,12 +587,13 @@ def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
         pipeline.Detections([], probs)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, None, "1"])
 @pytest.mark.parametrize("name", ["lr_low", "lr_high", "alpha", "beta", "clr_cycle_epochs"])
 def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
     # Before the check, a negative beta trained without error, NaN or inf
-    # learning rates failed only after the first update, and a zero cycle
-    # length ran as a 2-step cycle.
+    # learning rates failed only after the first update, a zero cycle
+    # length ran as a 2-step cycle, and None or a string raised a bare
+    # TypeError.
     with pytest.raises(ValueError, match=f"^{name} must be"):
         PipelineConfig(**{name: value})
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -601,9 +602,11 @@ def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
 
 @pytest.mark.parametrize("sample, radius, cap", [
     (0, 1.0, 8), (16, 0.0, 8), (16, -1.0, 8), (16, float("nan"), 8), (16, 1.0, 0),
+    (16, None, 8), (16, "1.0", 8),
 ])
 def test_config_rejects_a_bad_set_abstraction_level(sample, radius, cap):
-    # A NaN radius used to pass until ball_query met it in the first forward pass.
+    # A NaN radius used to pass until ball_query met it in the first forward
+    # pass, and a radius of None or a string raised a bare TypeError.
     with pytest.raises(ValueError, match="set abstraction needs"):
         SaConfig(sample, radius, cap, (8, 8))
     level = {"sample": sample, "radius": radius, "cap": cap, "widths": (8, 8)}
@@ -731,8 +734,13 @@ def test_probability_filter_keeps_the_most_probable_with_ties_to_the_lower_index
     ({"center_sigma": float("nan")}, "sigmas"),
     ({"yaw_sigma": float("nan")}, "sigmas"),
     ({"yaw_sigma": float("inf")}, "sigmas"),
+    ({"center_sigma": None}, "^noise sigmas must be finite and non-negative, got None$"),
+    ({"yaw_sigma": "0.1"}, "sigmas"),
+    ({"dropout": "0.1"}, "rates"),
+    ({"fp_rate": None}, "rates"),
 ])
 def test_detector_noise_rejects_invalid_levels(levels, message):
+    # A level of the wrong type used to raise a bare TypeError.
     with pytest.raises(ValueError, match=message):
         pipeline.DetectorNoise(**levels)
 
