@@ -137,9 +137,10 @@ class DetectorNoise:
         for sigma in (self.center_sigma, self.yaw_sigma):
             _finite_non_negative("noise sigmas", sigma)
         for rate in (self.dropout, self.fp_rate):
-            _finite_non_negative("dropout and false-positive rates", rate)
-        if not (self.dropout <= 1.0 and self.fp_rate <= 1.0):
-            raise ValueError("dropout and false-positive rates must lie in [0, 1]")
+            # Every comparison with NaN is false, so NaN fails this check too.
+            if not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
+                raise ValueError(f"dropout and false-positive rates must lie in "
+                                 f"[0, 1], got {rate!r}")
 
 
 def _widths(name: str, widths) -> tuple[int, ...]:

@@ -737,7 +737,7 @@ def test_probability_filter_keeps_the_most_probable_with_ties_to_the_lower_index
     ({"center_sigma": None}, "^noise sigmas must be finite and non-negative, got None$"),
     ({"yaw_sigma": "0.1"}, "sigmas"),
     ({"dropout": "0.1"}, "rates"),
-    ({"fp_rate": None}, "rates"),
+    ({"fp_rate": None}, r"^dropout and false-positive rates must lie in \[0, 1\], got None$"),
 ])
 def test_detector_noise_rejects_invalid_levels(levels, message):
     # A level of the wrong type used to raise a bare TypeError.
