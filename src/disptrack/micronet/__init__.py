@@ -10,7 +10,6 @@ Submodules:
               then in-radius neighbour selection)
   losses      class-balanced weighted-L2 tracking loss
   optim       Adam and the triangular cyclical learning-rate schedule
-  checkpoint  versioned JSON (de)serialization of parameter dictionaries
 
 All math is float64; every differentiable operation returns a tape whose
 ``backward`` reproduces the analytic gradient exactly.
@@ -29,7 +28,6 @@ from .layers import (
 )
 from .losses import tracking_loss
 from .optim import OptState, adam_step, clr_schedule
-from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "DenseGrads", "DenseParams", "DenseTape", "dense_apply",
@@ -37,5 +35,4 @@ __all__ = [
     "association_head", "fp_layer", "sa_layer", "sample_centroids", "select_groups",
     "tracking_loss",
     "OptState", "adam_step", "clr_schedule",
-    "load_checkpoint", "save_checkpoint",
 ]

@@ -40,8 +40,11 @@ frame-B rows are live.
 
 from __future__ import annotations
 
+import json
 import logging
 import numbers
+import os
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -60,10 +63,8 @@ from .micronet import (
     clr_schedule,
     dense_apply,
     fp_layer,
-    load_checkpoint,
     sa_layer,
     sample_centroids,
-    save_checkpoint,
     select_groups,
     tracking_loss,
 )
@@ -145,9 +146,13 @@ class DetectorNoise:
 
 def _widths(name: str, widths) -> tuple[int, ...]:
     """widths as a tuple of ints, each an integer of at least 1."""
+    try:
+        widths = tuple(widths)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {widths!r}") from None
     out = tuple(_integer(name, w) for w in widths)
     if any(w < 1 for w in out):
-        raise ValueError(f"{name} must be at least 1, got {tuple(widths)!r}")
+        raise ValueError(f"{name} must be at least 1, got {widths!r}")
     return out
 
 
@@ -241,6 +246,9 @@ class PipelineConfig:
         unknown |= {f"{key}.{name}" for key in levels for name in set(data[key]) - level_names}
         if unknown:
             raise ValueError(f"unknown config keys loading {sorted(unknown)}")
+        missing = {f"{key}.{name}" for key in levels for name in level_names - set(data[key])}
+        if missing:
+            raise ValueError(f"missing config keys loading {sorted(missing)}")
         for key in levels:
             data[key] = SaConfig(**data[key])
         return cls(**data)
@@ -259,9 +267,10 @@ def probability_filter(cloud: PointCloud, probs, n_filtered: int) -> np.ndarray:
     probs = np.asarray(probs, dtype=float).ravel()
     if probs.shape[0] != len(cloud):
         raise ValueError("probability vector must match the cloud length")
+    n_filtered = _integer("n_filtered", n_filtered)
     if n_filtered < 0:
         raise ValueError(f"n_filtered must not be negative, got {n_filtered}")
-    keep = min(int(n_filtered), probs.shape[0])
+    keep = min(n_filtered, probs.shape[0])
     return np.sort(np.argsort(-probs, kind="stable")[:keep])
 
 
@@ -392,13 +401,39 @@ def build_displacement_model(config: PipelineConfig) -> DisplacementModel:
 
 def save_displacement_model(path, model: DisplacementModel,
                             config: PipelineConfig) -> None:
-    save_checkpoint(path, "displacement", config.to_dict(), model.param_dict())
+    """Write one .npz file at exactly path: each parameter, float64, under
+    its param_dict name, and "config", a 0-d string of config.to_dict() as
+    JSON.  It is written beside path and moved over it, so path never holds
+    half a file."""
+    text = np.array(json.dumps(config.to_dict()))  # fails before any file opens
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as file:  # an open file, so np.savez adds no suffix
+        np.savez(file, config=text, **model.param_dict())
+    os.replace(tmp, path)
 
 
 def load_displacement_model(path) -> tuple[DisplacementModel, PipelineConfig]:
-    kind, config_dict, params = load_checkpoint(path)
-    if kind != "displacement":
-        raise ValueError(f"expected a displacement checkpoint, got kind {kind!r}")
+    """The model and config of an .npz that save_displacement_model wrote:
+    float64 parameters by name and a 0-d JSON string "config".  Any other
+    file, a config that from_dict rejects or parameters that load_param_dict
+    rejects raise ValueError; nothing is unpickled."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("it holds one array, not an .npz archive")
+        with archive:  # np.asarray, as a member that is not an .npy reads as bytes
+            params = {name: np.asarray(archive[name]) for name in archive.files}
+        text = params.pop("config", np.array(None))
+        if text.shape != () or text.dtype.kind != "U":
+            raise ValueError('it lacks a 0-d string "config"')
+        config_dict = json.loads(text.item())
+        if not isinstance(config_dict, dict):
+            raise ValueError(f"its config is a JSON {type(config_dict).__name__}, not an object")
+        not_float = sorted(name for name, value in params.items() if value.dtype != np.float64)
+        if not_float:
+            raise ValueError(f"parameters {not_float} are not float64")
+    except (EOFError, ValueError, zipfile.BadZipFile) as err:
+        raise ValueError(f"{os.fspath(path)} is not a saved displacement model: {err}") from None
     config = PipelineConfig.from_dict(config_dict)
     model = build_displacement_model(config)
     model.load_param_dict(params)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,6 @@ from disptrack.micronet import (
     adam_step,
     clr_schedule,
     dense_apply,
-    load_checkpoint,
-    save_checkpoint,
 )
 from gradcheck import gradient_check
 
@@ -122,59 +118,3 @@ def test_gradcheck_rejects_nonfinite_loss():
     with pytest.raises(ValueError):
         gradient_check(loss_fn, {"w": np.zeros(2)}, probe_count=1)
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    rng = np.random.default_rng(3)
-    params = {"a.w0": rng.normal(size=(4, 3)), "a.b0": rng.normal(size=3),
-              "head.w0": rng.normal(size=(3, 3)) * 1e-17}
-    path = tmp_path / "model.json"
-    save_checkpoint(path, "displacement", {"k": 16, "n_filtered": 512}, params)
-    kind, config, loaded = load_checkpoint(path)
-    assert kind == "displacement"
-    assert config == {"k": 16, "n_filtered": 512}
-    assert set(loaded) == set(params)
-    for key in params:
-        assert np.array_equal(loaded[key], params[key])
-        assert loaded[key].shape == params[key].shape
-
-
-def test_checkpoint_rejects_unknown_version(tmp_path):
-    path = tmp_path / "model.json"
-    save_checkpoint(path, "mask", {}, {"w": np.zeros(2)})
-    text = path.read_text().replace('"format_version": 1', '"format_version": 99')
-    path.write_text(text)
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("payload, message", [
-    ([1, 2], "must be a JSON object, got list"),
-    ("model", "must be a JSON object, got str"),
-    ({"format_version": 1, "config": {}, "params": {}}, r"lacks \['kind'\]"),
-    ({"format_version": 1, "kind": "mask", "params": {}}, r"lacks \['config'\]"),
-    ({"format_version": 1, "kind": "mask", "config": {}}, r"lacks \['params'\]"),
-    ({"format_version": 1, "kind": "mask", "config": {}, "params": [1.0]},
-     "config and params must be JSON objects"),
-    ({"format_version": 1, "kind": "mask", "config": {}, "params": {"w": {"values": [1.0]}}},
-     "param 'w' needs a shape and values"),
-    ({"format_version": 1, "kind": "mask", "config": {}, "params": {"w": {"shape": [1]}}},
-     "param 'w' needs a shape and values"),
-    ({"format_version": 1, "kind": "mask", "config": {}, "params": {"w": [1.0]}},
-     "param 'w' needs a shape and values"),
-    ({"format_version": 1, "kind": "mask", "config": {},
-      "params": {"w": {"shape": [3], "values": [1.0, 2.0]}}}, "param 'w': cannot reshape"),
-    ({"format_version": 1, "kind": "mask", "config": {},
-      "params": {"w": {"shape": "x", "values": [1.0]}}}, "param 'w': 'str' object"),
-    ({"format_version": 1, "kind": "mask", "config": {},
-      "params": {"w": {"shape": [1], "values": {"a": 1.0}}}}, "param 'w': float"),
-])
-def test_checkpoint_rejects_a_malformed_payload(tmp_path, payload, message):
-    # These used to raise KeyError, AttributeError or TypeError.
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=message):
-        load_checkpoint(path)

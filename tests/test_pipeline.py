@@ -12,6 +12,8 @@ output change, with `PYTHONPATH=src python tests/test_pipeline.py`.
 import dataclasses
 import json
 import logging
+import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ from disptrack.ingest import (
     synthesize_sequence,
 )
 from disptrack.micronet import layers as layers_module
-from disptrack.micronet import save_checkpoint, tracking_loss
+from disptrack.micronet import tracking_loss
 from disptrack.pipeline import PipelineConfig, SaConfig
 from gradcheck import gradient_check
 
@@ -664,11 +666,17 @@ def test_config_rejects_point_counts_below_one(counts, message):
     ({"sa3": {"sample": 4, "radius": 4.0, "cap": 8, "widths": [7.9]}},
      "^widths must be an integer, got 7.9"),
     ({"k": 65}, "^k=65 exceeds the (16|64) sa2 points"),     # TINY's or the default's
+    ({"head_widths": 5}, "^head_widths must be a sequence of integers, got 5$"),
+    ({"fp1_widths": 3.0}, r"^fp1_widths must be a sequence of integers, got 3\.0$"),
+    ({"assoc_widths": None}, "^assoc_widths must be a sequence of integers, got None$"),
+    ({"sa3": {"sample": 4, "radius": 4.0, "cap": 8, "widths": None}},
+     "^widths must be a sequence of integers, got None$"),
 ])
 def test_config_rejects_non_integer_counts_and_widths(changes, message):
     # Before the check, a float sample count or a zero width trained
     # silently, a float width was truncated, and k=2.5, cap=8.5 or seed=1.5
-    # failed deep inside numpy.
+    # failed deep inside numpy.  Widths that are not a sequence raised a
+    # bare TypeError, such as "'int' object is not iterable".
     with pytest.raises(ValueError, match=message):
         PipelineConfig.from_dict({**TINY.to_dict(), **changes})
     [value] = changes.values()
@@ -698,8 +706,8 @@ def test_config_takes_numpy_integers_as_ints(tmp_path):
     assert config.head_widths == (16,) and type(config.head_widths[0]) is int
     # The config stays JSON-serializable, so its model checkpoints load.
     model = pipeline.build_displacement_model(config)
-    pipeline.save_displacement_model(tmp_path / "model.json", model, config)
-    _, loaded = pipeline.load_displacement_model(tmp_path / "model.json")
+    pipeline.save_displacement_model(tmp_path / "model.npz", model, config)
+    _, loaded = pipeline.load_displacement_model(tmp_path / "model.npz")
     assert loaded == config
 
 
@@ -709,6 +717,17 @@ def test_probability_filter_rejects_a_negative_count():
     with pytest.raises(ValueError, match="n_filtered must not be negative, got -3"):
         pipeline.probability_filter(cloud, np.full(6, 0.5), -3)
     assert pipeline.probability_filter(cloud, np.full(6, 0.5), 0).tolist() == []
+
+
+@pytest.mark.parametrize("count", [2.5, True, "2", None])
+def test_probability_filter_rejects_a_count_that_is_not_an_integer(count):
+    # 2.5 used to keep 2 points and True 1.
+    cloud = PointCloud(np.zeros((6, 3)))
+    message = f"^n_filtered must be an integer, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=message):
+        pipeline.probability_filter(cloud, np.full(6, 0.5), count)
+    assert pipeline.probability_filter(cloud, np.full(6, 0.5), np.int64(2)).tolist() == [0, 1]
+
 
 def test_probability_filter_keeps_the_most_probable_with_ties_to_the_lower_index():
     cloud = PointCloud(np.zeros((6, 3)))
@@ -829,7 +848,7 @@ def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
     seq, a, label_a, b, label_b = scene_pair()
     config = tiny_config(seed=4)
     model, _ = pipeline.train_association(seq, config, epochs=1)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.npz"
     pipeline.save_displacement_model(path, model, config)
     loaded, loaded_config = pipeline.load_displacement_model(path)
 
@@ -845,7 +864,7 @@ def test_checkpoint_round_trip_restores_model_and_config(tmp_path):
 def test_load_rejects_a_non_finite_checkpoint(tmp_path):
     model = pipeline.build_displacement_model(TINY)
     model.head.weights[0][0, 0] = np.nan
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.npz"
     pipeline.save_displacement_model(path, model, TINY)
     with pytest.raises(ValueError, match="non-finite values loading head.w0"):
         pipeline.load_displacement_model(path)
@@ -903,11 +922,10 @@ def test_training_names_the_first_non_finite_gradient_before_any_update(monkeypa
 
 def test_load_rejects_a_config_with_unknown_keys(tmp_path):
     # Checkpoints saved while the head had a fusion option carry that key.
-    path = tmp_path / "stale.json"
-    pipeline.save_displacement_model(path, pipeline.build_displacement_model(TINY), TINY)
-    data = json.loads(path.read_text())
-    data["config"]["fusion"] = "cosine_distance"
-    path.write_text(json.dumps(data))
+    entries = saved_entries(tmp_path)
+    config = json.loads(entries["config"].item())
+    path = tmp_path / "stale.npz"
+    write_npz(path, {**entries, "config": np.array(json.dumps({**config, "fusion": "cosine"}))})
     with pytest.raises(ValueError, match=r"^unknown config keys loading \['fusion'\]$"):
         pipeline.load_displacement_model(path)
     with pytest.raises(ValueError, match=r"unknown config keys loading \['fusion', 'k2'\]"):
@@ -918,11 +936,137 @@ def test_load_rejects_a_config_with_unknown_keys(tmp_path):
         PipelineConfig.from_dict({**TINY.to_dict(), "k2": 3, "sa2": sa2})
 
 
-def test_load_rejects_a_checkpoint_of_another_kind(tmp_path):
-    path = tmp_path / "other.json"
-    save_checkpoint(path, "other", TINY.to_dict(), {})
-    with pytest.raises(ValueError, match="displacement"):
+UNPICKLED = []
+
+
+def record_unpickling():
+    UNPICKLED.append(True)
+
+
+class Tripwire:
+    """An object whose unpickling records itself in UNPICKLED."""
+
+    def __reduce__(self):
+        return record_unpickling, ()
+
+
+def saved_entries(tmp_path) -> dict[str, np.ndarray]:
+    """The arrays save_displacement_model writes for an untrained TINY model."""
+    path = tmp_path / "model.npz"
+    pipeline.save_displacement_model(path, pipeline.build_displacement_model(TINY), TINY)
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def write_npz(path, entries: dict) -> None:
+    with open(path, "wb") as file:
+        np.savez(file, **entries)
+
+
+def with_config(entries: dict, text: str) -> dict:
+    return {**entries, "config": np.array(text)}
+
+
+def save_npy(path, entries: dict) -> None:
+    with open(path, "wb") as file:      # an open file, so np.save adds no suffix
+        np.save(file, entries["head.w0"])
+
+
+def plain_zip(path, entries: dict) -> None:
+    with zipfile.ZipFile(path, "w") as archive:  # a member that is not an .npy
+        archive.writestr("config", entries["config"].item())
+
+
+def truncate(path, entries: dict) -> None:
+    write_npz(path, entries)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+# Where numpy raises, only the prefix is matched; numpy words its own errors.
+NOT_SAVED = "is not a saved displacement model: "
+
+
+@pytest.mark.parametrize("write, message", [
+    pytest.param(lambda path, e: path.write_text(json.dumps({"format_version": 1})),
+                 NOT_SAVED, id="json"),
+    pytest.param(save_npy,
+                 NOT_SAVED + "it holds one array", id="npy"),
+    pytest.param(lambda path, e: path.write_bytes(b""), NOT_SAVED, id="empty"),
+    pytest.param(truncate, NOT_SAVED, id="truncated-zip"),
+    pytest.param(plain_zip, NOT_SAVED + 'it lacks a 0-d string "config"', id="zip-not-npz"),
+    pytest.param(lambda path, e: write_npz(path, {k: v for k, v in e.items() if k != "config"}),
+                 NOT_SAVED + 'it lacks a 0-d string "config"', id="no-config"),
+    pytest.param(lambda path, e: write_npz(path, {**e, "config": np.array(3.0)}),
+                 NOT_SAVED + 'it lacks a 0-d string "config"', id="non-string-config"),
+    pytest.param(lambda path, e: write_npz(path, {**e, "config": np.array(["{}"])}),
+                 NOT_SAVED + 'it lacks a 0-d string "config"', id="1-d-config"),
+    pytest.param(lambda path, e: write_npz(path, with_config(e, "{not json")),
+                 NOT_SAVED, id="config-not-json"),
+    pytest.param(lambda path, e: write_npz(path, with_config(e, "[1, 2]")),
+                 NOT_SAVED + "its config is a JSON list, not an object", id="config-not-object"),
+    pytest.param(lambda path, e: write_npz(path, with_config(e, '{"sa1": {"sample": 8}}')),
+                 r"^missing config keys loading \['sa1\.cap', 'sa1\.radius', 'sa1\.widths'\]$",
+                 id="level-missing-a-field"),
+    pytest.param(lambda path, e: write_npz(path, {**e, "head.w0": np.array([Tripwire()])}),
+                 NOT_SAVED, id="object-array"),
+    pytest.param(lambda path, e: write_npz(path, {**e, "head.w0": e["head.w0"].astype(int)}),
+                 NOT_SAVED + r"parameters \['head\.w0'\] are not float64", id="int-param"),
+    pytest.param(lambda path, e: write_npz(path, {**e, "sa1.b0": e["sa1.b0"].astype(str)}),
+                 NOT_SAVED + r"parameters \['sa1\.b0'\] are not float64", id="str-param"),
+    pytest.param(lambda path, e: write_npz(path, {k: v for k, v in e.items() if k != "fp2.b0"}),
+                 r"missing \['fp2\.b0'\], extra \[\]", id="missing-param"),
+    pytest.param(lambda path, e: write_npz(path, {**e, "fp4.w0": np.zeros((2, 2))}),
+                 r"missing \[\], extra \['fp4\.w0'\]", id="extra-param"),
+])
+def test_load_rejects_a_file_that_is_not_a_saved_model(tmp_path, write, message):
+    UNPICKLED.clear()
+    path = tmp_path / "bad.npz"
+    write(path, saved_entries(tmp_path))
+    with pytest.raises(ValueError, match=message):
         pipeline.load_displacement_model(path)
+    assert UNPICKLED == []
+
+
+def test_a_paper_scale_model_survives_save_and_load_byte_for_byte(tmp_path):
+    config = PipelineConfig.paper_scale()
+    model = pipeline.build_displacement_model(config)
+    rng = np.random.default_rng(7)
+    # Values a fresh model of config.seed does not hold, down to -0.0 and a
+    # subnormal, so the load must carry every bit.
+    params = {name: rng.normal(size=value.shape) * 10.0 ** rng.integers(-300, 300)
+              for name, value in model.param_dict().items()}
+    params["head.b0"][:2] = (-0.0, 5e-324)
+    model.load_param_dict(params)
+    path = tmp_path / "paper.npz"
+    pipeline.save_displacement_model(path, model, config)
+    loaded, loaded_config = pipeline.load_displacement_model(path)
+
+    assert loaded_config == config
+    loaded_params = loaded.param_dict()
+    assert sum(value.size for value in loaded_params.values()) == 573_347
+    assert list(loaded_params) == list(params)
+    for name, value in params.items():
+        assert loaded_params[name].dtype == value.dtype
+        assert loaded_params[name].shape == value.shape
+        assert loaded_params[name].tobytes() == value.tobytes()
+
+
+def test_save_writes_exactly_path_and_replaces_an_earlier_save(tmp_path):
+    path = tmp_path / "model"
+    pipeline.save_displacement_model(path, pipeline.build_displacement_model(TINY), TINY)
+    assert [p.name for p in tmp_path.iterdir()] == ["model"]     # no .npz, no .tmp
+    config = tiny_config(seed=5)
+    second = pipeline.build_displacement_model(config)
+    pipeline.save_displacement_model(str(path), second, config)
+    assert [p.name for p in tmp_path.iterdir()] == ["model"]
+    loaded, loaded_config = pipeline.load_displacement_model(path)
+    assert loaded_config == config
+    assert not np.array_equal(second.sa1.weights[0],
+                              pipeline.build_displacement_model(TINY).sa1.weights[0])
+    assert all(np.array_equal(value, second.param_dict()[name])
+               for name, value in loaded.param_dict().items())
+    with pytest.raises(FileNotFoundError):
+        pipeline.load_displacement_model(tmp_path / "absent.npz")
 
 
 def print_golden_diffs(path: Path, actual: dict[str, np.ndarray]) -> bool:
