@@ -37,6 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _xyz_rows(name: str, array) -> np.ndarray:
+    """array as a float (n, 3) array; raises ValueError naming the field and
+    the shape unless it is 2-D with 3 columns."""
+    array = np.asarray(array, dtype=float)
+    if array.ndim != 2 or array.shape[1] != 3:
+        raise ValueError(f"{name} must be an (n, 3) array, got shape {array.shape}")
+    return array
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle in radians into [-pi, pi)."""
     return float((angle + np.pi) % (2.0 * np.pi) - np.pi)
@@ -49,7 +58,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        self.points = _xyz_rows("points", self.points)
         if not np.all(np.isfinite(self.points)):
             raise ValueError("point coordinates must be finite")
 
@@ -88,17 +97,9 @@ class Box3D:
         rot = np.array([[c, -s], [s, c]])
         return base @ rot.T + self.center[:2]
 
-    def z_interval(self) -> tuple[float, float]:
-        half = self.size[2] / 2.0
-        return float(self.center[2] - half), float(self.center[2] + half)
-
     @property
     def bev_area(self) -> float:
         return float(self.size[0] * self.size[1])
-
-    @property
-    def volume(self) -> float:
-        return float(self.size[0] * self.size[1] * self.size[2])
 
 
 def farthest_point_sample(clouds, m: int, starts) -> list[np.ndarray]:
@@ -164,9 +165,8 @@ def farthest_point_sample(clouds, m: int, starts) -> list[np.ndarray]:
 
 def _finite_coordinates(query, points) -> tuple[np.ndarray, np.ndarray]:
     """query and points as float (q, 3) and (n, 3) arrays; raises ValueError
-    if any coordinate is NaN or infinite."""
-    query = np.asarray(query, dtype=float).reshape(-1, 3)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    for another shape or if any coordinate is NaN or infinite."""
+    query, points = _xyz_rows("query", query), _xyz_rows("points", points)
     if not (np.isfinite(query).all() and np.isfinite(points).all()):
         raise ValueError("query and point coordinates must be finite")
     return query, points
@@ -438,28 +438,18 @@ def _box_sort_key(box: Box3D):
     return (tuple(box.center), tuple(box.size), box.yaw)
 
 
-def box_iou(a: Box3D, b: Box3D, mode: str = "bev") -> float:
-    """Intersection over union of two oriented boxes.
-
-    mode "bev" uses the rotated footprint rectangles; mode "3d" multiplies the
-    footprint intersection by the vertical overlap.  Symmetric in a and b.
+def box_iou(a: Box3D, b: Box3D) -> float:
+    """Bird's-eye-view intersection over union of two oriented boxes: the
+    overlap of their rotated footprint rectangles over the union of their
+    footprints.  Heights and z are ignored.  Symmetric in a and b.
     """
-    if mode not in ("bev", "3d"):
-        raise ValueError(f"unknown IoU mode {mode!r}")
     if (np.array_equal(a.center, b.center) and np.array_equal(a.size, b.size)
             and a.yaw == b.yaw):
         return 1.0
     # evaluate in a canonical argument order so iou(a, b) == iou(b, a) exactly
     first, second = (a, b) if _box_sort_key(a) <= _box_sort_key(b) else (b, a)
-    inter_bev = _polygon_area(_clip_polygon(first.bev_corners(), second.bev_corners()))
-    if mode == "bev":
-        inter = inter_bev
-        union = a.bev_area + b.bev_area - inter
-    else:
-        lo = max(a.z_interval()[0], b.z_interval()[0])
-        hi = min(a.z_interval()[1], b.z_interval()[1])
-        inter = inter_bev * max(0.0, hi - lo)
-        union = a.volume + b.volume - inter
+    inter = _polygon_area(_clip_polygon(first.bev_corners(), second.bev_corners()))
+    union = a.bev_area + b.bev_area - inter
     if union <= 0.0:
         return 0.0
     return float(min(1.0, max(0.0, inter / union)))

@@ -26,12 +26,14 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-def _finite_non_negative(name: str, value) -> None:
-    """Raise ValueError naming the field unless value is a real number in
-    [0, inf); numpy scalars pass, and NaN, a string or None fail."""
+def _finite_non_negative(name: str, value) -> float:
+    """value as a Python float; raises ValueError naming the field unless it
+    is a real number in [0, inf).  numpy scalars pass, and NaN, a string or
+    None fail."""
     # Every comparison with NaN is false, so NaN fails this check too.
     if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return float(value)
 
 
 @dataclass(eq=False)
@@ -107,7 +109,11 @@ class TrainingTargets:
 
 @dataclass
 class SceneConfig:
-    """Parameters of a synthetic drive; all distances in meters."""
+    """Parameters of a synthetic drive; all distances in meters.
+
+    ``velocity_min`` and ``velocity_max`` bound each object's speed in
+    meters per frame: a step of the drive, with no frame period.
+    """
 
     frames: int = 50
     objects: int = 5
@@ -122,8 +128,6 @@ class SceneConfig:
     spawn_spacing: float = 14.0
     arena_half_extent: float = 45.0
     direction_change_every: int = 0  # 0 keeps velocities constant
-    frame_period: float = 0.1
-    name: str = "synthetic"
 
     def __post_init__(self) -> None:
         for name in ("frames", "objects", "points_per_object", "background_points"):
@@ -133,8 +137,9 @@ class SceneConfig:
         if self.points_per_object < 1 or self.background_points < 0:
             raise ValueError("point counts must be positive")
         for name in ("noise_sigma", "velocity_min", "velocity_max", "spawn_spacing",
-                     "arena_half_extent", "direction_change_every", "frame_period"):
-            _finite_non_negative(name, getattr(self, name))
+                     "arena_half_extent"):
+            setattr(self, name, _finite_non_negative(name, getattr(self, name)))
+        _finite_non_negative("direction_change_every", self.direction_change_every)
         self.direction_change_every = _integer("direction_change_every",
                                                self.direction_change_every)
         if self.velocity_max < self.velocity_min:
@@ -216,8 +221,7 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
         boxes = [Box3D(centres[f, obj].copy(), sizes[obj].copy(), heading[f, obj],
                        track_id=obj) for obj in range(n)]
         frames.append((PointCloud(world + noise), FrameLabel(f, boxes)))
-    return Sequence(frames, name=f"{config.name}-{seed}",
-                    frame_period=config.frame_period)
+    return Sequence(frames, name=f"synthetic-{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +229,16 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
 # ---------------------------------------------------------------------------
 
 def apply_displacement_augmentation(seq: Sequence, magnitude: float,
-                                    mode: str = "fixed", seed: int = 0,
-                                    per_object: bool = True) -> Sequence:
+                                    seed: int = 0) -> Sequence:
     """Inject extra per-frame horizontal shifts into every labelled object.
 
-    For each frame transition and each object, a horizontal displacement of
-    norm `magnitude` (mode "fixed") or norm ~ U[0, magnitude] (mode
-    "uniform_random") in a uniformly random direction is added to the
-    object's points and its box center, accumulating over the sequence.
-    A point inside several boxes moves with the first of them only.
-    With per_object=False all objects share one shift per transition.
-    Background points and frame 0 are untouched.
+    For each frame transition and each track, in ascending track id order, a
+    horizontal displacement of norm `magnitude` in a uniformly random
+    direction is added to the object's points and its box center,
+    accumulating over the sequence.  A point inside several boxes moves with
+    the first of them only.  Background points and frame 0 are untouched.
     """
-    _finite_non_negative("magnitude", magnitude)
-    if mode not in ("fixed", "uniform_random"):
-        raise ValueError(f"mode must be 'fixed' or 'uniform_random', got {mode!r}")
+    magnitude = _finite_non_negative("magnitude", magnitude)
     rng = np.random.default_rng(seed)
 
     track_ids = sorted({box.track_id for _, label in seq.frames for box in label.boxes
@@ -249,12 +248,10 @@ def apply_displacement_augmentation(seq: Sequence, magnitude: float,
     frames = []
     for f, (cloud, label) in enumerate(seq.frames):
         if f > 0:
-            shared = None
-            if not per_object:
-                shared = _draw_shift(rng, magnitude, mode)
             for tid in track_ids:
-                shift[tid] = shift[tid] + (shared if shared is not None
-                                           else _draw_shift(rng, magnitude, mode))
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                shift[tid] = shift[tid] + np.array([magnitude * np.cos(angle),
+                                                    magnitude * np.sin(angle), 0.0])
         deltas = np.array([shift.get(box.track_id, np.zeros(3))
                            for box in label.boxes]).reshape(-1, 3)
         owner = box_owner(cloud, label.boxes)
@@ -264,12 +261,6 @@ def apply_displacement_augmentation(seq: Sequence, magnitude: float,
         boxes = [box.translated(delta) for box, delta in zip(label.boxes, deltas)]
         frames.append((PointCloud(pts), FrameLabel(label.frame_index, boxes)))
     return Sequence(frames, name=seq.name, frame_period=seq.frame_period)
-
-
-def _draw_shift(rng: np.random.Generator, magnitude: float, mode: str) -> np.ndarray:
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    norm = magnitude if mode == "fixed" else rng.uniform(0.0, magnitude)
-    return np.array([norm * np.cos(angle), norm * np.sin(angle), 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ import numpy as np
 
 
 def tracking_loss(pred_disp: np.ndarray, target_disp: np.ndarray,
-                  foreground_mask: np.ndarray, alpha: float = 1.0,
-                  beta: float = 0.5,
-                  excluded: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+                  foreground_mask: np.ndarray, alpha: float, beta: float,
+                  excluded: np.ndarray) -> tuple[float, np.ndarray]:
     """Class-balanced squared-L2 displacement loss.
 
     loss = alpha * (N/N_pos) * sum_pos ||e||^2 + beta * (N/N_neg) * sum_neg ||e||^2
@@ -23,17 +22,12 @@ def tracking_loss(pred_disp: np.ndarray, target_disp: np.ndarray,
     pred = np.asarray(pred_disp, dtype=float).reshape(-1, 3)
     target = np.asarray(target_disp, dtype=float).reshape(-1, 3)
     mask = np.asarray(foreground_mask, dtype=bool).ravel()
+    excluded = np.asarray(excluded, dtype=bool).ravel()
     n = pred.shape[0]
     if n == 0:
         raise ValueError("need at least one point")
-    if target.shape[0] != n or mask.shape[0] != n:
-        raise ValueError("prediction, target and mask lengths must match")
-    if excluded is None:
-        excluded = np.zeros(n, dtype=bool)
-    else:
-        excluded = np.asarray(excluded, dtype=bool).ravel()
-        if excluded.shape[0] != n:
-            raise ValueError("excluded mask length must match")
+    if target.shape[0] != n or mask.shape[0] != n or excluded.shape[0] != n:
+        raise ValueError("prediction, target, mask and excluded lengths must match")
 
     err = pred - target
     sq = np.einsum("ij,ij->i", err, err)

@@ -135,8 +135,8 @@ class DetectorNoise:
     fp_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for sigma in (self.center_sigma, self.yaw_sigma):
-            _finite_non_negative("noise sigmas", sigma)
+        self.center_sigma = _finite_non_negative("noise sigmas", self.center_sigma)
+        self.yaw_sigma = _finite_non_negative("noise sigmas", self.yaw_sigma)
         for rate in (self.dropout, self.fp_rate):
             # Every comparison with NaN is false, so NaN fails this check too.
             if not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
@@ -173,6 +173,7 @@ class SaConfig:
                 and self.radius > 0.0 and self.cap >= 1):
             raise ValueError(f"set abstraction needs sample >= 1, radius > 0 and "
                              f"cap >= 1, got {self.sample}, {self.radius}, {self.cap}")
+        self.radius = float(self.radius)
         self.widths = _widths("widths", self.widths)
 
 
@@ -208,10 +209,12 @@ class PipelineConfig:
         for name in ("n_input", "n_filtered", "k", "clr_cycle_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_filtered > self.n_input:
             raise ValueError("n_filtered must not exceed n_input")
         for name in ("lr_low", "lr_high", "alpha", "beta"):
-            _finite_non_negative(name, getattr(self, name))
+            setattr(self, name, _finite_non_negative(name, getattr(self, name)))
         for name in ("assoc_widths", "fp1_widths", "fp2_widths", "fp3_widths",
                      "head_widths"):
             setattr(self, name, _widths(name, getattr(self, name)))

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 import warnings
 
@@ -684,41 +685,39 @@ def random_box_pair(rng):
 
 def test_iou_identical_boxes():
     box = Box3D((1, 2, 3), (3.9, 1.6, 1.56), 0.3)
-    assert box_iou(box, box, "bev") == 1.0
-    assert box_iou(box, box, "3d") == 1.0
+    assert box_iou(box, box) == 1.0
 
 
 def test_iou_disjoint_boxes():
     a = Box3D((0, 0, 0), (1, 1, 1), 0.0)
     b = Box3D((10, 0, 0), (1, 1, 1), 0.5)
-    assert box_iou(a, b, "bev") == 0.0
-    assert box_iou(a, b, "3d") == 0.0
+    assert box_iou(a, b) == 0.0
 
 
 def test_iou_offset_unit_cubes():
-    # overlap 0.5 x 1 (x 1), union 2 - 0.5 -> exactly 1/3 in both modes
+    # overlap 0.5 x 1, union 2 - 0.5 -> exactly 1/3
     a = Box3D((0, 0, 0), (1, 1, 1), 0.0)
     b = Box3D((0.5, 0, 0), (1, 1, 1), 0.0)
-    assert box_iou(a, b, "bev") == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert box_iou(a, b, "3d") == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert box_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-9)
 
 
 def test_iou_symmetry_self_and_range():
     rng = np.random.default_rng(11)
     for _ in range(100):
         a, b = random_box_pair(rng)
-        for mode in ("bev", "3d"):
-            v = box_iou(a, b, mode)
-            assert v == box_iou(b, a, mode)
-            assert 0.0 <= v <= 1.0
-        assert box_iou(a, a, "bev") == 1.0
+        v = box_iou(a, b)
+        assert v == box_iou(b, a)
+        assert 0.0 <= v <= 1.0
+        assert box_iou(a, a) == 1.0
 
 
 def test_iou_z_overlap_matters():
+    # IoU is bird's-eye-view: boxes stacked in z, with no height overlap,
+    # share their whole footprint.  The clip reaches this full overlap
+    # without the identical-box shortcut, as the centres differ.
     a = Box3D((0, 0, 0), (2, 2, 2), 0.0)
     b = Box3D((0, 0, 5), (2, 2, 2), 0.0)
-    assert box_iou(a, b, "bev") == 1.0
-    assert box_iou(a, b, "3d") == 0.0
+    assert box_iou(a, b) == 1.0
 
 
 def test_iou_matches_monte_carlo_quick():
@@ -727,13 +726,7 @@ def test_iou_matches_monte_carlo_quick():
     for trial in range(20):
         a, b = random_box_pair(rng)
         approx = mc_iou_bev(a, b, 200_000, seed=trial)
-        assert abs(box_iou(a, b, "bev") - approx) < 0.02
-
-
-def test_iou_invalid_mode():
-    box = Box3D((0, 0, 0), (1, 1, 1), 0.0)
-    with pytest.raises(ValueError):
-        box_iou(box, box, "volumetric")
+        assert abs(box_iou(a, b) - approx) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +736,25 @@ def test_iou_invalid_mode():
 def test_point_cloud_validation():
     with pytest.raises(ValueError):
         PointCloud(np.array([[np.nan, 0, 0]]))
+
+
+XYZ = np.zeros((4, 3))
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (3, 2), (3,)])
+@pytest.mark.parametrize("take", [
+    pytest.param(PointCloud, id="PointCloud"),
+    pytest.param(lambda a: nearest(XYZ, a, 1), id="nearest-points"),
+    pytest.param(lambda a: nearest(a, XYZ, 1), id="nearest-query"),
+    pytest.param(lambda a: ball_query(XYZ, a, 1.0, 1), id="ball_query-points"),
+    pytest.param(lambda a: ball_query(a, XYZ, 1.0, 1), id="ball_query-query"),
+])
+def test_coordinates_must_be_n_by_3(take, shape):
+    # Every array used to be reshaped to (-1, 3): (6, 4) rows of x, y, z and
+    # reflectance became 8 scrambled points, (3, 2) became 2 and (3,) one.
+    array = np.arange(float(np.prod(shape))).reshape(shape)
+    with pytest.raises(ValueError, match=re.escape(f"an (n, 3) array, got shape {shape}")):
+        take(array)
 
 
 def test_box_validation_and_yaw_wrap():

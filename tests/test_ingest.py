@@ -69,10 +69,10 @@ def test_synthesize_invalid_config():
     with pytest.raises(ValueError):
         synthesize_sequence(SceneConfig(objects=0), seed=0)
     # A negative or NaN arena extent used to fail inside numpy's uniform.
-    for name in ("arena_half_extent", "frame_period"):
-        for value in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match=f"^{name} must be finite and non-negative"):
-                synthesize_sequence(SceneConfig(**{name: value}), seed=0)
+    for value in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match="^arena_half_extent must be finite and non-negative"):
+            synthesize_sequence(SceneConfig(arena_half_extent=value), seed=0)
     # A count of the wrong type used to raise a bare TypeError in its range check.
     for name in ("frames", "objects", "points_per_object", "background_points"):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got None$"):
@@ -126,7 +126,7 @@ def small_sequence(seed=6, frames=4):
 
 def test_augmentation_zero_magnitude_is_identity():
     seq = small_sequence()
-    out = apply_displacement_augmentation(seq, 0.0, "fixed", seed=1)
+    out = apply_displacement_augmentation(seq, 0.0, seed=1)
     for (ca, la), (cb, lb) in zip(seq.frames, out.frames):
         assert np.array_equal(ca.points, cb.points)
         for ba, bb in zip(la.boxes, lb.boxes):
@@ -135,7 +135,7 @@ def test_augmentation_zero_magnitude_is_identity():
 
 def test_augmentation_fixed_norm_added_to_motion():
     seq = small_sequence()
-    out = apply_displacement_augmentation(seq, 2.0, "fixed", seed=2)
+    out = apply_displacement_augmentation(seq, 2.0, seed=2)
     for tid in (0, 1):
         for f in range(1, len(seq)):
             orig_step = (seq.frames[f][1].box_by_track(tid).center
@@ -147,21 +147,9 @@ def test_augmentation_fixed_norm_added_to_motion():
             assert extra[2] == 0.0  # horizontal shift only
 
 
-def test_augmentation_uniform_random_norm_bounded():
-    seq = small_sequence(frames=6)
-    out = apply_displacement_augmentation(seq, 1.5, "uniform_random", seed=3)
-    for tid in (0, 1):
-        for f in range(1, len(seq)):
-            extra = ((out.frames[f][1].box_by_track(tid).center
-                      - out.frames[f - 1][1].box_by_track(tid).center)
-                     - (seq.frames[f][1].box_by_track(tid).center
-                        - seq.frames[f - 1][1].box_by_track(tid).center))
-            assert np.linalg.norm(extra) <= 1.5 + 1e-9
-
-
 def test_augmentation_points_move_with_box():
     seq = small_sequence()
-    out = apply_displacement_augmentation(seq, 2.0, "fixed", seed=4)
+    out = apply_displacement_augmentation(seq, 2.0, seed=4)
     for f in range(len(seq)):
         cloud_orig, label_orig = seq.frames[f]
         cloud_aug, label_aug = out.frames[f]
@@ -181,7 +169,7 @@ def test_augmentation_moves_a_point_in_overlapping_boxes_with_the_first_box():
     boxes = [Box3D((0, 0, 0), (2, 2, 2), 0.0, track_id=0),
              Box3D((1, 0, 0), (2, 2, 2), 0.0, track_id=1)]
     seq = Sequence([(PointCloud(points), FrameLabel(f, list(boxes))) for f in range(2)])
-    out = apply_displacement_augmentation(seq, 1.0, "fixed", seed=0)
+    out = apply_displacement_augmentation(seq, 1.0, seed=0)
     (cloud_0, label_0), (cloud_1, label_1) = out.frames
     shift_0, shift_1 = (label_1.boxes[i].center - boxes[i].center for i in range(2))
     assert not np.allclose(shift_0, shift_1)
@@ -198,26 +186,13 @@ def test_augmentation_moves_a_point_in_overlapping_boxes_with_the_first_box():
                        rtol=0, atol=1e-12)
 
 
-def test_augmentation_shared_mode_moves_objects_together():
-    seq = small_sequence()
-    out = apply_displacement_augmentation(seq, 2.0, "fixed", seed=5, per_object=False)
-    for f in range(1, len(seq)):
-        extras = []
-        for tid in (0, 1):
-            extras.append((out.frames[f][1].box_by_track(tid).center
-                           - seq.frames[f][1].box_by_track(tid).center))
-        assert np.allclose(extras[0], extras[1])
-
-
 def test_augmentation_validates_arguments():
     seq = small_sequence()
     with pytest.raises(ValueError):
-        apply_displacement_augmentation(seq, -1.0, "fixed")
-    with pytest.raises(ValueError):
-        apply_displacement_augmentation(seq, 1.0, "sideways")
+        apply_displacement_augmentation(seq, -1.0)
     for magnitude in (float("nan"), float("inf"), None, "1.0"):
         with pytest.raises(ValueError, match="magnitude must be finite and non-negative"):
-            apply_displacement_augmentation(seq, magnitude, "fixed")
+            apply_displacement_augmentation(seq, magnitude)
 
 
 # ---------------------------------------------------------------------------

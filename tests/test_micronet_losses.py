@@ -8,11 +8,17 @@ from disptrack.micronet import tracking_loss
 # tracking loss
 # ---------------------------------------------------------------------------
 
+def balanced_loss(pred, target, mask):
+    """tracking_loss at the default config's alpha=1, beta=0.5, no point excluded."""
+    return tracking_loss(pred, target, mask, alpha=1.0, beta=0.5,
+                         excluded=np.zeros(len(mask), dtype=bool))
+
+
 def test_tracking_loss_zero_when_exact():
     rng = np.random.default_rng(5)
     d = rng.normal(size=(10, 3))
     mask = rng.uniform(size=10) > 0.5
-    loss, grad = tracking_loss(d, d, mask)
+    loss, grad = balanced_loss(d, d, mask)
     assert loss == 0.0
     assert np.array_equal(grad, np.zeros_like(d))
 
@@ -21,7 +27,7 @@ def test_tracking_loss_all_positive_reduces_to_alpha_sum():
     rng = np.random.default_rng(6)
     pred = rng.normal(size=(7, 3))
     target = rng.normal(size=(7, 3))
-    loss, _ = tracking_loss(pred, target, np.ones(7, dtype=bool), alpha=1.0, beta=0.5)
+    loss, _ = balanced_loss(pred, target, np.ones(7, dtype=bool))
     assert loss == pytest.approx(float(((pred - target) ** 2).sum()), rel=1e-12)
 
 
@@ -30,7 +36,7 @@ def test_tracking_loss_hand_value():
     pred = np.array([[1.0, 0, 0], [0, 1.0, 0]])
     target = np.zeros((2, 3))
     mask = np.array([True, False])
-    loss, _ = tracking_loss(pred, target, mask, alpha=1.0, beta=0.5)
+    loss, _ = balanced_loss(pred, target, mask)
     assert abs(loss - 3.0) < 1e-12
 
 
@@ -41,7 +47,7 @@ def test_tracking_loss_nonnegative_and_zero_iff_exact():
         pred = rng.normal(size=(n, 3))
         target = rng.normal(size=(n, 3))
         mask = rng.uniform(size=n) > 0.4
-        loss, _ = tracking_loss(pred, target, mask)
+        loss, _ = balanced_loss(pred, target, mask)
         assert loss >= 0.0
         if loss == 0.0:
             assert np.allclose(pred, target)
@@ -62,7 +68,7 @@ def test_tracking_loss_excluded_points_contribute_nothing():
 def test_tracking_loss_empty_side_drops_term():
     pred = np.array([[1.0, 0, 0]])
     target = np.zeros((1, 3))
-    loss, _ = tracking_loss(pred, target, np.array([False]), alpha=1.0, beta=0.5)
+    loss, _ = balanced_loss(pred, target, np.array([False]))
     assert loss == pytest.approx(0.5 * 1.0)  # beta * (1/1) * 1
 
 
@@ -71,19 +77,22 @@ def test_tracking_loss_gradient_matches_finite_differences():
     pred0 = rng.normal(size=(6, 3))
     target = rng.normal(size=(6, 3))
     mask = np.array([True, True, False, False, True, False])
-    _, grad = tracking_loss(pred0, target, mask)
+    _, grad = balanced_loss(pred0, target, mask)
     eps = 1e-7
     for idx in [(0, 0), (2, 1), (5, 2)]:
         pp, pm = pred0.copy(), pred0.copy()
         pp[idx] += eps
         pm[idx] -= eps
-        numeric = (tracking_loss(pp, target, mask)[0]
-                   - tracking_loss(pm, target, mask)[0]) / (2 * eps)
+        numeric = (balanced_loss(pp, target, mask)[0]
+                   - balanced_loss(pm, target, mask)[0]) / (2 * eps)
         assert abs(grad[idx] - numeric) < 1e-6 * max(1.0, abs(numeric))
 
 
 def test_tracking_loss_validates_lengths():
     with pytest.raises(ValueError):
-        tracking_loss(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool))
+        balanced_loss(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=bool))
     with pytest.raises(ValueError):
-        tracking_loss(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(2, dtype=bool))
+        balanced_loss(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(2, dtype=bool))
+    with pytest.raises(ValueError, match="excluded lengths must match"):
+        tracking_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2, dtype=bool),
+                      alpha=1.0, beta=0.5, excluded=np.zeros(3, dtype=bool))

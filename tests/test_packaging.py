@@ -1,5 +1,6 @@
-"""Packaging metadata and public exports point at things that exist, and
-every public function and class is reached by the package or the bench."""
+"""Packaging metadata and public exports point at things that exist, every
+public function and class is reached by the package or the bench, and every
+defaulted parameter of a public function is passed by one of their calls."""
 
 import ast
 import importlib
@@ -38,12 +39,31 @@ def test_every_export_resolves():
 
 #: Public names that nothing in src/ or bench/ calls, and why each stays.
 UNREACHED_ON_PURPOSE = {
-    "box_iou": "the tracker's IoU matching and the quality harness (ROADMAP items 1, 5)",
+    "box_iou": "the BEV overlap test of bounded turns and the tracker's matching "
+               "(ROADMAP items 4, 5)",
     "apply_displacement_augmentation": "robustness sweeps of the quality harness "
                                        "and the tracker (ROADMAP items 1, 5)",
     "save_displacement_model": "public persistence of a trained model",
     "load_displacement_model": "public persistence of a trained model",
 }
+
+
+#: Defaulted parameters of public functions that no call in src/ or bench/
+#: passes, as "function.parameter", and why each stays.
+UNSET_ON_PURPOSE = {
+    "oracle_detector.noise": "detector-noise training, votes and tracking "
+                             "(ROADMAP items 2, 5, 9, 10)",
+    "oracle_detector.seed": "detector-noise training, votes and tracking "
+                            "(ROADMAP items 2, 5, 9, 10)",
+    "apply_displacement_augmentation.seed": "the sudden-shift split of the quality "
+                                            "harness (ROADMAP item 1)",
+}
+
+
+def source_trees() -> list[ast.Module]:
+    """The parsed modules of src/ and bench/."""
+    return [ast.parse(path.read_text())
+            for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("bench/*.py")]]
 
 
 def public_definitions() -> dict[str, str]:
@@ -63,8 +83,7 @@ def referenced_names() -> set[str]:
     except inside the top-level definition of that same name.  Imports,
     __all__ strings and docstrings are not references."""
     names = set()
-    for path in [*ROOT.glob("src/**/*.py"), *ROOT.glob("bench/*.py")]:
-        tree = ast.parse(path.read_text())
+    for tree in source_trees():
         owner = {id(node): top.name for top in tree.body
                  if isinstance(top, (ast.FunctionDef, ast.ClassDef)) for node in ast.walk(top)}
         for node in ast.walk(tree):
@@ -87,3 +106,39 @@ def test_every_public_definition_is_reached_or_kept_on_purpose():
     stale = sorted(name for name in UNREACHED_ON_PURPOSE
                    if name not in defined or name in used)
     assert stale == [], "these are gone or reached now; drop them from UNREACHED_ON_PURPOSE"
+
+
+def passed_arguments() -> tuple[dict[str, int], dict[str, set]]:
+    """Per called name (a plain name or an attribute) in src/ or bench/, the
+    most positional arguments one call passes, and every keyword that some
+    call passes.  A starred argument counts as one position, as the package
+    unpacks fixed-size records such as a (cloud, label) frame, not option
+    lists; a call with **kwargs passes every keyword (recorded as None)."""
+    most, keywords = {}, {}
+    for tree in source_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            most[name] = max(most.get(name, 0), len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return most, keywords
+
+
+def test_every_defaulted_parameter_is_passed_or_kept_on_purpose():
+    most, keywords = passed_arguments()
+    unset = set()
+    for name, module in public_definitions().items():
+        function = getattr(importlib.import_module(module), name)
+        if not inspect.isfunction(function):
+            continue
+        for position, param in enumerate(inspect.signature(function).parameters.values()):
+            by_position = (param.kind is param.POSITIONAL_OR_KEYWORD
+                           and most.get(name, 0) > position)
+            by_keyword = {param.name, None} & keywords.get(name, set())
+            if param.default is not param.empty and not (by_position or by_keyword):
+                unset.add(f"{name}.{param.name}")
+    assert sorted(unset - set(UNSET_ON_PURPOSE)) == [], \
+        "delete these options or say in UNSET_ON_PURPOSE why they stay"
+    assert sorted(set(UNSET_ON_PURPOSE) - unset) == [], \
+        "these are gone or passed now; drop them from UNSET_ON_PURPOSE"

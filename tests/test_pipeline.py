@@ -671,11 +671,12 @@ def test_config_rejects_point_counts_below_one(counts, message):
     ({"assoc_widths": None}, "^assoc_widths must be a sequence of integers, got None$"),
     ({"sa3": {"sample": 4, "radius": 4.0, "cap": 8, "widths": None}},
      "^widths must be a sequence of integers, got None$"),
+    ({"seed": -1}, "^seed must be non-negative, got -1$"),
 ])
 def test_config_rejects_non_integer_counts_and_widths(changes, message):
     # Before the check, a float sample count or a zero width trained
-    # silently, a float width was truncated, and k=2.5, cap=8.5 or seed=1.5
-    # failed deep inside numpy.  Widths that are not a sequence raised a
+    # silently, a float width was truncated, and k=2.5, cap=8.5, seed=1.5 or
+    # seed=-1 failed deep inside numpy.  Widths that are not a sequence raised a
     # bare TypeError, such as "'int' object is not iterable".
     with pytest.raises(ValueError, match=message):
         PipelineConfig.from_dict({**TINY.to_dict(), **changes})
@@ -705,6 +706,18 @@ def test_config_takes_numpy_integers_as_ints(tmp_path):
     assert type(config.n_input) is int and type(config.sa1.cap) is int
     assert config.head_widths == (16,) and type(config.head_widths[0]) is int
     # The config stays JSON-serializable, so its model checkpoints load.
+    model = pipeline.build_displacement_model(config)
+    pipeline.save_displacement_model(tmp_path / "model.npz", model, config)
+    _, loaded = pipeline.load_displacement_model(tmp_path / "model.npz")
+    assert loaded == config
+
+
+def test_config_stores_numpy_floats_as_python_floats(tmp_path):
+    # A numpy float used to be kept as given, and saving the model then
+    # raised "Object of type float32 is not JSON serializable".
+    config = tiny_config(lr_low=np.float32(1e-4),
+                         sa1={**dataclasses.asdict(TINY.sa1), "radius": np.float32(0.75)})
+    assert type(config.lr_low) is float and type(config.sa1.radius) is float
     model = pipeline.build_displacement_model(config)
     pipeline.save_displacement_model(tmp_path / "model.npz", model, config)
     _, loaded = pipeline.load_displacement_model(tmp_path / "model.npz")
