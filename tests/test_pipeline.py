@@ -2,7 +2,8 @@
 
 The golden tests pin, on fixed seeds, the predicted field and one training
 step's gradients and parameters of a tiny model, two epochs of that model
-trained over the pairs of two drives of different frame sizes, the field
+trained over the pairs of two drives of different frame sizes, one epoch of
+the desk-scale model trained over one default drive, the field
 of an untrained paper-scale model, whose large layers take other code paths
 (nearest's grid search), and the turning multi-frame drives of the scene
 generator that feeds them.  Regenerate the pinned files only for an intended
@@ -36,6 +37,7 @@ GOLDEN = Path(__file__).parent / "data" / "pipeline_golden.npz"
 PAPER_GOLDEN = Path(__file__).parent / "data" / "paper_field_golden.npz"
 SYNTH_GOLDEN = Path(__file__).parent / "data" / "synthesis_golden.npz"
 TRAINING_GOLDEN = Path(__file__).parent / "data" / "training_golden.npz"
+DESK_TRAINING_GOLDEN = Path(__file__).parent / "data" / "desk_training_golden.npz"
 TINY = PipelineConfig(n_input=240, n_filtered=128, k=8,
                       sa1=SaConfig(32, 0.5, 8, (8, 8)), sa2=SaConfig(16, 1.0, 8, (8, 8)),
                       assoc_widths=(8,), sa3=SaConfig(4, 4.0, 8, (8,)),
@@ -167,6 +169,21 @@ def test_multi_pair_training_matches_the_golden(monkeypatch, pairs_per_chunk, ch
     monkeypatch.setattr(pipeline, "_plan_frames", recording)
     assert_bytes_equal(training_outputs(), TRAINING_GOLDEN)
     assert planned == chunks * TRAINING_EPOCHS
+
+
+def desk_training_outputs() -> dict[str, np.ndarray]:
+    """The parameters and epoch loss of the desk defaults trained for one
+    epoch over the 49 pairs of the default drive: layers wider than TINY's,
+    whose training bits no TINY golden pins."""
+    drive = synthesize_sequence(SceneConfig(), 0)
+    model, history = pipeline.train_association(drive, PipelineConfig(), epochs=1)
+    out = {f"param.{k}": v for k, v in model.param_dict().items()}
+    out["epoch_losses"] = np.array(history.epoch_losses)
+    return out
+
+
+def test_desk_training_matches_the_golden():
+    assert_bytes_equal(desk_training_outputs(), DESK_TRAINING_GOLDEN)
 
 
 #: The paper benchmark workloads' scene: 15 000 points per frame.
@@ -1120,7 +1137,8 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, outputs in ((GOLDEN, golden_outputs()), (PAPER_GOLDEN, paper_field_outputs()),
                           (SYNTH_GOLDEN, synthesis_outputs()),
-                          (TRAINING_GOLDEN, training_outputs())):
+                          (TRAINING_GOLDEN, training_outputs()),
+                          (DESK_TRAINING_GOLDEN, desk_training_outputs())):
         if print_golden_diffs(path, outputs):
             print(f"kept {path}")
         else:
