@@ -61,10 +61,7 @@ runs whole: its 3-wide output GEMM changed bits at every row split tried.
 The backward pass sends the first layer's gradient to the sources with
 ``_interp_transpose``, one round per pair rank over the sources that have
 that many pairs, so each source sums its pairs from zero in (target, slot)
-order, bit for bit the np.add.at order, without a (t, 3, c) array.  Up to
-``_SCATTER_ENTRIES`` (t, 3, c) products, where those rounds' per-call
-overhead outweighs the arithmetic, one ``_scatter_add`` over the products
-gives the same bits faster.
+order, bit for bit the np.add.at order, without a (t, 3, c) array.
 
 Feature gradients flow through features only; point coordinates are data
 and never differentiated, so finite-difference checks see a fixed
@@ -89,15 +86,6 @@ _BLOCK_ROWS = 1024
 
 #: Fewest target rows feature propagation runs a chunk's GEMMs on.
 _GEMM_ROWS = 64
-
-#: Most (target, neighbour, channel) products that feature propagation's
-#: backward pass scatters to its sources with ``_scatter_add``; a larger
-#: layer uses ``_interp_transpose``.  Per call (2-core VM, 1 BLAS thread)
-#: ``_scatter_add`` took 0.05 against 0.19 ms on desk fp1 (12 288
-#: products) and 0.11 against 0.21 ms on desk fp2 (24 576), but 0.43
-#: against 0.33 ms on desk fp3 (98 304) and 4.8 against 1.6 ms on paper fp1
-#: (393 216), the smallest paper layer.
-_SCATTER_ENTRIES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -184,9 +172,7 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
     values has shape index.shape + (c,); rows are added in index order, as
     np.add.at adds them, so the sums match it bit for bit.  Set abstraction
-    scatters its narrow neighbour-feature rows with it, and so does feature
-    propagation up to _SCATTER_ENTRIES products, beyond which it uses
-    ``_interp_transpose``.
+    scatters its narrow neighbour-feature rows with it.
     """
     c = values.shape[-1]
     flat = (index[..., None] * c + np.arange(c)).ravel()
@@ -438,10 +424,7 @@ class FpTape:
         # source part was interpolated after the GEMM, so g goes back to the
         # sources first and the GEMM's gradients are taken there.
         n_s, c_s = self.source_feats.shape
-        if self.order.size * g.shape[1] <= _SCATTER_ENTRIES:
-            g_src = _scatter_add(self.order, g[:, None, :] * self.weights[:, :, None], n_s)
-        else:
-            g_src = _interp_transpose(self.order, self.weights, g, n_s)
+        g_src = _interp_transpose(self.order, self.weights, g, n_s)
         grad_w0 = self.source_feats.T @ g_src
         grad_source = g_src @ self.w0[:c_s].T
         grad_skip = None

@@ -1,7 +1,8 @@
 """Adam with bias correction and the triangular cyclical learning-rate wave.
 
-Parameters live in a flat dict[str, ndarray]; updates are functional (new
-arrays, new state) so callers can keep any snapshot they like.
+Parameters live in a flat dict[str, ndarray]; an update writes into those
+arrays and into the optimizer state in place, so a caller that passes a
+model's own arrays updates the model.
 """
 
 from __future__ import annotations
@@ -31,25 +32,29 @@ class OptState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: OptState, lr: float) -> tuple[dict[str, np.ndarray], OptState]:
-    """One bias-corrected Adam update; returns (new params, new state)."""
+              state: OptState, lr: float) -> None:
+    """One bias-corrected Adam update of params, state.m, state.v and
+    state.step, in place.  Keys and shapes are checked before any write.
+
+    Each in-place expression computes what ``m = b1 * m + (1 - b1) * g``
+    and the like would, operation for operation, so it rounds alike.
+    """
     if set(params) != set(grads):
         raise ValueError("parameter and gradient keys must match")
-    t = state.step + 1
-    new_params, new_m, new_v = {}, {}, {}
     for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter "
-                             f"{key} shape {p.shape}")
-        m = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        new_params[key] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-        new_m[key] = m
-        new_v[key] = v
-    return new_params, OptState(m=new_m, v=new_v, step=t)
+        if grads[key].shape != p.shape:
+            raise ValueError(f"gradient shape {grads[key].shape} does not match "
+                             f"parameter {key} shape {p.shape}")
+    state.step += 1
+    for key, p in params.items():
+        g, m, v = grads[key], state.m[key], state.v[key]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** state.step)
+        v_hat = v / (1.0 - ADAM_BETA2 ** state.step)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def clr_schedule(step: int, steps_per_cycle: int, lr_low: float,

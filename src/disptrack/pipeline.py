@@ -356,7 +356,8 @@ class DisplacementModel:
         return _flatten_groups(self.param_groups())
 
     def load_param_dict(self, params: dict[str, np.ndarray]) -> None:
-        """Replace every parameter with the same-named array of params.
+        """Copy the same-named array of params into every parameter array of
+        the model; the model shares no array with params.
 
         Raises, leaving the model unchanged, on a missing or extra name, a
         shape mismatch or a non-finite value.
@@ -372,10 +373,8 @@ class DisplacementModel:
                 raise ValueError(f"shape mismatch loading {key}")
             if not np.isfinite(value).all():
                 raise ValueError(f"non-finite values loading {key}")
-        for name, dp in self.param_groups().items():
-            for i in range(len(dp.weights)):
-                dp.weights[i] = params[f"{name}.w{i}"]
-                dp.biases[i] = params[f"{name}.b{i}"]
+        for key, value in params.items():
+            current[key][...] = value
 
 
 def _flatten_groups(groups: dict[str, DenseParams | DenseGrads]) -> dict[str, np.ndarray]:
@@ -666,9 +665,11 @@ def train_association(dataset, config: PipelineConfig,
 
     Deterministic for a given config.seed and BLAS thread count: long GEMM
     reductions may round differently across thread counts; the results do
-    not depend on the planning chunks.  Raises on a non-finite loss, on a
-    non-finite gradient (naming the first such array, before any update) and
-    on an update that goes non-finite.
+    not depend on the planning chunks.  Adam updates the model's own arrays
+    in place.  Raises on a non-finite loss, on a non-finite gradient (naming
+    the first such array, before any update) and, after each update, on a
+    non-finite parameter ("non-finite update of head.b0"), discarding the
+    model.
 
     epochs must be an integer of at least 1.  A pair whose inputs are
     degenerate (no point left after the filter, fewer frame-B sa2 points
@@ -681,12 +682,11 @@ def train_association(dataset, config: PipelineConfig,
     if not pairs:
         raise ValueError("dataset must contain at least one adjacent frame pair")
     model = build_displacement_model(config)
-    params = model.param_dict()
+    params = model.param_dict()     # the model's own arrays, which adam_step updates
     state = OptState.init(params)
     cycle = max(2, config.clr_cycle_epochs * len(pairs))
     cycle += cycle % 2
     history = TrainHistory()
-    step = 0
     for _ in range(epochs):
         epoch_loss = 0.0
         for a, b, targets in _planned_pairs(pairs, config):
@@ -701,11 +701,12 @@ def train_association(dataset, config: PipelineConfig,
             bad = next((name for name, g in grads.items() if not np.isfinite(g).all()), None)
             if bad is not None:
                 raise ValueError(f"non-finite gradient in {bad}")
-            lr = clr_schedule(step, cycle, config.lr_low, config.lr_high)
-            params, state = adam_step(params, grads, state, lr)
-            model.load_param_dict(params)
+            lr = clr_schedule(state.step, cycle, config.lr_low, config.lr_high)
+            adam_step(params, grads, state, lr)
+            bad = next((name for name, p in params.items() if not np.isfinite(p).all()), None)
+            if bad is not None:
+                raise ValueError(f"non-finite update of {bad}")
             epoch_loss += loss
-            step += 1
         history.epoch_losses.append(epoch_loss / len(pairs))
     return model, history
 

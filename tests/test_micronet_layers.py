@@ -620,16 +620,14 @@ def test_interp_transpose_signed_zero_cases(order, n):
     assert got.tobytes() == add_at(order, g[:, None, :] * weights[:, :, None], n).tobytes()
 
 
-@pytest.mark.parametrize("n_target, n_source, skip_width, widths, kernel", [
-    # desk fp2: 256 x 3 x 32 = 24 576 products, under the cut
-    (256, 64, 16, (32, 64, 64), "_scatter_add"),
-    # desk fp3: 512 x 3 x 64 = 98 304 products, over it
-    (512, 256, None, (64, 64), "_interp_transpose"),
-])
-def test_fp_backward_kernels_agree_on_each_side_of_the_cut(monkeypatch, n_target, n_source,
-                                                           skip_width, widths, kernel):
-    # Each side of _SCATTER_ENTRIES runs its own kernel; moving the cut past
-    # the layer runs the other one, and every gradient keeps its bytes.
+@pytest.mark.parametrize("n_target, n_source, skip_width, widths", [
+    (256, 64, 16, (32, 64, 64)),        # desk fp2, with its skip features
+    (512, 256, None, (64, 64)),         # desk fp3
+], ids=["fp2-skip", "fp3"])
+def test_fp_backward_transpose_matches_add_at(monkeypatch, n_target, n_source, skip_width,
+                                              widths):
+    # With _interp_transpose swapped for the np.add.at reference, every
+    # gradient of the layer keeps its bytes.
     rng = np.random.default_rng(23)
     tgt = rng.uniform(-4, 4, size=(n_target, 3))
     src = rng.uniform(-4, 4, size=(n_source, 3))
@@ -638,25 +636,20 @@ def test_fp_backward_kernels_agree_on_each_side_of_the_cut(monkeypatch, n_target
     mlp = DenseParams.create([16 + (skip_width or 0), *widths], rng)
     out, tape = fp_layer(tgt, src, src_feats, skip, mlp, capture=True)
     grad = rng.normal(size=out.shape)
-    ran = []
-    for name in ("_scatter_add", "_interp_transpose"):
-        def spy(*args, name=name, real=getattr(layers_module, name)):
-            ran.append(name)
-            return real(*args)
-        monkeypatch.setattr(layers_module, name, spy)
 
     def backward_bytes():
         mlp_grads, grad_source, grad_skip = tape.backward(grad)
         return [x.tobytes() for x in (*mlp_grads.weights, *mlp_grads.biases, grad_source,
                                       *([] if grad_skip is None else [grad_skip]))]
     got = backward_bytes()
-    assert ran == [kernel]
-    products = n_target * 3 * widths[0]
-    below = kernel == "_scatter_add"
-    monkeypatch.setattr(layers_module, "_SCATTER_ENTRIES", products - 1 if below else products)
-    ran.clear()
+    ran = []
+
+    def reference(order, weights, g, n):
+        ran.append(n)
+        return add_at(order, g[:, None, :] * weights[:, :, None], n)
+    monkeypatch.setattr(layers_module, "_interp_transpose", reference)
     assert backward_bytes() == got
-    assert ran == ["_interp_transpose" if below else "_scatter_add"]
+    assert ran == [n_source]
 
 
 # ---------------------------------------------------------------------------

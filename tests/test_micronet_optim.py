@@ -14,47 +14,63 @@ from gradcheck import gradient_check
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = {"w": np.array([1.0, -2.0])}
     state = OptState.init(params)
-    new, new_state = adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-    assert np.array_equal(new["w"], params["w"])
-    assert new_state.step == 1
+    m, v = state.m["w"], state.v["w"]
+    assert adam_step(params, {"w": np.zeros(2)}, state, lr=0.1) is None
+    assert np.array_equal(params["w"], [1.0, -2.0])
+    assert state.step == 1
+    assert state.m["w"] is m and state.v["w"] is v
 
 
 def test_adam_single_step_matches_hand_calculation():
     g = np.array([0.3, -4.0])
     lr = 0.01
-    params = {"w": np.array([1.0, 1.0])}
+    w = np.array([1.0, 1.0])
+    params = {"w": w}
     state = OptState.init(params)
-    new, _ = adam_step(params, {"w": g}, state, lr=lr)
+    m, v = state.m["w"], state.v["w"]
+    adam_step(params, {"w": g}, state, lr=lr)
     # bias-corrected first step: m_hat = g, v_hat = g^2
-    expected = params["w"] - lr * g / (np.abs(g) + 1e-8)
-    assert np.allclose(new["w"], expected, atol=1e-15)
+    expected = np.array([1.0, 1.0]) - lr * g / (np.abs(g) + 1e-8)
+    assert params["w"] is w
+    assert np.allclose(w, expected, atol=1e-15)
+    # The moments are updated in the state's own arrays.
+    assert state.m["w"] is m and np.allclose(m, 0.1 * g, atol=1e-15)
+    assert state.v["w"] is v and np.allclose(v, 0.001 * g * g, atol=1e-15)
+    assert state.step == 1
 
 
 def test_adam_two_steps_match_reference_recurrence():
     rng = np.random.default_rng(0)
-    p = {"w": rng.normal(size=(3, 2))}
+    p0 = rng.normal(size=(3, 2))
     g1, g2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    p = {"w": p0.copy()}
     state = OptState.init(p)
-    p1, state = adam_step(p, {"w": g1}, state, lr=0.05)
-    p2, state = adam_step(p1, {"w": g2}, state, lr=0.05)
+    adam_step(p, {"w": g1}, state, lr=0.05)
+    adam_step(p, {"w": g2}, state, lr=0.05)
 
     m = 0.1 * g1
     v = 0.001 * g1 * g1
-    ref = p["w"] - 0.05 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
+    ref = p0 - 0.05 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
     m = 0.9 * m + 0.1 * g2
     v = 0.999 * v + 0.001 * g2 * g2
     ref = ref - 0.05 * (m / (1 - 0.9 ** 2)) / (np.sqrt(v / (1 - 0.999 ** 2)) + 1e-8)
-    assert np.allclose(p2["w"], ref, atol=1e-15)
+    assert np.allclose(p["w"], ref, atol=1e-15)
+    assert np.allclose(state.m["w"], m, atol=1e-15)
+    assert np.allclose(state.v["w"], v, atol=1e-15)
     assert state.step == 2
 
 
 def test_adam_validates_shapes_and_keys():
-    p = {"w": np.zeros(2)}
+    p = {"w": np.zeros(2), "x": np.ones(2)}
     state = OptState.init(p)
     with pytest.raises(ValueError):
-        adam_step(p, {"x": np.zeros(2)}, state, lr=0.1)
+        adam_step(p, {"y": np.zeros(2), "x": np.ones(2)}, state, lr=0.1)
+    # A bad shape in any array raises before any array is written.
     with pytest.raises(ValueError):
-        adam_step(p, {"w": np.zeros(3)}, state, lr=0.1)
+        adam_step(p, {"w": np.ones(2), "x": np.ones(3)}, state, lr=0.1)
+    assert np.array_equal(p["w"], np.zeros(2)) and np.array_equal(p["x"], np.ones(2))
+    assert not state.m["w"].any() and not state.v["w"].any()
+    assert state.step == 0
 
 
 def test_clr_bounds_and_midpoints():

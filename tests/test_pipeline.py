@@ -922,14 +922,26 @@ def test_training_raises_when_the_last_update_goes_non_finite(monkeypatch):
     original = pipeline.adam_step
 
     def poisoned_adam_step(params, grads, state, lr, **kwargs):
-        params, state = original(params, grads, state, lr, **kwargs)
-        params["head.b0"] = np.full_like(params["head.b0"], np.nan)
-        return params, state
+        original(params, grads, state, lr, **kwargs)
+        params["head.b0"][0] = np.nan
+        params["head.w1"][0, 0] = np.inf
 
     monkeypatch.setattr(pipeline, "adam_step", poisoned_adam_step)
     # One pair and one epoch: the poisoned update is also the last.
-    with pytest.raises(ValueError, match="non-finite values loading head.b0"):
+    with pytest.raises(ValueError, match=r"non-finite update of head\.b0"):
         pipeline.train_association(seq, TINY, epochs=1)
+
+
+def test_load_param_dict_copies_into_the_model():
+    model = pipeline.build_displacement_model(TINY)
+    arrays = model.param_dict()
+    loaded = {k: v + 1.0 for k, v in arrays.items()}
+    model.load_param_dict(loaded)
+    for key, value in model.param_dict().items():
+        assert value is arrays[key]
+        assert value.tobytes() == loaded[key].tobytes()
+    loaded["head.w0"][0, 0] = 123.0
+    assert model.head.weights[0][0, 0] != 123.0
 
 
 def test_training_names_the_first_non_finite_gradient_before_any_update(monkeypatch):
