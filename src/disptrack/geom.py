@@ -37,12 +37,29 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer (numpy integers pass) raises
+    ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _xyz_rows(name: str, array) -> np.ndarray:
     """array as a float (n, 3) array; raises ValueError naming the field and
     the shape unless it is 2-D with 3 columns."""
     array = np.asarray(array, dtype=float)
     if array.ndim != 2 or array.shape[1] != 3:
         raise ValueError(f"{name} must be an (n, 3) array, got shape {array.shape}")
+    return array
+
+
+def _vector(name: str, array, dtype) -> np.ndarray:
+    """array as a 1-D array of dtype, one entry per point; raises ValueError
+    naming the field and the shape unless it is 1-D."""
+    array = np.asarray(array, dtype=dtype)
+    if array.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {array.shape}")
     return array
 
 
@@ -200,6 +217,7 @@ def nearest(query, points, k: int) -> tuple[np.ndarray, np.ndarray]:
       points by (distance, index) from the same distance arithmetic.
     """
     query, points = _finite_coordinates(query, points)
+    k = _integer("k", k)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
@@ -339,6 +357,7 @@ def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.n
     start of the order.  In-radius candidates are ranked by ``_rank_pairs``.
     """
     query, points = _finite_coordinates(query, points)
+    cap = _integer("cap", cap)
     n, q = points.shape[0], query.shape[0]
     if not 1 <= cap <= n:
         raise ValueError(f"cap must lie in [1, {n}], got {cap}")

@@ -15,23 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Box3D, PointCloud, box_owner
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; a bool or a non-integer (numpy integers pass) raises
-    ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+from .geom import Box3D, PointCloud, _integer, _vector, _xyz_rows, box_owner
 
 
 def _finite_non_negative(name: str, value) -> float:
     """value as a Python float; raises ValueError naming the field unless it
-    is a real number in [0, inf).  numpy scalars pass, and NaN, a string or
-    None fail."""
+    is a real number in [0, inf).  numpy scalars pass, and NaN, a bool, a
+    string or None fail."""
     # Every comparison with NaN is false, so NaN fails this check too.
-    if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and 0.0 <= value < np.inf):
         raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     return float(value)
 
@@ -93,9 +86,9 @@ class TrainingTargets:
     excluded: np.ndarray
 
     def __post_init__(self) -> None:
-        self.foreground_mask = np.asarray(self.foreground_mask, dtype=bool).ravel()
-        self.displacement = np.asarray(self.displacement, dtype=float).reshape(-1, 3)
-        self.excluded = np.asarray(self.excluded, dtype=bool).ravel()
+        self.foreground_mask = _vector("foreground_mask", self.foreground_mask, bool)
+        self.displacement = _xyz_rows("displacement", self.displacement)
+        self.excluded = _vector("excluded", self.excluded, bool)
         n = self.foreground_mask.shape[0]
         if self.displacement.shape[0] != n or self.excluded.shape[0] != n:
             raise ValueError("target arrays must have matching lengths")
@@ -139,7 +132,8 @@ class SceneConfig:
         for name in ("noise_sigma", "velocity_min", "velocity_max", "spawn_spacing",
                      "arena_half_extent"):
             setattr(self, name, _finite_non_negative(name, getattr(self, name)))
-        _finite_non_negative("direction_change_every", self.direction_change_every)
+        if not isinstance(self.direction_change_every, bool):  # _integer names a bool
+            _finite_non_negative("direction_change_every", self.direction_change_every)
         self.direction_change_every = _integer("direction_change_every",
                                                self.direction_change_every)
         if self.velocity_max < self.velocity_min:

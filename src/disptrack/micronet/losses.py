@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..geom import _vector, _xyz_rows
+
 
 def tracking_loss(pred_disp: np.ndarray, target_disp: np.ndarray,
                   foreground_mask: np.ndarray, alpha: float, beta: float,
@@ -19,10 +21,10 @@ def tracking_loss(pred_disp: np.ndarray, target_disp: np.ndarray,
 
     Returns (loss, d(loss)/d(pred) with shape (n, 3)).
     """
-    pred = np.asarray(pred_disp, dtype=float).reshape(-1, 3)
-    target = np.asarray(target_disp, dtype=float).reshape(-1, 3)
-    mask = np.asarray(foreground_mask, dtype=bool).ravel()
-    excluded = np.asarray(excluded, dtype=bool).ravel()
+    pred = _xyz_rows("pred_disp", pred_disp)
+    target = _xyz_rows("target_disp", target_disp)
+    mask = _vector("foreground_mask", foreground_mask, bool)
+    excluded = _vector("excluded", excluded, bool)
     n = pred.shape[0]
     if n == 0:
         raise ValueError("need at least one point")

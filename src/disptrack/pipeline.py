@@ -49,8 +49,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .geom import Box3D, PointCloud, box_owner
-from .ingest import FrameLabel, Sequence, _finite_non_negative, _integer, label_targets
+from .geom import Box3D, PointCloud, _integer, _vector, _xyz_rows, box_owner
+from .ingest import FrameLabel, Sequence, _finite_non_negative, label_targets
 from .micronet import (
     AssociationSpec,
     DenseGrads,
@@ -103,7 +103,7 @@ class Detections:
     point_mask_probs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.point_mask_probs = np.asarray(self.point_mask_probs, dtype=float).ravel()
+        self.point_mask_probs = _vector("point_mask_probs", self.point_mask_probs, float)
         p = self.point_mask_probs
         if np.any(~((p >= 0.0) & (p <= 1.0))):  # also rejects NaN
             raise ValueError("mask probabilities must lie in [0, 1]")
@@ -117,8 +117,8 @@ class DisplacementField:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        self.point_indices = np.asarray(self.point_indices, dtype=int).ravel()
-        self.vectors = np.asarray(self.vectors, dtype=float).reshape(-1, 3)
+        self.point_indices = _vector("point_indices", self.point_indices, int)
+        self.vectors = _xyz_rows("vectors", self.vectors)
         if self.point_indices.shape[0] != self.vectors.shape[0]:
             raise ValueError("indices and vectors must have equal length")
         if len(np.unique(self.point_indices)) != self.point_indices.shape[0]:
@@ -137,11 +137,14 @@ class DetectorNoise:
     def __post_init__(self) -> None:
         self.center_sigma = _finite_non_negative("noise sigmas", self.center_sigma)
         self.yaw_sigma = _finite_non_negative("noise sigmas", self.yaw_sigma)
-        for rate in (self.dropout, self.fp_rate):
+        for name in ("dropout", "fp_rate"):
+            rate = getattr(self, name)
             # Every comparison with NaN is false, so NaN fails this check too.
-            if not (isinstance(rate, numbers.Real) and 0.0 <= rate <= 1.0):
+            if isinstance(rate, bool) or not (isinstance(rate, numbers.Real)
+                                              and 0.0 <= rate <= 1.0):
                 raise ValueError(f"dropout and false-positive rates must lie in "
                                  f"[0, 1], got {rate!r}")
+            setattr(self, name, float(rate))
 
 
 def _widths(name: str, widths) -> tuple[int, ...]:
@@ -170,6 +173,7 @@ class SaConfig:
         self.cap = _integer("cap", self.cap)
         # Every comparison with NaN is false, so NaN fails this check too.
         if not (self.sample >= 1 and isinstance(self.radius, numbers.Real)
+                and not isinstance(self.radius, bool)
                 and self.radius > 0.0 and self.cap >= 1):
             raise ValueError(f"set abstraction needs sample >= 1, radius > 0 and "
                              f"cap >= 1, got {self.sample}, {self.radius}, {self.cap}")
@@ -267,7 +271,7 @@ def probability_filter(cloud: PointCloud, probs, n_filtered: int) -> np.ndarray:
     Ties break to the lower index; the result is in ascending index order and
     shrinks to the whole cloud when n_filtered exceeds it.
     """
-    probs = np.asarray(probs, dtype=float).ravel()
+    probs = _vector("probs", probs, float)
     if probs.shape[0] != len(cloud):
         raise ValueError("probability vector must match the cloud length")
     n_filtered = _integer("n_filtered", n_filtered)

@@ -757,6 +757,23 @@ def test_coordinates_must_be_n_by_3(take, shape):
         take(array)
 
 
+@pytest.mark.parametrize("call, name, value", [
+    (lambda k: nearest(XYZ, XYZ, k), "k", 2.0),
+    (lambda k: nearest(XYZ, XYZ, k), "k", True),
+    (lambda k: nearest(XYZ, XYZ, k), "k", "2"),
+    (lambda cap: ball_query(XYZ, XYZ, 1.0, cap), "cap", 2.5),
+    (lambda cap: ball_query(XYZ, XYZ, 1.0, cap), "cap", True),
+    (lambda cap: ball_query(XYZ, XYZ, 1.0, cap), "cap", None),
+], ids=["nearest-2.0", "nearest-True", "nearest-str", "ball_query-2.5",
+        "ball_query-True", "ball_query-None"])
+def test_neighbour_counts_must_be_integers(call, name, value):
+    # These used to raise numpy's own TypeErrors, such as "Partition index
+    # must be integer", or for True to run as 1.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call(value)
+    assert call(np.int64(2))[0].shape == (4, 2)
+
+
 def test_box_validation_and_yaw_wrap():
     with pytest.raises(ValueError):
         Box3D((0, 0, 0), (1, 0, 1), 0.0)

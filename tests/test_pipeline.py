@@ -25,6 +25,7 @@ from disptrack.geom import PointCloud
 from disptrack.ingest import (
     FrameLabel,
     SceneConfig,
+    TrainingTargets,
     label_targets,
     synthesize_sequence,
 )
@@ -600,13 +601,55 @@ def test_frame_without_detections_logs_a_warning(caplog):
         "the filter keeps its 128 lowest-index points"]
 
 
+#: (call, message) per field of each entry point that takes per-point
+#: arrays: 8 points, one field of the wrong shape.
+EIGHT = np.arange(8)
+XYZ8 = np.zeros((8, 3))
+MASK8 = np.zeros(8, dtype=bool)
+SCRAMBLED = np.arange(24.0).reshape(6, 4)
+PAIRED = np.zeros((4, 2))
+PER_POINT_CASES = {
+    "field-indices": (lambda: pipeline.DisplacementField(EIGHT.reshape(4, 2), XYZ8),
+                      "point_indices must be a 1-D array, got shape (4, 2)"),
+    "field-vectors": (lambda: pipeline.DisplacementField(EIGHT, SCRAMBLED),
+                      "vectors must be an (n, 3) array, got shape (6, 4)"),
+    "targets-mask": (lambda: TrainingTargets(PAIRED, XYZ8, MASK8),
+                     "foreground_mask must be a 1-D array, got shape (4, 2)"),
+    "targets-displacement": (lambda: TrainingTargets(~MASK8, SCRAMBLED, MASK8),
+                             "displacement must be an (n, 3) array, got shape (6, 4)"),
+    "targets-excluded": (lambda: TrainingTargets(MASK8, XYZ8, PAIRED),
+                         "excluded must be a 1-D array, got shape (4, 2)"),
+    "loss-pred": (lambda: tracking_loss(SCRAMBLED, XYZ8, MASK8, 1.0, 0.5, MASK8),
+                  "pred_disp must be an (n, 3) array, got shape (6, 4)"),
+    "loss-target": (lambda: tracking_loss(XYZ8, SCRAMBLED, MASK8, 1.0, 0.5, MASK8),
+                    "target_disp must be an (n, 3) array, got shape (6, 4)"),
+    "loss-mask": (lambda: tracking_loss(XYZ8, XYZ8, PAIRED, 1.0, 0.5, MASK8),
+                  "foreground_mask must be a 1-D array, got shape (4, 2)"),
+    "loss-excluded": (lambda: tracking_loss(XYZ8, XYZ8, MASK8, 1.0, 0.5, PAIRED),
+                      "excluded must be a 1-D array, got shape (4, 2)"),
+    "detections": (lambda: pipeline.Detections([], PAIRED),
+                   "point_mask_probs must be a 1-D array, got shape (4, 2)"),
+    "filter": (lambda: pipeline.probability_filter(PointCloud(XYZ8), PAIRED, 3),
+               "probs must be a 1-D array, got shape (4, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", PER_POINT_CASES)
+def test_per_point_arrays_keep_their_shape(case):
+    # Each array used to be flattened or reshaped to (-1, 3), so a (6, 4)
+    # displacement read as 8 scrambled vectors and a (4, 2) mask as 8 points.
+    call, message = PER_POINT_CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("probs", [[np.nan, 0.5], [-0.1, 0.5], [0.5, 1.5]])
 def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
     with pytest.raises(ValueError, match=r"mask probabilities must lie in \[0, 1\]"):
         pipeline.Detections([], probs)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, None, "1"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, None, "1", True])
 @pytest.mark.parametrize("name", ["lr_low", "lr_high", "alpha", "beta", "clr_cycle_epochs"])
 def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
     # Before the check, a negative beta trained without error, NaN or inf
@@ -621,11 +664,12 @@ def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
 
 @pytest.mark.parametrize("sample, radius, cap", [
     (0, 1.0, 8), (16, 0.0, 8), (16, -1.0, 8), (16, float("nan"), 8), (16, 1.0, 0),
-    (16, None, 8), (16, "1.0", 8),
+    (16, None, 8), (16, "1.0", 8), (16, True, 8),
 ])
 def test_config_rejects_a_bad_set_abstraction_level(sample, radius, cap):
     # A NaN radius used to pass until ball_query met it in the first forward
-    # pass, and a radius of None or a string raised a bare TypeError.
+    # pass, a radius of None or a string raised a bare TypeError, and True
+    # ran as 1.0.
     with pytest.raises(ValueError, match="set abstraction needs"):
         SaConfig(sample, radius, cap, (8, 8))
     level = {"sample": sample, "radius": radius, "cap": cap, "widths": (8, 8)}
@@ -787,11 +831,20 @@ def test_probability_filter_keeps_the_most_probable_with_ties_to_the_lower_index
     ({"yaw_sigma": "0.1"}, "sigmas"),
     ({"dropout": "0.1"}, "rates"),
     ({"fp_rate": None}, r"^dropout and false-positive rates must lie in \[0, 1\], got None$"),
+    ({"dropout": True}, r"^dropout and false-positive rates must lie in \[0, 1\], got True$"),
+    ({"yaw_sigma": True}, "^noise sigmas must be finite and non-negative, got True$"),
 ])
 def test_detector_noise_rejects_invalid_levels(levels, message):
-    # A level of the wrong type used to raise a bare TypeError.
+    # A level of the wrong type used to raise a bare TypeError, and True
+    # passed as a level.
     with pytest.raises(ValueError, match=message):
         pipeline.DetectorNoise(**levels)
+
+
+def test_detector_noise_stores_levels_as_python_floats():
+    noise = pipeline.DetectorNoise(np.float32(0.5), 1, np.float32(0.25), 1)
+    assert [type(x) for x in dataclasses.astuple(noise)] == [float] * 4
+    assert dataclasses.astuple(noise) == (0.5, 1.0, 0.25, 1.0)
 
 
 def test_oracle_detector_dropout_and_false_positives():
