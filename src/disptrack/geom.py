@@ -56,11 +56,16 @@ def _xyz_rows(name: str, array) -> np.ndarray:
 
 def _vector(name: str, array, dtype) -> np.ndarray:
     """array as a 1-D array of dtype, one entry per point; raises ValueError
-    naming the field and the shape unless it is 1-D."""
-    array = np.asarray(array, dtype=dtype)
+    naming the field and the shape unless it is 1-D, and naming the field and
+    the dtype unless an int field holds integers and a bool field bools (an
+    empty one passes), which a cast would round or read as truth values."""
+    array = np.asarray(array)
     if array.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array, got shape {array.shape}")
-    return array
+    kinds = {int: "iu", bool: "b"}.get(dtype)
+    if kinds is not None and array.size and array.dtype.kind not in kinds:
+        raise ValueError(f"{name} must hold {dtype.__name__} values, got dtype {array.dtype}")
+    return array.astype(dtype, copy=False)
 
 
 def wrap_angle(angle: float) -> float:

@@ -21,10 +21,10 @@ own stream, ``default_rng(config.seed)``, in one order: its input
 subsample, then the farthest-point start of sa1, sa2 and sa3, each just
 before that level is sampled.  So a frame's plan depends on the frame, its
 detections and the config alone (not on k, nor on the frames planned with
-it), and a pair is just two frame plans.  Training and evaluation keep one
-plan per distinct frame while a pair still needs it, so frame t of a drive,
+it), and a pair is just two frame plans.  Training and evaluation plan
+drives, a window of frames at a time, and pair adjacent plans, so frame t,
 frame B of (t-1, t) and frame A of (t, t+1), is detected and planned once,
-on a chunk edge too.  With a pair's two plans, planning yields its targets
+on a window edge too.  With a pair's two plans, planning yields its targets
 (``label_targets``), on frame A's kept points only: one row per field row.
 
 A pair is checked where its two plans meet, in the forward pass that
@@ -40,11 +40,13 @@ frame-B rows are live.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import numbers
 import os
 import zipfile
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -82,17 +84,12 @@ log = logging.getLogger(__name__)
 #: Width of the per-point input features that point_features emits.
 POINT_FEATURE_WIDTH = 4
 
-#: Filtered points, counted as config.n_filtered per frame, of the frame
-#: pairs that training and evaluation plan at a time (at least one pair):
-#: the frames of those pairs that are not planned yet are detected and
-#: planned together, their set-abstraction centroids sampled in lock-step.
-#: 16 desk pairs.
-#: Planning a desk epoch's 294 pairs, detection included (2-core Xeon VM,
-#: 1 BLAS thread, 3 runs), took 1.08-1.27 s in chunks of 16 pairs,
-#: 0.98-1.43 s of 8, 1.05-1.17 s of 32, 1.11-1.15 s of 64 and 2.72-3.50 s
-#: pair by pair.  Whole epochs (4 interleaved runs) took 6.79-7.99 s in
-#: chunks of 16, 6.83-8.65 s of 8 and 6.62-7.78 s of 32: no size won.
-_PLAN_POINTS = 16 * 2 * 512
+#: Filtered points, counted as config.n_filtered per frame, of the frames of
+#: a drive that training and evaluation plan at a time (at least one frame):
+#: 32 desk frames or 3 paper frames.  It bounds memory, not time: plans hold
+#: about 1.1 MB per paper frame, so planning a whole KITTI-length drive of
+#: 1,000 frames at once would hold about 1.1 GB.
+_PLAN_POINTS = 32 * 512
 
 
 @dataclass(eq=False)
@@ -485,8 +482,8 @@ class _FramePlan:
     sa2, sa3), and the rows of two of its layer outputs that a later layer
     reads: of its sa1 output those that its sa2 groups (live1), of its sa2
     output those that its sa3 groups (live2).  A pair reads frame A's live2
-    and frame B's live1.  The two pairs that hold a frame share its plan, so
-    nothing may write into its arrays."""
+    and frame B's live1.  The two adjacent pairs of a drive that hold a
+    frame share its plan, so nothing may write into its arrays."""
 
     kept: np.ndarray
     points: np.ndarray
@@ -601,31 +598,25 @@ def _forward_displacements(a: _FramePlan, b: _FramePlan, model: DisplacementMode
     return vectors, tape
 
 
-def _planned_pairs(pairs: list, config: PipelineConfig):
-    """(a, b, targets) of each (cloud_a, label_a, cloud_b, label_b) pair:
-    the plans of its two frames, on oracle detections, and its targets.
+def _drive_steps(frames, config: PipelineConfig):
+    """(a, b, targets) of each adjacent pair of a drive's (cloud, label)
+    frames: the plans of its two frames, on oracle detections, and its
+    targets.
 
-    Pairs are planned a chunk of _PLAN_POINTS filtered points at a time,
-    just before they are used.  One dict, keyed by the object identity of
-    (cloud, label), holds the frame plans: a frame missing from it is
-    detected and planned with the chunk's other new frames, and each chunk
-    keeps the entries it still needs."""
-    def key(cloud: PointCloud, label: FrameLabel) -> tuple[int, int]:
-        return id(cloud), id(label)
+    The frames are detected and planned in order, _PLAN_POINTS //
+    config.n_filtered of them (at least one) per _plan_frames call, just
+    before their pairs are used; the two pairs that hold a frame read its
+    one plan."""
+    size = max(1, _PLAN_POINTS // config.n_filtered)
 
-    size = max(1, _PLAN_POINTS // (2 * config.n_filtered))
-    plans: dict[tuple[int, int], _FramePlan] = {}
-    for first in range(0, len(pairs), size):
-        chunk = pairs[first:first + size]
-        frames = {key(*frame): frame for pair in chunk for frame in (pair[:2], pair[2:])}
-        plans = {k: plans[k] for k in frames if k in plans}
-        new = [k for k in frames if k not in plans]
-        plans.update(zip(new, _plan_frames(
-            [(frames[k][0], oracle_detector(*frames[k])) for k in new], config)))
-        for cloud_a, label_a, cloud_b, label_b in chunk:
-            a = plans[key(cloud_a, label_a)]
-            yield (a, plans[key(cloud_b, label_b)],
-                   label_targets(PointCloud(a.points), label_a, label_b))
+    def planned():
+        for first in range(0, len(frames), size):
+            window = frames[first:first + size]
+            yield from zip(window, _plan_frames(
+                [(cloud, oracle_detector(cloud, label)) for cloud, label in window], config))
+
+    for ((_, label_a), a), ((_, label_b), b) in itertools.pairwise(planned()):
+        yield a, b, label_targets(PointCloud(a.points), label_a, label_b)
 
 
 def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
@@ -654,22 +645,16 @@ class TrainHistory:
     epoch_losses: list[float] = field(default_factory=list)
 
 
-def _pair_list(dataset) -> list[tuple[PointCloud, FrameLabel, PointCloud, FrameLabel]]:
-    sequences = [dataset] if isinstance(dataset, Sequence) else list(dataset)
-    pairs = []
-    for seq in sequences:
-        pairs.extend(seq.adjacent_pairs())
-    return pairs
-
-
 def train_association(dataset, config: PipelineConfig,
                       epochs: int) -> tuple[DisplacementModel, TrainHistory]:
-    """Train the displacement network on adjacent frame pairs, planned
-    (see the module docstring) on oracle detections.
+    """Train the displacement network on the adjacent frame pairs of the
+    drives of dataset, one Sequence or an iterable of them, planned drive by
+    drive (see the module docstring) on oracle detections.  Drives of fewer
+    than two frames hold no pair and are skipped.
 
     Deterministic for a given config.seed and BLAS thread count: long GEMM
     reductions may round differently across thread counts; the results do
-    not depend on the planning chunks.  Adam updates the model's own arrays
+    not depend on the planning windows.  Adam updates the model's own arrays
     in place.  Raises on a non-finite loss, on a non-finite gradient (naming
     the first such array, before any update) and, after each update, on a
     non-finite parameter ("non-finite update of head.b0"), discarding the
@@ -682,18 +667,24 @@ def train_association(dataset, config: PipelineConfig,
     epochs = _integer("epochs", epochs)
     if epochs < 1:
         raise ValueError(f"epochs must be at least 1, got {epochs}")
-    pairs = _pair_list(dataset)
-    if not pairs:
+    drives = [dataset] if isinstance(dataset, Sequence) \
+        else list(dataset) if isinstance(dataset, Iterable) else [dataset]
+    if not all(isinstance(drive, Sequence) for drive in drives):
+        raise ValueError(f"dataset must be a Sequence or an iterable of Sequences, "
+                         f"got {type(dataset).__name__}")
+    drives = [drive.frames for drive in drives if len(drive) >= 2]
+    n_pairs = sum(len(frames) - 1 for frames in drives)
+    if n_pairs == 0:
         raise ValueError("dataset must contain at least one adjacent frame pair")
     model = build_displacement_model(config)
     params = model.param_dict()     # the model's own arrays, which adam_step updates
     state = OptState.init(params)
-    cycle = max(2, config.clr_cycle_epochs * len(pairs))
+    cycle = max(2, config.clr_cycle_epochs * n_pairs)
     cycle += cycle % 2
     history = TrainHistory()
     for _ in range(epochs):
         epoch_loss = 0.0
-        for a, b, targets in _planned_pairs(pairs, config):
+        for a, b, targets in itertools.chain(*(_drive_steps(f, config) for f in drives)):
             vectors, tape = _forward_displacements(a, b, model, config, capture=True)
             loss, grad = tracking_loss(vectors, targets.displacement,
                                        targets.foreground_mask,
@@ -711,7 +702,7 @@ def train_association(dataset, config: PipelineConfig,
             if bad is not None:
                 raise ValueError(f"non-finite update of {bad}")
             epoch_loss += loss
-        history.epoch_losses.append(epoch_loss / len(pairs))
+        history.epoch_losses.append(epoch_loss / n_pairs)
     return model, history
 
 
@@ -723,14 +714,20 @@ def mean_displacement_error(model: DisplacementModel, config: PipelineConfig,
                             pairs) -> float:
     """Mean Euclidean error over foreground (non-excluded) predicted points.
 
-    A degenerate pair raises with the message that predict_displacements
-    gives.  pairs must hold at least one pair.
+    pairs hold (cloud_a, label_a, cloud_b, label_b); a run of them in which
+    each frame A is the previous frame B (the same cloud and label objects)
+    is planned as one drive.  A degenerate pair raises with the message that
+    predict_displacements gives.  pairs must hold at least one pair.
     """
-    pairs = list(pairs)
-    if not pairs:
+    drives: list[list[tuple[PointCloud, FrameLabel]]] = []
+    for cloud_a, label_a, cloud_b, label_b in pairs:
+        if not (drives and drives[-1][-1][0] is cloud_a and drives[-1][-1][1] is label_a):
+            drives.append([(cloud_a, label_a)])
+        drives[-1].append((cloud_b, label_b))
+    if not drives:
         raise ValueError("pairs must contain at least one frame pair")
     errors = []
-    for a, b, targets in _planned_pairs(pairs, config):
+    for a, b, targets in itertools.chain(*(_drive_steps(f, config) for f in drives)):
         vectors, _ = _forward_displacements(a, b, model, config)
         keep = targets.foreground_mask & ~targets.excluded
         if np.any(keep):

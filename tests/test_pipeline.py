@@ -25,6 +25,7 @@ from disptrack.geom import PointCloud
 from disptrack.ingest import (
     FrameLabel,
     SceneConfig,
+    Sequence,
     TrainingTargets,
     label_targets,
     synthesize_sequence,
@@ -151,16 +152,16 @@ def assert_bytes_equal(actual: dict[str, np.ndarray], path: Path) -> None:
         assert new.tobytes() == old.tobytes(), key
 
 
-# Frames planned per chunk: a chunk plans the frames that no earlier chunk
-# of the epoch planned, so a frame on a chunk edge is planned once.
-@pytest.mark.parametrize("pairs_per_chunk, chunks", [
-    (1, [2, 1, 2, 1]),
-    (3, [5, 1]),          # the first chunk mixes both drives' frame sizes
-    (None, [6]),          # the default: every pair in one chunk
+# Frames planned per _plan_frames call: each drive is planned on its own, a
+# window of frames at a time, so a frame on a window edge is planned once.
+@pytest.mark.parametrize("frames_per_window, chunks", [
+    (1, [1, 1, 1, 1, 1, 1]),
+    (2, [2, 1, 2, 1]),
+    (None, [3, 3]),       # the default: each drive in one window
 ])
-def test_multi_pair_training_matches_the_golden(monkeypatch, pairs_per_chunk, chunks):
-    if pairs_per_chunk is not None:
-        monkeypatch.setattr(pipeline, "_PLAN_POINTS", pairs_per_chunk * 2 * TINY.n_filtered)
+def test_multi_pair_training_matches_the_golden(monkeypatch, frames_per_window, chunks):
+    if frames_per_window is not None:
+        monkeypatch.setattr(pipeline, "_PLAN_POINTS", frames_per_window * TINY.n_filtered)
     planned = []
     real = pipeline._plan_frames
 
@@ -369,23 +370,23 @@ def test_a_frame_plans_the_same_as_frame_b_and_as_frame_a():
     [other_k] = pipeline._plan_frames([(f1, d1)], tiny_config(k=4))
     assert frame_plan_bytes(as_b) == frame_plan_bytes(as_a) == frame_plan_bytes(together)
     assert frame_plan_bytes(other_k) == frame_plan_bytes(as_a)
-    pairs = list(synthesize_sequence(DRIVE_SCENE, 3).adjacent_pairs())
-    (_, shared_b, _), (shared_a, _, _) = pipeline._planned_pairs(pairs, TINY)
+    frames = synthesize_sequence(DRIVE_SCENE, 3).frames
+    (_, shared_b, _), (shared_a, _, _) = pipeline._drive_steps(frames, TINY)
     assert shared_b is shared_a
     assert frame_plan_bytes(shared_a) == frame_plan_bytes(as_a)
 
 
-@pytest.mark.parametrize("pairs_per_chunk", [None, 1, 2])
-def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, pairs_per_chunk):
-    # Four frames, three pairs, in one chunk (the default) or in chunks of
-    # one or two pairs: each frame is detected, filtered and grouped at every
-    # level once, also on a chunk edge, and frame 1, whose detections are
+@pytest.mark.parametrize("frames_per_window", [None, 1, 2])
+def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, frames_per_window):
+    # Four frames, three pairs, in one window (the default) or in windows of
+    # one or two frames: each frame is detected, filtered and grouped at every
+    # level once, also on a window edge, and frame 1, whose detections are
     # empty, is warned about once, though two pairs read it.  Each pair's
     # targets are labelled once, on frame A's kept points.
-    if pairs_per_chunk is not None:
-        monkeypatch.setattr(pipeline, "_PLAN_POINTS", pairs_per_chunk * 2 * TINY.n_filtered)
+    if frames_per_window is not None:
+        monkeypatch.setattr(pipeline, "_PLAN_POINTS", frames_per_window * TINY.n_filtered)
     seq = synthesize_sequence(dataclasses.replace(SCENE, frames=4), 3)
-    calls = {"detect": 0, "features": 0, "ball_query": [], "targets": []}
+    calls = {"detect": 0, "features": 0, "ball_query": [], "plan": [], "targets": []}
     kept = {}
     real_detect, real_features = pipeline.oracle_detector, pipeline.point_features
     real_query, real_plan = layers_module.ball_query, pipeline._plan_frames
@@ -407,6 +408,7 @@ def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, pairs_pe
         return real_query(query_points, points, radius, cap)
 
     def plan(frames, config):
+        calls["plan"].append(len(frames))
         plans = real_plan(frames, config)
         kept.update((id(frame), p.points) for (frame, _), p in zip(frames, plans))
         return plans
@@ -423,6 +425,7 @@ def test_a_drive_detects_and_plans_each_frame_once(monkeypatch, caplog, pairs_pe
     with caplog.at_level(logging.WARNING, logger="disptrack.pipeline"):
         pipeline.train_association(seq, TINY, epochs=1)
     assert calls["detect"] == 4 and calls["features"] == 4
+    assert calls["plan"] == {None: [4], 1: [1, 1, 1, 1], 2: [2, 2]}[frames_per_window]
     assert sorted(calls["ball_query"]) == [0.5] * 4 + [1.0] * 4 + [4.0] * 4
     assert [pair for _, *pair in calls["targets"]] == [[0, 1], [1, 2], [2, 3]]
     for points, index, _ in calls["targets"]:
@@ -641,6 +644,42 @@ def test_per_point_arrays_keep_their_shape(case):
     call, message = PER_POINT_CASES[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+FLOAT2 = np.array([0.5, 2.0])
+XYZ2 = np.zeros((2, 3))
+MASK2 = np.zeros(2, dtype=bool)
+PER_POINT_DTYPE_CASES = {
+    "field-indices": (lambda: pipeline.DisplacementField([0.7, 1.2], XYZ2),
+                      "point_indices must hold int values, got dtype float64"),
+    "field-indices-bool": (lambda: pipeline.DisplacementField(~MASK2, XYZ2),
+                           "point_indices must hold int values, got dtype bool"),
+    "targets-mask": (lambda: TrainingTargets(FLOAT2, XYZ2, MASK2),
+                     "foreground_mask must hold bool values, got dtype float64"),
+    "targets-excluded": (lambda: TrainingTargets(MASK2, XYZ2, np.array([0, 0])),
+                         "excluded must hold bool values, got dtype int64"),
+    "loss-mask": (lambda: tracking_loss(XYZ2, XYZ2, FLOAT2, 1.0, 0.5, MASK2),
+                  "foreground_mask must hold bool values, got dtype float64"),
+    "loss-excluded": (lambda: tracking_loss(XYZ2, XYZ2, MASK2, 1.0, 0.5, np.array([1, 0])),
+                      "excluded must hold bool values, got dtype int64"),
+}
+
+
+@pytest.mark.parametrize("case", PER_POINT_DTYPE_CASES)
+def test_index_and_mask_arrays_are_not_cast(case):
+    # A float index vector used to be truncated ([0.7, 1.2] built indices
+    # [0, 1]) and a float or integer mask read as truth values ([0.5, 2.0]
+    # as [True, True]).
+    call, message = PER_POINT_DTYPE_CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_empty_index_and_mask_lists_take_their_field_dtype():
+    field = pipeline.DisplacementField([], np.zeros((0, 3)))
+    targets = TrainingTargets([], np.zeros((0, 3)), [])
+    assert field.point_indices.dtype.kind == "i" and field.point_indices.shape == (0,)
+    assert targets.foreground_mask.dtype == targets.excluded.dtype == np.bool_
 
 
 @pytest.mark.parametrize("probs", [[np.nan, 0.5], [-0.1, 0.5], [0.5, 1.5]])
@@ -917,6 +956,73 @@ def test_training_rejects_a_bad_epoch_count(epochs, message):
     seq, *_ = scene_pair()
     with pytest.raises(ValueError, match=message):
         pipeline.train_association(seq, TINY, epochs=epochs)
+
+
+@pytest.mark.parametrize("dataset, name", [(5, "int"), ("drive", "list")],
+                         ids=["int", "frame-list"])
+def test_training_rejects_a_dataset_that_is_not_drives(dataset, name):
+    # A list of (cloud, label) frames used to raise an AttributeError.
+    seq, *_ = scene_pair()
+    dataset = seq.frames if dataset == "drive" else dataset
+    with pytest.raises(ValueError, match=f"^dataset must be a Sequence or an iterable of "
+                                         f"Sequences, got {name}$"):
+        pipeline.train_association(dataset, TINY, epochs=1)
+
+
+def test_training_skips_drives_without_a_pair(monkeypatch):
+    # One-frame drives hold no pair: they are neither detected nor planned,
+    # and a dataset of them alone (or of no drive) has nothing to train on.
+    seq, *_ = scene_pair()
+    lone_a, lone_b = Sequence(seq.frames[:1]), Sequence(seq.frames[1:])
+    alone, _ = pipeline.train_association([seq], TINY, epochs=1)
+    detected, planned = [], []
+    real_detect, real_plan = pipeline.oracle_detector, pipeline._plan_frames
+
+    def detect(frame, labels):
+        detected.append(labels.frame_index)
+        return real_detect(frame, labels)
+
+    def plan(frames, config):
+        planned.append(len(frames))
+        return real_plan(frames, config)
+    monkeypatch.setattr(pipeline, "oracle_detector", detect)
+    monkeypatch.setattr(pipeline, "_plan_frames", plan)
+    mixed, _ = pipeline.train_association([lone_a, seq, lone_b], TINY, epochs=1)
+    assert detected == [0, 1] and planned == [2]
+    assert all(mixed.param_dict()[k].tobytes() == v.tobytes()
+               for k, v in alone.param_dict().items())
+    for dataset in ([lone_a, lone_b], []):
+        with pytest.raises(ValueError,
+                           match="^dataset must contain at least one adjacent frame pair$"):
+            pipeline.train_association(dataset, TINY, epochs=1)
+    assert planned == [2]
+
+
+def test_evaluation_scores_each_drive_of_flat_pairs_once(monkeypatch):
+    # The pairs of two drives, concatenated as the benchmark passes them:
+    # the mean error over the foreground, non-excluded points of the fields
+    # that predict_displacements gives, with each of the 6 frames planned
+    # once, one _plan_frames call per drive.
+    model = pipeline.build_displacement_model(TINY)
+    pairs = [pair for seed in (3, 4)
+             for pair in synthesize_sequence(DRIVE_SCENE, seed).adjacent_pairs()]
+    errors = []
+    for a, label_a, b, label_b in pairs:
+        field = predict(model, TINY, a, label_a, b, label_b)
+        targets = label_targets(PointCloud(a.points[field.point_indices]), label_a, label_b)
+        keep = targets.foreground_mask & ~targets.excluded
+        errors.append(np.linalg.norm(field.vectors[keep] - targets.displacement[keep], axis=1))
+    planned = []
+    real = pipeline._plan_frames
+
+    def recording(frames, config):
+        planned.append([id(cloud) for cloud, _ in frames])
+        return real(frames, config)
+    monkeypatch.setattr(pipeline, "_plan_frames", recording)
+    error = pipeline.mean_displacement_error(model, TINY, pairs)
+    assert error == np.concatenate(errors).mean()
+    assert planned == [[id(pairs[0][0]), id(pairs[1][0]), id(pairs[1][2])],
+                       [id(pairs[2][0]), id(pairs[3][0]), id(pairs[3][2])]]
 
 
 def test_evaluation_rejects_an_empty_pair_list():
