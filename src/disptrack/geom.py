@@ -32,6 +32,7 @@ continues at the start of the order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +58,13 @@ def _xyz_rows(name: str, array) -> np.ndarray:
 def _vector(name: str, array, dtype) -> np.ndarray:
     """array as a 1-D array of dtype, one entry per point; raises ValueError
     naming the field and the shape unless it is 1-D, and naming the field and
-    the dtype unless an int field holds integers and a bool field bools (an
-    empty one passes), which a cast would round or read as truth values."""
+    the dtype unless an int field holds integers, a bool field bools and a float
+    field non-bool numbers (an empty one passes), which a cast would round or reinterpret."""
     array = np.asarray(array)
     if array.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array, got shape {array.shape}")
-    kinds = {int: "iu", bool: "b"}.get(dtype)
-    if kinds is not None and array.size and array.dtype.kind not in kinds:
+    kinds = {int: "iu", bool: "b", float: "iuf"}[dtype]
+    if array.size and array.dtype.kind not in kinds:
         raise ValueError(f"{name} must hold {dtype.__name__} values, got dtype {array.dtype}")
     return array.astype(dtype, copy=False)
 
@@ -90,7 +91,8 @@ class PointCloud:
 
 @dataclass(eq=False)
 class Box3D:
-    """Oriented 3-D bounding box with an optional track id."""
+    """Oriented 3-D bounding box with an optional integer track id; centre,
+    size and yaw are numbers, not bools."""
 
     center: np.ndarray
     size: np.ndarray
@@ -98,8 +100,15 @@ class Box3D:
     track_id: int | None = None
 
     def __post_init__(self) -> None:
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
-        self.size = np.asarray(self.size, dtype=float).reshape(3)
+        self.center = _vector("center", self.center, float)
+        self.size = _vector("size", self.size, float)
+        if self.center.shape != (3,) or self.size.shape != (3,):
+            raise ValueError(f"box center and size need 3 entries, got {self.center.shape[0]}"
+                             f" and {self.size.shape[0]}")
+        if isinstance(self.yaw, bool) or not isinstance(self.yaw, numbers.Real):
+            raise ValueError(f"yaw must be a real number, got {self.yaw!r}")
+        if self.track_id is not None:
+            self.track_id = _integer("track_id", self.track_id)
         if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.size))
                 and np.isfinite(self.yaw)):
             raise ValueError("box center, size and yaw must be finite")

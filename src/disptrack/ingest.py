@@ -100,26 +100,28 @@ class TrainingTargets:
 # synthetic sequences
 # ---------------------------------------------------------------------------
 
+VELOCITY_RANGE = (0.1, 0.6)
+SIZE_RANGES = ((3.6, 4.4), (1.5, 1.8), (1.4, 1.7))  # length, width, height
+SPAWN_SPACING = 14.0
+ARENA_HALF_EXTENT = 45.0
+
+
 @dataclass
 class SceneConfig:
     """Parameters of a synthetic drive; all distances in meters.
 
-    ``velocity_min`` and ``velocity_max`` bound each object's speed in
-    meters per frame: a step of the drive, with no frame period.
+    The rest of the scene is fixed by module constants, as no experiment
+    varies it: ``VELOCITY_RANGE``, 0.1-0.6 m per frame (a step of the drive,
+    with no frame period); ``SIZE_RANGES``, boxes of 3.6-4.4 x 1.5-1.8 x
+    1.4-1.7 m; ``SPAWN_SPACING``, a 14 m spawn grid; and
+    ``ARENA_HALF_EXTENT``, clutter within 45 m of the origin along x and y.
     """
 
     frames: int = 50
     objects: int = 5
-    velocity_min: float = 0.1
-    velocity_max: float = 0.6
     points_per_object: int = 120
     background_points: int = 200
     noise_sigma: float = 0.02
-    length_range: tuple[float, float] = (3.6, 4.4)
-    width_range: tuple[float, float] = (1.5, 1.8)
-    height_range: tuple[float, float] = (1.4, 1.7)
-    spawn_spacing: float = 14.0
-    arena_half_extent: float = 45.0
     direction_change_every: int = 0  # 0 keeps velocities constant
 
     def __post_init__(self) -> None:
@@ -129,22 +131,11 @@ class SceneConfig:
             raise ValueError("frame and object counts must be positive")
         if self.points_per_object < 1 or self.background_points < 0:
             raise ValueError("point counts must be positive")
-        for name in ("noise_sigma", "velocity_min", "velocity_max", "spawn_spacing",
-                     "arena_half_extent"):
-            setattr(self, name, _finite_non_negative(name, getattr(self, name)))
+        self.noise_sigma = _finite_non_negative("noise_sigma", self.noise_sigma)
         if not isinstance(self.direction_change_every, bool):  # _integer names a bool
             _finite_non_negative("direction_change_every", self.direction_change_every)
         self.direction_change_every = _integer("direction_change_every",
                                                self.direction_change_every)
-        if self.velocity_max < self.velocity_min:
-            raise ValueError("velocity range must satisfy 0 <= min <= max")
-        for name in ("length_range", "width_range", "height_range"):
-            bounds = getattr(self, name)
-            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
-                    and all(isinstance(b, numbers.Real) for b in bounds)
-                    and 0.0 < bounds[0] <= bounds[1] < np.inf):
-                raise ValueError(f"{name} must be two finite numbers with "
-                                 f"0 < low <= high, got {bounds!r}")
 
 
 def _box_surface_points(rng: np.random.Generator, size: np.ndarray, count: int,
@@ -178,9 +169,7 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
     inset = 3.0 * np.sqrt(2.0) * sigma + 0.01
     sizes, clusters = [], []
     for _ in range(n):
-        sizes.append(np.array([rng.uniform(*config.length_range),
-                               rng.uniform(*config.width_range),
-                               rng.uniform(*config.height_range)]))
+        sizes.append(np.array([rng.uniform(*bounds) for bounds in SIZE_RANGES]))
         clusters.append(_box_surface_points(rng, sizes[-1], config.points_per_object, inset))
     sizes = np.array(sizes)
 
@@ -188,17 +177,17 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
     grid = int(np.ceil(np.sqrt(n)))
     cell = np.column_stack(np.divmod(rng.permutation(grid * grid)[:n], grid))
     jitter = rng.uniform(-0.15, 0.15, size=(n, 2))
-    spawn = np.column_stack([(cell - (grid - 1) / 2.0) * config.spawn_spacing
-                             + jitter * config.spawn_spacing, sizes[:, 2] / 2.0])
+    spawn = np.column_stack([(cell - (grid - 1) / 2.0) * SPAWN_SPACING
+                             + jitter * SPAWN_SPACING, sizes[:, 2] / 2.0])
 
-    speeds = rng.uniform(config.velocity_min, config.velocity_max, size=n)
+    speeds = rng.uniform(*VELOCITY_RANGE, size=n)
     turns = np.arange(config.frames) % (config.direction_change_every or config.frames) == 0
     heading = rng.uniform(0.0, 2.0 * np.pi, size=(turns.sum(), n))[np.cumsum(turns) - 1]
     steps = np.stack([speeds * np.cos(heading), speeds * np.sin(heading),
                       np.zeros_like(heading)], axis=-1)
     centres = np.cumsum(np.concatenate([spawn[None], steps[1:]]), axis=0)
 
-    half = config.arena_half_extent
+    half = ARENA_HALF_EXTENT
     background = np.column_stack([rng.uniform(-half, half, size=(config.background_points, 2)),
                                   rng.uniform(0.2, 2.5, size=config.background_points)])
 

@@ -8,14 +8,18 @@ import numpy as np
 
 from ..geom import _vector, _xyz_rows
 
+LOSS_ALPHA = 1.0
+LOSS_BETA = 0.5
+
 
 def tracking_loss(pred_disp: np.ndarray, target_disp: np.ndarray,
-                  foreground_mask: np.ndarray, alpha: float, beta: float,
+                  foreground_mask: np.ndarray,
                   excluded: np.ndarray) -> tuple[float, np.ndarray]:
     """Class-balanced squared-L2 displacement loss.
 
     loss = alpha * (N/N_pos) * sum_pos ||e||^2 + beta * (N/N_neg) * sum_neg ||e||^2
-    with N the total point count; a side with no points drops its term.
+    with N the total point count, alpha = LOSS_ALPHA = 1 and beta =
+    LOSS_BETA = 0.5; a side with no points drops its term.
     Points flagged in `excluded` contribute to neither side (their true
     displacement is unknown) but still count toward N.
 
@@ -41,11 +45,11 @@ def tracking_loss(pred_disp: np.ndarray, target_disp: np.ndarray,
     loss = 0.0
     grad = np.zeros_like(pred)
     if n_pos:
-        scale = alpha * n / n_pos
+        scale = LOSS_ALPHA * n / n_pos
         loss += scale * float(sq[pos].sum())
         grad[pos] = 2.0 * scale * err[pos]
     if n_neg:
-        scale = beta * n / n_neg
+        scale = LOSS_BETA * n / n_neg
         loss += scale * float(sq[neg].sum())
         grad[neg] = 2.0 * scale * err[neg]
     return loss, grad

@@ -180,10 +180,11 @@ class SaConfig:
 
 @dataclass
 class PipelineConfig:
-    """Every knob of the displacement pipeline and its training loop.
+    """The settable values of the displacement pipeline and its training loop.
 
     Desk-scale defaults; `paper_scale()` restores the full-size layer table
     (input 15000, filter 5000, 64 association neighbours, 4x wider MLPs).
+    The loss weights are constants: alpha = 1 and beta = 0.5 (``tracking_loss``).
     """
 
     n_input: int = 2048
@@ -200,8 +201,6 @@ class PipelineConfig:
     lr_low: float = 1e-4
     lr_high: float = 1e-3
     clr_cycle_epochs: int = 8
-    alpha: float = 1.0
-    beta: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -214,7 +213,7 @@ class PipelineConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_filtered > self.n_input:
             raise ValueError("n_filtered must not exceed n_input")
-        for name in ("lr_low", "lr_high", "alpha", "beta"):
+        for name in ("lr_low", "lr_high"):
             setattr(self, name, _finite_non_negative(name, getattr(self, name)))
         for name in ("assoc_widths", "fp1_widths", "fp2_widths", "fp3_widths",
                      "head_widths"):
@@ -642,7 +641,7 @@ def predict_displacements(frame_a: PointCloud, frame_b: PointCloud,
 class TrainHistory:
     """Per-epoch mean training loss."""
 
-    epoch_losses: list[float] = field(default_factory=list)
+    epoch_losses: list[float]
 
 
 def train_association(dataset, config: PipelineConfig,
@@ -681,15 +680,13 @@ def train_association(dataset, config: PipelineConfig,
     state = OptState.init(params)
     cycle = max(2, config.clr_cycle_epochs * n_pairs)
     cycle += cycle % 2
-    history = TrainHistory()
+    history = TrainHistory([])
     for _ in range(epochs):
         epoch_loss = 0.0
         for a, b, targets in itertools.chain(*(_drive_steps(f, config) for f in drives)):
             vectors, tape = _forward_displacements(a, b, model, config, capture=True)
             loss, grad = tracking_loss(vectors, targets.displacement,
-                                       targets.foreground_mask,
-                                       alpha=config.alpha, beta=config.beta,
-                                       excluded=targets.excluded)
+                                       targets.foreground_mask, targets.excluded)
             if not np.isfinite(loss):
                 raise ValueError("training loss became non-finite")
             grads = tape.backward(grad)

@@ -649,6 +649,47 @@ def test_box_owner_without_boxes_or_points():
                      ).shape == (0,)
 
 
+#: (call, message) per Box3D field of the wrong shape or type.
+BOX_CASES = {
+    "both-reshaped": (lambda: Box3D(np.zeros((3, 1)), np.ones((1, 3)), 0.0),
+                      "center must be a 1-D array, got shape (3, 1)"),
+    "size-row": (lambda: Box3D(np.zeros(3), np.ones((1, 3)), 0.0),
+                 "size must be a 1-D array, got shape (1, 3)"),
+    "center-length": (lambda: Box3D(np.zeros(2), np.ones(3), 0.0),
+                      "box center and size need 3 entries, got 2 and 3"),
+    "center-bool": (lambda: Box3D(np.array([True, False, True]), np.ones(3), 0.0),
+                    "center must hold float values, got dtype bool"),
+    "size-bool": (lambda: Box3D(np.zeros(3), np.ones(3, dtype=bool), 0.0),
+                  "size must hold float values, got dtype bool"),
+    "yaw-bool": (lambda: Box3D(np.zeros(3), np.ones(3), True),
+                 "yaw must be a real number, got True"),
+    "yaw-string": (lambda: Box3D(np.zeros(3), np.ones(3), "0.5"),
+                   "yaw must be a real number, got '0.5'"),
+    "track-float": (lambda: Box3D(np.zeros(3), np.ones(3), 0.0, track_id=1.5),
+                    "track_id must be an integer, got 1.5"),
+    "track-bool": (lambda: Box3D(np.zeros(3), np.ones(3), 0.0, track_id=True),
+                   "track_id must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("case", BOX_CASES)
+def test_box_keeps_the_shapes_and_types_of_its_fields(case):
+    # Each used to pass: a (3, 1) centre and a (1, 3) size were reshaped, a
+    # bool centre read as numbers, a yaw of True as 1.0, and track_id=1.5
+    # was kept.
+    call, message = BOX_CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_box_takes_integer_coordinates_and_track_ids():
+    box = Box3D((0, 0, 0), (2, 2, 2), 0, track_id=np.int64(3))
+    assert box.center.dtype == box.size.dtype == np.float64
+    assert box.center.shape == box.size.shape == (3,)
+    assert type(box.yaw) is float and box.yaw == 0.0
+    assert type(box.track_id) is int and box.track_id == 3
+
+
 # ---------------------------------------------------------------------------
 # box IoU
 # ---------------------------------------------------------------------------

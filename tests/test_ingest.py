@@ -3,6 +3,7 @@ import pytest
 
 from disptrack.geom import Box3D, PointCloud, points_in_box
 from disptrack.ingest import (
+    VELOCITY_RANGE,
     FrameLabel,
     SceneConfig,
     Sequence,
@@ -46,7 +47,7 @@ def test_synthesize_centers_move_with_constant_velocity():
         steps = np.diff(centers, axis=0)
         assert np.allclose(steps, steps[0], atol=1e-12)
         speed = np.linalg.norm(steps[0])
-        assert config.velocity_min - 1e-9 <= speed <= config.velocity_max + 1e-9
+        assert VELOCITY_RANGE[0] - 1e-9 <= speed <= VELOCITY_RANGE[1] + 1e-9
 
 
 def test_synthesize_points_stay_inside_boxes():
@@ -68,19 +69,13 @@ def test_synthesize_invalid_config():
         synthesize_sequence(SceneConfig(frames=0), seed=0)
     with pytest.raises(ValueError):
         synthesize_sequence(SceneConfig(objects=0), seed=0)
-    # A negative or NaN arena extent used to fail inside numpy's uniform.
-    for value in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError,
-                           match="^arena_half_extent must be finite and non-negative"):
-            synthesize_sequence(SceneConfig(arena_half_extent=value), seed=0)
     # A count of the wrong type used to raise a bare TypeError in its range check.
     for name in ("frames", "objects", "points_per_object", "background_points"):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got None$"):
             SceneConfig(**{name: None})
 
 
-@pytest.mark.parametrize("field", ["noise_sigma", "velocity_min", "velocity_max",
-                                   "spawn_spacing", "direction_change_every"])
+@pytest.mark.parametrize("field", ["noise_sigma", "direction_change_every"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, None, "0.1"])
 def test_synthesize_rejects_a_non_finite_or_negative_scalar(field, value):
     # SceneConfig raises on construction.  A negative direction_change_every
@@ -99,19 +94,6 @@ def test_scene_config_rejects_a_non_integer_count(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
         SceneConfig(**{field: value})
     SceneConfig(**{field: np.int64(3)})
-
-
-@pytest.mark.parametrize("field", ["length_range", "width_range", "height_range"])
-@pytest.mark.parametrize("bounds", [(2.0, 1.0), (float("nan"), 1.0), (1.0, float("inf")),
-                                    (0.0, 0.0), (-1.0, 1.0), (1.0,), (1.0, 2.0, 3.0),
-                                    (None, 1.0), 1.0])
-def test_scene_config_rejects_a_bad_size_range(field, bounds):
-    # Synthesis used to die in numpy on a reversed or NaN range, a zero size
-    # failed later in Box3D, and a 1-tuple made every box that size.
-    with pytest.raises(ValueError, match=f"^{field} must be two finite numbers with "
-                                         f"0 < low <= high, got "):
-        SceneConfig(**{field: bounds})
-    assert getattr(SceneConfig(**{field: (1.5, 1.5)}), field) == (1.5, 1.5)
 
 
 # ---------------------------------------------------------------------------

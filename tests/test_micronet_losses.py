@@ -9,9 +9,8 @@ from disptrack.micronet import tracking_loss
 # ---------------------------------------------------------------------------
 
 def balanced_loss(pred, target, mask):
-    """tracking_loss at the default config's alpha=1, beta=0.5, no point excluded."""
-    return tracking_loss(pred, target, mask, alpha=1.0, beta=0.5,
-                         excluded=np.zeros(len(mask), dtype=bool))
+    """tracking_loss (alpha=1, beta=0.5) with no point excluded."""
+    return tracking_loss(pred, target, mask, np.zeros(len(mask), dtype=bool))
 
 
 def test_tracking_loss_zero_when_exact():
@@ -58,8 +57,7 @@ def test_tracking_loss_excluded_points_contribute_nothing():
     target = np.zeros((2, 3))
     mask = np.array([True, True])
     excluded = np.array([True, False])
-    loss, grad = tracking_loss(pred, target, mask, alpha=1.0, beta=0.5,
-                               excluded=excluded)
+    loss, grad = tracking_loss(pred, target, mask, excluded)
     # only the second point counts: 1 * (2/1) * 1
     assert loss == pytest.approx(2.0, rel=1e-12)
     assert np.array_equal(grad[0], np.zeros(3))
@@ -95,4 +93,4 @@ def test_tracking_loss_validates_lengths():
         balanced_loss(np.zeros((2, 3)), np.zeros((3, 3)), np.zeros(2, dtype=bool))
     with pytest.raises(ValueError, match="excluded lengths must match"):
         tracking_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2, dtype=bool),
-                      alpha=1.0, beta=0.5, excluded=np.zeros(3, dtype=bool))
+                      np.zeros(3, dtype=bool))

@@ -1,6 +1,7 @@
 """Packaging metadata and public exports point at things that exist, every
 public function and class is reached by the package or the bench, and every
-defaulted parameter of a public function is passed by one of their calls."""
+defaulted parameter of a public function or class constructor is passed by
+one of their calls."""
 
 import ast
 import importlib
@@ -48,8 +49,8 @@ UNREACHED_ON_PURPOSE = {
 }
 
 
-#: Defaulted parameters of public functions that no call in src/ or bench/
-#: passes, as "function.parameter", and why each stays.
+#: Defaulted parameters of public functions and class constructors that no
+#: call in src/ or bench/ passes, as "function.parameter", and why each stays.
 UNSET_ON_PURPOSE = {
     "oracle_detector.noise": "detector-noise training, votes and tracking "
                              "(ROADMAP items 2, 5, 9, 10)",
@@ -57,6 +58,23 @@ UNSET_ON_PURPOSE = {
                             "(ROADMAP items 2, 5, 9, 10)",
     "apply_displacement_augmentation.seed": "the sudden-shift split of the quality "
                                             "harness (ROADMAP item 1)",
+    "SceneConfig.noise_sigma": "the noise-free measurement of bounded turns "
+                               "(ROADMAP item 4)",
+    "SceneConfig.direction_change_every": "the turning drives of the quality harness "
+                                          "(ROADMAP item 1)",
+    "DetectorNoise.center_sigma": "detector-noise training, votes and tracking "
+                                  "(ROADMAP items 2, 5, 9, 10)",
+    "DetectorNoise.yaw_sigma": "detector-noise training, votes and tracking "
+                               "(ROADMAP items 2, 5, 9, 10)",
+    "DetectorNoise.dropout": "detector-noise training, votes and tracking "
+                             "(ROADMAP items 2, 5, 9, 10)",
+    "DetectorNoise.fp_rate": "detector-noise training, votes and tracking "
+                             "(ROADMAP items 2, 5, 9, 10)",
+    "PipelineConfig.lr_low": "the training budget of the association (ROADMAP item 2)",
+    "PipelineConfig.lr_high": "the training budget of the association (ROADMAP item 2)",
+    "PipelineConfig.clr_cycle_epochs": "the training budget of the association "
+                                       "(ROADMAP item 2)",
+    "PipelineConfig.seed": "the per-seed runs of the quality harness (ROADMAP item 1)",
 }
 
 
@@ -111,15 +129,21 @@ def test_every_public_definition_is_reached_or_kept_on_purpose():
 def passed_arguments() -> tuple[dict[str, int], dict[str, set]]:
     """Per called name (a plain name or an attribute) in src/ or bench/, the
     most positional arguments one call passes, and every keyword that some
-    call passes.  A starred argument counts as one position, as the package
-    unpacks fixed-size records such as a (cloud, label) frame, not option
-    lists; a call with **kwargs passes every keyword (recorded as None)."""
+    call passes.  A ``cls(...)`` call inside a class is a call of that class.
+    A starred argument counts as one position, as the package unpacks
+    fixed-size records such as a (cloud, label) frame, not option lists; a
+    call with **kwargs passes every keyword (recorded as None)."""
     most, keywords = {}, {}
     for tree in source_trees():
+        # ast.walk visits an outer class before the classes inside it.
+        owner = {id(node): top.name for top in ast.walk(tree)
+                 if isinstance(top, ast.ClassDef) for node in ast.walk(top)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "cls":
+                name = owner.get(id(node), name)
             most[name] = max(most.get(name, 0), len(node.args))
             keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
     return most, keywords
@@ -129,13 +153,13 @@ def test_every_defaulted_parameter_is_passed_or_kept_on_purpose():
     most, keywords = passed_arguments()
     unset = set()
     for name, module in public_definitions().items():
-        function = getattr(importlib.import_module(module), name)
-        if not inspect.isfunction(function):
-            continue
-        for position, param in enumerate(inspect.signature(function).parameters.values()):
+        definition = getattr(importlib.import_module(module), name)
+        # A ** call of a class (from_dict) forwards saved values; it chooses none.
+        forwarded = {None} if inspect.isfunction(definition) else set()
+        for position, param in enumerate(inspect.signature(definition).parameters.values()):
             by_position = (param.kind is param.POSITIONAL_OR_KEYWORD
                            and most.get(name, 0) > position)
-            by_keyword = {param.name, None} & keywords.get(name, set())
+            by_keyword = ({param.name} | forwarded) & keywords.get(name, set())
             if param.default is not param.empty and not (by_position or by_keyword):
                 unset.add(f"{name}.{param.name}")
     assert sorted(unset - set(UNSET_ON_PURPOSE)) == [], \

@@ -233,8 +233,7 @@ def train_step(plans, model, config, targets):
     of planned frames plans, as train_association computes them."""
     vectors, tape = pipeline._forward_displacements(*plans, model, config, capture=True)
     loss, grad = tracking_loss(vectors, targets.displacement, targets.foreground_mask,
-                               alpha=config.alpha, beta=config.beta,
-                               excluded=targets.excluded)
+                               targets.excluded)
     return vectors, loss, tape.backward(grad)
 
 
@@ -622,13 +621,13 @@ PER_POINT_CASES = {
                              "displacement must be an (n, 3) array, got shape (6, 4)"),
     "targets-excluded": (lambda: TrainingTargets(MASK8, XYZ8, PAIRED),
                          "excluded must be a 1-D array, got shape (4, 2)"),
-    "loss-pred": (lambda: tracking_loss(SCRAMBLED, XYZ8, MASK8, 1.0, 0.5, MASK8),
+    "loss-pred": (lambda: tracking_loss(SCRAMBLED, XYZ8, MASK8, MASK8),
                   "pred_disp must be an (n, 3) array, got shape (6, 4)"),
-    "loss-target": (lambda: tracking_loss(XYZ8, SCRAMBLED, MASK8, 1.0, 0.5, MASK8),
+    "loss-target": (lambda: tracking_loss(XYZ8, SCRAMBLED, MASK8, MASK8),
                     "target_disp must be an (n, 3) array, got shape (6, 4)"),
-    "loss-mask": (lambda: tracking_loss(XYZ8, XYZ8, PAIRED, 1.0, 0.5, MASK8),
+    "loss-mask": (lambda: tracking_loss(XYZ8, XYZ8, PAIRED, MASK8),
                   "foreground_mask must be a 1-D array, got shape (4, 2)"),
-    "loss-excluded": (lambda: tracking_loss(XYZ8, XYZ8, MASK8, 1.0, 0.5, PAIRED),
+    "loss-excluded": (lambda: tracking_loss(XYZ8, XYZ8, MASK8, PAIRED),
                       "excluded must be a 1-D array, got shape (4, 2)"),
     "detections": (lambda: pipeline.Detections([], PAIRED),
                    "point_mask_probs must be a 1-D array, got shape (4, 2)"),
@@ -658,21 +657,33 @@ PER_POINT_DTYPE_CASES = {
                      "foreground_mask must hold bool values, got dtype float64"),
     "targets-excluded": (lambda: TrainingTargets(MASK2, XYZ2, np.array([0, 0])),
                          "excluded must hold bool values, got dtype int64"),
-    "loss-mask": (lambda: tracking_loss(XYZ2, XYZ2, FLOAT2, 1.0, 0.5, MASK2),
+    "loss-mask": (lambda: tracking_loss(XYZ2, XYZ2, FLOAT2, MASK2),
                   "foreground_mask must hold bool values, got dtype float64"),
-    "loss-excluded": (lambda: tracking_loss(XYZ2, XYZ2, MASK2, 1.0, 0.5, np.array([1, 0])),
+    "loss-excluded": (lambda: tracking_loss(XYZ2, XYZ2, MASK2, np.array([1, 0])),
                       "excluded must hold bool values, got dtype int64"),
+    "detections-bool": (lambda: pipeline.Detections([], [True, False]),
+                        "point_mask_probs must hold float values, got dtype bool"),
+    "filter-bool": (lambda: pipeline.probability_filter(PointCloud(XYZ2), ~MASK2, 1),
+                    "probs must hold float values, got dtype bool"),
 }
 
 
 @pytest.mark.parametrize("case", PER_POINT_DTYPE_CASES)
 def test_index_and_mask_arrays_are_not_cast(case):
     # A float index vector used to be truncated ([0.7, 1.2] built indices
-    # [0, 1]) and a float or integer mask read as truth values ([0.5, 2.0]
-    # as [True, True]).
+    # [0, 1]), a float or integer mask read as truth values ([0.5, 2.0] as
+    # [True, True]) and a bool probability vector as numbers ([True, False]
+    # as [1.0, 0.0]).
     call, message = PER_POINT_DTYPE_CASES[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_integer_probabilities_pass_as_floats():
+    detections = pipeline.Detections([], np.array([1, 0]))
+    assert detections.point_mask_probs.dtype == np.float64
+    assert detections.point_mask_probs.tolist() == [1.0, 0.0]
+    assert pipeline.probability_filter(PointCloud(XYZ2), np.array([0, 1]), 1).tolist() == [1]
 
 
 def test_empty_index_and_mask_lists_take_their_field_dtype():
@@ -689,9 +700,9 @@ def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, None, "1", True])
-@pytest.mark.parametrize("name", ["lr_low", "lr_high", "alpha", "beta", "clr_cycle_epochs"])
+@pytest.mark.parametrize("name", ["lr_low", "lr_high", "clr_cycle_epochs"])
 def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
-    # Before the check, a negative beta trained without error, NaN or inf
+    # Before the check, a negative loss weight trained without error, NaN or inf
     # learning rates failed only after the first update, a zero cycle
     # length ran as a 2-step cycle, and None or a string raised a bare
     # TypeError.
@@ -1135,6 +1146,17 @@ def test_load_rejects_a_config_with_unknown_keys(tmp_path):
     sa2 = {**TINY.to_dict()["sa2"], "bogus": 1}
     with pytest.raises(ValueError, match=r"^unknown config keys loading \['k2', 'sa2\.bogus'\]$"):
         PipelineConfig.from_dict({**TINY.to_dict(), "k2": 3, "sa2": sa2})
+
+
+def test_load_rejects_a_config_saved_with_loss_weights(tmp_path):
+    # Models saved while the loss weights were config fields carry them.
+    entries = saved_entries(tmp_path)
+    config = json.loads(entries["config"].item())
+    path = tmp_path / "weighted.npz"
+    weighted = {**config, "alpha": 1.0, "beta": 0.5}
+    write_npz(path, {**entries, "config": np.array(json.dumps(weighted))})
+    with pytest.raises(ValueError, match=r"^unknown config keys loading \['alpha', 'beta'\]$"):
+        pipeline.load_displacement_model(path)
 
 
 UNPICKLED = []
