@@ -700,12 +700,20 @@ def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, None, "1", True])
-@pytest.mark.parametrize("name", ["lr_low", "lr_high", "clr_cycle_epochs"])
+@pytest.mark.parametrize("name", ["lr_low", "lr_high", "alpha", "beta", "clr_cycle_epochs"])
 def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
-    # Before the check, a negative loss weight trained without error, NaN or inf
+    # Before the check, a negative beta trained without error, NaN or inf
     # learning rates failed only after the first update, a zero cycle
     # length ran as a 2-step cycle, and None or a string raised a bare
-    # TypeError.
+    # TypeError.  The loss weights alpha and beta are now the constants
+    # LOSS_ALPHA and LOSS_BETA, so a config that sets either one is refused
+    # by name rather than trained with the constant.
+    if name in ("alpha", "beta"):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            PipelineConfig(**{name: value})
+        with pytest.raises(ValueError, match=rf"^unknown config keys loading \['{name}'\]$"):
+            PipelineConfig.from_dict({**TINY.to_dict(), name: value})
+        return
     with pytest.raises(ValueError, match=f"^{name} must be"):
         PipelineConfig(**{name: value})
     with pytest.raises(ValueError, match=f"^{name} must be"):
