@@ -28,45 +28,92 @@ Every path measures with ``_pair_distances``, so they agree bit for bit.
 points sorted by int64 cell key (one per column of three z-adjacent cells,
 whose keys are consecutive); a run that wraps from INT64_MAX to INT64_MIN
 continues at the start of the order.
+
+The package's public entry points check their inputs with four rules, one
+per input kind, each raising ValueError that names the field, its bound and
+the value given: ``_integer`` for a count, index or seed, ``_real`` for a
+finite real number, ``_rows`` for a 2-D numeric array ((n, 3) coordinates,
+a feature matrix) and ``_vector`` for a 1-D per-point array.  None of them
+takes a bool for a number.  ``_rows`` does not check finiteness: the forward
+pass hands set abstraction NaN feature rows that no group reads, and the
+coordinate checks (``PointCloud``, ``nearest``, ``ball_query``) test
+finiteness themselves.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a bool or a non-integer (numpy integers pass) raises
-    ValueError naming the field."""
+def _integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """value as an int; raises ValueError naming the field unless it is an
+    int or numpy integer, not a bool, in [low, high] (a bound that is None is
+    open; high needs low)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+    if low is not None and value < low:
+        bound = "be non-negative" if low == 0 else f"be at least {low}"
+        raise ValueError(f"{name} must {bound}, got {value}")
+    return value
 
 
-def _xyz_rows(name: str, array) -> np.ndarray:
-    """array as a float (n, 3) array; raises ValueError naming the field and
-    the shape unless it is 2-D with 3 columns."""
-    array = np.asarray(array, dtype=float)
-    if array.ndim != 2 or array.shape[1] != 3:
-        raise ValueError(f"{name} must be an (n, 3) array, got shape {array.shape}")
-    return array
+#: The bounds a real-number field may have, by the words of its message.
+_REAL_BOUNDS = {
+    "real": lambda value: True,
+    "non-negative": lambda value: value >= 0.0,
+    "positive": lambda value: value > 0.0,
+    "in [0, 1]": lambda value: 0.0 <= value <= 1.0,
+}
+
+
+def _real(name: str, value, bound: str = "real") -> float:
+    """value as a float; raises ValueError naming the field and the bound
+    unless it is a finite real number, not a bool, within the _REAL_BOUNDS
+    entry bound (numpy scalars pass; NaN, a string or None fail)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or not _REAL_BOUNDS[bound](value)):
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+    return float(value)
+
+
+def _cast(name: str, array: np.ndarray, dtype) -> np.ndarray:
+    """array as dtype; raises ValueError naming the field and the dtype
+    unless an int field holds integers, a bool field bools and a float field
+    non-bool numbers (an empty one passes), which a cast would round or
+    reinterpret."""
+    kinds = {int: "iu", bool: "b", float: "iuf"}[dtype]
+    if array.size and array.dtype.kind not in kinds:
+        raise ValueError(f"{name} must hold {dtype.__name__} values, got dtype {array.dtype}")
+    return array.astype(dtype, copy=False)
+
+
+def _rows(name: str, array, width: int | None = None) -> np.ndarray:
+    """array as a float 2-D array, with width columns when width is given;
+    raises ValueError naming the field and the shape otherwise, and naming
+    the field and the dtype unless it holds non-bool numbers.  Its values
+    may be NaN or infinite."""
+    array = np.asarray(array)
+    if array.ndim != 2 or width not in (None, array.shape[1]):
+        shape = "a 2-D" if width is None else f"an (n, {width})"
+        raise ValueError(f"{name} must be {shape} array, got shape {array.shape}")
+    return _cast(name, array, float)
 
 
 def _vector(name: str, array, dtype) -> np.ndarray:
     """array as a 1-D array of dtype, one entry per point; raises ValueError
     naming the field and the shape unless it is 1-D, and naming the field and
-    the dtype unless an int field holds integers, a bool field bools and a float
-    field non-bool numbers (an empty one passes), which a cast would round or reinterpret."""
+    the dtype as ``_cast`` does."""
     array = np.asarray(array)
     if array.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array, got shape {array.shape}")
-    kinds = {int: "iu", bool: "b", float: "iuf"}[dtype]
-    if array.size and array.dtype.kind not in kinds:
-        raise ValueError(f"{name} must hold {dtype.__name__} values, got dtype {array.dtype}")
-    return array.astype(dtype, copy=False)
+    return _cast(name, array, dtype)
 
 
 def wrap_angle(angle: float) -> float:
@@ -81,7 +128,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        self.points = _xyz_rows("points", self.points)
+        self.points = _rows("points", self.points, 3)
         if not np.all(np.isfinite(self.points)):
             raise ValueError("point coordinates must be finite")
 
@@ -105,20 +152,19 @@ class Box3D:
         if self.center.shape != (3,) or self.size.shape != (3,):
             raise ValueError(f"box center and size need 3 entries, got {self.center.shape[0]}"
                              f" and {self.size.shape[0]}")
-        if isinstance(self.yaw, bool) or not isinstance(self.yaw, numbers.Real):
-            raise ValueError(f"yaw must be a real number, got {self.yaw!r}")
+        self.yaw = wrap_angle(_real("yaw", self.yaw))
         if self.track_id is not None:
             self.track_id = _integer("track_id", self.track_id)
-        if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.size))
-                and np.isfinite(self.yaw)):
-            raise ValueError("box center, size and yaw must be finite")
+        if not (np.isfinite(self.center).all() and np.isfinite(self.size).all()):
+            raise ValueError("box center and size must be finite")
         if np.any(self.size <= 0.0):
             raise ValueError("box size components must be strictly positive")
-        self.yaw = wrap_angle(float(self.yaw))
 
     def translated(self, offset) -> "Box3D":
-        return Box3D(self.center + np.asarray(offset, dtype=float), self.size.copy(),
-                     self.yaw, track_id=self.track_id)
+        offset = _vector("offset", offset, float)
+        if offset.shape != (3,):
+            raise ValueError(f"offset needs 3 entries, got {offset.shape[0]}")
+        return Box3D(self.center + offset, self.size.copy(), self.yaw, track_id=self.track_id)
 
     def bev_corners(self) -> np.ndarray:
         """Counter-clockwise footprint corners, shape (4, 2)."""
@@ -150,24 +196,18 @@ def farthest_point_sample(clouds, m: int, starts) -> list[np.ndarray]:
     minimum keeps them at -1, and as no cloud has fewer than m points, they
     win no pick.
     """
-    starts = np.asarray(starts)
+    starts = _vector("start indices", starts, int)
     if starts.shape != (len(clouds),):
         raise ValueError(f"{len(clouds)} clouds need as many start indices, "
                          f"got {starts.size}")
     if not len(clouds):
         return []
-    if (isinstance(m, bool) or not isinstance(m, (int, np.integer))
-            or starts.dtype.kind not in "iu"):
-        raise ValueError(f"the sample count and start indices must be integers, "
-                         f"got {m!r} and {starts.dtype}")
     sizes = np.array([len(cloud) for cloud in clouds], dtype=np.intp)
-    for n, start in zip(sizes, starts):
-        if n == 0:
-            raise ValueError("cannot sample from an empty cloud")
-        if not 1 <= m <= n:
-            raise ValueError(f"sample count must lie in [1, {n}], got {m}")
-        if not 0 <= start < n:
-            raise ValueError(f"start index {start} out of range for {n} points")
+    if not sizes.min():
+        raise ValueError("cannot sample from an empty cloud")
+    m = _integer("sample count", m, 1, sizes.min())
+    for n, start in zip(sizes.tolist(), starts.tolist()):
+        _integer("start index", start, 0, n - 1)
 
     c, n = len(clouds), sizes.max()
     coords = np.zeros((3, c, n))            # one contiguous (c, n) block per axis
@@ -197,7 +237,7 @@ def farthest_point_sample(clouds, m: int, starts) -> list[np.ndarray]:
 def _finite_coordinates(query, points) -> tuple[np.ndarray, np.ndarray]:
     """query and points as float (q, 3) and (n, 3) arrays; raises ValueError
     for another shape or if any coordinate is NaN or infinite."""
-    query, points = _xyz_rows("query", query), _xyz_rows("points", points)
+    query, points = _rows("query", query, 3), _rows("points", points, 3)
     if not (np.isfinite(query).all() and np.isfinite(points).all()):
         raise ValueError("query and point coordinates must be finite")
     return query, points
@@ -231,10 +271,8 @@ def nearest(query, points, k: int) -> tuple[np.ndarray, np.ndarray]:
       points by (distance, index) from the same distance arithmetic.
     """
     query, points = _finite_coordinates(query, points)
-    k = _integer("k", k)
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
+    k = _integer("k", k, 1, n)
     if query.shape[0] * n <= _DENSE_MAX_PAIRS:
         return _nearest_dense(query, points, k)
     return _nearest_grid(query, points, k)
@@ -371,12 +409,9 @@ def ball_query(query, points, radius: float, cap: int) -> tuple[np.ndarray, np.n
     start of the order.  In-radius candidates are ranked by ``_rank_pairs``.
     """
     query, points = _finite_coordinates(query, points)
-    cap = _integer("cap", cap)
     n, q = points.shape[0], query.shape[0]
-    if not 1 <= cap <= n:
-        raise ValueError(f"cap must lie in [1, {n}], got {cap}")
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    cap = _integer("cap", cap, 1, n)
+    radius = _real("radius", radius, "positive")
     # Along each axis an in-radius point lies at most radius * (1 + 3 eps)
     # from its query (a computed distance can fall a few ulps short), and
     # dividing by the edge rounds a cell coordinate by at most

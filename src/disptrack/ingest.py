@@ -10,23 +10,11 @@ target is that box's motion.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Box3D, PointCloud, _integer, _vector, _xyz_rows, box_owner
-
-
-def _finite_non_negative(name: str, value) -> float:
-    """value as a Python float; raises ValueError naming the field unless it
-    is a real number in [0, inf).  numpy scalars pass, and NaN, a bool, a
-    string or None fail."""
-    # Every comparison with NaN is false, so NaN fails this check too.
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                       and 0.0 <= value < np.inf):
-        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-    return float(value)
+from .geom import Box3D, PointCloud, _integer, _real, _rows, _vector, box_owner
 
 
 @dataclass(eq=False)
@@ -37,9 +25,11 @@ class FrameLabel:
     boxes: list[Box3D] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.frame_index = _integer("frame_index", self.frame_index)
-        if self.frame_index < 0:
-            raise ValueError("frame index must be non-negative")
+        self.frame_index = _integer("frame_index", self.frame_index, 0)
+        for box in self.boxes:
+            if not isinstance(box, Box3D):
+                raise ValueError(f"frame {self.frame_index} box must be a Box3D, "
+                                 f"got {type(box).__name__}")
         ids = [b.track_id for b in self.boxes if b.track_id is not None]
         if len(ids) != len(set(ids)):
             raise ValueError(f"duplicate track ids in frame {self.frame_index}")
@@ -60,6 +50,13 @@ class Sequence:
     frame_period: float = 0.1
 
     def __post_init__(self) -> None:
+        for i, frame in enumerate(self.frames):
+            if not (isinstance(frame, tuple) and len(frame) == 2
+                    and isinstance(frame[0], PointCloud) and isinstance(frame[1], FrameLabel)):
+                found = (f"({', '.join(type(x).__name__ for x in frame)})"
+                         if isinstance(frame, tuple) else type(frame).__name__)
+                raise ValueError(f"frame {i} must be a (PointCloud, FrameLabel) pair, "
+                                 f"got {found}")
         indices = [label.frame_index for _, label in self.frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError("frame indices must be strictly increasing")
@@ -87,7 +84,7 @@ class TrainingTargets:
 
     def __post_init__(self) -> None:
         self.foreground_mask = _vector("foreground_mask", self.foreground_mask, bool)
-        self.displacement = _xyz_rows("displacement", self.displacement)
+        self.displacement = _rows("displacement", self.displacement, 3)
         self.excluded = _vector("excluded", self.excluded, bool)
         n = self.foreground_mask.shape[0]
         if self.displacement.shape[0] != n or self.excluded.shape[0] != n:
@@ -125,17 +122,10 @@ class SceneConfig:
     direction_change_every: int = 0  # 0 keeps velocities constant
 
     def __post_init__(self) -> None:
-        for name in ("frames", "objects", "points_per_object", "background_points"):
-            setattr(self, name, _integer(name, getattr(self, name)))
-        if self.frames < 1 or self.objects < 1:
-            raise ValueError("frame and object counts must be positive")
-        if self.points_per_object < 1 or self.background_points < 0:
-            raise ValueError("point counts must be positive")
-        self.noise_sigma = _finite_non_negative("noise_sigma", self.noise_sigma)
-        if not isinstance(self.direction_change_every, bool):  # _integer names a bool
-            _finite_non_negative("direction_change_every", self.direction_change_every)
-        self.direction_change_every = _integer("direction_change_every",
-                                               self.direction_change_every)
+        for name, low in (("frames", 1), ("objects", 1), ("points_per_object", 1),
+                          ("background_points", 0), ("direction_change_every", 0)):
+            setattr(self, name, _integer(name, getattr(self, name), low))
+        self.noise_sigma = _real("noise_sigma", self.noise_sigma, "non-negative")
 
 
 def _box_surface_points(rng: np.random.Generator, size: np.ndarray, count: int,
@@ -164,7 +154,7 @@ def synthesize_sequence(config: SceneConfig, seed: int) -> Sequence:
     sigma * sqrt(2), so points sit that far plus 1 cm inside their box and
     always stay in it.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     n, sigma = config.objects, config.noise_sigma
     inset = 3.0 * np.sqrt(2.0) * sigma + 0.01
     sizes, clusters = [], []
@@ -221,8 +211,8 @@ def apply_displacement_augmentation(seq: Sequence, magnitude: float,
     accumulating over the sequence.  A point inside several boxes moves with
     the first of them only.  Background points and frame 0 are untouched.
     """
-    magnitude = _finite_non_negative("magnitude", magnitude)
-    rng = np.random.default_rng(seed)
+    magnitude = _real("magnitude", magnitude, "non-negative")
+    rng = np.random.default_rng(_integer("seed", seed, 0))
 
     track_ids = sorted({box.track_id for _, label in seq.frames for box in label.boxes
                         if box.track_id is not None})

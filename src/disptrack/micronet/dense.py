@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..geom import _rows, _vector
+
 
 @dataclass(eq=False)
 class DenseParams:
@@ -35,10 +37,10 @@ class DenseParams:
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need matching, non-empty weight and bias lists")
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
-        self.biases = [np.asarray(b, dtype=float).ravel() for b in self.biases]
+        self.weights = [_rows(f"weights[{i}]", w) for i, w in enumerate(self.weights)]
+        self.biases = [_vector(f"biases[{i}]", b, float) for i, b in enumerate(self.biases)]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or w.shape[1] != b.shape[0]:
+            if w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} incompatible with bias {b.shape}")
             if i > 0 and w.shape[0] != self.weights[i - 1].shape[1]:
                 raise ValueError(f"layer {i}: input width {w.shape[0]} does not match "
@@ -109,10 +111,7 @@ class DenseTape:
 def dense_apply(params: DenseParams, x: np.ndarray,
                 capture: bool = False) -> tuple[np.ndarray, DenseTape | None]:
     """Apply the Linear->ReLU chain row-wise; final layer has no ReLU."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != params.in_width:
-        raise ValueError(f"input of width {x.shape[-1] if x.ndim else '?'} does not match "
-                         f"first layer width {params.in_width}")
+    x = _rows("x", x, params.in_width)
     inputs = []
     h = x
     last = len(params.weights) - 1

@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..geom import PointCloud, ball_query, farthest_point_sample, nearest
+from ..geom import PointCloud, _integer, _rows, _vector, ball_query, farthest_point_sample, nearest
 from .dense import DenseGrads, DenseParams, DenseTape, dense_apply
 
 _COSINE_EPS = 1e-10
@@ -97,20 +97,16 @@ class SaLayerSpec:
     mlp: DenseParams
 
     def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be at least 1")
+        self.sample_count = _integer("sample_count", self.sample_count, 1)
 
 
 @dataclass(eq=False)
 class AssociationSpec:
-    """Cross-frame association hyperparameters plus the head MLP parameters."""
+    """Cross-frame association hyperparameters plus the head MLP parameters;
+    ``geom.nearest`` checks k against the frame-B points."""
 
     k: int
     mlp: DenseParams
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
 
 
 def _max_pool(out: np.ndarray, start: np.ndarray, capture: bool):
@@ -292,7 +288,7 @@ def sample_centroids(clouds, counts, starts) -> list[np.ndarray]:
     one call, and each result is that of sampling its cloud alone.
     """
     clouds = [PointCloud(points) for points in clouds]
-    counts = [int(count) for count in counts]
+    counts = list(counts)
     out: list = [None] * len(clouds)
     for m in dict.fromkeys(counts):
         which = [i for i, count in enumerate(counts) if count == m]
@@ -329,8 +325,8 @@ def select_groups(points, centroid_index, radius: float, cap: int) -> SaSelectio
     """Each centroid's min(cap, n) nearest points within radius, nearest
     first and equal distances to the lower index (``geom.ball_query``).  A
     centroid is within its own radius, so its slot 0 always holds a point."""
-    points = np.asarray(points, dtype=float)
-    idx = np.asarray(centroid_index)
+    points = _rows("points", points, 3)
+    idx = _vector("centroid_index", centroid_index, int)
     order, valid = ball_query(points[idx], points, radius, min(cap, len(points)))
     return SaSelection(idx, order, valid)
 
@@ -383,8 +379,8 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
 
     Returns (centroid points (m,3), pooled features (m,c_out), tape or None).
     """
-    points = np.asarray(points, dtype=float)
-    feats = np.asarray(feats, dtype=float)
+    points = _rows("points", points, 3)
+    feats = _rows("feats", feats)
     n = points.shape[0]
     if feats.shape[0] != n:
         raise ValueError("points and feats must have matching first dimension")
@@ -455,9 +451,9 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
 
     Returns (target features (t,c_out), tape or None).
     """
-    target_points = np.asarray(target_points, dtype=float)
-    source_points = np.asarray(source_points, dtype=float)
-    source_feats = np.asarray(source_feats, dtype=float)
+    target_points = _rows("target_points", target_points, 3)
+    source_points = _rows("source_points", source_points, 3)
+    source_feats = _rows("source_feats", source_feats)
     n_s = source_points.shape[0]
     if n_s < 1:
         raise ValueError("need at least one source point")
@@ -466,7 +462,7 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
     c_s = source_feats.shape[1]
     width = c_s
     if skip_feats is not None:
-        skip_feats = np.asarray(skip_feats, dtype=float)
+        skip_feats = _rows("skip_feats", skip_feats)
         if skip_feats.shape[0] != target_points.shape[0]:
             raise ValueError("skip features must align with target points")
         width += skip_feats.shape[1]
@@ -553,17 +549,12 @@ def association_head(spec: AssociationSpec, points_a: np.ndarray, feats_a: np.nd
 
     Returns (embedded features (na, c_out), tape or None).
     """
-    points_a = np.asarray(points_a, dtype=float)
-    points_b = np.asarray(points_b, dtype=float)
-    feats_a = np.asarray(feats_a, dtype=float)
-    feats_b = np.asarray(feats_b, dtype=float)
+    points_a, points_b = _rows("points_a", points_a, 3), _rows("points_b", points_b, 3)
+    feats_a, feats_b = _rows("feats_a", feats_a), _rows("feats_b", feats_b)
     if feats_a.shape[1] != feats_b.shape[1]:
         raise ValueError("frame feature widths must match")
     if feats_a.shape[0] != points_a.shape[0] or feats_b.shape[0] != points_b.shape[0]:
         raise ValueError("points and features must align")
-    nb = points_b.shape[0]
-    if spec.k > nb:
-        raise ValueError(f"only {nb} frame-B points for k={spec.k}")
     if spec.mlp.in_width != 4:
         raise ValueError(f"MLP expects width {spec.mlp.in_width}, the head provides 4")
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..geom import _vector, _xyz_rows
+from ..geom import _rows, _vector
 
 LOSS_ALPHA = 1.0
 LOSS_BETA = 0.5
@@ -25,8 +25,8 @@ def tracking_loss(pred_disp: np.ndarray, target_disp: np.ndarray,
 
     Returns (loss, d(loss)/d(pred) with shape (n, 3)).
     """
-    pred = _xyz_rows("pred_disp", pred_disp)
-    target = _xyz_rows("target_disp", target_disp)
+    pred = _rows("pred_disp", pred_disp, 3)
+    target = _rows("target_disp", target_disp, 3)
     mask = _vector("foreground_mask", foreground_mask, bool)
     excluded = _vector("excluded", excluded, bool)
     n = pred.shape[0]

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..geom import _integer
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
@@ -61,10 +63,10 @@ def clr_schedule(step: int, steps_per_cycle: int, lr_low: float,
                  lr_high: float) -> float:
     """Triangular wave: lr_low -> lr_high over the first half cycle, back down
     over the second; periodic in `steps_per_cycle` (which must be even)."""
-    if steps_per_cycle <= 0 or steps_per_cycle % 2 != 0:
-        raise ValueError("steps_per_cycle must be positive and even")
-    if step < 0:
-        raise ValueError("step must be non-negative")
+    steps_per_cycle = _integer("steps_per_cycle", steps_per_cycle, 2)
+    if steps_per_cycle % 2 != 0:
+        raise ValueError(f"steps_per_cycle must be even, got {steps_per_cycle}")
+    step = _integer("step", step, 0)
     half = steps_per_cycle // 2
     pos = step % steps_per_cycle
     if pos <= half:

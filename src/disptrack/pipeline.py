@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import numbers
 import os
 import zipfile
 from collections.abc import Iterable
@@ -51,8 +50,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .geom import Box3D, PointCloud, _integer, _vector, _xyz_rows, box_owner
-from .ingest import FrameLabel, Sequence, _finite_non_negative, label_targets
+from .geom import Box3D, PointCloud, _integer, _real, _rows, _vector, box_owner
+from .ingest import FrameLabel, Sequence, label_targets
 from .micronet import (
     AssociationSpec,
     DenseGrads,
@@ -115,7 +114,7 @@ class DisplacementField:
 
     def __post_init__(self) -> None:
         self.point_indices = _vector("point_indices", self.point_indices, int)
-        self.vectors = _xyz_rows("vectors", self.vectors)
+        self.vectors = _rows("vectors", self.vectors, 3)
         if self.point_indices.shape[0] != self.vectors.shape[0]:
             raise ValueError("indices and vectors must have equal length")
         if len(np.unique(self.point_indices)) != self.point_indices.shape[0]:
@@ -132,16 +131,9 @@ class DetectorNoise:
     fp_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        self.center_sigma = _finite_non_negative("noise sigmas", self.center_sigma)
-        self.yaw_sigma = _finite_non_negative("noise sigmas", self.yaw_sigma)
-        for name in ("dropout", "fp_rate"):
-            rate = getattr(self, name)
-            # Every comparison with NaN is false, so NaN fails this check too.
-            if isinstance(rate, bool) or not (isinstance(rate, numbers.Real)
-                                              and 0.0 <= rate <= 1.0):
-                raise ValueError(f"dropout and false-positive rates must lie in "
-                                 f"[0, 1], got {rate!r}")
-            setattr(self, name, float(rate))
+        for name, bound in (("center_sigma", "non-negative"), ("yaw_sigma", "non-negative"),
+                            ("dropout", "in [0, 1]"), ("fp_rate", "in [0, 1]")):
+            setattr(self, name, _real(name, getattr(self, name), bound))
 
 
 def _widths(name: str, widths) -> tuple[int, ...]:
@@ -150,10 +142,7 @@ def _widths(name: str, widths) -> tuple[int, ...]:
         widths = tuple(widths)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of integers, got {widths!r}") from None
-    out = tuple(_integer(name, w) for w in widths)
-    if any(w < 1 for w in out):
-        raise ValueError(f"{name} must be at least 1, got {widths!r}")
-    return out
+    return tuple(_integer(name, w, 1) for w in widths)
 
 
 @dataclass
@@ -166,15 +155,9 @@ class SaConfig:
     widths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self.sample = _integer("sample", self.sample)
-        self.cap = _integer("cap", self.cap)
-        # Every comparison with NaN is false, so NaN fails this check too.
-        if not (self.sample >= 1 and isinstance(self.radius, numbers.Real)
-                and not isinstance(self.radius, bool)
-                and self.radius > 0.0 and self.cap >= 1):
-            raise ValueError(f"set abstraction needs sample >= 1, radius > 0 and "
-                             f"cap >= 1, got {self.sample}, {self.radius}, {self.cap}")
-        self.radius = float(self.radius)
+        self.sample = _integer("sample", self.sample, 1)
+        self.radius = _real("radius", self.radius, "positive")
+        self.cap = _integer("cap", self.cap, 1)
         self.widths = _widths("widths", self.widths)
 
 
@@ -204,17 +187,13 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_input", "n_filtered", "k", "clr_cycle_epochs", "seed"):
-            setattr(self, name, _integer(name, getattr(self, name)))
-        for name in ("n_input", "n_filtered", "k", "clr_cycle_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name, low in (("n_input", 1), ("n_filtered", 1), ("k", 1),
+                          ("clr_cycle_epochs", 1), ("seed", 0)):
+            setattr(self, name, _integer(name, getattr(self, name), low))
         if self.n_filtered > self.n_input:
             raise ValueError("n_filtered must not exceed n_input")
         for name in ("lr_low", "lr_high"):
-            setattr(self, name, _finite_non_negative(name, getattr(self, name)))
+            setattr(self, name, _real(name, getattr(self, name), "non-negative"))
         for name in ("assoc_widths", "fp1_widths", "fp2_widths", "fp3_widths",
                      "head_widths"):
             setattr(self, name, _widths(name, getattr(self, name)))
@@ -270,10 +249,7 @@ def probability_filter(cloud: PointCloud, probs, n_filtered: int) -> np.ndarray:
     probs = _vector("probs", probs, float)
     if probs.shape[0] != len(cloud):
         raise ValueError("probability vector must match the cloud length")
-    n_filtered = _integer("n_filtered", n_filtered)
-    if n_filtered < 0:
-        raise ValueError(f"n_filtered must not be negative, got {n_filtered}")
-    keep = min(n_filtered, probs.shape[0])
+    keep = min(_integer("n_filtered", n_filtered, 0), probs.shape[0])
     return np.sort(np.argsort(-probs, kind="stable")[:keep])
 
 
@@ -305,7 +281,7 @@ def oracle_detector(frame: PointCloud, labels: FrameLabel,
     inside the surviving boxes' original (pre-noise) geometry, 0 elsewhere.
     """
     noise = noise or DetectorNoise()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     boxes: list[Box3D] = []
     survivors: list[Box3D] = []
     for box in labels.boxes:
@@ -663,9 +639,7 @@ def train_association(dataset, config: PipelineConfig,
     degenerate (no point left after the filter, fewer frame-B sa2 points
     than k) raises with the message that predict_displacements gives.
     """
-    epochs = _integer("epochs", epochs)
-    if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    epochs = _integer("epochs", epochs, 1)
     drives = [dataset] if isinstance(dataset, Sequence) \
         else list(dataset) if isinstance(dataset, Iterable) else [dataset]
     if not all(isinstance(drive, Sequence) for drive in drives):

@@ -108,9 +108,9 @@ def test_fps_invalid_arguments():
         farthest_point_sample(two, 1, [0, 0, 0])
     # One count per call: a count per cloud is rejected, not sampled.
     for count in ([1, 1], np.array([1, 1]), 1.0, True):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="^sample count must be an integer, got"):
             farthest_point_sample(two, count, [0, 0])
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="^start indices must hold int values, got dtype float"):
         farthest_point_sample(two, 1, [0.0, 0.0])
     with pytest.raises(ValueError, match=r"sample count must lie in \[1, 1\], got 2"):
         farthest_point_sample(two, 2, [0, 0])
@@ -445,7 +445,7 @@ def test_nearest_in_radius_boundary_inclusive_and_validated():
     c = cloud_of((1.0, 0, 0))
     assert in_radius((0, 0, 0), 1.0, c.points, 4).tolist() == [0]
     for radius in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="radius must be positive"):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
             in_radius((0, 0, 0), radius, c.points, 4)
 
 
@@ -474,8 +474,10 @@ def test_ball_query_validates_and_handles_no_queries():
     for cap in (0, 4):
         with pytest.raises(ValueError, match="cap"):
             ball_query(pts, pts, 1.0, cap)
-    for radius in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="radius"):
+    # True used to run as 1.0, and "1.0" or None raised a bare TypeError.
+    for radius in (0.0, -1.0, float("nan"), True, "1.0", None):
+        message = f"^radius must be finite and positive, got {re.escape(repr(radius))}$"
+        with pytest.raises(ValueError, match=message):
             ball_query(pts, pts, radius, 2)
     order, valid = ball_query(np.zeros((0, 3)), pts, 1.0, 2)
     assert order.shape == valid.shape == (0, 2)
@@ -662,21 +664,25 @@ BOX_CASES = {
     "size-bool": (lambda: Box3D(np.zeros(3), np.ones(3, dtype=bool), 0.0),
                   "size must hold float values, got dtype bool"),
     "yaw-bool": (lambda: Box3D(np.zeros(3), np.ones(3), True),
-                 "yaw must be a real number, got True"),
+                 "yaw must be finite and real, got True"),
     "yaw-string": (lambda: Box3D(np.zeros(3), np.ones(3), "0.5"),
-                   "yaw must be a real number, got '0.5'"),
+                   "yaw must be finite and real, got '0.5'"),
     "track-float": (lambda: Box3D(np.zeros(3), np.ones(3), 0.0, track_id=1.5),
                     "track_id must be an integer, got 1.5"),
     "track-bool": (lambda: Box3D(np.zeros(3), np.ones(3), 0.0, track_id=True),
                    "track_id must be an integer, got True"),
+    "offset-short": (lambda: Box3D(np.zeros(3), np.ones(3), 0.0).translated([1.0]),
+                     "offset needs 3 entries, got 1"),
+    "offset-bool": (lambda: Box3D(np.zeros(3), np.ones(3), 0.0).translated([True, False, False]),
+                    "offset must hold float values, got dtype bool"),
 }
 
 
 @pytest.mark.parametrize("case", BOX_CASES)
 def test_box_keeps_the_shapes_and_types_of_its_fields(case):
     # Each used to pass: a (3, 1) centre and a (1, 3) size were reshaped, a
-    # bool centre read as numbers, a yaw of True as 1.0, and track_id=1.5
-    # was kept.
+    # bool centre read as numbers, a yaw of True as 1.0, track_id=1.5 was
+    # kept, and translated([1.0]) moved a box by (1, 1, 1).
     call, message = BOX_CASES[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,9 +82,26 @@ def test_synthesize_invalid_config():
 def test_synthesize_rejects_a_non_finite_or_negative_scalar(field, value):
     # SceneConfig raises on construction.  A negative direction_change_every
     # used to run as constant velocity, and None or a string raised a bare
-    # TypeError.
-    with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+    # TypeError.  direction_change_every is a count, so any float is refused.
+    message = (f"^direction_change_every must be an integer, got {re.escape(repr(value))}$"
+               if field == "direction_change_every"
+               else "^noise_sigma must be finite and non-negative, got")
+    with pytest.raises(ValueError, match=message):
         synthesize_sequence(SceneConfig(**{field: value}), seed=0)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "must be an integer, got True"),
+    (1.5, "must be an integer, got 1.5"),
+    (-1, "must be non-negative, got -1"),
+])
+@pytest.mark.parametrize("seeded", ["synthesize", "augment"])
+def test_synthesis_and_augmentation_reject_a_bad_seed(seeded, seed, message):
+    # True used to seed as 1; 1.5 and -1 raised numpy's errors, naming no field.
+    call = {"synthesize": lambda: synthesize_sequence(SceneConfig(frames=2), seed),
+            "augment": lambda: apply_displacement_augmentation(small_sequence(), 0.1, seed)}
+    with pytest.raises(ValueError, match=f"^seed {message}$"):
+        call[seeded]()
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, True])
@@ -254,6 +273,25 @@ def test_frame_label_rejects_duplicate_tracks():
     with pytest.raises(ValueError):
         FrameLabel(0, [Box3D((0, 0, 0), (1, 1, 1), 0, track_id=1),
                        Box3D((5, 0, 0), (1, 1, 1), 0, track_id=1)])
+
+
+CLOUD = PointCloud(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Sequence([np.zeros((2, 3)), np.zeros((2, 3))]),
+     "frame 0 must be a (PointCloud, FrameLabel) pair, got ndarray"),
+    (lambda: Sequence([(CLOUD, FrameLabel(0)), (np.zeros((2, 3)), FrameLabel(1))]),
+     "frame 1 must be a (PointCloud, FrameLabel) pair, got (ndarray, FrameLabel)"),
+    (lambda: Sequence([(CLOUD, FrameLabel(0), "extra")]),
+     "frame 0 must be a (PointCloud, FrameLabel) pair, got (PointCloud, FrameLabel, str)"),
+    (lambda: FrameLabel(3, [1, 2]), "frame 3 box must be a Box3D, got int"),
+], ids=["arrays", "array-in-pair", "triple", "label-ints"])
+def test_sequence_and_label_hold_only_clouds_labels_and_boxes(make, message):
+    # A Sequence of raw (n, 3) arrays used to build, and training on it then
+    # raised AttributeError; FrameLabel(0, [1, 2]) raised AttributeError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_sequence_rejects_nonincreasing_frames():

@@ -74,6 +74,9 @@ def test_dimension_mismatch_raises():
         dense_apply(params, np.zeros((2, 4)))
     with pytest.raises(ValueError):
         DenseParams([np.eye(3), np.eye(4)], [np.zeros(3), np.zeros(4)])
+    # A (2, 3) bias used to be raveled into 6 entries.
+    with pytest.raises(ValueError, match=r"^biases\[0\] must be a 1-D array, got shape \(2, 3\)$"):
+        DenseParams([np.zeros((3, 6))], [np.zeros((2, 3))])
 
 
 def test_create_initializes_within_glorot_bound():

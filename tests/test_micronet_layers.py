@@ -934,15 +934,24 @@ def test_assoc_rejects_oversized_k_and_mismatched_widths():
     spec = make_assoc_spec(rng, k=2)
     pts_a, pts_b = rng.uniform(-2, 2, size=(3, 3)), rng.uniform(-2, 2, size=(4, 3))
     feats_a, feats_b = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
-    with pytest.raises(ValueError, match="^only 4 frame-B points for k=5$"):
+    # geom.nearest checks k, against the frame-B points.
+    with pytest.raises(ValueError, match=r"^k must lie in \[1, 4\], got 5$"):
         association_head(make_assoc_spec(rng, k=5), pts_a, feats_a, pts_b, feats_b)
-    with pytest.raises(ValueError, match="^k must be at least 1$"):
-        AssociationSpec(0, spec.mlp)
+    with pytest.raises(ValueError, match=r"^k must lie in \[1, 4\], got 0$"):
+        association_head(AssociationSpec(0, spec.mlp), pts_a, feats_a, pts_b, feats_b)
     wide = AssociationSpec(2, DenseParams.create([5, 6, 4], rng))
     with pytest.raises(ValueError, match="^MLP expects width 5, the head provides 4$"):
         association_head(wide, pts_a, feats_a, pts_b, feats_b)
     with pytest.raises(ValueError, match="^frame feature widths must match$"):
         association_head(spec, pts_a, feats_a, pts_b, rng.normal(size=(4, 3)))
+    # Bools used to run as 0.0 and 1.0, and 1-D features raised "tuple index
+    # out of range".
+    with pytest.raises(ValueError, match="^points_a must hold float values, got dtype bool$"):
+        association_head(spec, pts_a > 0, feats_a, pts_b, feats_b)
+    with pytest.raises(ValueError, match="^feats_b must hold float values, got dtype bool$"):
+        association_head(spec, pts_a, feats_a, pts_b, feats_b > 0)
+    with pytest.raises(ValueError, match=r"^feats_a must be a 2-D array, got shape \(3,\)$"):
+        association_head(spec, pts_a, feats_a[:, 0], pts_b, feats_b)
 
 
 def unblocked_association_head(spec, points_a, feats_a, points_b, feats_b, grad_emb):

@@ -95,6 +95,9 @@ def test_clr_validates_cycle():
         clr_schedule(0, 0, 1e-4, 1e-3)
     with pytest.raises(ValueError):
         clr_schedule(-1, 8, 1e-4, 1e-3)
+    # A step of True used to run as step 1.
+    with pytest.raises(ValueError, match="^step must be an integer, got True$"):
+        clr_schedule(True, 4, 0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Packaging metadata and public exports point at things that exist, every
-public function and class is reached by the package or the bench, and every
+public function and class is reached by the package or the bench, every
 defaulted parameter of a public function or class constructor is passed by
-one of their calls."""
+one of their calls, and bools and real numbers are told apart in one place."""
 
 import ast
 import importlib
@@ -166,3 +166,40 @@ def test_every_defaulted_parameter_is_passed_or_kept_on_purpose():
         "delete these options or say in UNSET_ON_PURPOSE why they stay"
     assert sorted(set(UNSET_ON_PURPOSE) - unset) == [], \
         "these are gone or passed now; drop them from UNSET_ON_PURPOSE"
+
+
+#: The functions of src/ that alone may test for a bool or a real number:
+#: every other entry point checks its numbers through them.
+NUMBER_RULES = {"geom._integer", "geom._real"}
+
+
+def number_tests(tree: ast.Module, module: str) -> set[str]:
+    """Qualified names of the functions of a module that call
+    ``isinstance(..., bool)`` (bool alone or in a tuple) or read
+    ``numbers.Real``."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1:2]
+            kinds = kinds[0].elts if kinds and isinstance(kinds[0], ast.Tuple) else kinds
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                found.add(scope)
+        if (isinstance(node, ast.Attribute) and node.attr == "Real"
+                and getattr(node.value, "id", None) == "numbers"):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_bools_and_real_numbers_are_told_apart_only_by_the_number_rules():
+    sites = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        sites |= number_tests(ast.parse(path.read_text()), path.stem)
+    assert sorted(sites - NUMBER_RULES) == [], \
+        "check these numbers with geom._integer or geom._real"

@@ -30,8 +30,16 @@ from disptrack.ingest import (
     label_targets,
     synthesize_sequence,
 )
+from disptrack.micronet import (
+    DenseParams,
+    SaLayerSpec,
+    dense_apply,
+    fp_layer,
+    sa_layer,
+    select_groups,
+    tracking_loss,
+)
 from disptrack.micronet import layers as layers_module
-from disptrack.micronet import tracking_loss
 from disptrack.pipeline import PipelineConfig, SaConfig
 from gradcheck import gradient_check
 
@@ -610,6 +618,7 @@ XYZ8 = np.zeros((8, 3))
 MASK8 = np.zeros(8, dtype=bool)
 SCRAMBLED = np.arange(24.0).reshape(6, 4)
 PAIRED = np.zeros((4, 2))
+MLP2 = DenseParams.create([2, 2], np.random.default_rng(0))
 PER_POINT_CASES = {
     "field-indices": (lambda: pipeline.DisplacementField(EIGHT.reshape(4, 2), XYZ8),
                       "point_indices must be a 1-D array, got shape (4, 2)"),
@@ -633,6 +642,8 @@ PER_POINT_CASES = {
                    "point_mask_probs must be a 1-D array, got shape (4, 2)"),
     "filter": (lambda: pipeline.probability_filter(PointCloud(XYZ8), PAIRED, 3),
                "probs must be a 1-D array, got shape (4, 2)"),
+    "dense-input": (lambda: dense_apply(MLP2, np.zeros(2)),
+                    "x must be an (n, 2) array, got shape (2,)"),
 }
 
 
@@ -648,6 +659,10 @@ def test_per_point_arrays_keep_their_shape(case):
 FLOAT2 = np.array([0.5, 2.0])
 XYZ2 = np.zeros((2, 3))
 MASK2 = np.zeros(2, dtype=bool)
+BOOL_XYZ2 = np.ones((2, 3), dtype=bool)
+FEATS2 = np.zeros((2, 1))
+SPEC = SaLayerSpec(1, DenseParams.create([3 + 1, 2], np.random.default_rng(0)))
+MLP1 = DenseParams.create([1, 2], np.random.default_rng(0))
 PER_POINT_DTYPE_CASES = {
     "field-indices": (lambda: pipeline.DisplacementField([0.7, 1.2], XYZ2),
                       "point_indices must hold int values, got dtype float64"),
@@ -665,6 +680,24 @@ PER_POINT_DTYPE_CASES = {
                         "point_mask_probs must hold float values, got dtype bool"),
     "filter-bool": (lambda: pipeline.probability_filter(PointCloud(XYZ2), ~MASK2, 1),
                     "probs must hold float values, got dtype bool"),
+    "cloud-bool": (lambda: PointCloud(BOOL_XYZ2),
+                   "points must hold float values, got dtype bool"),
+    "loss-pred-bool": (lambda: tracking_loss(BOOL_XYZ2, XYZ2, MASK2, MASK2),
+                       "pred_disp must hold float values, got dtype bool"),
+    "sa-points-bool": (lambda: sa_layer(SPEC, BOOL_XYZ2, FEATS2,
+                                        select_groups(XYZ2, [0], 1.0, 2)),
+                       "points must hold float values, got dtype bool"),
+    "sa-feats-bool": (lambda: sa_layer(SPEC, XYZ2, FEATS2 == 0,
+                                       select_groups(XYZ2, [0], 1.0, 2)),
+                      "feats must hold float values, got dtype bool"),
+    "fp-points-bool": (lambda: fp_layer(BOOL_XYZ2, XYZ2, FEATS2, None, MLP1),
+                       "target_points must hold float values, got dtype bool"),
+    "fp-feats-bool": (lambda: fp_layer(XYZ2, XYZ2, FEATS2 == 0, None, MLP1),
+                      "source_feats must hold float values, got dtype bool"),
+    "dense-input-bool": (lambda: dense_apply(MLP1, FEATS2 == 0),
+                         "x must hold float values, got dtype bool"),
+    "dense-weights-bool": (lambda: DenseParams([np.ones((3, 2), dtype=bool)], [np.zeros(2)]),
+                           "weights[0] must hold float values, got dtype bool"),
 }
 
 
@@ -727,11 +760,14 @@ def test_config_rejects_broken_loss_and_learning_rate_settings(name, value):
 def test_config_rejects_a_bad_set_abstraction_level(sample, radius, cap):
     # A NaN radius used to pass until ball_query met it in the first forward
     # pass, a radius of None or a string raised a bare TypeError, and True
-    # ran as 1.0.
-    with pytest.raises(ValueError, match="set abstraction needs"):
+    # ran as 1.0.  Each case has one bad field, which the message names.
+    message = ("^sample must be at least 1, got 0$" if sample == 0
+               else "^cap must be at least 1, got 0$" if cap == 0
+               else f"^radius must be finite and positive, got {re.escape(repr(radius))}$")
+    with pytest.raises(ValueError, match=message):
         SaConfig(sample, radius, cap, (8, 8))
     level = {"sample": sample, "radius": radius, "cap": cap, "widths": (8, 8)}
-    with pytest.raises(ValueError, match="set abstraction needs"):
+    with pytest.raises(ValueError, match=message):
         PipelineConfig.from_dict({**TINY.to_dict(), "sa2": level})
 
 
@@ -770,8 +806,8 @@ def test_config_rejects_point_counts_below_one(counts, message):
     ({"clr_cycle_epochs": 2.5}, "^clr_cycle_epochs must be an integer, got 2.5"),
     ({"seed": 1.5}, "^seed must be an integer, got 1.5"),
     ({"seed": False}, "^seed must be an integer, got False"),
-    ({"head_widths": (0,)}, r"^head_widths must be at least 1, got \(0,\)"),
-    ({"fp2_widths": (8, -4)}, r"^fp2_widths must be at least 1, got \(8, -4\)"),
+    ({"head_widths": (0,)}, "^head_widths must be at least 1, got 0$"),
+    ({"fp2_widths": (8, -4)}, "^fp2_widths must be at least 1, got -4$"),
     ({"assoc_widths": (8.5,)}, "^assoc_widths must be an integer, got 8.5"),
     ({"fp1_widths": (True,)}, "^fp1_widths must be an integer, got True"),
     ({"sa1": {"sample": 32.5, "radius": 0.5, "cap": 8, "widths": [8, 8]}},
@@ -781,7 +817,7 @@ def test_config_rejects_point_counts_below_one(counts, message):
     ({"sa2": {"sample": 16, "radius": 1.0, "cap": True, "widths": [8, 8]}},
      "^cap must be an integer, got True"),
     ({"sa3": {"sample": 4, "radius": 4.0, "cap": 8, "widths": [0]}},
-     r"^widths must be at least 1, got \(0,\)"),
+     "^widths must be at least 1, got 0$"),
     ({"sa3": {"sample": 4, "radius": 4.0, "cap": 8, "widths": [7.9]}},
      "^widths must be an integer, got 7.9"),
     ({"k": 65}, "^k=65 exceeds the (16|64) sa2 points"),     # TINY's or the default's
@@ -846,7 +882,7 @@ def test_config_stores_numpy_floats_as_python_floats(tmp_path):
 def test_probability_filter_rejects_a_negative_count():
     # order[:-3] used to drop the last three points instead of failing.
     cloud = PointCloud(np.zeros((6, 3)))
-    with pytest.raises(ValueError, match="n_filtered must not be negative, got -3"):
+    with pytest.raises(ValueError, match="^n_filtered must be non-negative, got -3$"):
         pipeline.probability_filter(cloud, np.full(6, 0.5), -3)
     assert pipeline.probability_filter(cloud, np.full(6, 0.5), 0).tolist() == []
 
@@ -876,7 +912,7 @@ def test_probability_filter_keeps_the_most_probable_with_ties_to_the_lower_index
                                            keep).tolist() == expected
 
 
-@pytest.mark.parametrize("levels, message", [
+@pytest.mark.parametrize("levels, kind", [
     ({"center_sigma": -0.1}, "sigmas"),
     ({"yaw_sigma": -1.0}, "sigmas"),
     ({"dropout": 1.5}, "rates"),
@@ -885,17 +921,21 @@ def test_probability_filter_keeps_the_most_probable_with_ties_to_the_lower_index
     ({"center_sigma": float("nan")}, "sigmas"),
     ({"yaw_sigma": float("nan")}, "sigmas"),
     ({"yaw_sigma": float("inf")}, "sigmas"),
-    ({"center_sigma": None}, "^noise sigmas must be finite and non-negative, got None$"),
+    ({"center_sigma": None}, "sigmas"),
     ({"yaw_sigma": "0.1"}, "sigmas"),
     ({"dropout": "0.1"}, "rates"),
-    ({"fp_rate": None}, r"^dropout and false-positive rates must lie in \[0, 1\], got None$"),
-    ({"dropout": True}, r"^dropout and false-positive rates must lie in \[0, 1\], got True$"),
-    ({"yaw_sigma": True}, "^noise sigmas must be finite and non-negative, got True$"),
+    ({"fp_rate": None}, "rates"),
+    ({"dropout": True}, "rates"),
+    ({"yaw_sigma": True}, "sigmas"),
 ])
-def test_detector_noise_rejects_invalid_levels(levels, message):
+def test_detector_noise_rejects_invalid_levels(levels, kind):
     # A level of the wrong type used to raise a bare TypeError, and True
-    # passed as a level.
-    with pytest.raises(ValueError, match=message):
+    # passed as a level.  The message names the level, its bound (sigmas
+    # are non-negative, rates lie in [0, 1]) and the value.
+    [(name, value)] = levels.items()
+    bound = {"sigmas": "non-negative", "rates": "in [0, 1]"}[kind]
+    message = f"{name} must be finite and {bound}, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         pipeline.DetectorNoise(**levels)
 
 
@@ -940,6 +980,12 @@ def test_oracle_detector_is_deterministic_per_seed():
     first, again, other = detect(4), detect(4), detect(5)
     assert np.array_equal(first[0], again[0]) and first[1] == again[1]
     assert first[1] != other[1]
+    # True used to seed as 1; 1.5 and -1 raised numpy's errors, naming no field.
+    for seed, message in ((True, "must be an integer, got True"),
+                          (1.5, "must be an integer, got 1.5"),
+                          (-1, "must be non-negative, got -1")):
+        with pytest.raises(ValueError, match=f"^seed {message}$"):
+            detect(seed)
 
 
 def test_empty_frame_raises_a_clear_error():
