@@ -6,7 +6,8 @@ Three layers cover the whole displacement network:
                            in-radius neighbours, a shared MLP runs per
                            neighbour, and element-wise max pools each group.
 * ``fp_layer``          -- upsample: inverse-distance interpolation of the 3
-                           nearest source features, optional skip concat, MLP.
+                           nearest source features, optional skip concat, MLP
+                           with a ReLU after every layer.
 * ``association_head``  -- cross-frame mixer: for every frame-A point and
                            each of its k nearest frame-B neighbours, the
                            cosine of their features and the neighbour
@@ -46,22 +47,30 @@ feature passes no gradient.
 
 Feature propagation applies its MLP's first layer to the source features
 before interpolating (interpolation is linear), so that GEMM runs over the
-fewer source rows.  It then runs a chunk of targets at a time through
-interpolation, the skip GEMM and the later layers, and writes only the
-chunk's rows of the output, so a forward pass never holds a whole (t, c)
-pre-activation or hidden array.  Chunking changes no interpolated bit: the
-einsum sums each target's neighbours in the same order at any chunk size.
-A GEMM split by rows keeps its bits only where BLAS computes a row alike in
-short and long calls; with OpenBLAS that held for 32- to 256-wide layers in
-chunks of 64 rows or more, not for 1- or 7-row chunks (a 1-row GEMM goes
-through gemv) or 3-wide outputs.  So the chunks are even, at most
-``_BLOCK_ROWS`` (target, neighbour) pairs each, and never fewer than
-``_GEMM_ROWS`` targets unless the layer has fewer in all.  The dense head
-runs whole: its 3-wide output GEMM changed bits at every row split tried.
-The backward pass sends the first layer's gradient to the sources with
+fewer source rows.  Unlike ``dense_apply``, every one of its layers ends in
+a ReLU, the last one included, as PointNet++'s FP units do: a linear last
+layer would only feed the next layer's linear map (through interpolation,
+whose weights sum to 1, or into the dense head) and fold into it.  It runs
+a chunk of targets at a time through interpolation, the skip GEMM and the
+later layers, and writes only the chunk's rows of the output, so a forward
+pass never holds a whole (t, c) pre-activation or hidden array.  Chunking
+changes no interpolated bit: the einsum sums each target's neighbours in
+the same order at any chunk size.  A GEMM split by rows keeps its bits
+only where BLAS computes a row alike in short and long calls; with OpenBLAS
+that held for 32- to 256-wide layers in chunks of 64 rows or more, not for
+1- or 7-row chunks (a 1-row GEMM goes through gemv) or 3-wide outputs.
+So the chunks are even, at most ``_BLOCK_ROWS`` (target, neighbour) pairs
+each, and never fewer than ``_GEMM_ROWS`` targets unless the layer has
+fewer in all.  The dense head runs whole: its 3-wide output GEMM changed
+bits at every row split tried.
+The backward pass reads the last ReLU's mask from the layer's output, the
+array that the next layer's tape holds as its input, so the tape copies
+nothing.  It sends the first layer's gradient to the sources with
 ``_interp_transpose``, one round per pair rank over the sources that have
 that many pairs, so each source sums its pairs from zero in (target, slot)
-order, bit for bit the np.add.at order, without a (t, 3, c) array.
+order, bit for bit the np.add.at order, without a (t, 3, c) array.  The
+first layer's ReLU mask is applied to each round's rows there, so a
+one-layer propagation holds no masked copy of its (t, c) output gradient.
 
 Feature gradients flow through features only; point coordinates are data
 and never differentiated, so finite-difference checks see a fixed
@@ -176,16 +185,17 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _interp_transpose(order: np.ndarray, weights: np.ndarray, g: np.ndarray,
-                      n: int) -> np.ndarray:
-    """(n, c) transpose of an interpolation: row j sums weights[t, s] * g[t]
-    over the (t, s) with order[t, s] == j.
+                      mask: np.ndarray, n: int) -> np.ndarray:
+    """(n, c) transpose of an interpolation of the masked gradient: row j
+    sums weights[t, s] * (g * mask)[t] over the (t, s) with order[t, s] == j.
 
-    Equals _scatter_add(order, g[:, None, :] * weights[:, :, None], n) bit
-    for bit without building those (t, kk, c) products or a flat index.  The
-    pairs are grouped by source in (t, s) order and the sources ordered by
-    pair count, so round r adds the r-th pair of every source that has more
-    than r pairs into a prefix of one zeroed accumulator: each sum runs from
-    zero in (t, s) order, the order np.add.at and np.bincount add in.
+    Equals _scatter_add(order, (g * mask)[:, None, :] * weights[:, :, None],
+    n) bit for bit without building g * mask, those (t, kk, c) products or a
+    flat index.  The pairs are grouped by source in (t, s) order and the
+    sources ordered by pair count, so round r adds the r-th pair of every
+    source that has more than r pairs into a prefix of one zeroed
+    accumulator: each sum runs from zero in (t, s) order, the order
+    np.add.at and np.bincount add in.
     """
     kk = order.shape[1]
     src = order.ravel()
@@ -200,7 +210,9 @@ def _interp_transpose(order: np.ndarray, weights: np.ndarray, g: np.ndarray,
     acc = np.zeros((n, g.shape[1]))
     for r, m in enumerate(active.tolist()):
         p = pairs[first[:m] + r]
-        x = g[p // kk]
+        t = p // kk
+        x = g[t]
+        x *= mask[t]
         x *= w[p][:, None]
         acc[:m] += x
     out = np.empty_like(acc)
@@ -401,34 +413,41 @@ def sa_layer(spec: SaLayerSpec, points: np.ndarray, feats: np.ndarray,
 
 
 class FpTape:
-    def __init__(self, order, weights, source_feats, skip_feats, w0, dense_tape):
+    def __init__(self, order, weights, source_feats, skip_feats, w0, dense_tape, out):
         self.order = order              # (t, kk) source indices
         self.weights = weights          # (t, kk) normalized interpolation weights
         self.source_feats = source_feats
         self.skip_feats = skip_feats    # None when no skip features were given
         self.w0 = w0                    # first layer's weights
         self.dense_tape = dense_tape    # later layers over the first's ReLU output, or None
+        self.out = out                  # the returned output, which the next tape holds too
 
     def backward(self, grad_out: np.ndarray):
         g = np.asarray(grad_out, dtype=float)
+        # Every layer ends in a ReLU; each mask is rebuilt from the ReLU's
+        # output as relu(z) > 0, as DenseTape rebuilds its hidden masks.
+        mask = self.out > 0.0
         grads_w, grads_b = [], []
         if self.dense_tape is not None:
-            later, g = self.dense_tape.backward(g)
-            np.multiply(g, self.dense_tape.inputs[0] > 0.0, out=g)
+            later, g = self.dense_tape.backward(g * mask)
+            mask = self.dense_tape.inputs[0] > 0.0
             grads_w, grads_b = later.weights, later.biases
-        # g is now the gradient of the first layer's pre-activation.  Its
-        # source part was interpolated after the GEMM, so g goes back to the
-        # sources first and the GEMM's gradients are taken there.
+        # g * mask is now the gradient of the first layer's pre-activation.
+        # Its source part was interpolated after the GEMM, so it goes back to
+        # the sources first and the GEMM's gradients are taken there.
         n_s, c_s = self.source_feats.shape
-        g_src = _interp_transpose(self.order, self.weights, g, n_s)
+        g_src = _interp_transpose(self.order, self.weights, g, mask, n_s)
         grad_w0 = self.source_feats.T @ g_src
         grad_source = g_src @ self.w0[:c_s].T
         grad_skip = None
         if self.skip_feats is not None:
+            g = g * mask
             grad_w0 = np.concatenate([grad_w0, self.skip_feats.T @ g])
             grad_skip = g @ self.w0[c_s:].T
-        return (DenseGrads([grad_w0, *grads_w], [g.sum(axis=0), *grads_b]),
-                grad_source, grad_skip)
+        # The masked column sums as einsum forms them, without a (t, c) copy;
+        # sum(where=mask) took 11 ms on a (5000, 256) gradient, this 1 ms.
+        grad_b0 = np.einsum("tc,tc->c", g, mask)
+        return DenseGrads([grad_w0, *grads_w], [grad_b0, *grads_b]), grad_source, grad_skip
 
 
 def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
@@ -438,7 +457,9 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
 
     Each target receives the inverse-distance weighted average (weights
     1/(d+1e-10), normalized) of its 3 nearest source features, concatenated
-    with its skip feature when one is provided, then passed through the MLP.
+    with its skip feature when one is provided, then passed through the MLP
+    with a ReLU after every layer, the last one included, so the output is
+    non-negative.  A NaN pre-activation leaves as 0, as in ``dense_apply``.
 
     The first layer's source columns run on the sources, before the
     interpolation (``interp(F) @ W == interp(F @ W)``); its skip columns and
@@ -447,7 +468,7 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
     targets (or all of them, when there are fewer), so that every chunk
     GEMM computes its rows' bits as one whole GEMM would.  With capture the
     chunks write the input of each later layer into whole arrays for the
-    tape.
+    tape, which reads the last ReLU's mask from the returned output.
 
     Returns (target features (t,c_out), tape or None).
     """
@@ -487,18 +508,17 @@ def fp_layer(target_points: np.ndarray, source_points: np.ndarray,
         if skip_feats is not None:
             z += skip_feats[t] @ w0[c_s:]
         z += mlp.biases[0]
-        if later is None:
-            out[t] = z
-            continue
-        np.fmax(z, 0.0, out=z)      # dense_apply's ReLU
-        out[t], dtape = dense_apply(later, z, capture=capture)
-        if capture:
-            for whole, part in zip(inputs, dtape.inputs):
-                whole[t] = part
+        if later is not None:
+            np.fmax(z, 0.0, out=z)      # dense_apply's ReLU
+            z, dtape = dense_apply(later, z, capture=capture)
+            if capture:
+                for whole, part in zip(inputs, dtape.inputs):
+                    whole[t] = part
+        np.fmax(z, 0.0, out=out[t])
     if not capture:
         return out, None
     dtape = DenseTape(later, inputs) if later else None
-    return out, FpTape(order, w, source_feats, skip_feats, w0, dtape)
+    return out, FpTape(order, w, source_feats, skip_feats, w0, dtape, out)
 
 
 class AssociationTape:

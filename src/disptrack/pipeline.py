@@ -7,7 +7,10 @@ streams per frame-A point; one more set-abstraction layer condenses the
 embedded features; three feature-propagation layers (the second with a skip
 connection from the first frame-A abstraction level) upsample back to the
 filtered points; and a two-layer dense head emits a 3-vector per filtered
-frame-A point.
+frame-A point.  Each feature-propagation MLP ends in a ReLU, as PointNet++'s
+do, so no linear layer feeds another: the default FP widths are one layer
+for fp1 and fp3 and two for fp2, and the head's last layer is the only
+linear output.
 
 Detection is decoupled behind the Detections interface; the oracle detector
 perturbs ground truth, enabling ground-truth-box experiments.
@@ -99,6 +102,9 @@ class Detections:
     point_mask_probs: np.ndarray
 
     def __post_init__(self) -> None:
+        for i, box in enumerate(self.boxes):
+            if not isinstance(box, Box3D):
+                raise ValueError(f"boxes[{i}] must be a Box3D, got {type(box).__name__}")
         self.point_mask_probs = _vector("point_mask_probs", self.point_mask_probs, float)
         p = self.point_mask_probs
         if np.any(~((p >= 0.0) & (p <= 1.0))):  # also rejects NaN
@@ -167,6 +173,7 @@ class PipelineConfig:
 
     Desk-scale defaults; `paper_scale()` restores the full-size layer table
     (input 15000, filter 5000, 64 association neighbours, 4x wider MLPs).
+    Every FP width is followed by a ReLU, the last one included.
     The loss weights are constants: alpha = 1 and beta = 0.5 (``tracking_loss``).
     """
 
@@ -177,9 +184,9 @@ class PipelineConfig:
     sa2: SaConfig = field(default_factory=lambda: SaConfig(64, 1.0, 16, (16, 16, 32)))
     assoc_widths: tuple[int, ...] = (32, 32)
     sa3: SaConfig = field(default_factory=lambda: SaConfig(16, 4.0, 16, (64, 64)))
-    fp1_widths: tuple[int, ...] = (64, 64)
-    fp2_widths: tuple[int, ...] = (32, 64, 64)
-    fp3_widths: tuple[int, ...] = (64, 64)
+    fp1_widths: tuple[int, ...] = (64,)
+    fp2_widths: tuple[int, ...] = (32, 64)
+    fp3_widths: tuple[int, ...] = (64,)
     head_widths: tuple[int, ...] = (32,)
     lr_low: float = 1e-4
     lr_high: float = 1e-3
@@ -213,8 +220,8 @@ class PipelineConfig:
                    sa2=SaConfig(512, 1.0, 32, (64, 64, 128)),
                    assoc_widths=(128, 128),
                    sa3=SaConfig(32, 4.0, 32, (256, 256)),
-                   fp1_widths=(256, 256), fp2_widths=(128, 256, 256),
-                   fp3_widths=(256, 256), head_widths=(128,))
+                   fp1_widths=(256,), fp2_widths=(128, 256),
+                   fp3_widths=(256,), head_widths=(128,))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -335,15 +342,18 @@ class DisplacementModel:
         """Copy the same-named array of params into every parameter array of
         the model; the model shares no array with params.
 
-        Raises, leaving the model unchanged, on a missing or extra name, a
-        shape mismatch or a non-finite value.
+        Raises, leaving the model unchanged, on a missing or extra name, an
+        array that is not a 2-D weight or 1-D bias of non-bool numbers
+        (``geom``'s rules, naming the parameter), a shape mismatch or a
+        non-finite value.
         """
         current = self.param_dict()
         if set(params) != set(current):
             raise ValueError(f"parameter names do not match the model: missing "
                              f"{sorted(set(current) - set(params))}, extra "
                              f"{sorted(set(params) - set(current))}")
-        params = {key: np.asarray(value, dtype=float) for key, value in params.items()}
+        params = {key: _rows(key, value) if current[key].ndim == 2
+                  else _vector(key, value, float) for key, value in params.items()}
         for key, value in params.items():
             if value.shape != current[key].shape:
                 raise ValueError(f"shape mismatch loading {key}")
@@ -394,7 +404,12 @@ def load_displacement_model(path) -> tuple[DisplacementModel, PipelineConfig]:
     """The model and config of an .npz that save_displacement_model wrote:
     float64 parameters by name and a 0-d JSON string "config".  Any other
     file, a config that from_dict rejects or parameters that load_param_dict
-    rejects raise ValueError; nothing is unpickled."""
+    rejects raise ValueError; nothing is unpickled.
+
+    A file saved before the feature-propagation MLPs ended in a ReLU still
+    loads, as its FP widths are still a valid config, but computes a
+    different field from the same parameters, as its FP outputs now pass a
+    ReLU."""
     try:
         archive = np.load(path, allow_pickle=False)
         if not isinstance(archive, np.lib.npyio.NpzFile):

@@ -384,7 +384,8 @@ def test_fp_coincident_target_copies_source_feature():
     src_pts = rng.uniform(-2, 2, size=(5, 3))
     src_feats = rng.normal(size=(5, 3))
     out, _ = fp_layer(src_pts[[2]], src_pts, src_feats, None, mlp)
-    assert np.allclose(out[0], src_feats[2], atol=1e-6)
+    # The layer's last ReLU keeps the positive channels.
+    assert np.allclose(out[0], np.fmax(src_feats[2], 0.0), atol=1e-6)
 
 
 def test_fp_constant_features_are_preserved():
@@ -394,7 +395,8 @@ def test_fp_constant_features_are_preserved():
     v = np.array([0.7, -1.3])
     out, _ = fp_layer(rng.uniform(-2, 2, size=(4, 3)), src_pts,
                       np.tile(v, (6, 1)), None, mlp)
-    assert np.allclose(out, np.tile(v, (4, 1)))
+    # The layer's last ReLU zeroes the negative channel.
+    assert np.allclose(out, np.tile([0.7, 0.0], (4, 1)))
 
 
 def test_fp_gradients_match_finite_differences():
@@ -448,6 +450,43 @@ def test_fp_source_and_skip_gradients_match_finite_differences():
         assert abs(grad_skip[idx] - numeric) < 1e-5 * max(1.0, abs(numeric))
 
 
+@pytest.mark.parametrize("skip_width, widths", [
+    (None, (4,)),
+    (2, (4,)),
+    (2, (6, 4)),
+], ids=["one-layer", "one-layer-skip", "two-layer-skip"])
+def test_fp_gradients_through_the_output_relu_match_finite_differences(skip_width, widths):
+    # About half the outputs are negative before the last ReLU, so its mask
+    # zeroes part of the output gradient; a one-layer propagation without
+    # skip features applies that mask inside the backward transpose.
+    rng = np.random.default_rng(26)
+    tgt = rng.uniform(-1, 1, size=(7, 3))
+    src = rng.uniform(-1, 1, size=(5, 3))
+    mlp = DenseParams.create([3 + (skip_width or 0), *widths], rng)
+    params = {f"w{i}": w for i, w in enumerate(mlp.weights)} | \
+        {f"b{i}": b + rng.normal(scale=0.1, size=b.shape) for i, b in enumerate(mlp.biases)}
+    params["src"] = rng.normal(size=(5, 3))
+    if skip_width is not None:
+        params["skip"] = rng.normal(size=(7, skip_width))
+    target = rng.normal(size=(7, widths[-1]))
+    layers = range(len(widths))
+
+    def loss_fn(d):
+        m = DenseParams([d[f"w{i}"] for i in layers], [d[f"b{i}"] for i in layers])
+        out, tape = fp_layer(tgt, src, d["src"], d.get("skip"), m, capture=True)
+        err = out - target
+        grads, grad_src, grad_skip = tape.backward(2.0 * err)
+        return float((err ** 2).sum()), {f"w{i}": grads.weights[i] for i in layers} | \
+            {f"b{i}": grads.biases[i] for i in layers} | {"src": grad_src, "skip": grad_skip}
+
+    out, _ = fp_layer(tgt, src, params["src"], params.get("skip"),
+                      DenseParams([params[f"w{i}"] for i in layers],
+                                  [params[f"b{i}"] for i in layers]))
+    assert 0.25 < np.mean(out == 0.0) < 0.75
+    size = sum(value.size for value in params.values())
+    assert gradient_check(loss_fn, params, probe_count=size, epsilon=1e-6) < 1e-5
+
+
 def gathered_fp_reference(target_points, source_points, source_feats, skip_feats, mlp,
                           grad_out):
     """Feature propagation with the whole MLP on the targets: interpolate the
@@ -459,7 +498,8 @@ def gathered_fp_reference(target_points, source_points, source_feats, skip_feats
     interp = np.einsum("tk,tkc->tc", w, source_feats[order])
     x = interp if skip_feats is None else np.concatenate([interp, skip_feats], axis=1)
     out, tape = dense_apply(mlp, x, capture=True)
-    mlp_grads, gx = tape.backward(grad_out)
+    out = np.fmax(out, 0.0)     # the last ReLU, which dense_apply leaves out
+    mlp_grads, gx = tape.backward(grad_out * (out > 0.0))
     c = source_feats.shape[1]
     grad_source = np.zeros_like(source_feats)
     np.add.at(grad_source, order, gx[:, None, :c] * w[:, :, None])
@@ -514,8 +554,8 @@ def test_fp_requires_sources_and_matching_widths():
 
 def unblocked_fp_layer(target_points, source_points, source_feats, skip_feats, mlp):
     """fp_layer's forward pass with the whole (t, kk, c) gather interpolated
-    by one einsum and the later layers run whole.  Returns (target features,
-    the input of each later layer)."""
+    by one einsum, the later layers run whole and a ReLU after the last.
+    Returns (target features, the input of each later layer)."""
     order, near = nearest(target_points, source_points, min(3, len(source_points)))
     w = 1.0 / (near + 1e-10)
     w = w / w.sum(axis=1, keepdims=True)
@@ -525,10 +565,10 @@ def unblocked_fp_layer(target_points, source_points, source_feats, skip_feats, m
         z += skip_feats @ mlp.weights[0][c_s:]
     z += mlp.biases[0]
     if len(mlp.weights) == 1:
-        return z, []
+        return np.fmax(z, 0.0), []
     out, tape = dense_apply(DenseParams(mlp.weights[1:], mlp.biases[1:]), np.fmax(z, 0.0),
                             capture=True)
-    return out, tape.inputs
+    return np.fmax(out, 0.0), tape.inputs
 
 
 @pytest.mark.parametrize("block_rows, n_target, n_source, skip_width, widths", [
@@ -598,8 +638,10 @@ def test_interp_transpose_matches_add_at_bit_for_bit(data):
                                           max_size=t * kk))).reshape(t, kk)
     g = np.array(data.draw(st.lists(SCATTER_VALUES, min_size=t * c,
                                     max_size=t * c))).reshape(t, c)
-    got = layers_module._interp_transpose(order, weights, g, n)
-    want = add_at(order, g[:, None, :] * weights[:, :, None], n)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=t * c,
+                                       max_size=t * c)), dtype=bool).reshape(t, c)
+    got = layers_module._interp_transpose(order, weights, g, mask, n)
+    want = add_at(order, (g * mask)[:, None, :] * weights[:, :, None], n)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -616,18 +658,23 @@ def test_interp_transpose_signed_zero_cases(order, n):
     weights = np.full(order.shape, -0.0)
     weights[::2, 0] = 0.5
     g = np.array([[-0.0, 1.0], [0.0, -0.0], [-0.0, -2.0], [3.0, -0.0]])[:len(order)]
-    got = layers_module._interp_transpose(order, weights, g, n)
-    assert got.tobytes() == add_at(order, g[:, None, :] * weights[:, :, None], n).tobytes()
+    # Masking turns 1.0 into +0.0 and -2.0 into -0.0.
+    mask = np.array([[True, False], [True, True], [True, False], [True, True]])[:len(order)]
+    got = layers_module._interp_transpose(order, weights, g, mask, n)
+    want = add_at(order, (g * mask)[:, None, :] * weights[:, :, None], n)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_target, n_source, skip_width, widths", [
-    (256, 64, 16, (32, 64, 64)),        # desk fp2, with its skip features
-    (512, 256, None, (64, 64)),         # desk fp3
-], ids=["fp2-skip", "fp3"])
+    (256, 64, 16, (32, 64)),            # desk fp2, with its skip features
+    (512, 256, None, (64,)),            # desk fp3
+    (256, 64, 16, (64,)),
+    (512, 256, None, (32, 64)),
+], ids=["fp2-skip", "fp3", "one-layer-skip", "two-layer"])
 def test_fp_backward_transpose_matches_add_at(monkeypatch, n_target, n_source, skip_width,
                                               widths):
-    # With _interp_transpose swapped for the np.add.at reference, every
-    # gradient of the layer keeps its bytes.
+    # With _interp_transpose swapped for the np.add.at reference of the
+    # masked gradient, every gradient of the layer keeps its bytes.
     rng = np.random.default_rng(23)
     tgt = rng.uniform(-4, 4, size=(n_target, 3))
     src = rng.uniform(-4, 4, size=(n_source, 3))
@@ -644,9 +691,9 @@ def test_fp_backward_transpose_matches_add_at(monkeypatch, n_target, n_source, s
     got = backward_bytes()
     ran = []
 
-    def reference(order, weights, g, n):
+    def reference(order, weights, g, mask, n):
         ran.append(n)
-        return add_at(order, g[:, None, :] * weights[:, :, None], n)
+        return add_at(order, (g * mask)[:, None, :] * weights[:, :, None], n)
     monkeypatch.setattr(layers_module, "_interp_transpose", reference)
     assert backward_bytes() == got
     assert ran == [n_source]

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from disptrack import pipeline
-from disptrack.geom import PointCloud
+from disptrack.geom import Box3D, PointCloud
 from disptrack.ingest import (
     FrameLabel,
     SceneConfig,
@@ -726,6 +726,18 @@ def test_empty_index_and_mask_lists_take_their_field_dtype():
     assert targets.foreground_mask.dtype == targets.excluded.dtype == np.bool_
 
 
+@pytest.mark.parametrize("boxes, message", [
+    ([1, 2], "boxes[0] must be a Box3D, got int"),
+    ([Box3D(np.zeros(3), np.ones(3), 0.0), "box"], "boxes[1] must be a Box3D, got str"),
+    ([None], "boxes[0] must be a Box3D, got NoneType"),
+])
+def test_detections_reject_boxes_that_are_not_box3d(boxes, message):
+    # Such boxes used to build, and point_features then raised an
+    # AttributeError inside geom.points_in_box.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pipeline.Detections(boxes, np.ones(3))
+
+
 @pytest.mark.parametrize("probs", [[np.nan, 0.5], [-0.1, 0.5], [0.5, 1.5]])
 def test_detections_reject_mask_probabilities_outside_the_unit_interval(probs):
     with pytest.raises(ValueError, match=r"mask probabilities must lie in \[0, 1\]"):
@@ -1090,6 +1102,24 @@ def test_evaluation_scores_each_drive_of_flat_pairs_once(monkeypatch):
                        [id(pairs[2][0]), id(pairs[3][0]), id(pairs[3][2])]]
 
 
+def test_a_trained_network_beats_zero_motion_on_a_held_out_drive():
+    # Desk widths at k = 4, two turning training drives and a third held
+    # out; zero motion is the trained model with its last head layer zeroed,
+    # scored by the same function.  About 6 s.
+    config = PipelineConfig(k=4, seed=0)
+    scene = SceneConfig(frames=20, direction_change_every=10)
+    model, _ = pipeline.train_association([synthesize_sequence(scene, s) for s in (0, 1)],
+                                          config, epochs=10)
+    held_out = list(synthesize_sequence(scene, 2).adjacent_pairs())
+    zero = pipeline.build_displacement_model(config)
+    zero.load_param_dict(model.param_dict())
+    zero.head.weights[-1][...] = 0.0
+    zero.head.biases[-1][...] = 0.0
+    network = pipeline.mean_displacement_error(model, config, held_out)
+    zero_motion = pipeline.mean_displacement_error(zero, config, held_out)
+    assert network < zero_motion, (network, zero_motion)
+
+
 def test_evaluation_rejects_an_empty_pair_list():
     # It used to raise "no foreground points to evaluate".
     model = pipeline.build_displacement_model(TINY)
@@ -1154,6 +1184,25 @@ def test_training_raises_when_the_last_update_goes_non_finite(monkeypatch):
     # One pair and one epoch: the poisoned update is also the last.
     with pytest.raises(ValueError, match=r"non-finite update of head\.b0"):
         pipeline.train_association(seq, TINY, epochs=1)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("sa1.w0", lambda p: p > 0.0, "sa1.w0 must hold float values, got dtype bool"),
+    ("head.b0", lambda p: p == 0.0, "head.b0 must hold float values, got dtype bool"),
+    ("fp1.w0", lambda p: p.ravel(), "fp1.w0 must be a 2-D array, got shape"),
+    ("sa2.b1", lambda p: p[None], "sa2.b1 must be a 1-D array, got shape"),
+    ("assoc.w0", lambda p: p.astype(str), "assoc.w0 must hold float values, got dtype <U"),
+])
+def test_load_param_dict_checks_each_array_by_name_and_keeps_the_model(name, value, message):
+    # Each array used to be cast with np.asarray(value, dtype=float), so a
+    # bool array loaded as 1.0 and 0.0.
+    model = pipeline.build_displacement_model(TINY)
+    before = {k: v.copy() for k, v in model.param_dict().items()}
+    params = {k: v + 1.0 for k, v in before.items()}
+    params[name] = value(params[name])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        model.load_param_dict(params)
+    assert all(v.tobytes() == before[k].tobytes() for k, v in model.param_dict().items())
 
 
 def test_load_param_dict_copies_into_the_model():
@@ -1320,7 +1369,7 @@ def test_a_paper_scale_model_survives_save_and_load_byte_for_byte(tmp_path):
 
     assert loaded_config == config
     loaded_params = loaded.param_dict()
-    assert sum(value.size for value in loaded_params.values()) == 573_347
+    assert sum(value.size for value in loaded_params.values()) == 375_971
     assert list(loaded_params) == list(params)
     for name, value in params.items():
         assert loaded_params[name].dtype == value.dtype
