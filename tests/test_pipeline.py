@@ -1105,7 +1105,7 @@ def test_evaluation_scores_each_drive_of_flat_pairs_once(monkeypatch):
 def test_a_trained_network_beats_zero_motion_on_a_held_out_drive():
     # Desk widths at k = 4, two turning training drives and a third held
     # out; zero motion is the trained model with its last head layer zeroed,
-    # scored by the same function.  About 6 s.
+    # scored by the same function.  About 7 s on a 2-core Xeon VM.
     config = PipelineConfig(k=4, seed=0)
     scene = SceneConfig(frames=20, direction_change_every=10)
     model, _ = pipeline.train_association([synthesize_sequence(scene, s) for s in (0, 1)],
